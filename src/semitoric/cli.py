@@ -372,8 +372,6 @@ def build_parser():
         leaf.add_argument("--input", help="path to the JSON input document")
         leaf.add_argument("--output", default="stdout",
                           help="path for the JSON report, or 'stdout'")
-        leaf.add_argument("--threads", type=int, default=1,
-                          help="reserved; computations are deterministic")
         leaf.add_argument("--verify", action="store_true",
                           help="run redundant cross-algorithm checks")
     return parser

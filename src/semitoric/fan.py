@@ -92,7 +92,13 @@ class Fan:
 
     def __init__(self, rays, max_cones, dim=None, ample_hint=None):
         rays = tuple(tuple(int(x) for x in r) for r in rays)
-        for r in rays:
+        if dim is None:
+            if not rays:
+                raise ValidationError("ambient rank of a fan without rays must be given")
+            dim = len(rays[0])
+        for i, r in enumerate(rays):
+            if len(r) != dim:
+                raise ValidationError(f"ray {i} has length {len(r)}, not the ambient rank {dim}")
             if not any(r):
                 raise ValidationError("zero vector is not a ray")
             if r != lattice.primitivize(r):
@@ -100,10 +106,6 @@ class Fan:
         if len(set(rays)) != len(rays):
             raise ValidationError("duplicate rays")
         self.rays = rays
-        if dim is None:
-            if not rays:
-                raise ValidationError("ambient rank of a fan without rays must be given")
-            dim = len(rays[0])
         self.dim = dim
         cones = []
         for c in max_cones:

@@ -8,7 +8,7 @@ fixed-width fast path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError, ValidationError
 
@@ -48,29 +48,65 @@ def is_primitive(v) -> bool:
     return gcd_list(v) == 1
 
 
-def det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    ``rows`` are equal-length rows of integers or rationals.  Each row is
+    first scaled by the lcm of its denominators, so all further work is in
+    integers.  Pivots are taken only in the first ``ncols`` columns; later
+    columns (a right-hand side, an identity block) ride along.
+
+    Returns ``(a, pivots, D, sign, scale)``: the eliminated integer rows, the
+    pivot columns, the common final pivot D, the sign of the row swaps and
+    the product of the row scales.  Row i < len(pivots) holds D in column
+    pivots[i] and 0 in every other pivot column, so a / D is the reduced row
+    echelon form; the remaining rows vanish in the first ``ncols`` columns.
+    """
+    width = len(rows[0]) if rows else 0
+    a, scale = [], 1
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValidationError(f"ragged matrix: row {i} has length {len(row)}, not {width}")
+        den = lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    m = len(a)
+    pivots, sign, prev = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        prow = a[r]
+        d = prow[c]
+        # Every other row is updated, including rows already 0 in column c:
+        # the division by the previous pivot is exact only for the full step.
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(x * d - f * y) // prev for x, y in zip(a[i], prow)]
+        pivots.append(c)
+        prev = d
+    return a, pivots, prev, sign, scale
+
+
+def det(rows):
+    """Determinant of a square matrix by fraction-free elimination.
+
+    An int when every entry is integral, else an exact Fraction.
+    """
     n = len(rows)
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
+    if any(len(r) != n for r in rows):
         raise ValidationError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    _, pivots, d, sign, scale = _eliminate(rows, n)
+    if len(pivots) < n:
+        return 0
+    return sign * d if scale == 1 else Fraction(sign * d, scale)
 
 
 def _identity(n):
@@ -217,25 +253,7 @@ def solve_integer(A, b):
 
 def matrix_rank(rows) -> int:
     """Rank over the rationals, by fraction-free elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank, r = 0, 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
 def saturation_basis(rows, ambient_dim):
@@ -252,23 +270,13 @@ def saturation_basis(rows, ambient_dim):
 def inverse_unimodular(A):
     """Exact inverse of a unimodular integer matrix, as integer rows."""
     n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        aug[c] = [x / aug[c][c] for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    inv = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValidationError("matrix is not unimodular")
-        inv.append(tuple(int(x) for x in row))
-    return inv
+    if any(len(r) != n for r in A):
+        raise ValidationError("inverse of a non-square matrix")
+    a, pivots, d, _, _ = _eliminate(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(A)], n)
+    if len(pivots) < n or d not in (1, -1):
+        raise ValidationError("matrix is not unimodular")
+    return [tuple(d * x for x in row[n:]) for row in a]
 
 
 def quotient_projection(span_rows, ambient_dim):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
+from .lattice import _eliminate
 
 
 class SparseEchelon:
@@ -85,38 +86,21 @@ def solve_linear(rows, rhs):
 
     Returns (particular, kernel_basis) or None when inconsistent.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else (len(rhs) if rhs else 0)
-    a = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_of_col[c] = r
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    if len(rhs) != len(rows):
+        raise ValidationError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
+    n = len(rows[0]) if rows else 0
+    a, pivots, d, _, _ = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for c, i in piv_of_col.items():
-        x[c] = a[i][n]
-    free = [c for c in range(n) if c not in piv_of_col]
+    for row, c in zip(a, pivots):
+        x[c] = Fraction(row[n], d)
     kernel = []
-    for f in free:
+    for f in sorted(set(range(n)) - set(pivots)):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
-        for c, i in piv_of_col.items():
-            v[c] = -a[i][f]
+        for row, c in zip(a, pivots):
+            v[c] = Fraction(-row[f], d)
         kernel.append(tuple(v))
     return tuple(x), kernel
 
@@ -214,10 +198,3 @@ def lp_feasible(num_vars, eqs=(), ineqs=(), nonneg=False):
         if b < ncols:
             sol[b] = tab[i][ncols_t]
     return recover(sol)
-
-
-def rational_matrix_rank(rows) -> int:
-    ech = SparseEchelon(len(rows[0]) if rows else 0)
-    for r in rows:
-        ech.insert({j: v for j, v in enumerate(r) if v})
-    return ech.rank

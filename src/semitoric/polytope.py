@@ -25,7 +25,10 @@ class HPolytope:
 
     def __post_init__(self):
         ineqs = tuple((tuple(int(x) for x in n), int(r)) for n, r in self.inequalities)
-        for n, _ in ineqs:
+        for i, (n, _) in enumerate(ineqs):
+            if len(n) != len(ineqs[0][0]):
+                raise ValidationError(f"normal {i} has length {len(n)}, "
+                                      f"not the ambient rank {len(ineqs[0][0])}")
             if not any(n):
                 raise ValidationError("zero normal in inequality system")
         object.__setattr__(self, "inequalities", ineqs)
@@ -359,7 +362,7 @@ class LatticePolytope:
             for v in simplex[1:]:
                 tv = self._to_span_coords(v)
                 rows.append([a - b for a, b in zip(tv, t0)])
-            total += abs(_rational_det(rows))
+            total += abs(lattice.det(rows))
         return total
 
     def _triangulate(self):
@@ -496,26 +499,6 @@ def _affine_dim(points) -> int:
     if not dirs:
         return 0
     return lattice.matrix_rank(dirs)
-
-
-def _rational_det(rows) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
 
 
 def _extreme_points(points):

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .fan import ConeRef, Fan, cone_contains
-from .linalg import rational_matrix_rank, solve_unique
+from .linalg import solve_unique
 from .residue import CupProduct, PairingValue
 
 
@@ -245,7 +245,7 @@ class GramBlock:
             if not rows or not cols:
                 return 0
             mat = [[self.entries[i][j].rational for j in cols] for i in rows]
-            return rational_matrix_rank(mat)
+            return lattice.matrix_rank(mat)
 
         return part_rank("ring") + part_rank("link")
 

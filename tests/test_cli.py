@@ -27,6 +27,14 @@ def fixture(name):
     return json.loads((FIXTURES / name).read_text())
 
 
+def package_env():
+    """Environment for a fresh interpreter that imports this semitoric package."""
+    src = str(Path(semitoric.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + os.pathsep + inherited if inherited else src)
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -92,6 +100,30 @@ def test_missing_field_exit_1(tmp_path, capsys):
 def test_unreadable_input_exit_1(capsys):
     code, _, err = run(capsys, "fan", "check", "--input", "/nonexistent.json")
     assert code == 1
+
+
+RAGGED_RAYS = {"rays": [[1, 0], [0, 1, 0], [-1, -1]],
+               "max_cones": [[0, 1], [1, 2], [2, 0]]}
+RAGGED_NORMALS = {"polytope": {"inequalities": [
+    {"normal": [1, 0, 5], "rhs": -1},
+    {"normal": [0, 1], "rhs": -1},
+    {"normal": [-1, -1], "rhs": -1}]}}
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    (("fan", "check"), {"fan": RAGGED_RAYS}, "ray 1"),
+    (("divisor", "analyze"), {"fan": RAGGED_RAYS, "coeffs": [1, 1, 1]}, "ray 1"),
+    (("hodge", "h21"), RAGGED_NORMALS, "normal 1"),
+])
+def test_ragged_vectors_exit_1(tmp_path, command, doc, named):
+    """Vectors of the wrong length are an input error, not a crash."""
+    path = write(tmp_path, "ragged.json", doc)
+    out = subprocess.run([sys.executable, "-m", "semitoric.cli", *command,
+                          "--input", path], capture_output=True, text=True,
+                         env=package_env())
+    assert out.returncode == 1
+    assert "input error" in out.stderr and named in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_precondition_failure_exit_2(tmp_path, capsys):
@@ -218,12 +250,8 @@ def test_console_entry_point(plane_json):
 
     # Call the target in a fresh interpreter the way pip's console-script
     # wrapper does, importing the same semitoric package as this process.
-    src = str(Path(semitoric.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + inherited if inherited else src)
     wrapper = f"import sys; from {module_name} import {attr}; sys.exit({attr}())"
-    assert_fan_check_ok([sys.executable, "-c", wrapper], plane_json, env)
+    assert_fan_check_ok([sys.executable, "-c", wrapper], plane_json, package_env())
 
 
 @pytest.mark.skipif(shutil.which("semitoric") is None,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from semitoric.errors import PreconditionError, ValidationError
@@ -35,6 +37,20 @@ def test_det():
     assert lattice.det([[2, 0], [1, -1]]) == -2
     assert lattice.det([[1, 0], [0, 1]]) == 1
     assert lattice.det([[1, 2], [2, 4]]) == 0
+
+
+def test_matrix_rank_rational():
+    assert lattice.matrix_rank([[1, 2], [2, 4]]) == 1
+    assert lattice.matrix_rank([[1, 0], [0, 1]]) == 2
+    half = Fraction(1, 2)
+    assert lattice.matrix_rank([[half, 1], [1, 2]]) == 1
+    assert lattice.matrix_rank([[half, 0], [0, Fraction(2, 3)]]) == 2
+    assert lattice.matrix_rank([[Fraction(0)] * 3]) == 0
+
+
+def test_inverse_unimodular_singular():
+    with pytest.raises(ValidationError, match="matrix is not unimodular"):
+        lattice.inverse_unimodular([[1, 2], [2, 4]])
 
 
 def test_smith_normal_form_roundtrip():

@@ -3,7 +3,6 @@ from fractions import Fraction
 from semitoric.linalg import (
     SparseEchelon,
     lp_feasible,
-    rational_matrix_rank,
     solve_linear,
     solve_unique,
 )
@@ -79,7 +78,3 @@ def test_lp_feasible_solution_satisfies():
     assert x[0] + 2 * x[1] + 3 * x[2] == 6
     assert x[0] >= 1 and x[1] >= 0
 
-
-def test_rational_matrix_rank():
-    assert rational_matrix_rank([[1, 2], [2, 4]]) == 1
-    assert rational_matrix_rank([[1, 0], [0, 1]]) == 2

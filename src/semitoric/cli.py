@@ -54,11 +54,14 @@ def parse_fan(doc, path="fan") -> Fan:
 def parse_polytope(doc, path="polytope") -> LatticePolytope:
     if "vertices" in doc:
         verts = [_int_list(v, f"{path}.vertices[{i}]")
-                 for i, v in enumerate(doc["vertices"])]
+                 for i, v in enumerate(_need(doc, "vertices", list, path))]
         return LatticePolytope(verts)
     if "inequalities" in doc:
+        rows = _need(doc, "inequalities", list, path)
+        if not rows:
+            raise ValidationError(f"{path}.inequalities: an empty system has no ambient rank")
         ineqs = []
-        for i, row in enumerate(doc["inequalities"]):
+        for i, row in enumerate(rows):
             n = _int_list(_need(row, "normal", list, f"{path}.inequalities[{i}]"),
                           f"{path}.inequalities[{i}].normal")
             r = _need(row, "rhs", int, f"{path}.inequalities[{i}]")

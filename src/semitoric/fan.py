@@ -14,26 +14,16 @@ from itertools import combinations
 from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
 from .linalg import lp_feasible, solve_linear
+from .polytope import _facets_in_span, cone_rays
 
 
 def extreme_rays_of_dual(normals, dim):
-    """Extreme rays of {y : <n, y> >= 0 for n in normals}, assuming the
-    region is a pointed cone (normals span the ambient space)."""
-    rays = set()
-    rows = [list(n) for n in normals]
-    for idx in combinations(range(len(rows)), dim - 1):
-        sub = [rows[i] for i in idx]
-        kern = lattice.integer_kernel([r for r in sub if any(r)] or [[0] * dim],
-                                      ncols=dim)
-        if len(kern) != 1:
-            continue
-        y = kern[0]
-        for cand in (y, tuple(-a for a in y)):
-            if all(lattice.pairing(cand, n) >= 0 for n in normals):
-                active = [n for n in normals if lattice.pairing(cand, n) == 0]
-                if lattice.matrix_rank(active) == dim - 1:
-                    rays.add(lattice.primitivize(cand))
-    return sorted(rays)
+    """Sorted primitive extreme rays of {y : <n, y> >= 0 for n in normals};
+    the normals must span the ambient space, so that the cone is pointed."""
+    rays = cone_rays(normals, dim)
+    if rays is None:
+        raise PreconditionError("the normals do not span the ambient space")
+    return sorted(y for y, _ in rays)
 
 
 def cone_contains(generators, x) -> bool:
@@ -146,10 +136,12 @@ class Fan:
         return lattice.matrix_rank([self.rays[i] for i in ray_indices])
 
     def _max_cone_facet_normals(self, ci):
-        """Facet normals of a full-dimensional maximal cone."""
+        """Facet normals of a maximal cone, inside its linear span."""
         if ci not in self._facet_normals:
             gens = [self.rays[i] for i in sorted(self.max_cones[ci])]
-            self._facet_normals[ci] = extreme_rays_of_dual(gens, self.dim)
+            basis = lattice.saturation_basis(gens, self.dim)
+            self._facet_normals[ci] = [
+                n for n, _ in _facets_in_span(gens, basis, affine=False)]
         return self._facet_normals[ci]
 
     def _faces_of_max_cone(self, ci):

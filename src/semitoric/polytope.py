@@ -3,18 +3,18 @@
 Conversions between half-space and vertex descriptions, face lattices,
 lattice-point and relative-interior-point enumeration, normalized volumes,
 dilation, reflexive duality and normal fans.  Inequalities are always read
-as <m, normal> >= rhs.
+as <m, normal> >= rhs.  Every conversion between half-spaces and vertices
+goes through one integer double-description kernel, ``cone_rays``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import lattice
 from .errors import PreconditionError, RationalVertexError, ValidationError
-from .linalg import lp_feasible, solve_linear, solve_unique
+from .linalg import lp_feasible, solve_unique
 
 
 @dataclass(frozen=True)
@@ -193,56 +193,23 @@ class LatticePolytope:
     def facets(self):
         """Irredundant facet list [(normal, rhs, tight vertex index set)].
 
-        Normals are primitive integer vectors in ambient coordinates; the
-        facet inequality is <x, normal> >= rhs (rhs rational in general).
+        Normals are primitive integer vectors in ambient coordinates that
+        lie in the direction space of the affine span, in increasing order;
+        the facet inequality is <x, normal> >= rhs (rhs rational in general).
         For polytopes of positive dimension only.
         """
         if self._facets is not None:
             return self._facets
-        k = self.dim
-        if k <= 0:
+        if self.dim <= 0:
             raise PreconditionError("facets of an empty or 0-dimensional polytope")
-        if self._hrep is not None:
-            cands = [(tuple(n), Fraction(r)) for n, r in self._hrep.inequalities]
-        else:
-            cands = self._facet_candidates_from_vertices()
+        _, basis, _ = self._span_data()
         facets = []
-        seen = set()
-        for n, r in cands:
-            tight = frozenset(i for i, v in enumerate(self.vertices)
-                              if lattice.pairing_q(v, n) == r)
-            if not tight or tight in seen:
-                continue
-            pts = [self.vertices[i] for i in tight]
-            if _affine_dim(pts) == k - 1:
-                seen.add(tight)
-                facets.append((n, r, tight))
+        for n, mask in _facets_in_span(self.vertices, basis, affine=True):
+            tight = frozenset(i for i in range(len(self.vertices)) if mask >> i & 1)
+            facets.append((n, lattice.pairing_q(self.vertices[min(tight)], n), tight))
+        facets.sort(key=lambda f: f[0])
         self._facets = facets
         return facets
-
-    def _facet_candidates_from_vertices(self):
-        k = self.dim
-        base, basis, _ = self._span_data()
-        vs = self.vertices
-        cands = []
-        for idx in combinations(range(len(vs)), k):
-            pts = [vs[i] for i in idx]
-            dirs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-            # normal inside the span: orthogonal to dirs and to nothing else
-            rows = dirs + [list(c) for c in lattice.integer_kernel(
-                [list(b) for b in basis], ncols=self.ambient_dim)]
-            kern = lattice.integer_kernel([r for r in rows if any(r)],
-                                          ncols=self.ambient_dim)
-            if len(kern) != 1:
-                continue
-            n = kern[0]
-            c = lattice.pairing_q(pts[0], n)
-            vals = [lattice.pairing_q(v, n) for v in vs]
-            if all(v >= c for v in vals) and any(v > c for v in vals):
-                cands.append((n, c))
-            elif all(v <= c for v in vals) and any(v < c for v in vals):
-                cands.append((tuple(-x for x in n), -c))
-        return cands
 
     def faces(self, k: int):
         """All k-dimensional faces, each exactly once."""
@@ -502,60 +469,90 @@ def _affine_dim(points) -> int:
 
 
 def _extreme_points(points):
+    """The vertices among the points: a point is a vertex exactly when the
+    facets of the hull through it meet in that point alone."""
     pts = sorted(set(points))
     if len(pts) <= 1:
         return pts
-    out = []
-    for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        n = len(others)
-        eqs = []
-        for c in range(len(p)):
-            eqs.append(([Fraction(q[c]) for q in others], Fraction(p[c])))
-        eqs.append(([Fraction(1)] * n, Fraction(1)))
-        if lp_feasible(n, eqs=eqs, nonneg=True) is None:
-            out.append(p)
-    return out
+    through = [frozenset(range(len(pts)))] * len(pts)
+    for _, _, tight in LatticePolytope(pts, _trusted=True).facets():
+        for i in tight:
+            through[i] &= tight
+    return [p for i, p in enumerate(pts) if through[i] == {i}]
+
+
+def cone_rays(rows, dim):
+    """Extreme rays of the pointed cone {y : <a, y> >= 0 for every row a}.
+
+    Integer double description (Motzkin et al. 1953; Fukuda and Prodon,
+    "Double description method revisited", 1996).  Returns a list of
+    (primitive ray, mask), where bit j of the mask is set when row j is
+    tight at the ray, or None when the integer rows do not span Q^dim.
+    """
+    rows = [tuple(r) for r in rows]
+    # the pivot columns of the transpose are the lex-first basis of the rows
+    start = lattice._eliminate([list(c) for c in zip(*rows)], len(rows))[1]
+    if len(start) < dim:
+        return None
+    rays = []
+    for i in start:
+        y = lattice.integer_kernel([list(rows[j]) for j in start if j != i], ncols=dim)[0]
+        if lattice.pairing(rows[i], y) < 0:
+            y = tuple(-x for x in y)
+        rays.append((y, sum(1 << j for j in start if j != i)))
+    for j in sorted(set(range(len(rows))) - set(start)):
+        a, bit = rows[j], 1 << j
+        vals = [sum(x * z for x, z in zip(a, y)) for y, _ in rays]
+        masks = [m for _, m in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        nxt = [rays[i] for i in pos]
+        nxt += [(y, m | bit) for (y, m), v in zip(rays, vals) if v == 0]
+        for p in pos:
+            for n in neg:
+                common = masks[p] & masks[n]
+                # adjacent: the common tight rows cut out a 2-face, which
+                # no third ray lies on
+                if common.bit_count() < dim - 2 or any(
+                        m & common == common for r, m in enumerate(masks)
+                        if r != p and r != n):
+                    continue
+                y = lattice.primitivize([vals[p] * u - vals[n] * w
+                                         for u, w in zip(rays[n][0], rays[p][0])])
+                nxt.append((y, common | bit))
+        rays = nxt
+    return rays
+
+
+def _facets_in_span(points, basis, affine):
+    """[(normal, mask)] for the facets of the cone over the points or, when
+    affine, of their convex hull, with primitive normals sum_j s_j b_j in
+    the span of the basis rows b_j; bit i of a mask marks point i on the
+    facet.  The points must span that cone (or hull) inside the span."""
+    rows = []
+    for p in points:
+        w, den = _clear_denominators(p)
+        rows.append([lattice.pairing(b, w) for b in basis] + ([-den] if affine else []))
+    return [(lattice.primitivize([sum(c * b[i] for c, b in zip(s, basis))
+                                  for i in range(len(basis[0]))]), mask)
+            for s, mask in cone_rays(rows, len(rows[0]))]
 
 
 def vertices_from_inequalities(h: HPolytope) -> LatticePolytope:
     """Exact vertex enumeration of a bounded H-polytope.
 
-    Every d-subset of inequalities with an invertible normal matrix yields a
-    candidate basic point; the feasible ones are exactly the vertices.
-    Infeasible systems give the empty polytope; unbounded ones are rejected.
+    The vertices are the rays with t > 0 of the cone
+    {(x, t) : <x, n> - r t >= 0, t >= 0}, scaled to t = 1; a ray with t = 0
+    is a recession direction.  Infeasible systems give the empty polytope;
+    unbounded ones are rejected.
     """
-    ineqs = h.inequalities
     d = h.dim
-    normals = [list(n) for n, _ in ineqs]
-    verts = set()
-    for idx in combinations(range(len(ineqs)), d):
-        rows = [normals[i] for i in idx]
-        rhs = [ineqs[i][1] for i in idx]
-        x = solve_unique(rows, rhs)
-        if x is None:
-            continue
-        if all(lattice.pairing_q(x, n) >= r for n, r in ineqs):
-            verts.add(tuple(x))
-    if not verts:
-        if lattice.matrix_rank(normals) < d and lp_feasible(
-                d, ineqs=[(n, r) for n, r in ineqs]) is not None:
+    rays = cone_rays([n + (-r,) for n, r in h.inequalities] + [(0,) * d + (1,)], d + 1)
+    if rays is None:  # the normals have rank < d
+        if lp_feasible(d, ineqs=list(h.inequalities)) is not None:
             raise PreconditionError("inequality system is feasible but unbounded")
-        return LatticePolytope([], hrep=h, _trusted=True)
-    # boundedness: the recession cone {y : <y, n> >= 0} must be trivial
-    if _recession_ray_exists(normals, d):
+        rays = []
+    verts = [tuple(Fraction(x, y[-1]) for x in y[:-1]) for y, _ in rays if y[-1] > 0]
+    if verts and len(verts) < len(rays):
         raise PreconditionError("inequality system is unbounded, not a polytope")
-    return LatticePolytope(sorted(verts), hrep=h, _trusted=True)
-
-
-def _recession_ray_exists(normals, d) -> bool:
-    if lattice.matrix_rank(normals) < d:
-        return True
-    for idx in combinations(range(len(normals)), d - 1):
-        rows = [normals[i] for i in idx]
-        kern = lattice.integer_kernel([r for r in rows if any(r)] or [[0] * d], ncols=d)
-        for y in kern:
-            for cand in (y, tuple(-a for a in y)):
-                if any(cand) and all(lattice.pairing(cand, n) >= 0 for n in normals):
-                    return True
-    return False
+    return LatticePolytope(verts, hrep=h, _trusted=True)

@@ -56,6 +56,18 @@ def test_fan_check(tmp_path, capsys):
     assert doc["complete"] and doc["simplicial"] and doc["issues"] == []
 
 
+def test_fan_check_lower_dimensional_square_cone(tmp_path, capsys):
+    """A non-simplicial cone that is not full-dimensional meets a 2-cone in a
+    common ray: the only issues are incompleteness and non-simpliciality."""
+    fan = {"rays": [[1, 1, 1, 0], [1, -1, 1, 0], [-1, -1, 1, 0], [-1, 1, 1, 0],
+                    [0, 0, 0, 1]],
+           "max_cones": [[0, 1, 2, 3], [0, 4]]}
+    path = write(tmp_path, "fan.json", {"fan": fan})
+    code, out, _ = run(capsys, "fan", "check", "--input", path)
+    assert code == 0
+    assert json.loads(out)["issues"] == ["fan is not complete", "fan is not simplicial"]
+
+
 def test_divisor_sigma_d(tmp_path, capsys):
     path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
     code, out, _ = run(capsys, "divisor", "sigma-d", "--input", path)
@@ -114,9 +126,12 @@ RAGGED_NORMALS = {"polytope": {"inequalities": [
     (("fan", "check"), {"fan": RAGGED_RAYS}, "ray 1"),
     (("divisor", "analyze"), {"fan": RAGGED_RAYS, "coeffs": [1, 1, 1]}, "ray 1"),
     (("hodge", "h21"), RAGGED_NORMALS, "normal 1"),
+    (("hodge", "h21"), {"polytope": {"inequalities": []}}, "polytope.inequalities"),
+    (("hodge", "h21"), {"polytope": {"vertices": 5}}, "polytope.vertices"),
 ])
 def test_ragged_vectors_exit_1(tmp_path, command, doc, named):
-    """Vectors of the wrong length are an input error, not a crash."""
+    """Vectors of the wrong length, or none at all, are an input error, not
+    a crash."""
     path = write(tmp_path, "ragged.json", doc)
     out = subprocess.run([sys.executable, "-m", "semitoric.cli", *command,
                           "--input", path], capture_output=True, text=True,

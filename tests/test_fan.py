@@ -65,6 +65,16 @@ def test_cones_of_nonsimplicial_fan():
     assert fan.is_complete
 
 
+def test_faces_of_lower_dimensional_nonsimplicial_cone():
+    # the cone over a square, in a hyperplane of rank 4, and a 2-cone through ray 0
+    fan = Fan([(1, 1, 1, 0), (1, -1, 1, 0), (-1, -1, 1, 0), (-1, 1, 1, 0), (0, 0, 0, 1)],
+              [{0, 1, 2, 3}, {0, 4}])
+    assert len(fan.cones(1)) == 5
+    assert [sorted(c.ray_indices) for c in fan.cones(2)] == \
+        [[0, 1], [0, 3], [0, 4], [1, 2], [2, 3]]
+    assert fan.validate() == ["fan is not complete", "fan is not simplicial"]
+
+
 def test_is_refinement():
     assert blowup_fan().is_refinement(p2_fan())
     assert not p2_fan().is_refinement(blowup_fan())

@@ -21,7 +21,7 @@ from .fan import Fan
 from .hodge import h21_batyrev, h_p2, mirror_check, triangulation_helper
 from .polytope import HPolytope, LatticePolytope, vertices_from_inequalities
 from .residue import CupProduct, ResidueMap
-from .threefold import ThreefoldAnalysis
+from .threefold import ThreefoldAnalysis, gram_skew_between_levels
 
 
 # -- schema helpers -----------------------------------------------------------
@@ -239,22 +239,30 @@ def cmd_threefold_h3(doc, verify):
             "interior_ray": b.interior_ray,
         } for b in analysis.blocks(a)]
         hodge[f"h{3 - a}{a}"] = analysis.hodge_number(a)
-    grams = []
-    if doc.get("gram", True):
-        for a in range(4):
-            g = analysis.gram(a, 3 - a)
-            grams.append({
-                "level_a": a, "level_b": 3 - a,
-                "rank": g.rank(),
-                "entries": [[v.to_json() for v in row] for row in g.entries],
-            })
     out = {
         "criterion": "middle-cohomology decomposition and cup product, rank 4",
         "hodge_numbers": hodge,
         "blocks": blocks,
     }
-    if grams:
-        out["gram"] = grams
+    with_gram = doc.get("gram", True)
+    if not (with_gram or verify):
+        return out
+    grams = [analysis.gram(a, 3 - a) for a in range(4)]
+    ranks = [g.rank() for g in grams]
+    if with_gram:
+        out["gram"] = [{
+            "level_a": g.level_a, "level_b": g.level_b, "rank": rank,
+            "entries": [[v.to_json() for v in row] for row in g.entries],
+        } for g, rank in zip(grams, ranks)]
+    if verify:
+        out["verification"] = {
+            "gram_skew_between_levels": gram_skew_between_levels(grams),
+            "gram_rank_equals_block_size": all(
+                rank == len(g.entries) for g, rank in zip(grams, ranks)),
+            "gram_sample_matches_polynomial_route": all(
+                analysis.entry_by_polynomials(g.level_a, i, j) == g.entries[i][j]
+                for g in grams for i, j in g.sample_positions()),
+        }
     return out
 
 
@@ -335,7 +343,8 @@ def cmd_corpus_run(doc, verify):
     h3 = cmd_threefold_h3(crepant, verify)
     results.append({
         "name": "crepant weighted-projective threefold decomposition",
-        "passed": h3["hodge_numbers"] == {"h30": 1, "h21": 86, "h12": 86, "h03": 1},
+        "passed": h3["hodge_numbers"] == {"h30": 1, "h21": 86, "h12": 86, "h03": 1}
+        and all(h3.get("verification", {}).values()),
     })
 
     return {"criterion": "bundled regression corpus",

@@ -9,7 +9,7 @@ with sparse exact row reduction.  No Groebner bases anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattice
@@ -421,10 +421,16 @@ def reduce_modulo(subspace: GradedSubspace, h: GradedPolynomial) -> GradedPolyno
 
 @dataclass
 class NondegeneracyCertificate:
+    """The verdict, with the echelonized span of the weighted partials F_I in
+    the critical degree and their toric Jacobian (None when the codimension
+    test already failed), kept so the residue map need not rebuild them."""
+
     verdict: str
     index_set: tuple
     codim: int
     jacobian_in_span: bool
+    span: GradedSubspace | None = field(default=None, repr=False, compare=False)
+    jacobian: GradedPolynomial | None = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -454,8 +460,8 @@ def nondegeneracy_certificate(f: GradedPolynomial) -> NondegeneracyCertificate:
     span = ideal_graded_piece([g for g in F if not g.is_zero()], rho)
     codim = span.codim()
     if codim != 1:
-        return NondegeneracyCertificate(INCONCLUSIVE, I, codim, False)
+        return NondegeneracyCertificate(INCONCLUSIVE, I, codim, False, span)
     jf = toric_jacobian(ring, F, I)
     inside = span.contains(jf)
     verdict = INCONCLUSIVE if inside else CERTIFIED_NONDEGENERATE
-    return NondegeneracyCertificate(verdict, I, codim, inside)
+    return NondegeneracyCertificate(verdict, I, codim, inside, span, jf)

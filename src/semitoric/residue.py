@@ -171,9 +171,13 @@ def cup_jacobian(ring: CoxRing, f: GradedPolynomial) -> GradedPolynomial:
 
 class ResidueMap:
     """Res_F for fixed sections F_0..F_d of a semiample degree without common
-    zeros; normalized by Res_F(toric Jacobian) = d! vol(Delta)."""
+    zeros; normalized by Res_F(toric Jacobian) = d! vol(Delta).
 
-    def __init__(self, ring: CoxRing, F):
+    The span of F in the critical degree and the toric Jacobian are built
+    here unless already at hand (`_span`, `_jacobian`, as a nondegeneracy
+    certificate of the same F holds them); either way both are checked."""
+
+    def __init__(self, ring: CoxRing, F, _span=None, _jacobian=None):
         self.ring = ring
         self.F = list(F)
         beta = self.F[0].degree
@@ -182,13 +186,13 @@ class ResidueMap:
             raise PreconditionError("the residue map is defined for semiample degrees")
         self.beta = beta
         self.rho = (ring.d + 1) * beta - ring.beta0
-        self.span = ideal_graded_piece([g for g in self.F if not g.is_zero()],
-                                       self.rho)
+        self.span = _span if _span is not None else ideal_graded_piece(
+            [g for g in self.F if not g.is_zero()], self.rho)
         if self.span.codim() != 1:
             raise CertificateError(
                 f"sections span codimension {self.span.codim()} in the critical "
                 f"degree: common zeros or certificate failure")
-        self.jacobian = toric_jacobian(ring, self.F)
+        self.jacobian = _jacobian if _jacobian is not None else toric_jacobian(ring, self.F)
         rj = self.span.echelon.reduce(self.span._vectorize(self.jacobian))
         if len(rj) != 1:
             raise CertificateError("toric Jacobian lies in the span of the sections")
@@ -239,9 +243,11 @@ class CupProduct:
         I = certificate.index_set
         self.index_set = I
         self.c_I = c_I_beta(ring, f.degree, I)
-        self.res = ResidueMap(ring, [f.weighted_partial(i) for i in I])
+        self.res = ResidueMap(ring, [f.weighted_partial(i) for i in I],
+                              _span=certificate.span, _jacobian=certificate.jacobian)
         self.eta_degree = (ring.d + 1) * f.degree - 2 * ring.beta0
         self._xprod = ring.variables_product()
+        self._eta_memo = {}
 
     def eta(self, H: GradedPolynomial) -> Fraction:
         """Trace functional on R_1(f); vanishes outside its critical degree."""
@@ -250,6 +256,14 @@ class CupProduct:
         if H.is_zero():
             return Fraction(0)
         return self.c_I * self.res.residue(H * self._xprod)
+
+    def eta_monomial(self, exps) -> Fraction:
+        """eta(x^exps), evaluated through `eta` once per exponent vector and
+        remembered: the Gram matrix needs eta only on monomial products."""
+        value = self._eta_memo.get(exps)
+        if value is None:
+            value = self._eta_memo[exps] = self.eta(self.ring.monomial(exps))
+        return value
 
     def pair(self, A: GradedPolynomial, B: GradedPolynomial,
              a: int, b: int) -> PairingValue:

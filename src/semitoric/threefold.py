@@ -6,12 +6,18 @@ interior rays, copies of the analogous ring of a regular ample curve in the
 orbit-closure surface.  The cup product is block anti-diagonal across
 complementary levels; ring-by-surface blocks vanish, surface blocks are
 scaled by lattice multiplicities of the flanking 2-cones.
+
+Every basis element is a monomial, so a Gram entry is a block factor times
+the trace eta of one monomial product; eta is evaluated once per distinct
+product.  The route through products of basis polynomials and
+`CupProduct.pair` is kept as the oracle (`entry_by_polynomials`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import lattice
 from .coxring import CoxRing, GradedPolynomial, R1Piece, nondegeneracy_certificate
@@ -24,7 +30,7 @@ from .errors import (
 )
 from .fan import ConeRef, Fan, cone_contains
 from .linalg import solve_unique
-from .residue import CupProduct, PairingValue
+from .residue import CupProduct, PairingValue, cup_constant
 
 
 @dataclass
@@ -249,6 +255,29 @@ class GramBlock:
 
         return part_rank("ring") + part_rank("link")
 
+    def sample_positions(self):
+        """The diagonal and the first row of every pair of blocks: a fixed
+        sample of (row, column) positions for spot checks."""
+        r0 = 0
+        for rb in self.row_blocks:
+            c0 = 0
+            for cb in self.col_blocks:
+                if rb.dim and cb.dim:
+                    yield from ((r0 + t, c0 + t) for t in range(min(rb.dim, cb.dim)))
+                    yield from ((r0, c0 + t) for t in range(1, cb.dim))
+                c0 += cb.dim
+            r0 += rb.dim
+
+
+def gram_skew_between_levels(grams) -> bool:
+    """gram(b, a) = -gram(a, b)^T on every entry, for the four Gram blocks
+    listed by level a = 0..3: c_ab / c_ba = (-1)^(a - b) on ring blocks, and
+    the link sign flips between complementary levels."""
+    return all(grams[g.level_b].entries[j][i] == (-1) * v
+               for g in grams
+               for i, row in enumerate(g.entries)
+               for j, v in enumerate(row))
+
 
 def _expand_indices(blocks, kind):
     out = []
@@ -338,55 +367,90 @@ class ThreefoldAnalysis:
     # -- the cup product -----------------------------------------------------------
 
     def gram(self, a: int, b: int) -> GramBlock:
-        """Pairing matrix between levels a and b = 3 - a on the block bases."""
+        """Pairing matrix between levels a and b = 3 - a on the block bases.
+
+        Every basis element is a monomial, so each entry is a factor fixed by
+        its pair of blocks times eta of one monomial product x^(e_A + e_B);
+        eta is evaluated once per distinct product (`CupProduct.eta_monomial`).
+        `entry_by_polynomials` is the route through products of polynomials.
+        """
         if a + b != 3:
             raise ValidationError("the pairing couples complementary levels only")
         rows = self.blocks(a)
         cols = self.blocks(b)
-        chart_of = {}
-        for chart in self.charts:
-            for i in chart.interior_rays:
-                chart_of[(tuple(sorted(chart.sigma.ray_indices)), i)] = chart
+        for level, blocks in ((a, rows), (b, cols)):
+            for block in blocks:
+                self._check_basis_degree(block, level)
         entries = []
         for rb in rows:
-            row_monos = [self.ring.monomial(e) for e in rb.basis_exponents] \
-                if rb.kind == "ring" else None
-            for_slice = None
-            if rb.kind == "link":
-                for_slice = self.surface(self.coarse.cone_ref(rb.sigma))
-                row_monos = [for_slice.ring.monomial(e) for e in rb.basis_exponents]
-            for ri, rmono in enumerate(row_monos):
-                entry_row = []
-                for cb in cols:
-                    for ci in range(cb.dim):
-                        entry_row.append(self._entry(rb, ri, cb, ci, a, b,
-                                                     chart_of))
-                entries.append(entry_row)
+            parts = [self._block_entries(rb, cb, a) for cb in cols]
+            entries.extend([v for part in parts for v in part[i]]
+                           for i in range(rb.dim))
         return GramBlock(a, b, rows, cols, entries)
 
-    def _entry(self, rb: H3Block, ri: int, cb: H3Block, ci: int,
-               a: int, b: int, chart_of) -> PairingValue:
+    def _check_basis_degree(self, block: H3Block, level: int):
+        if block.kind == "ring":
+            ring = self.ring
+            degree = (level + 1) * self.f.degree - ring.beta0
+        else:
+            slice_ = self.surface(self.coarse.cone_ref(block.sigma))
+            ring = slice_.ring
+            degree = level * slice_.degree - ring.beta0
+        if any(ring.degree_of_monomial(e) != degree for e in block.basis_exponents):
+            raise InconsistencyError(
+                f"a level-{level} {block.kind} basis monomial has the wrong degree")
+
+    def _block_factor(self, rb: H3Block, cb: H3Block, a: int):
+        """(scale, cup, k): an entry between the two blocks is scale times the
+        trace of `cup` on the product of basis elements, times (2 pi i)^k."""
         if rb.kind == "ring" and cb.kind == "ring":
-            A = self.ring.monomial(rb.basis_exponents[ri])
-            B = self.ring.monomial(cb.basis_exponents[ci])
-            return self.cup.pair(A, B, a, b)
+            return cup_constant(a, 3 - a, 4), self.cup, 4      # (-1)^d = 1
         if rb.kind != cb.kind:
-            return PairingValue(Fraction(0), 4)
-        # link against link
+            return 0, None, 4
         if rb.sigma != cb.sigma:
-            return PairingValue(Fraction(0), 2)
-        chart = chart_of[(rb.sigma, rb.interior_ray)]
-        slice_ = self.surface(self.coarse.cone_ref(rb.sigma))
-        li = slice_.ring.monomial(rb.basis_exponents[ri])
-        lj = slice_.ring.monomial(cb.basis_exponents[ci])
-        eta = slice_.cup.eta(li * lj)
-        sign = (-1) ** (a - 1)
+            return 0, None, 2
+        chart = next(c for c in self.charts
+                     if tuple(sorted(c.sigma.ray_indices)) == rb.sigma)
+        cup = self.surface(chart.sigma).cup
+        sign = -1 if a % 2 == 0 else 1                       # (-1)^(a - 1)
         if rb.interior_ray == cb.interior_ray:
             m1, m2 = chart.flanking_segments(rb.interior_ray)
-            msum = chart.sum_mults[rb.interior_ray]
-            r = -Fraction(msum, m1 * m2) * sign * eta
-            return PairingValue(r, 2)
+            return -sign * Fraction(chart.sum_mults[rb.interior_ray], m1 * m2), cup, 2
         seg = chart.segment_between(rb.interior_ray, cb.interior_ray)
-        if seg is None:
-            return PairingValue(Fraction(0), 2)
-        return PairingValue(sign * eta / seg, 2)
+        return (0 if seg is None else Fraction(sign, seg)), cup, 2
+
+    def _block_entries(self, rb: H3Block, cb: H3Block, a: int):
+        """The rb.dim x cb.dim sub-block of gram(a, 3 - a) between two blocks."""
+        scale, cup, k = self._block_factor(rb, cb, a)
+        if not scale:
+            zero = PairingValue(Fraction(0), k)
+            return [[zero] * cb.dim for _ in range(rb.dim)]
+        eta = cup.eta_monomial
+        return [[PairingValue(scale * eta(tuple(map(add, ea, eb))), k)
+                 for eb in cb.basis_exponents]
+                for ea in rb.basis_exponents]
+
+    def entry_by_polynomials(self, a: int, i: int, j: int) -> PairingValue:
+        """Entry (i, j) of gram(a, 3 - a) from the product of the two basis
+        polynomials, through `CupProduct.pair` for ring blocks and the
+        slice's `eta` for link blocks: the oracle for the monomial route."""
+        rb, ri = _locate(self.blocks(a), i)
+        cb, ci = _locate(self.blocks(3 - a), j)
+        scale, cup, k = self._block_factor(rb, cb, a)
+        if not scale:
+            return PairingValue(Fraction(0), k)
+        A = cup.ring.monomial(rb.basis_exponents[ri])
+        B = cup.ring.monomial(cb.basis_exponents[ci])
+        if rb.kind == "ring":
+            return cup.pair(A, B, a, 3 - a)
+        return PairingValue(scale * cup.eta(A * B), k)
+
+
+def _locate(blocks, index: int):
+    """The block holding a row (or column) of the concatenated bases, and the
+    position inside it."""
+    for block in blocks:
+        if index < block.dim:
+            return block, index
+        index -= block.dim
+    raise ValidationError("Gram index out of range")

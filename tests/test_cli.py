@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import metadata, resources
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import pytest
 
 import semitoric
 from semitoric.cli import main
+from semitoric.residue import PairingValue
+from semitoric.threefold import ThreefoldAnalysis
 
 FIXTURES = resources.files("semitoric") / "fixtures"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -227,6 +230,36 @@ def test_threefold_h3_quintic_no_gram(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["hodge_numbers"] == {"h30": 1, "h21": 101, "h12": 101, "h03": 1}
+
+
+def test_threefold_h3_verify(tmp_path, capsys, monkeypatch):
+    """--verify adds the three Gram cross-checks, computing the Gram blocks
+    even when the report leaves them out, and changes nothing else; a
+    disagreeing polynomial route shows as a failed check."""
+    doc = fixture("fermat_quintic.json")
+    doc["gram"] = False
+    path = write(tmp_path, "t.json", doc)
+    code, plain, _ = run(capsys, "threefold", "h3", "--input", path)
+    assert code == 0
+    code, out, _ = run(capsys, "threefold", "h3", "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == {
+        "gram_skew_between_levels": True,
+        "gram_rank_equals_block_size": True,
+        "gram_sample_matches_polynomial_route": True,
+    }
+    assert report == json.loads(plain)
+
+    def disagreeing(self, a, i, j):
+        return PairingValue(Fraction(1), 4)
+
+    monkeypatch.setattr(ThreefoldAnalysis, "entry_by_polynomials", disagreeing)
+    code, out, _ = run(capsys, "threefold", "h3", "--input", path, "--verify")
+    assert code == 0
+    checks = json.loads(out)["verification"]
+    assert checks["gram_sample_matches_polynomial_route"] is False
+    assert checks["gram_skew_between_levels"] is True
 
 
 def declared_script(name):

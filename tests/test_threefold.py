@@ -1,13 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from semitoric import catalog
+from semitoric import catalog, coxring, residue
 from semitoric.coxring import CoxRing, r1_dim
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import PreconditionError
 from semitoric.hodge import h21_batyrev
-from semitoric.threefold import ThreefoldAnalysis, face_polynomial, two_cone_charts
+from semitoric.threefold import (
+    ThreefoldAnalysis,
+    face_polynomial,
+    gram_skew_between_levels,
+    two_cone_charts,
+)
 
 
 def fermat(ring, degree):
@@ -24,6 +30,12 @@ def quintic_analysis():
 @pytest.fixture(scope="module")
 def crepant_analysis():
     ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
+    return ThreefoldAnalysis(f)
+
+
+@pytest.fixture(scope="module")
+def triple_analysis():
+    ring, f = catalog.p11222_pullback_fermat(catalog.p11222_triple_fan())
     return ThreefoldAnalysis(f)
 
 
@@ -113,19 +125,113 @@ def test_gram_crepant_full_rank_and_vanishing(crepant_analysis):
         offset_r += rb.dim
 
 
-def test_gram_skew_symmetry_between_levels(quintic_analysis):
-    g12 = quintic_analysis.gram(1, 2)
-    g21 = quintic_analysis.gram(2, 1)
-    for i in range(5):
-        for j in range(5):
-            assert g12.entries[i][j].rational == -g21.entries[j][i].rational
+def test_gram_skew_symmetry_between_levels(quintic_analysis, crepant_analysis,
+                                          triple_analysis):
+    """gram(2,1) = -gram(1,2)^T on every entry: c_12 / c_21 = -1 on the ring
+    block, and the link sign flips between levels 1 and 2."""
+    for analysis in (quintic_analysis, crepant_analysis, triple_analysis):
+        g12 = analysis.gram(1, 2)
+        g21 = analysis.gram(2, 1)
+        assert len(g12.entries) == len(g21.entries[0])
+        assert len(g21.entries) == len(g12.entries[0])
+        for i, row in enumerate(g12.entries):
+            for j, v in enumerate(row):
+                assert v.rational == -g21.entries[j][i].rational
+                assert v.two_pi_i_exponent == g21.entries[j][i].two_pi_i_exponent
+        assert gram_skew_between_levels([analysis.gram(a, 3 - a) for a in range(4)])
 
 
-def test_triple_subdivision_nonadjacent_links_vanish():
-    ring, f = catalog.p11222_pullback_fermat(catalog.p11222_triple_fan())
-    analysis = ThreefoldAnalysis(f)
+def test_gram_skew_check_sees_one_flipped_entry(crepant_analysis):
+    grams = [crepant_analysis.gram(a, 3 - a) for a in range(4)]
+    row = next(r for r in grams[2].entries if any(not v.is_zero() for v in r))
+    j = next(j for j, v in enumerate(row) if not v.is_zero())
+    row[j] = (-1) * row[j]
+    assert not gram_skew_between_levels(grams)
+
+
+def assert_matches_polynomial_route(analysis, g, positions):
+    for i, j in positions:
+        v = g.entries[i][j]
+        assert isinstance(v.rational, Fraction)
+        assert v == analysis.entry_by_polynomials(g.level_a, i, j), (g.level_a, i, j)
+
+
+@pytest.mark.parametrize("name", ["quintic_analysis", "crepant_analysis"])
+def test_gram_monomial_route_matches_polynomial_route(name, request):
+    """Each Gram entry, read from eta of the monomial product, equals the
+    pairing recomputed from the product of basis polynomials through
+    `CupProduct.pair` (ring) and the slice's `eta` (link): all of the
+    levels (0, 3) and (3, 0), and 200 seeded entries of (1, 2) and (2, 1)."""
+    analysis = request.getfixturevalue(name)
+    rng = random.Random(20)
+    for a in range(4):
+        g = analysis.gram(a, 3 - a)
+        cells = [(i, j) for i in range(len(g.entries))
+                 for j in range(len(g.entries[i]))]
+        assert all(isinstance(v.rational, Fraction) for row in g.entries for v in row)
+        assert_matches_polynomial_route(
+            analysis, g, cells if a in (0, 3) else rng.sample(cells, 200))
+
+
+@pytest.mark.parametrize("name", ["crepant_analysis", "triple_analysis"])
+def test_gram_link_blocks_match_polynomial_route(name, request):
+    """Every link-by-link entry, at every level, against the slice's eta on
+    the polynomial product.  The multiplicity and sign factors are shared
+    by both routes; the closed forms and the skew identity check them."""
+    analysis = request.getfixturevalue(name)
+    for a in range(4):
+        g = analysis.gram(a, 3 - a)
+        rows = list(_positions(g.row_blocks, "link"))
+        cols = list(_positions(g.col_blocks, "link"))
+        if a in (1, 2):
+            assert rows and cols
+        assert_matches_polynomial_route(analysis, g,
+                                        [(i, j) for i in rows for j in cols])
+
+
+def _positions(blocks, kind):
+    off = 0
+    for b in blocks:
+        if b.kind == kind:
+            yield from range(off, off + b.dim)
+        off += b.dim
+
+
+def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
+    """The four Gram blocks of the quintic have 1,281 distinct monomial
+    products, so at most that many residues are taken; the residue map
+    reuses the certificate's span in rho = (d+1)beta - beta_0, and the one
+    ideal piece built there is J_0 for the level-3 ring piece."""
+    analysis = ThreefoldAnalysis(fermat(CoxRing(catalog.projective_space(4)), 5))
+    rho = 5 * analysis.f.degree - analysis.ring.beta0
+    residues, rho_pieces = [], []
+    true_residue = residue.ResidueMap.residue
+    true_piece = coxring.ideal_graded_piece
+
+    def counting_residue(self, H):
+        residues.append(H)
+        return true_residue(self, H)
+
+    def counting_piece(generators, gamma):
+        if gamma == rho:
+            rho_pieces.append(gamma)
+        return true_piece(generators, gamma)
+
+    monkeypatch.setattr(residue.ResidueMap, "residue", counting_residue)
+    monkeypatch.setattr(residue, "ideal_graded_piece", counting_piece)
+    monkeypatch.setattr(coxring, "ideal_graded_piece", counting_piece)
+    grams = [analysis.gram(a, 3 - a) for a in range(4)]
+    assert [len(g.entries) for g in grams] == [1, 101, 101, 1]
+    assert len(residues) <= 1281
+    assert len(rho_pieces) == 1
+    assert analysis.cup.res.span is analysis.certificate.span
+    assert analysis.cup.res.jacobian is analysis.certificate.jacobian
+
+
+def test_triple_subdivision_nonadjacent_links_vanish(triple_analysis):
+    analysis = triple_analysis
     chart = next(c for c in analysis.charts if c.n_interior == 3)
-    fine = ring.fan
+    fine = analysis.ring.fan
     order = [fine.rays[i] for i in chart.chain]
     expected = [(1, 0, 0, 0), (1, -1, -1, -1), (1, -2, -2, -2),
                 (0, -1, -1, -1), (-1, -2, -2, -2)]

@@ -13,8 +13,7 @@ def projective_space(d: int) -> Fan:
     rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     rays.append((-1,) * d)
     cones = [set(range(d + 1)) - {i} for i in range(d + 1)]
-    hint = tuple(int(i == d) for i in range(d + 1))
-    return Fan(rays, cones, ample_hint=hint)
+    return Fan(rays, cones)
 
 
 def projective_plane() -> Fan:
@@ -28,8 +27,7 @@ def projective_line() -> Fan:
 def blowup_p2() -> Fan:
     """P^2 blown up at the fixed point of cone(e1, e2); ray 3 is exceptional."""
     return Fan([(1, 0), (0, 1), (-1, -1), (1, 1)],
-               [{0, 3}, {3, 1}, {1, 2}, {2, 0}],
-               ample_hint=(1, 1, 1, 0))
+               [{0, 3}, {3, 1}, {1, 2}, {2, 0}])
 
 
 def hirzebruch(a: int) -> Fan:
@@ -45,10 +43,7 @@ def product_fan(f: Fan, g: Fan) -> Fan:
     for a in f.max_cones:
         for b in g.max_cones:
             cones.append(set(a) | {len(f.rays) + i for i in b})
-    hint = None
-    if f.ample_hint is not None and g.ample_hint is not None:
-        hint = tuple(f.ample_hint) + tuple(g.ample_hint)
-    return Fan(rays, cones, ample_hint=hint)
+    return Fan(rays, cones)
 
 
 def weighted_projective(weights) -> Fan:
@@ -91,8 +86,7 @@ def blowup_p3() -> Fan:
     """P^3 blown up at the fixed point of cone(e1, e2, e3); ray 4 exceptional."""
     return Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)],
                [{0, 1, 4}, {0, 2, 4}, {1, 2, 4},
-                {0, 1, 3}, {0, 2, 3}, {1, 2, 3}],
-               ample_hint=(1, 1, 1, 1, 0))
+                {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
 
 
 def p11222_triple_fan() -> Fan:

@@ -17,8 +17,8 @@ from math import lcm
 from . import lattice
 from .errors import InconsistencyError, NotCartierError, PreconditionError, ValidationError
 from .fan import ConeRef, Fan, cone_contains, extreme_rays_of_dual
-from .linalg import lp_feasible, solve_unique
-from .polytope import HPolytope, LatticePolytope, vertices_from_inequalities
+from .linalg import solve_unique
+from .polytope import HPolytope, LatticePolytope, cone_rays, vertices_from_inequalities
 
 
 @dataclass(frozen=True)
@@ -216,11 +216,7 @@ class TorusInvariantDivisor:
         if not (fan_a == fan_b == fan_c):
             raise InconsistencyError(
                 "the three constructions of the coarsened fan disagree")
-        result = Fan([tuple(r) for r in fan_a.rays],
-                     fan_a.max_cones,
-                     dim=self.fan.dim,
-                     ample_hint=self.pushforward(fan_a).coeffs)
-        return result
+        return fan_a
 
     def _sigma_d_by_gluing(self):
         sf = self.support_function()
@@ -363,67 +359,62 @@ def pullback(divisor: TorusInvariantDivisor, fine: Fan) -> TorusInvariantDivisor
 
 
 def find_ample(fan: Fan) -> TorusInvariantDivisor:
-    """Some ample torus-invariant divisor on a projective complete fan.
+    """Some ample torus-invariant divisor on a projective complete fan, read
+    off the nef cone (Cox-Little-Schenck, Toric Varieties, ch. 6).
 
-    Tries the fan's recorded hint and the anticanonical guess before solving
-    the strict-convexity feasibility problem exactly.
+    Coordinates: a_i = 0 on d independent rays of the first maximal cone.
+    Each wall between maximal cones sigma, sigma' gives a_j - sum c_i a_i
+    >= 0, where e_j = sum c_i e_i is a ray of sigma' off the wall written in
+    independent rays of sigma; the other rays of a non-simplicial cone give
+    the Cartier equalities, as rows of both signs.  The sum of the rays of
+    that cone is in its relative interior: it is positive on every wall
+    exactly when some class is ample.
     """
-    cached = getattr(fan, "_ample_cache", None)
-    if cached is not None:
-        return cached
-    candidates = []
-    if fan.ample_hint is not None:
-        candidates.append(fan.ample_hint)
-    candidates.append((1,) * len(fan.rays))
-    for cand in candidates:
-        div = TorusInvariantDivisor(fan, cand)
-        try:
-            if div.is_strictly_convex():
-                fan._ample_cache = div
-                return div
-        except NotCartierError:
-            pass
-    div = _ample_by_lp(fan)
-    if div is None:
+    if fan._ample is not None:
+        return fan._ample
+    if not fan.is_complete:
+        raise PreconditionError("ample divisors are sought on complete fans")
+    n, d = len(fan.rays), fan.dim
+
+    def independent(c):
+        idx = sorted(c)
+        return [idx[j] for j in lattice._eliminate(
+            [list(col) for col in zip(*(fan.rays[i] for i in idx))], len(idx))[1]]
+
+    bases = [independent(c) for c in fan.max_cones]
+    keep = [i for i in range(n) if i not in bases[0]]
+
+    def relation(j, basis, sign=1):
+        """sign * den * (a_j - sum c_i a_i) for e_j = sum c_i e_i, on keep."""
+        c = solve_unique([[fan.rays[i][k] for i in basis] for k in range(d)],
+                         list(fan.rays[j]))
+        den = sign * lcm(*(x.denominator for x in c))
+        row = [0] * n
+        row[j] = den
+        for i, x in zip(basis, c):
+            row[i] -= int(x * den)
+        return [row[i] for i in keep]
+
+    walls = [relation(min(fan.max_cones[b] - tau), bases[a])
+             for tau, (a, b) in fan._facet_incidence().items()]
+    cartier = [relation(j, basis, sign) for c, basis in zip(fan.max_cones, bases)
+               for j in sorted(c - set(basis)) for sign in (1, -1)]
+    nef = cone_rays(walls + cartier, len(keep))
+    if nef is None:
+        raise InconsistencyError("the nef cone of a complete fan holds a line")
+    total = [sum(y[k] for y, _ in nef) for k in range(len(keep))]
+    if not all(lattice.pairing(r, total) > 0 for r in walls):
         raise PreconditionError(
             "requires a projective fan: no strictly convex support function exists")
-    fan._ample_cache = div
-    return div
-
-
-def _ample_by_lp(fan: Fan):
-    """Solve for (m_sigma)_sigma and a with <m_sigma,e_i> = -a_i on rays of
-    sigma and <m_sigma,e_j> >= -a_j + 1 off sigma; scale to integers."""
-    d = fan.dim
-    ncones = len(fan.max_cones)
-    n = len(fan.rays)
-    nvars = ncones * d + n
-
-    def mvar(ci, j):
-        return ci * d + j
-
-    def avar(i):
-        return ncones * d + i
-
-    eqs = []
-    ineqs = []
-    for ci, c in enumerate(fan.max_cones):
-        for i in range(n):
-            row = [0] * nvars
-            e = fan.rays[i]
-            for j in range(d):
-                row[mvar(ci, j)] = e[j]
-            row[avar(i)] = 1
-            if i in c:
-                eqs.append((row, 0))
-            else:
-                ineqs.append((row, 1))
-    sol = lp_feasible(nvars, eqs=eqs, ineqs=ineqs)
-    if sol is None:
-        return None
-    scale = lcm(*[Fraction(x).denominator for x in sol])
-    coeffs = [int(Fraction(sol[avar(i)]) * scale) for i in range(n)]
-    div = TorusInvariantDivisor(fan, coeffs)
+    coeffs = [0] * n
+    for i, x in zip(keep, total):
+        coeffs[i] = x
+    # scale so that every linear function m_sigma is integral
+    scale = lcm(*(x.denominator for c in fan.max_cones
+                  for x in solve_unique([fan.rays[i] for i in sorted(c)],
+                                        [-coeffs[i] for i in sorted(c)])))
+    div = TorusInvariantDivisor(fan, [scale * x for x in coeffs])
     if not div.is_strictly_convex():
         raise InconsistencyError("ample search produced a non-ample divisor")
+    fan._ample = div
     return div

@@ -3,17 +3,19 @@
 Fans are stored as primitive rays plus maximal cones (ray index sets);
 non-simplicial maximal cones are allowed.  Face lattices, completeness and
 refinement queries, smallest containing cones and star (quotient) fans are
-all computed exactly.
+all computed exactly.  Every cone test is a sign test against facet normals
+from the double-description kernel ``cone_rays``; completeness comes with a
+certificate that rejects inputs whose cones close up without forming a fan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
-from .linalg import lp_feasible, solve_linear
+from .linalg import solve_linear
 from .polytope import _facets_in_span, cone_rays
 
 
@@ -26,31 +28,35 @@ def extreme_rays_of_dual(normals, dim):
     return sorted(y for y, _ in rays)
 
 
+def cone_rows(generators, dim):
+    """Rows h with cone(generators) = {x : <h, x> >= 0 for every h}: the
+    facet normals inside the linear span, then its equations, both signs."""
+    gens = [tuple(g) for g in generators if any(g)]
+    basis = lattice.saturation_basis(gens, dim)
+    rows = [n for n, _ in _facets_in_span(gens, basis, affine=False)] if basis else []
+    equations = lattice.integer_kernel(basis, ncols=dim)
+    return rows + equations + [tuple(-x for x in e) for e in equations]
+
+
 def cone_contains(generators, x) -> bool:
     """Exact membership of x in the cone spanned by the generators."""
     gens = [tuple(g) for g in generators]
     if not gens:
         return not any(x)
     d = len(gens[0])
-    cols = [[g[i] for g in gens] for i in range(d)]
-    sol = solve_linear(cols, list(x))
+    sol = solve_linear([[g[i] for g in gens] for i in range(d)], list(x))
     if sol is None:
         return False
     particular, kernel = sol
     if not kernel:
         return all(c >= 0 for c in particular)
-    eqs = [(col, xi) for col, xi in zip(cols, x)]
-    return lp_feasible(len(gens), eqs=eqs, nonneg=True) is not None
+    return all(lattice.pairing(h, x) >= 0 for h in cone_rows(gens, d))
 
 
 def cone_is_pointed(generators) -> bool:
+    """Strong convexity: the dual cone, spanned by the rows, is full."""
     gens = [tuple(g) for g in generators]
-    if not gens:
-        return True
-    d = len(gens[0])
-    cols = [[g[i] for g in gens] for i in range(d)]
-    eqs = [(col, 0) for col in cols] + [([1] * len(gens), 1)]
-    return lp_feasible(len(gens), eqs=eqs, nonneg=True) is None
+    return not gens or lattice.matrix_rank(cone_rows(gens, len(gens[0]))) == len(gens[0])
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class ConeRef:
 class Fan:
     """A fan in N_R given by primitive rays and maximal cones."""
 
-    def __init__(self, rays, max_cones, dim=None, ample_hint=None):
+    def __init__(self, rays, max_cones, dim=None):
         rays = tuple(tuple(int(x) for x in r) for r in rays)
         if dim is None:
             if not rays:
@@ -104,13 +110,13 @@ class Fan:
                 raise ValidationError("cone refers to a ray index out of range")
             cones.append(c)
         self.max_cones = tuple(cones)
-        self.ample_hint = tuple(ample_hint) if ample_hint is not None else None
         self._face_sets = None
         self._cones_by_dim = None
-        self._facet_normals = {}
+        self._rows = {}
         self._face_memo = {}
         self._complete = None
         self._simplicial = None
+        self._ample = None  # memo of divisor.find_ample
 
     # -- identity ------------------------------------------------------------
 
@@ -135,50 +141,46 @@ class Fan:
             return 0
         return lattice.matrix_rank([self.rays[i] for i in ray_indices])
 
+    def _max_cone_rows(self, ci):
+        """cone_rows of a maximal cone, computed once."""
+        if ci not in self._rows:
+            self._rows[ci] = cone_rows(
+                [self.rays[i] for i in sorted(self.max_cones[ci])], self.dim)
+        return self._rows[ci]
+
     def _max_cone_facet_normals(self, ci):
-        """Facet normals of a maximal cone, inside its linear span."""
-        if ci not in self._facet_normals:
-            gens = [self.rays[i] for i in sorted(self.max_cones[ci])]
-            basis = lattice.saturation_basis(gens, self.dim)
-            self._facet_normals[ci] = [
-                n for n, _ in _facets_in_span(gens, basis, affine=False)]
-        return self._facet_normals[ci]
+        """Facet normals of a maximal cone, inside its linear span: the rows
+        that do not vanish on every ray."""
+        gens = [self.rays[i] for i in self.max_cones[ci]]
+        return [h for h in self._max_cone_rows(ci)
+                if any(lattice.pairing(h, g) for g in gens)]
 
     def _faces_of_max_cone(self, ci):
         """Map {ray index frozenset -> dim} of all faces of max cone ci."""
         if ci in self._face_memo:
             return self._face_memo[ci]
         idx = sorted(self.max_cones[ci])
-        gens = {i: self.rays[i] for i in idx}
-        out = {}
         if self.cone_dim(idx) == len(idx):  # simplicial
-            for k in range(len(idx) + 1):
-                for sub in combinations(idx, k):
-                    out[frozenset(sub)] = k
-            self._face_memo[ci] = out
-            return out
-        normals = self._max_cone_facet_normals(ci)
-        seen = {frozenset(idx)}
-        queue = [frozenset(idx)]
-        while queue:
-            cur = queue.pop()
-            for h in normals:
-                nxt = frozenset(i for i in cur if lattice.pairing(gens[i], h) == 0)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        for s in seen:
-            out[s] = self.cone_dim(s)
-        out[frozenset()] = 0
+            out = {frozenset(sub): k for k in range(len(idx) + 1)
+                   for sub in combinations(idx, k)}
+        else:
+            seen = {frozenset(idx)}
+            queue = [frozenset(idx)]
+            while queue:
+                cur = queue.pop()
+                for h in self._max_cone_rows(ci):  # span equations hold on every face
+                    nxt = frozenset(i for i in cur if lattice.pairing(self.rays[i], h) == 0)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+            out = {s: self.cone_dim(s) for s in seen} | {frozenset(): 0}
         self._face_memo[ci] = out
         return out
 
     def _all_face_sets(self):
         if self._face_sets is None:
             per_cone = [self._faces_of_max_cone(ci) for ci in range(len(self.max_cones))]
-            merged = {}
-            for d in per_cone:
-                merged.update(d)
+            merged = {s: k for faces in per_cone for s, k in faces.items()}
             self._face_sets = (per_cone, merged)
         return self._face_sets
 
@@ -231,12 +233,17 @@ class Fan:
 
     @property
     def is_complete(self) -> bool:
-        """Facet-pairing completeness certificate for pure full-dimensional fans."""
+        """Completeness certificate; raises ValidationError on cones that
+        close up along their facets without forming a fan."""
         if self._complete is None:
             self._complete = self._check_complete()
         return self._complete
 
     def _check_complete(self) -> bool:
+        """Each facet of a maximal cone is shared with exactly one other, in a
+        connected adjacency graph.  Then (a) the two cones at every shared
+        facet lie on opposite sides of it and (b) a point on no wall lies in
+        exactly one maximal cone, or the input is not a fan."""
         if not self.max_cones:
             return self.dim == 0
         if any(self.cone_dim(c) != self.dim for c in self.max_cones):
@@ -244,26 +251,38 @@ class Fan:
         inc = self._facet_incidence()
         if any(len(cis) != 2 for cis in inc.values()):
             return False
-        # connectivity of the facet-adjacency graph
-        adj = {ci: set() for ci in range(len(self.max_cones))}
-        for cis in inc.values():
-            a, b = cis
+        adj = [set() for _ in self.max_cones]
+        for a, b in inc.values():
             adj[a].add(b)
             adj[b].add(a)
-        seen = {0}
-        stack = [0]
+        seen, stack = {0}, [0]
         while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+            new = adj[stack.pop()] - seen
+            seen |= new
+            stack.extend(new)
         if len(seen) != len(self.max_cones):
             return False
-        # spot-check directions in every orthant
-        for signs in _orthant_directions(self.dim):
-            if not any(cone_contains([self.rays[i] for i in c], signs)
-                       for c in self.max_cones):
-                return False
+        # (a); halves[ci] lists (wall normal y, <y, e> for a ray e of ci off it)
+        halves = [[] for _ in self.max_cones]
+        for tau, (a, b) in inc.items():
+            y = lattice.integer_kernel([self.rays[i] for i in tau], ncols=self.dim)[0]
+            va, vb = (lattice.pairing(y, self.rays[min(self.max_cones[ci] - tau)])
+                      for ci in (a, b))
+            if va * vb >= 0:
+                raise ValidationError(
+                    f"cones {sorted(self.max_cones[a])} and {sorted(self.max_cones[b])} "
+                    f"lie on the same side of their common facet {sorted(tau)}")
+            halves[a].append((y, va))
+            halves[b].append((y, vb))
+        # (b) at p = (1, t, ..., t^(d-1)), t >= 2 least off every wall: <y, p>
+        # is a nonzero polynomial in t, so few values of t are tried
+        p = next(p for p in ([t ** k for k in range(self.dim)] for t in count(2))
+                 if all(lattice.pairing(y, p) for hs in halves for y, _ in hs))
+        holders = [sorted(c) for c, hs in zip(self.max_cones, halves)
+                   if all(lattice.pairing(y, p) * v > 0 for y, v in hs)]
+        if len(holders) != 1:
+            raise ValidationError(f"the point {p} lies in {len(holders)} maximal "
+                                  f"cones, not one: {holders}")
         return True
 
     def validate(self):
@@ -285,24 +304,24 @@ class Fan:
 
     def _face_compatibility_issue(self, a, b):
         ca, cb = self.max_cones[a], self.max_cones[b]
-        gens_a = [self.rays[i] for i in sorted(ca)]
-        gens_b = [self.rays[i] for i in sorted(cb)]
-        shared = {i for i in ca if cone_contains(gens_b, self.rays[i])} | \
-                 {i for i in cb if cone_contains(gens_a, self.rays[i])}
+        rows_a = self._max_cone_rows(a)
+        rows = rows_a + self._max_cone_rows(b)
+        shared = {i for i in ca | cb
+                  if all(lattice.pairing(h, self.rays[i]) >= 0 for h in rows)}
         for ci, cone_set in ((a, ca), (b, cb)):
             if not shared <= cone_set or \
                     frozenset(shared) not in self._faces_of_max_cone(ci):
                 return (f"intersection of cones {sorted(ca)} and {sorted(cb)} "
                         f"is not a common face")
-        # separation certificate: a functional vanishing on the shared face,
-        # strictly positive on the rest of one cone, strictly negative on the
-        # rest of the other; it exists exactly when the cones meet in that face
-        eqs = [(list(self.rays[i]), 0) for i in sorted(shared)]
-        ineqs = [(list(self.rays[i]), 1) for i in sorted(ca - shared)]
-        ineqs += [([-x for x in self.rays[i]], 1) for i in sorted(cb - shared)]
-        if lp_feasible(self.dim, eqs=eqs, ineqs=ineqs) is None:
-            return (f"cones {sorted(ca)} and {sorted(cb)} overlap beyond "
-                    f"a common face")
+        # the cones meet in that face exactly when every ray of their
+        # intersection lies on each row of cone a tight on the face; a line
+        # in the intersection lies in every face, so it is cut off first
+        on_face = sum(1 << j for j, h in enumerate(rows_a)
+                      if all(lattice.pairing(h, self.rays[i]) == 0 for i in shared))
+        lines = lattice.integer_kernel(rows, ncols=self.dim)
+        rays = cone_rays(rows + lines + [tuple(-x for x in v) for v in lines], self.dim)
+        if any(mask & on_face != on_face for _, mask in rays):
+            return f"cones {sorted(ca)} and {sorted(cb)} overlap beyond a common face"
         return None
 
     # -- relations between fans -----------------------------------------------
@@ -377,11 +396,3 @@ class Fan:
                    if not any(c < other for other in new_cones)]
         return Fan(new_rays, sorted(set(maximal), key=sorted), dim=qdim)
 
-
-def _orthant_directions(d):
-    if d == 0:
-        return []
-    out = []
-    for signs in range(2 ** d):
-        out.append(tuple(1 if (signs >> i) & 1 else -1 for i in range(d)))
-    return out

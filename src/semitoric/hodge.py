@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
-from .fan import ConeRef, Fan, cone_contains
+from .fan import ConeRef, Fan
 from .linalg import solve_linear
 from .polytope import Face, LatticePolytope
 

@@ -2,9 +2,12 @@
 
 Sparse rows are dicts {column index: Fraction}.  The echelon structure keeps
 rows with distinct pivot columns; reducing a vector against it yields the
-canonical coset representative supported on non-pivot columns.  An exact
-phase-1 simplex provides LP feasibility for cone membership and support
-function searches.
+canonical coset representative supported on non-pivot columns.
+
+``lp_feasible``, an exact phase-1 simplex, has no caller in the package:
+cone questions go through the double-description kernel
+``polytope.cone_rays``.  The simplex stays as an independent route that the
+tests compare those answers with.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import lattice
 from .errors import PreconditionError, RationalVertexError, ValidationError
-from .linalg import lp_feasible, solve_unique
+from .linalg import solve_unique
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,6 @@ class LatticePolytope:
         rel = [Fraction(a) - b for a, b in zip(x, base)]
         cols = [[basis[j][i] for j in range(len(basis))] for i in range(self.ambient_dim)]
         return solve_unique(cols, rel)
-
-    def _vertex_span_coords(self):
-        return [self._to_span_coords(v) for v in self.vertices]
 
     # -- facets and faces --------------------------------------------------
 
@@ -548,8 +545,11 @@ def vertices_from_inequalities(h: HPolytope) -> LatticePolytope:
     """
     d = h.dim
     rays = cone_rays([n + (-r,) for n, r in h.inequalities] + [(0,) * d + (1,)], d + 1)
-    if rays is None:  # the normals have rank < d
-        if lp_feasible(d, ineqs=list(h.inequalities)) is not None:
+    if rays is None:  # the normals have rank k < d: test feasibility in their span
+        basis = lattice.saturation_basis([n for n, _ in h.inequalities], d)
+        rows = [[lattice.pairing(b, n) for b in basis] + [-r] for n, r in h.inequalities]
+        k = len(basis)
+        if any(y[-1] > 0 for y, _ in cone_rays(rows + [[0] * k + [1]], k + 1)):
             raise PreconditionError("inequality system is feasible but unbounded")
         rays = []
     verts = [tuple(Fraction(x, y[-1]) for x in y[:-1]) for y, _ in rays if y[-1] > 0]

@@ -144,6 +144,27 @@ def test_ragged_vectors_exit_1(tmp_path, command, doc, named):
     assert "Traceback" not in out.stderr
 
 
+PENTAGRAM = {"rays": [[1, 0], [1, 2], [-1, 1], [-1, -1], [1, -2]],
+             "max_cones": [[k, (k + 2) % 5] for k in range(5)]}
+DOUBLE_TRIANGLE = {"rays": [[1, 0], [0, 1], [-1, -1], [2, 1], [-1, 0], [0, -1]],
+                   "max_cones": [[k, (k + 1) % 6] for k in range(6)]}
+
+
+@pytest.mark.parametrize("command", [("fan", "check"), ("divisor", "analyze"),
+                                     ("divisor", "nakai")])
+@pytest.mark.parametrize("fan, named", [(PENTAGRAM, "[[0, 2], [1, 3]]"),
+                                        (DOUBLE_TRIANGLE, "[[0, 1], [3, 4]]")])
+def test_non_fan_exit_1(tmp_path, capsys, command, fan, named):
+    """Cones that close up along their facets but cover the plane twice are
+    an input error that names the cones, not a report."""
+    path = write(tmp_path, "cover.json", {"fan": fan, "coeffs": [1] * len(fan["rays"])})
+    code, out, err = run(capsys, *command, "--input", path)
+    assert code == 1
+    assert out == ""
+    assert "input error" in err and named in err
+    assert "Traceback" not in err
+
+
 def test_precondition_failure_exit_2(tmp_path, capsys):
     doc = {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
                    "max_cones": [[0, 1], [0, 2], [1, 2]]},

@@ -96,7 +96,6 @@ def test_degree_vs_volume():
 def test_sigma_d_blowdown():
     coarse = PULLBACK_D3.sigma_d()
     assert coarse == P2
-    assert coarse.ample_hint is not None
 
 
 def test_sigma_d_of_ample_is_identity():

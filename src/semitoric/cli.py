@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
+from . import lattice
 from .coxring import CoxRing, GradedPolynomial, R1Piece, j0_piece, jacobian_piece
 from .divisor import TorusInvariantDivisor
 from .errors import SemitoricError, ValidationError
@@ -41,6 +42,13 @@ def _int_list(val, path):
             isinstance(x, int) and not isinstance(x, bool) for x in val):
         raise ValidationError(f"{path}: expected a list of integers")
     return val
+
+
+def _degree(ring: CoxRing, val, path):
+    try:
+        return ring.degree_class(_int_list(val, path))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def parse_fan(doc, path="fan") -> Fan:
@@ -82,7 +90,7 @@ def parse_polynomial(doc, ring: CoxRing, path="polynomial") -> GradedPolynomial:
         terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
     degree = None
     if "degree_rep" in doc:
-        degree = ring.degree_class(_int_list(doc["degree_rep"], f"{path}.degree_rep"))
+        degree = _degree(ring, doc["degree_rep"], f"{path}.degree_rep")
     return ring.polynomial(terms, degree)
 
 
@@ -186,7 +194,7 @@ def cmd_ring_dims(doc, verify):
     f = parse_polynomial(_need(doc, "polynomial", dict, "input"), ring)
     entries = []
     for i, rep in enumerate(_need(doc, "degrees", list, "input")):
-        gamma = ring.degree_class(_int_list(rep, f"input.degrees[{i}]"))
+        gamma = _degree(ring, rep, f"input.degrees[{i}]")
         s_dim = ring.piece_dim(gamma)
         r_dim = s_dim - jacobian_piece(f, gamma).dim
         r0_dim = s_dim - j0_piece(f, gamma).dim
@@ -259,6 +267,9 @@ def cmd_threefold_h3(doc, verify):
             "gram_skew_between_levels": gram_skew_between_levels(grams),
             "gram_rank_equals_block_size": all(
                 rank == len(g.entries) for g, rank in zip(grams, ranks)),
+            "gram_rank_matches_dense_elimination": all(
+                rank == lattice.matrix_rank([[v.rational for v in row] for row in g.entries])
+                for g, rank in zip(grams, ranks)),
             "gram_sample_matches_polynomial_route": all(
                 analysis.entry_by_polynomials(g.level_a, i, j) == g.entries[i][j]
                 for g in grams for i, j in g.sample_positions()),

@@ -5,18 +5,30 @@ Degree classes carry a canonical normal form (via the Smith normal form of
 the ray matrix), graded pieces get explicit monomial bases through lattice
 points of section polytopes, and ideal pieces are handled degree by degree
 with sparse exact row reduction.  No Groebner bases anywhere.
+
+An ideal piece skips rows by the Koszul criterion (the first criterion of
+Faugere's F5): with LT(g) the lex-largest exponent vector of a generator,
+the row m * g_j is left out when LT(g_i) divides m for some i < j.  The
+skip is exact.  Write m = m' LT(g_i); then, with c the coefficient of
+LT(g_i), c m g_j = m' g_j * g_i - m' (g_i - c LT(g_i)) * g_j.  The first
+term is a combination of rows t * g_i with i < j, the second of rows
+t * g_j with t below m in the lex order, which is multiplicative; by
+induction on j and on the multiplier both lie in the span of the kept rows.
+The span is unchanged, so are its pivot columns and every reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor
+from operator import add, mul
 
 from . import lattice
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
 from .fan import Fan
 from .linalg import SparseEchelon, solve_unique
-from .polytope import HPolytope, vertices_from_inequalities
+from .polytope import HPolytope, _enumerate_integer_points, vertices_from_inequalities
 
 CERTIFIED_NONDEGENERATE = "CERTIFIED_NONDEGENERATE"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -253,6 +265,8 @@ class CoxRing:
         hit = self._nf_cache.get(key)
         if hit is not None:
             return hit
+        if len(key) != self.n:
+            raise ValidationError(f"degree vector of length {len(key)}, expected {self.n}")
         u = [sum(self._U[i][k] * key[k] for k in range(self.n)) for i in range(self.n)]
         for i in range(self.d):
             u[i] %= self._diag[i]
@@ -265,8 +279,6 @@ class CoxRing:
         return DegreeClass(self, self._normal_form(vec))
 
     def degree_of_monomial(self, exps) -> DegreeClass:
-        if len(exps) != self.n:
-            raise ValidationError(f"exponent vector of length {len(exps)}, expected {self.n}")
         return self.degree_class(exps)
 
     def variable_degree(self, i: int) -> DegreeClass:
@@ -304,14 +316,16 @@ class CoxRing:
         if hit is not None:
             return hit
         a = beta.rep
-        poly = vertices_from_inequalities(
-            HPolytope([(e, -ai) for e, ai in zip(self.fan.rays, a)]))
-        pairs = []
-        for m in poly.lattice_points():
-            exps = tuple(ai + lattice.pairing(m, e)
-                         for ai, e in zip(a, self.fan.rays))
-            pairs.append((exps, m))
-        pairs.sort()
+        rays = self.fan.rays
+        # the section polytope {m : a_i + <m, e_i> >= 0}, scanned inside the
+        # integer box around its vertices
+        ineqs = [(e, -ai) for e, ai in zip(rays, a)]
+        verts = vertices_from_inequalities(HPolytope(ineqs)).vertices
+        points = _enumerate_integer_points(
+            ineqs, [ceil(min(x)) for x in zip(*verts)],
+            [floor(max(x)) for x in zip(*verts)]) if verts else []
+        pairs = sorted((tuple(ai + sum(map(mul, m, e)) for ai, e in zip(a, rays)), m)
+                       for m in points)
         basis = GradedPieceBasis(
             degree=beta,
             exponents=[e for e, _ in pairs],
@@ -336,33 +350,36 @@ class CoxRing:
 
 
 def ideal_graded_piece(generators, gamma: DegreeClass) -> GradedSubspace:
-    """Span of {g * m : g generator, m monomial, deg(g m) = gamma}, echelonized."""
-    if not generators:
-        ring = gamma.ring
-        return GradedSubspace(ring, gamma)
-    ring = generators[0].ring
+    """Span of {g * m : g generator, m monomial, deg(g m) = gamma}, echelonized.
+
+    The row m * g_j is skipped when LT(g_i) divides m for some i < j, LT
+    being the lex-largest exponent vector of a generator (Koszul criterion,
+    exact: see the module docstring).
+    """
+    ring = gamma.ring
     space = GradedSubspace(ring, gamma)
+    index = space.basis.index
+    leads = []   # support of LT(g_i) for the generators already done
     for g in generators:
-        shift = ring.monomial_basis(gamma - g.degree)
-        for mono in shift.exponents:
-            row = {}
-            for e, c in g.terms.items():
-                prod = tuple(a + b for a, b in zip(e, mono))
-                row[space.basis.index[prod]] = c
-            space.insert_row(row)
+        if g.is_zero():
+            continue
+        terms = g.terms.items()
+        for mono in ring.monomial_basis(gamma - g.degree).exponents:
+            if any(all(mono[k] >= b for k, b in lead) for lead in leads):
+                continue
+            space.insert_row({index[tuple(map(add, e, mono))]: c for e, c in terms})
+        leads.append([(k, b) for k, b in enumerate(max(g.terms)) if b])
     return space
 
 
 def jacobian_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
     """J(f)_gamma: the degree-gamma piece of the ideal of ordinary partials."""
-    gens = [f.partial(i) for i in range(f.ring.n)]
-    return ideal_graded_piece([g for g in gens if not g.is_zero()], gamma)
+    return ideal_graded_piece([f.partial(i) for i in range(f.ring.n)], gamma)
 
 
 def j0_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
     """J_0(f)_gamma: the piece of the ideal of weighted partials x_i df/dx_i."""
-    gens = [g for g in f.ring.weighted_partials(f) if not g.is_zero()]
-    return ideal_graded_piece(gens, gamma)
+    return ideal_graded_piece(f.ring.weighted_partials(f), gamma)
 
 
 class R1Piece:
@@ -370,15 +387,19 @@ class R1Piece:
 
     J_1(f)_gamma = {h : h * x_1...x_n in J_0(f)_{gamma + beta_0}} is computed
     as the kernel of the shifted reduction map, tracked with tag columns.
+    J_0(f)_{gamma + beta_0} is built here unless already at hand (`_j0`, as a
+    nondegeneracy certificate of f holds it in its critical degree).
     """
 
-    def __init__(self, f: GradedPolynomial, gamma: DegreeClass):
+    def __init__(self, f: GradedPolynomial, gamma: DegreeClass, _j0=None):
         ring = f.ring
         self.ring = ring
         self.gamma = gamma
         self.ambient = ring.monomial_basis(gamma)
         shifted_degree = gamma + ring.beta0
-        j0 = j0_piece(f, shifted_degree)
+        j0 = _j0 if _j0 is not None else j0_piece(f, shifted_degree)
+        if j0.degree != shifted_degree:
+            raise InconsistencyError("the J_0 piece is not in the shifted degree")
         shifted_basis = j0.basis
         ncols = len(shifted_basis)
         tracker = SparseEchelon(ncols)
@@ -457,7 +478,7 @@ def nondegeneracy_certificate(f: GradedPolynomial) -> NondegeneracyCertificate:
     I = picks[0]
     F = [f.weighted_partial(i) for i in I]
     rho = (ring.d + 1) * beta - ring.beta0
-    span = ideal_graded_piece([g for g in F if not g.is_zero()], rho)
+    span = ideal_graded_piece(F, rho)
     codim = span.codim()
     if codim != 1:
         return NondegeneracyCertificate(INCONCLUSIVE, I, codim, False, span)

@@ -171,7 +171,7 @@ class LatticePolytope:
         constraints = lattice.integer_kernel([list(b) for b in basis],
                                              ncols=self.ambient_dim)
         if not constraints:
-            return None  # full-dimensional span always has lattice points
+            return (0,) * self.ambient_dim  # a full-dimensional span holds the origin
         rhs = [sum(Fraction(c) * b for c, b in zip(row, base)) for row in constraints]
         if any(q.denominator != 1 for q in rhs):
             return None
@@ -261,7 +261,7 @@ class LatticePolytope:
     def _points(self, strict: bool):
         if self.is_empty:
             return []
-        _, basis, anchor = self._span_data()
+        base, basis, anchor = self._span_data()
         if anchor is None:
             return []
         k = len(basis)
@@ -269,6 +269,9 @@ class LatticePolytope:
             x = tuple(int(v) for v in self.vertices[0]) if self.is_lattice else None
             return [x] if x is not None else []
         tcoords = [self._to_span_coords(v) for v in self.vertices]
+        if anchor != base:  # the box is read relative to the anchor
+            origin = self._to_span_coords(anchor)
+            tcoords = [[a - o for a, o in zip(t, origin)] for t in tcoords]
         lo = [_ceil(min(t[j] for t in tcoords)) for j in range(k)]
         hi = [_floor(max(t[j] for t in tcoords)) for j in range(k)]
         ineqs = []

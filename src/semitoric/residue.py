@@ -186,8 +186,7 @@ class ResidueMap:
             raise PreconditionError("the residue map is defined for semiample degrees")
         self.beta = beta
         self.rho = (ring.d + 1) * beta - ring.beta0
-        self.span = _span if _span is not None else ideal_graded_piece(
-            [g for g in self.F if not g.is_zero()], self.rho)
+        self.span = _span if _span is not None else ideal_graded_piece(self.F, self.rho)
         if self.span.codim() != 1:
             raise CertificateError(
                 f"sections span codimension {self.span.codim()} in the critical "

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .fan import ConeRef, Fan, cone_contains
-from .linalg import solve_unique
+from .linalg import SparseEchelon, solve_unique
 from .residue import CupProduct, PairingValue, cup_constant
 
 
@@ -244,14 +244,20 @@ class GramBlock:
     entries: list
 
     def rank(self) -> int:
-        """Rank over Q; ring and link parts never mix, so the rank splits."""
+        """Rank over Q; ring and link parts never mix, so the rank splits.
+
+        Each part is ranked sparsely: the nonzero entries of its rows go into
+        a `SparseEchelon`, whose rank is the part's rank.  The dense route
+        (`lattice.matrix_rank` on the whole matrix) is the `--verify` check.
+        """
         def part_rank(kind):
-            rows = _expand_indices(self.row_blocks, kind)
             cols = _expand_indices(self.col_blocks, kind)
-            if not rows or not cols:
-                return 0
-            mat = [[self.entries[i][j].rational for j in cols] for i in rows]
-            return lattice.matrix_rank(mat)
+            echelon = SparseEchelon(len(cols))
+            for i in _expand_indices(self.row_blocks, kind):
+                row = self.entries[i]
+                echelon.insert({k: row[j].rational for k, j in enumerate(cols)
+                                if row[j].rational})
+            return echelon.rank
 
         return part_rank("ring") + part_rank("link")
 
@@ -331,7 +337,15 @@ class ThreefoldAnalysis:
     def bulk_piece(self, a: int) -> R1Piece:
         if a not in self._bulk_pieces:
             gamma = (a + 1) * self.f.degree - self.ring.beta0
-            self._bulk_pieces[a] = R1Piece(self.f, gamma)
+            # The certificate's span is J_0(f) in its degree: with u(x^E) the
+            # lattice point of a term, x_i df/dx_i = a_i f + sum_k e_ik D_k f
+            # where D_k multiplies each term by u_k, and the rows (a_i, e_i),
+            # i in I, have determinant +-c_I != 0, so the weighted partials
+            # of I span those of every variable and generate J_0.
+            cert = self.certificate
+            j0 = (cert.span if cert is not None
+                  and cert.span.degree == gamma + self.ring.beta0 else None)
+            self._bulk_pieces[a] = R1Piece(self.f, gamma, _j0=j0)
         return self._bulk_pieces[a]
 
     @property

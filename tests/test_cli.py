@@ -14,7 +14,7 @@ import pytest
 import semitoric
 from semitoric.cli import main
 from semitoric.residue import PairingValue
-from semitoric.threefold import ThreefoldAnalysis
+from semitoric.threefold import GramBlock, ThreefoldAnalysis
 
 FIXTURES = resources.files("semitoric") / "fixtures"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -131,6 +131,10 @@ RAGGED_NORMALS = {"polytope": {"inequalities": [
     (("hodge", "h21"), RAGGED_NORMALS, "normal 1"),
     (("hodge", "h21"), {"polytope": {"inequalities": []}}, "polytope.inequalities"),
     (("hodge", "h21"), {"polytope": {"vertices": 5}}, "polytope.vertices"),
+    (("ring", "dims"), dict(fixture("fermat_quintic.json"),
+                            degrees=[[0, 0, 0, 0, 5], [0, 0, 5]]), "input.degrees[1]"),
+    (("ring", "dims"), dict(fixture("fermat_quintic.json"),
+                            degrees=[[0, 0, 0, 0, 0, 5]]), "input.degrees[0]"),
 ])
 def test_ragged_vectors_exit_1(tmp_path, command, doc, named):
     """Vectors of the wrong length, or none at all, are an input error, not
@@ -254,9 +258,9 @@ def test_threefold_h3_quintic_no_gram(tmp_path, capsys):
 
 
 def test_threefold_h3_verify(tmp_path, capsys, monkeypatch):
-    """--verify adds the three Gram cross-checks, computing the Gram blocks
+    """--verify adds the four Gram cross-checks, computing the Gram blocks
     even when the report leaves them out, and changes nothing else; a
-    disagreeing polynomial route shows as a failed check."""
+    disagreeing polynomial route or sparse rank shows as a failed check."""
     doc = fixture("fermat_quintic.json")
     doc["gram"] = False
     path = write(tmp_path, "t.json", doc)
@@ -268,6 +272,7 @@ def test_threefold_h3_verify(tmp_path, capsys, monkeypatch):
     assert report.pop("verification") == {
         "gram_skew_between_levels": True,
         "gram_rank_equals_block_size": True,
+        "gram_rank_matches_dense_elimination": True,
         "gram_sample_matches_polynomial_route": True,
     }
     assert report == json.loads(plain)
@@ -281,6 +286,12 @@ def test_threefold_h3_verify(tmp_path, capsys, monkeypatch):
     checks = json.loads(out)["verification"]
     assert checks["gram_sample_matches_polynomial_route"] is False
     assert checks["gram_skew_between_levels"] is True
+
+    monkeypatch.setattr(GramBlock, "rank", lambda self: len(self.entries) - 1)
+    code, out, _ = run(capsys, "threefold", "h3", "--input", path, "--verify")
+    assert code == 0
+    checks = json.loads(out)["verification"]
+    assert checks["gram_rank_matches_dense_elimination"] is False
 
 
 def declared_script(name):

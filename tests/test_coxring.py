@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from semitoric import catalog
+from semitoric import catalog, lattice, linalg
 from semitoric.coxring import (
     CERTIFIED_NONDEGENERATE,
     INCONCLUSIVE,
@@ -18,6 +19,7 @@ from semitoric.coxring import (
     reduce_modulo,
 )
 from semitoric.errors import ValidationError
+from semitoric.polytope import HPolytope, vertices_from_inequalities
 
 
 def fermat(ring, degree):
@@ -171,3 +173,158 @@ def test_point_of_monomial_roundtrip():
     basis = P2.monomial_basis(P2.beta0)
     for exps, point in zip(basis.exponents, basis.points):
         assert P2.point_of_monomial(exps, P2.beta0) == point
+
+
+# -- the Koszul skip against the unskipped builder ------------------------------
+
+
+def unskipped_piece(generators, gamma):
+    """The reference for `ideal_graded_piece`: every row m * g, none skipped."""
+    space = GradedSubspace(gamma.ring, gamma)
+    for g in generators:
+        for mono in gamma.ring.monomial_basis(gamma - g.degree).exponents:
+            space.insert_row({space.basis.index[tuple(a + b for a, b in zip(e, mono))]: c
+                              for e, c in g.terms.items()})
+    return space
+
+
+def assert_same_piece(generators, gamma):
+    fast = ideal_graded_piece(generators, gamma)
+    slow = unskipped_piece(generators, gamma)
+    assert fast.dim == slow.dim
+    assert set(fast.echelon.pivots) == set(slow.echelon.pivots)
+    for j in range(len(fast.basis)):
+        assert fast.echelon.reduce({j: 1}) == slow.echelon.reduce({j: 1})
+
+
+def random_section(ring, beta, rng, nterms):
+    exps = ring.monomial_basis(beta).exponents
+    return ring.polynomial({e: rng.randint(-4, 4) or 1
+                            for e in rng.sample(exps, min(nterms, len(exps)))}, beta)
+
+
+def dwork(ring, psi):
+    terms = {tuple(5 * int(i == j) for j in range(5)): 1 for i in range(5)}
+    terms[(1,) * 5] = -5 * Fraction(psi)
+    return ring.polynomial(terms)
+
+
+@pytest.mark.parametrize("fan, beta_vec, shifts", [
+    (catalog.projective_plane(), (0, 0, 3), [(0, 0, 0), (0, 0, 1), (0, 0, 3)]),
+    (catalog.projective_space(4), (0, 0, 0, 0, 3), [(0, 0, 0, 0, 0), (0, 0, 0, 0, 2)]),
+    (catalog.p11222_crepant_fan(), (0, 0, 0, 0, 1, 0), [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
+                                                         (0, 0, 0, 0, 1, 0)]),
+])
+def test_koszul_skip_keeps_the_span_of_random_sections(fan, beta_vec, shifts):
+    """Seeded non-diagonal sections: weighted partials, ordinary partials and
+    plain lists of sections span the same piece with and without skipping."""
+    ring = CoxRing(fan)
+    rng = random.Random(7)
+    beta = ring.degree_class(beta_vec)
+    for trial in range(3):
+        f = random_section(ring, beta, rng, 4 + trial)
+        sections = [random_section(ring, beta, rng, 3) for _ in range(3)]
+        lists = ([g for g in ring.weighted_partials(f) if not g.is_zero()],
+                 [g for g in (f.partial(i) for i in range(ring.n)) if not g.is_zero()],
+                 sections)
+        for gens in lists:
+            for shift in shifts:
+                gamma = gens[0].degree + ring.degree_class(shift)
+                assert_same_piece(gens, gamma)
+
+
+def test_koszul_skip_keeps_the_span_of_dense_conic_pairs():
+    """Pairs of dense plane conics in degrees 3-5: a leading term that is
+    not extreme in a multiplicative order (the middle term, say) drops a row
+    the span needs in a few of these 180 pieces."""
+    rng = random.Random(1)
+    beta = P2.degree_class((0, 0, 2))
+    for _ in range(60):
+        gens = [random_section(P2, beta, rng, 6) for _ in range(2)]
+        for s in (1, 2, 3):
+            assert_same_piece(gens, beta + s * P2.variable_degree(0))
+
+
+def test_koszul_skip_keeps_the_span_on_the_dwork_pencil():
+    """f = sum x_i^5 - 5 psi x_1...x_5 at psi = 1/2: two-term weighted
+    partials whose leading terms are x_1...x_5 from the second on."""
+    ring = CoxRing(catalog.projective_space(4))
+    f = dwork(ring, Fraction(1, 2))
+    gens = ring.weighted_partials(f)
+    h = ring.variable_degree(0)
+    for k in (5, 10, 15):
+        assert_same_piece(gens, k * h)
+
+
+def test_dwork_pencil_at_the_conifold_point_is_inconclusive():
+    ring = CoxRing(catalog.projective_space(4))
+    cert = nondegeneracy_certificate(dwork(ring, 1))
+    assert cert.verdict == INCONCLUSIVE
+    assert cert.codim == 125
+
+
+def test_fermat_quintic_j0_inserts_its_rank(monkeypatch):
+    """On the Fermat quintic every kept J_0 row is independent: the pieces
+    in degrees 10, 15 and 20 insert exactly their rank (the unskipped
+    builder inserts 630, 5,005 and 19,380 rows)."""
+    ring = CoxRing(catalog.projective_space(4))
+    quintic = fermat(ring, 5)
+    inserts = []
+    true_insert = linalg.SparseEchelon.insert
+
+    def counting_insert(self, row):
+        inserts.append(row)
+        return true_insert(self, row)
+
+    monkeypatch.setattr(linalg.SparseEchelon, "insert", counting_insert)
+    h = ring.variable_degree(0)
+    for k, rows in ((10, 620), (15, 3755), (20, 10625)):
+        inserts.clear()
+        piece = j0_piece(quintic, k * h)
+        assert len(inserts) == rows == piece.dim
+
+
+# -- monomial bases against the section polytope's lattice points ------------------
+
+
+def basis_by_section_polytope(ring, beta):
+    """The reference for `monomial_basis`: lattice points of the section
+    polytope through `LatticePolytope.lattice_points`, paired with the rays."""
+    a = beta.rep
+    poly = vertices_from_inequalities(
+        HPolytope([(e, -ai) for e, ai in zip(ring.fan.rays, a)]))
+    pairs = sorted((tuple(ai + lattice.pairing(m, e) for ai, e in zip(a, ring.fan.rays)), m)
+                   for m in poly.lattice_points())
+    return poly, [e for e, _ in pairs], [m for _, m in pairs]
+
+
+CATALOG_FANS = [
+    catalog.projective_line(), catalog.projective_plane(), catalog.projective_space(3),
+    catalog.projective_space(4), catalog.blowup_p2(), catalog.hirzebruch(0),
+    catalog.hirzebruch(2), catalog.hirzebruch(3), catalog.blowup_p3(),
+    catalog.product_fan(catalog.projective_line(), catalog.projective_line()),
+    catalog.product_fan(catalog.projective_plane(), catalog.projective_line()),
+    catalog.weighted_projective((1, 1, 2)), catalog.weighted_projective((1, 2, 3)),
+    catalog.p11222_fan(), catalog.p11222_crepant_fan(), catalog.p11222_triple_fan(),
+]
+
+
+@pytest.mark.parametrize("fan", CATALOG_FANS, ids=lambda f: f"n{len(f.rays)}d{f.dim}")
+def test_monomial_basis_matches_section_polytope_points(fan):
+    """Degree 0, the variables, beta_0 and seeded small degrees, among them
+    empty ones and degrees whose section polytope is not full-dimensional."""
+    ring = CoxRing(fan)
+    rng = random.Random(11)
+    degrees = [ring.zero_degree(), ring.beta0]
+    degrees += [ring.variable_degree(i) for i in range(ring.n)]
+    degrees += [ring.degree_class([rng.randint(-1, 2) for _ in range(ring.n)])
+                for _ in range(12)]
+    seen = set()
+    for beta in degrees:
+        poly, exponents, points = basis_by_section_polytope(ring, beta)
+        basis = ring.monomial_basis(beta)
+        assert basis.exponents == exponents
+        assert basis.points == points
+        assert basis.index == {e: i for i, e in enumerate(exponents)}
+        seen.add("empty" if poly.is_empty else "full" if poly.dim == ring.d else "flat")
+    assert {"empty", "flat", "full"} <= seen

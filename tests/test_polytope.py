@@ -69,6 +69,16 @@ def test_lattice_points_sec6_dual():
     assert len(pts) == 9  # vertices and the origin only
 
 
+def test_lattice_points_of_rational_polytopes():
+    """A rational lex-first vertex: the full-dimensional triangle needs an
+    integer anchor, and the segment's box is read relative to its anchor."""
+    tri = LatticePolytope([(0, Fraction(3, 2)), (0, 2), (1, 2)])
+    assert tri.lattice_points() == [(0, 2), (1, 2)]
+    assert tri.relative_interior_points() == []
+    seg = LatticePolytope([(Fraction(5, 2), Fraction(5, 2)), (Fraction(9, 2), Fraction(9, 2))])
+    assert seg.lattice_points() == seg.relative_interior_points() == [(3, 3), (4, 4)]
+
+
 def test_interior_points_unit_simplex():
     assert unit_simplex(2).relative_interior_points() == []
 

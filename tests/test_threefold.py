@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from semitoric import catalog, coxring, residue
-from semitoric.coxring import CoxRing, r1_dim
+from semitoric import catalog, coxring, lattice, residue
+from semitoric.coxring import CoxRing, R1Piece, r1_dim
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import PreconditionError
 from semitoric.hodge import h21_batyrev
+from semitoric.residue import PairingValue
 from semitoric.threefold import (
+    GramBlock,
+    H3Block,
     ThreefoldAnalysis,
     face_polynomial,
     gram_skew_between_levels,
@@ -197,13 +200,47 @@ def _positions(blocks, kind):
         off += b.dim
 
 
+@pytest.mark.parametrize("name", ["quintic_analysis", "crepant_analysis",
+                                  "triple_analysis"])
+def test_sparse_gram_rank_matches_dense_elimination(name, request):
+    analysis = request.getfixturevalue(name)
+    for a in range(4):
+        g = analysis.gram(a, 3 - a)
+        assert g.rank() == lattice.matrix_rank([[v.rational for v in row]
+                                                for row in g.entries])
+
+
+def test_sparse_gram_rank_of_random_dependent_rows():
+    """Seeded rational matrices of known low rank, split into ring and link
+    blocks that never mix: the sparse part-ranks add up to the dense rank."""
+    rng = random.Random(9)
+
+    def low_rank(nrows, ncols, k):
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+                for _ in range(nrows)]
+        right = [[Fraction(rng.randint(-3, 3)) * rng.randint(0, 1) for _ in range(ncols)]
+                 for _ in range(k)]
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+    for _ in range(30):
+        dims = {kind: (rng.randint(0, 6), rng.randint(0, 6)) for kind in ("ring", "link")}
+        parts = {kind: low_rank(r, c, rng.randint(1, 4)) for kind, (r, c) in dims.items()}
+        (r1, c1), (r2, c2) = dims["ring"], dims["link"]
+        rows = [row + [Fraction(0)] * c2 for row in parts["ring"]]
+        rows += [[Fraction(0)] * c1 + row for row in parts["link"]]
+        entries = [[PairingValue(x, 4) for x in row] for row in rows]
+        g = GramBlock(1, 2, [H3Block(1, "ring", r1, []), H3Block(1, "link", r2, [])],
+                      [H3Block(2, "ring", c1, []), H3Block(2, "link", c2, [])], entries)
+        assert g.rank() == lattice.matrix_rank(rows)
+
+
 def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
     """The four Gram blocks of the quintic have 1,281 distinct monomial
-    products, so at most that many residues are taken; the residue map
-    reuses the certificate's span in rho = (d+1)beta - beta_0, and the one
-    ideal piece built there is J_0 for the level-3 ring piece."""
-    analysis = ThreefoldAnalysis(fermat(CoxRing(catalog.projective_space(4)), 5))
-    rho = 5 * analysis.f.degree - analysis.ring.beta0
+    products, so at most that many residues are taken; the certificate
+    builds the one ideal piece in rho = (d+1)beta - beta_0, and both the
+    residue map and J_0 of the level-3 ring piece reuse it."""
+    f = fermat(CoxRing(catalog.projective_space(4)), 5)
+    rho = 5 * f.degree - f.ring.beta0
     residues, rho_pieces = [], []
     true_residue = residue.ResidueMap.residue
     true_piece = coxring.ideal_graded_piece
@@ -220,12 +257,39 @@ def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
     monkeypatch.setattr(residue.ResidueMap, "residue", counting_residue)
     monkeypatch.setattr(residue, "ideal_graded_piece", counting_piece)
     monkeypatch.setattr(coxring, "ideal_graded_piece", counting_piece)
+    analysis = ThreefoldAnalysis(f)
     grams = [analysis.gram(a, 3 - a) for a in range(4)]
     assert [len(g.entries) for g in grams] == [1, 101, 101, 1]
     assert len(residues) <= 1281
     assert len(rho_pieces) == 1
     assert analysis.cup.res.span is analysis.certificate.span
     assert analysis.cup.res.jacobian is analysis.certificate.jacobian
+
+
+def test_crepant_level3_ring_piece_reuses_the_certificate_span(monkeypatch):
+    """The certificate's index set leaves out one of the six variables, yet
+    its sections span every weighted partial in degree beta: the analysis
+    builds one piece in rho, and the level-3 ring piece matches the one
+    built from J_0 itself."""
+    ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
+    rho = 5 * f.degree - ring.beta0
+    rho_pieces = []
+    true_piece = coxring.ideal_graded_piece
+
+    def counting_piece(generators, gamma):
+        if gamma == rho:
+            rho_pieces.append(gamma)
+        return true_piece(generators, gamma)
+
+    monkeypatch.setattr(residue, "ideal_graded_piece", counting_piece)
+    monkeypatch.setattr(coxring, "ideal_graded_piece", counting_piece)
+    analysis = ThreefoldAnalysis(f)
+    analysis.decomposition()
+    assert len(analysis.certificate.index_set) < ring.n
+    assert len(rho_pieces) == 1
+    monkeypatch.undo()
+    gamma = 4 * f.degree - ring.beta0
+    assert analysis.bulk_piece(3).coset_exponents == R1Piece(f, gamma).coset_exponents
 
 
 def test_triple_subdivision_nonadjacent_links_vanish(triple_analysis):

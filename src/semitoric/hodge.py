@@ -4,13 +4,15 @@ Subdivision counts a_k(gamma), face-level e-numbers, the h^{d-1-p,2} formula,
 the reflexive-polytope formula for h^{2,1} of crepant Calabi-Yau threefolds,
 and the end-to-end mirror comparison that exhibits the failure of Hodge-number
 duality for singular 7-dimensional mirror pairs.
+
+Every count l*(k theta) is read from the labelled lattice points of the
+parent polytope (``Face.interior_points``); no face is rebuilt as a polytope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
 from .fan import ConeRef, Fan
 from .linalg import solve_linear
@@ -48,28 +50,29 @@ def subdivision_counts(fine: Fan, coarse: Fan) -> SubdivisionCounts:
 # -- face-level e-numbers -------------------------------------------------------
 
 
-def _as_polytope(face) -> LatticePolytope:
-    return face.as_polytope() if isinstance(face, Face) else face
+def _as_face(face) -> Face:
+    """A bare polytope is read as its own improper face."""
+    if isinstance(face, Face):
+        return face
+    return Face(face, frozenset(range(len(face.vertices))), face.dim)
 
 
-def _l_star(face) -> int:
-    return len(_as_polytope(face).relative_interior_points())
+def _l_star(face: Face, k: int = 1) -> int:
+    """l*(k face), read from the polytope's labelled table."""
+    return len(face.interior_points(k))
 
 
-def _l(face) -> int:
-    return len(_as_polytope(face).lattice_points())
-
-
-def _facet_interior_sum(poly: LatticePolytope) -> int:
-    if poly.dim <= 0:
+def _facet_interior_sum(face: Face) -> int:
+    if face.dim <= 0:
         return 0
-    return sum(_l_star(f) for f in poly.faces(poly.dim - 1))
+    return sum(_l_star(g) for g in face.polytope.faces(face.dim - 1)
+               if g.vertex_indices < face.vertex_indices)
 
 
-def _bracket(poly: LatticePolytope, d: int, p: int) -> int:
+def _bracket(face: Face, d: int, p: int) -> int:
     """l*(2 Gamma) - (d-p+1) l*(Gamma) - sum of l* over codim-1 faces."""
-    return (_l_star(poly.dilate(2)) - (d - p + 1) * _l_star(poly)
-            - _facet_interior_sum(poly))
+    return (_l_star(face, 2) - (d - p + 1) * _l_star(face)
+            - _facet_interior_sum(face))
 
 
 def e_face_values(face, d: int, p: int):
@@ -80,14 +83,14 @@ def e_face_values(face, d: int, p: int):
     first entry, d-p-1 or d-p-2 for the second; the entry whose display does
     not apply at this dimension is reported as 0.
     """
-    poly = _as_polytope(face)
-    k = poly.dim
+    face = _as_face(face)
+    k = face.dim
     if k == d - p:
-        return ((-1) ** (d - p - 1) * _bracket(poly, d, p), 0)
+        return ((-1) ** (d - p - 1) * _bracket(face, d, p), 0)
     if k == d - p - 1:
-        return (0, (-1) ** (d - p - 2) * _facet_interior_sum(poly))
+        return (0, (-1) ** (d - p - 2) * _facet_interior_sum(face))
     if k == d - p - 2:
-        return (0, (-1) ** (d - p - 3) * _l_star(poly))
+        return (0, (-1) ** (d - p - 3) * _l_star(face))
     raise PreconditionError(
         f"face of dimension {k} matches no display for d={d}, p={p}")
 
@@ -118,7 +121,7 @@ def h_p2(delta: LatticePolytope, fine: Fan, coarse: Fan, p: int) -> int:
         a1 = counts.a(gamma, 1)
         if a1 == 0:
             continue
-        total += a1 * _bracket(_face_of_cone(delta, gamma).as_polytope(), d, p)
+        total += a1 * _bracket(_face_of_cone(delta, gamma), d, p)
     for gamma in coarse.cones(p + 2):
         lstar = _l_star(_face_of_cone(delta, gamma))
         if lstar == 0:
@@ -139,7 +142,7 @@ def h21_batyrev(delta: LatticePolytope) -> int:
     l*(face) l*(dual face), for a 4-dimensional reflexive polytope."""
     if delta.ambient_dim != 4 or not delta.is_reflexive():
         raise PreconditionError("the formula is for 4-dimensional reflexive polytopes")
-    total = _l(delta) - 5
+    total = len(delta.lattice_points()) - 5
     for theta in delta.faces(3):
         total -= _l_star(theta)
     for theta in delta.faces(2):
@@ -256,62 +259,44 @@ class HodgeReport:
         raise ValidationError(f"no recorded value h^{p},{q}")
 
 
-def _carrier_face_counts(dual: LatticePolytope):
-    """Classify the nonzero lattice points of a reflexive polytope by their
-    carrier face; returns {face vertex set: [points]}."""
-    facets = dual.facets()
-    by_face = {}
-    for pt in dual.lattice_points():
-        if not any(pt):
-            continue
-        tight = [t for n, r, t in facets if lattice.pairing(pt, n) == r]
-        if not tight:
-            raise InconsistencyError("nonzero interior point in a reflexive polytope")
-        carrier = frozenset.intersection(*tight)
-        by_face.setdefault(carrier, []).append(pt)
-    return by_face
-
-
 def _h32_of_side(section: LatticePolytope, label: str) -> HodgeValue:
     """h^{3,2} of the MPCP hypersurface with the given section polytope.
 
     When every nonzero lattice point of the dual is a vertex the refinement
     is trivial and the full formula runs on the honest fan.  Otherwise the
     first sum is evaluated by classifying the subdividing rays by carrier
-    face; the second sum needs the actual triangulation only when some dual
-    2-face weight l* is nonzero, in which case the full fan is built.
+    face (the dual 2-face whose relative interior holds them); the second
+    sum needs the actual triangulation only when some dual 2-face weight l*
+    is nonzero, in which case the full fan is built.
     """
     d = section.ambient_dim
     p = d - 4  # h^{d-1-p,2} = h^{3,2}
     dual = section.dual_polytope()
-    boundary = {pt for pt in dual.lattice_points() if any(pt)}
-    vertex_pts = {tuple(int(x) for x in v) for v in dual.vertices}
+    # the origin is the only lattice point of a reflexive polytope off its boundary
+    only_vertices = len(dual.lattice_points()) == len(dual.vertices) + 1
     second_sum_weights = [
         _l_star(dual.dual_face(f)) for f in dual.faces(p + 1)]
-    if boundary == vertex_pts or any(second_sum_weights):
+    if only_vertices or any(second_sum_weights):
         fine = triangulation_helper(dual)
         coarse = section.normal_fan()
         value = h_p2(section, fine, coarse, p)
         return HodgeValue(3, 2, value, "subdivision-count formula", [])
 
-    by_face = _carrier_face_counts(dual)
     total = 0
     witnesses = []
     for f in dual.faces(2):
-        pts = by_face.get(f.vertex_indices, [])
-        a1 = len(pts)
-        if a1 == 0:
+        pts = f.interior_points()
+        if not pts:
             continue
         gamma_face = dual.dual_face(f)
-        bracket = _bracket(gamma_face.as_polytope(), d, p)
+        bracket = _bracket(gamma_face, d, p)
         if bracket == 0:
             continue
-        total += a1 * bracket
-        doubled = gamma_face.as_polytope().dilate(2)
+        total += len(pts) * bracket
         witnesses.append({
             "face": [list(map(int, v)) for v in gamma_face.vertices()],
             "double_face_interior_points": [list(pt) for pt in
-                                            doubled.relative_interior_points()],
+                                            gamma_face.interior_points(2)],
             "dual_face": [list(map(int, v)) for v in f.vertices()],
             "subdividing_points": [list(pt) for pt in pts],
         })

@@ -5,11 +5,17 @@ lattice-point and relative-interior-point enumeration, normalized volumes,
 dilation, reflexive duality and normal fans.  Inequalities are always read
 as <m, normal> >= rhs.  Every conversion between half-spaces and vertices
 goes through one integer double-description kernel, ``cone_rays``.
+
+Each face records the facets that contain it.  Face counts come from one
+labelled pass per polytope and dilation factor k: every lattice point of kP
+is labelled by the set of facets tight at it, and a point lies in the
+relative interior of k*theta exactly when its label is the facet set of
+theta, so ``Face.interior_points(k)`` is a lookup, not a new polytope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattice
@@ -119,6 +125,9 @@ class LatticePolytope:
         self._facets = None
         self._faces = None
         self._polar = None
+        self._lattice_points = None
+        self._reflexive = None
+        self._labels = {}  # k -> {facet index set: lex-sorted points of kP}
 
     # -- basic structure ---------------------------------------------------
 
@@ -159,7 +168,7 @@ class LatticePolytope:
                 d, _ = _clear_denominators([x - y for x, y in zip(v, base)])
                 if any(d):
                     dirs.append(d)
-            basis = lattice.saturation_basis(dirs, self.ambient_dim)
+            basis = _size_reduced(lattice.saturation_basis(dirs, self.ambient_dim))
             anchor = self._integer_anchor(base, basis)
             self._span = (base, basis, anchor)
         return self._span
@@ -238,7 +247,8 @@ class LatticePolytope:
         faces = []
         for s in seen:
             pts = [self.vertices[i] for i in s]
-            faces.append(Face(self, s, _affine_dim(pts)))
+            faces.append(Face(self, s, _affine_dim(pts),
+                              frozenset(i for i, t in enumerate(facet_sets) if s <= t)))
         faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))
         self._faces = faces
         return faces
@@ -290,12 +300,42 @@ class LatticePolytope:
         return out
 
     def lattice_points(self):
-        """All integer points, in lexicographic order."""
-        return self._points(strict=False)
+        """All integer points, in lexicographic order (a fresh list; the
+        enumeration runs once per polytope)."""
+        if self._lattice_points is None:
+            self._lattice_points = self._points(strict=False)
+        return list(self._lattice_points)
 
     def relative_interior_points(self):
         """Integer points strictly inside every facet of the affine span."""
         return self._points(strict=True)
+
+    def labelled_points(self, k: int = 1):
+        """{facet index set: lex-sorted tuple of the lattice points of kP
+        tight at exactly those facets}, built on first use from one
+        enumeration of kP.
+
+        The points labelled with the facet set of a face theta are those in
+        the relative interior of k*theta.  The table is shared: read only.
+        """
+        table = self._labels.get(k)
+        if table is None:
+            points = self.lattice_points() if k == 1 else self.dilate(k).lattice_points()
+            # a facet whose k*rhs is not an integer is tight at no lattice point
+            rows = [(i, n, int(k * r)) for i, (n, r, _) in
+                    enumerate(self.facets() if self.dim > 0 else [])
+                    if Fraction(k * r).denominator == 1]
+            table = {}
+            for x in points:
+                label = frozenset(i for i, n, c in rows
+                                  if sum(a * b for a, b in zip(x, n)) == c)
+                table.setdefault(label, []).append(x)
+            table = self._labels[k] = {label: tuple(pts) for label, pts in table.items()}
+        return table
+
+    def labelled_dilations(self):
+        """The factors k whose labelled table has been built."""
+        return set(self._labels)
 
     def n_lattice_points(self) -> int:
         return len(self.lattice_points())
@@ -343,16 +383,25 @@ class LatticePolytope:
         for _, _, tight in self.facets():
             if 0 in tight:
                 continue
-            face = Face(self, tight, k - 1).as_polytope()
+            face = LatticePolytope([vs[i] for i in sorted(tight)], _trusted=True)
             for s in face._triangulate():
                 out.append((v0,) + s)
         return out
 
     def dilate(self, factor: int) -> "LatticePolytope":
+        """factor * P; known facets and span carry over (scaled right-hand
+        sides, the same lattice basis), as scaling keeps the vertex order."""
         if factor < 1:
             raise ValidationError("dilation factor must be a positive integer")
-        return LatticePolytope([tuple(x * factor for x in v) for v in self.vertices],
-                               _trusted=True)
+        out = LatticePolytope([tuple(x * factor for x in v) for v in self.vertices],
+                              _trusted=True)
+        if self._span is not None:
+            base, basis, _ = self._span
+            base = tuple(x * factor for x in base)
+            out._span = (base, basis, out._integer_anchor(base, basis))
+        if self._facets is not None:
+            out._facets = [(n, r * factor, t) for n, r, t in self._facets]
+        return out
 
     def translate(self, vec) -> "LatticePolytope":
         return LatticePolytope([tuple(x + Fraction(y) for x, y in zip(v, vec))
@@ -392,27 +441,31 @@ class LatticePolytope:
         return rows
 
     def is_reflexive(self) -> bool:
-        if self.is_empty or self.dim != self.ambient_dim or not self.is_lattice:
-            return False
-        try:
-            self._check_dualizable()
-        except PreconditionError:
-            return False
-        return self.dual_polytope().is_lattice
+        """Memoized: every dual_face call asks."""
+        if self._reflexive is None:
+            try:
+                self._check_dualizable()
+                self._reflexive = self.is_lattice and self.dual_polytope().is_lattice
+            except PreconditionError:
+                self._reflexive = False
+        return self._reflexive
 
     def dual_face(self, face: "Face") -> "Face":
-        """The face {y in dual : <x, y> = -1 for x in face} of the dual polytope."""
+        """The face {y in dual : <x, y> = -1 for x in face} of the dual polytope.
+
+        The vertices of the dual are the facet normals of a reflexive P, so
+        the dual face is spanned by the normals of the facets containing the
+        face, and has dimension d - 1 - dim(face).
+        """
         if face.polytope is not self and face.polytope != self:
             raise ValidationError("face does not belong to this polytope")
         if not self.is_reflexive():
             raise PreconditionError("dual faces are defined for reflexive polytopes")
         dual = self.dual_polytope()
-        fverts = [face.polytope.vertices[i] for i in face.vertex_indices]
-        idx = frozenset(i for i, w in enumerate(dual.vertices)
-                        if all(lattice.pairing_q(v, [int(x) for x in w]) == -1
-                               for v in fverts))
-        pts = [dual.vertices[i] for i in idx]
-        return Face(dual, idx, _affine_dim(pts))
+        index = {tuple(int(x) for x in w): j for j, w in enumerate(dual.vertices)}
+        facets = self.facets()
+        idx = frozenset(index[facets[i][0]] for i in face.facets)
+        return Face(dual, idx, self.dim - 1 - face.dim)
 
     # -- normal fan ----------------------------------------------------------
 
@@ -441,20 +494,57 @@ class LatticePolytope:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a polytope, recorded by its vertex subset."""
+    """A face of a polytope, recorded by its vertex subset, with the indices
+    (into ``polytope.facets()``) of the facets that contain it."""
 
     polytope: LatticePolytope
     vertex_indices: frozenset
     dim: int
+    facets: frozenset = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.facets is None:
+            poly = self.polytope
+            tights = [t for _, _, t in poly.facets()] if poly.dim > 0 else []
+            object.__setattr__(self, "facets", frozenset(
+                i for i, t in enumerate(tights) if self.vertex_indices <= t))
 
     def vertices(self):
         return tuple(self.polytope.vertices[i] for i in sorted(self.vertex_indices))
+
+    def interior_points(self, k: int = 1):
+        """Lattice points in the relative interior of k * face, in
+        lexicographic order, read from the polytope's labelled table."""
+        return list(self.polytope.labelled_points(k).get(self.facets, ()))
 
     def as_polytope(self) -> LatticePolytope:
         return LatticePolytope(self.vertices(), _trusted=True)
 
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={sorted(self.vertex_indices)})"
+
+
+def _size_reduced(basis):
+    """The same lattice, spanned by shorter rows: b_i -= q b_j with q the
+    integer nearest <b_i, b_j> / <b_j, b_j>, while some row shrinks.
+
+    Saturation bases of small sublattices can carry 9-digit entries, and the
+    point enumeration scans a box in the coordinates of the basis.
+    """
+    rows = [list(b) for b in basis]
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for i, bi in enumerate(rows):
+            for j, bj in enumerate(rows):
+                if i == j:
+                    continue
+                dot, norm = sum(x * y for x, y in zip(bi, bj)), sum(y * y for y in bj)
+                if 2 * abs(dot) > norm:
+                    q = (2 * dot + norm) // (2 * norm)
+                    bi[:] = [x - q * y for x, y in zip(bi, bj)]
+                    shrunk = True
+    return [tuple(b) for b in rows]
 
 
 def _affine_dim(points) -> int:

@@ -13,6 +13,7 @@ import pytest
 
 import semitoric
 from semitoric.cli import main
+from semitoric.polytope import LatticePolytope
 from semitoric.residue import PairingValue
 from semitoric.threefold import GramBlock, ThreefoldAnalysis
 
@@ -235,6 +236,54 @@ def test_hodge_h_p2(tmp_path, capsys):
     code, out, _ = run(capsys, "hodge", "h-p2", "--input", path)
     assert code == 0
     assert json.loads(out)["value"] == 0
+
+
+def test_ring_dims_builds_each_piece_once(tmp_path, capsys, monkeypatch):
+    """J_0 in degree gamma + beta_0 serves R_1 there and R_0 of the next listed
+    degree: one build of each ideal piece per distinct degree."""
+    import semitoric.coxring as coxring
+
+    builds = []
+    build = coxring.ideal_graded_piece
+
+    def counting(generators, gamma):
+        builds.append((tuple(tuple(sorted(g.terms.items())) for g in generators), gamma.rep))
+        return build(generators, gamma)
+
+    monkeypatch.setattr(coxring, "ideal_graded_piece", counting)
+    path = write(tmp_path, "q.json", fixture("fermat_quintic.json"))
+    code, out, _ = run(capsys, "ring", "dims", "--input", path)
+    assert code == 0
+    assert [e["r1_dim"] for e in json.loads(out)["entries"]] == [1, 101, 101, 1]
+    assert len(builds) == len(set(builds)) == 9  # J in 4 degrees, J_0 in 5
+
+
+@pytest.mark.parametrize("command, name", [(("hodge", "h21"), "quintic_simplex.json"),
+                                           (("mirror", "check"), "sec6_polytope.json")])
+def test_face_counts_verify(tmp_path, capsys, monkeypatch, command, name):
+    """--verify recounts the labelled table face by face and changes nothing
+    else; a wrong table shows as a failed check."""
+    path = write(tmp_path, name, fixture(name))
+    code, plain, _ = run(capsys, *command, "--input", path)
+    assert code == 0
+    code, out, _ = run(capsys, *command, "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == {"face_counts_match_per_face_enumeration": True}
+    assert report == json.loads(plain)
+
+    labelled = LatticePolytope.labelled_points
+
+    def dropping(self, k=1):
+        table = dict(labelled(self, k))
+        label = max(table, key=lambda facets: (len(table[facets]), sorted(facets)))
+        table[label] = table[label][1:]
+        return table
+
+    monkeypatch.setattr(LatticePolytope, "labelled_points", dropping)
+    code, out, _ = run(capsys, *command, "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"face_counts_match_per_face_enumeration": False}
 
 
 def test_output_to_file_and_determinism(tmp_path, capsys):

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
+from semitoric import lattice
 from semitoric.errors import PreconditionError
 from semitoric.polytope import Face, HPolytope, LatticePolytope, vertices_from_inequalities
 
@@ -124,6 +126,62 @@ def test_dilate():
     seg = LatticePolytope([(0,), (1,)])
     assert set(seg.dilate(2).vertices) == {(0,), (2,)}
     assert len(unit_simplex(2).dilate(2).lattice_points()) == 6
+
+
+def test_dilate_carries_facets_and_span_over():
+    p = sec6_polytope().dual_polytope()
+    p.facets()
+    for k in (1, 2, 3):
+        view, fresh = p.dilate(k), LatticePolytope(p.dilate(k).vertices, _trusted=True)
+        assert view.facets() == fresh.facets()
+        assert view.lattice_points() == fresh.lattice_points()
+    rational = vertices_from_inequalities(HPolytope([((1, 0), 0), ((0, 1), 0), ((-2, -3), -3)]))
+    rational.facets()
+    assert rational.dilate(2).facets() == LatticePolytope(rational.dilate(2).vertices).facets()
+
+
+def test_lattice_points_memoized_as_fresh_lists():
+    p = unit_simplex(2)
+    first = p.lattice_points()
+    first.append((9, 9))
+    assert p.lattice_points() == [(0, 0), (0, 1), (1, 0)]
+    assert p.lattice_points() is not p.lattice_points()
+
+
+def test_faces_know_their_facets():
+    for p in (sec6_polytope(), sec6_polytope().dual_polytope(), unit_simplex(3),
+              LatticePolytope([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2)])):
+        tights = [t for _, _, t in p.facets()]
+        for face in p.all_faces():
+            assert face.facets == {i for i, t in enumerate(tights) if face.vertex_indices <= t}
+            if face.facets:
+                assert frozenset.intersection(*(tights[i] for i in face.facets)) == \
+                    face.vertex_indices
+            rebuilt = Face(p, face.vertex_indices, face.dim)
+            assert rebuilt == face and hash(rebuilt) == hash(face)
+            assert rebuilt.facets == face.facets
+
+
+def test_interior_points_partition_the_dilates():
+    p = LatticePolytope([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)])
+    for k in (1, 2, 3):
+        by_face = sorted(x for f in p.all_faces() for x in f.interior_points(k))
+        assert by_face == p.dilate(k).lattice_points()
+        assert sum(map(len, p.labelled_points(k).values())) == len(by_face)
+
+
+def test_span_basis_of_a_skew_triangle_is_size_reduced():
+    """The saturation basis of this triangle's span has 9-digit entries; the
+    enumeration box in those coordinates took over a minute to scan."""
+    verts = [(-3, 5, 7, -4), (8, 2, 3, -2), (9, -3, 4, -10)]
+    tri = LatticePolytope(verts)
+    _, basis, _ = tri._span_data()
+    assert max(abs(x) for b in basis for x in b) < 20
+    box = [range(min(v[i] for v in verts), max(v[i] for v in verts) + 1) for i in range(4)]
+    brute = sorted(x for x in product(*box) if tri.contains(x))
+    assert tri.lattice_points() == brute
+    assert tri.relative_interior_points() == [
+        x for x in brute if all(lattice.pairing(x, n) > r for n, r, _ in tri.facets())]
 
 
 def test_reflexive_square():

@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from operator import add
 
 from . import lattice
 from .coxring import CoxRing, GradedPolynomial, R1Piece, j0_piece, jacobian_piece
@@ -21,7 +22,7 @@ from .errors import SemitoricError, ValidationError
 from .fan import Fan
 from .hodge import h21_batyrev, h_p2, mirror_check, triangulation_helper
 from .polytope import HPolytope, LatticePolytope, vertices_from_inequalities
-from .residue import CupProduct, ResidueMap
+from .residue import CupProduct, ResidueMap, cup_constant
 from .threefold import ThreefoldAnalysis, gram_skew_between_levels
 
 
@@ -236,8 +237,19 @@ def cmd_cup_pair(doc, verify):
     b = _need(doc, "b", int, "input")
     cp = CupProduct(ring, f)
     val = cp.pair(A, B, a, b)
-    return {"criterion": "cup-product pairing through the Jacobian-ring trace",
-            "pairing": val.to_json()}
+    out = {"criterion": "cup-product pairing through the Jacobian-ring trace",
+           "pairing": val.to_json()}
+    if verify:
+        d = ring.d
+        swapped = cp.pair(B, A, b, a)
+        by_monomials = sum(ca * cb * cp.eta_monomial(tuple(map(add, ea, eb)))
+                           for ea, ca in A.terms.items() for eb, cb in B.terms.items())
+        out["verification"] = {
+            "pairing_swap_sign": swapped == (-1) ** abs(a - b) * val,
+            "pairing_matches_monomial_route":
+                val.rational == (-1) ** d * cup_constant(a, b, d) * by_monomials,
+        }
+    return out
 
 
 def cmd_threefold_h3(doc, verify):
@@ -353,7 +365,8 @@ def cmd_corpus_run(doc, verify):
     pair = cmd_cup_pair(cubic, verify)
     results.append({
         "name": "elliptic-curve pairing of the Fermat cubic",
-        "passed": pair["pairing"] == {"rational": "1/9", "two_pi_i_exponent": 2},
+        "passed": pair["pairing"] == {"rational": "1/9", "two_pi_i_exponent": 2}
+        and all(pair.get("verification", {}).values()),
     })
 
     quintic = _fixture("fermat_quintic.json")

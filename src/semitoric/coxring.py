@@ -20,9 +20,10 @@ The span is unchanged, so are its pivot columns and every reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor
-from operator import add, mul
+from operator import add, ge, mul
 
 from . import lattice
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
@@ -354,21 +355,24 @@ def ideal_graded_piece(generators, gamma: DegreeClass) -> GradedSubspace:
 
     The row m * g_j is skipped when LT(g_i) divides m for some i < j, LT
     being the lex-largest exponent vector of a generator (Koszul criterion,
-    exact: see the module docstring).
+    exact: see the module docstring).  Generators are scaled to 1 at their
+    lex-first term, the lead of each row m * g (basis indices follow the
+    translation-invariant lex order): an unreduced row enters with lead 1.
     """
     ring = gamma.ring
     space = GradedSubspace(ring, gamma)
     index = space.basis.index
-    leads = []   # support of LT(g_i) for the generators already done
+    leads = []   # LT(g_i) for the generators already done
     for g in generators:
         if g.is_zero():
             continue
-        terms = g.terms.items()
+        c0 = g.terms[min(g.terms)]
+        terms = [(e, c if c0 == 1 else c / c0) for e, c in g.terms.items()]
         for mono in ring.monomial_basis(gamma - g.degree).exponents:
-            if any(all(mono[k] >= b for k, b in lead) for lead in leads):
+            if any(all(map(ge, mono, lt)) for lt in leads):
                 continue
             space.insert_row({index[tuple(map(add, e, mono))]: c for e, c in terms})
-        leads.append([(k, b) for k, b in enumerate(max(g.terms)) if b])
+        leads.append(max(g.terms))
     return space
 
 
@@ -386,7 +390,8 @@ class R1Piece:
     """R_1(f)_gamma = (S / J_1(f))_gamma together with a monomial coset basis.
 
     J_1(f)_gamma = {h : h * x_1...x_n in J_0(f)_{gamma + beta_0}} is computed
-    as the kernel of the shifted reduction map, tracked with tag columns.
+    as the kernel of the shifted reduction map, tracked with tag columns;
+    `j1` echelonizes the kernel rows on first access only.
     J_0(f)_{gamma + beta_0} is built here unless already at hand (`_j0`, as a
     nondegeneracy certificate of f holds it in its critical degree).
     """
@@ -414,10 +419,16 @@ class R1Piece:
                 kernel_rows.append({k - ncols: v for k, v in resid.items()})
             else:
                 coset_exponents.append(exps)
-        self.j1 = GradedSubspace(ring, gamma)
-        for row in kernel_rows:
-            self.j1.insert_row(row)
+        self._kernel_rows = kernel_rows
         self.coset_exponents = coset_exponents
+
+    @cached_property
+    def j1(self) -> GradedSubspace:
+        """J_1(f)_gamma, echelonized from the kernel rows on first access."""
+        j1 = GradedSubspace(self.ring, self.gamma)
+        for row in self._kernel_rows:
+            j1.insert_row(row)
+        return j1
 
     @property
     def dim(self) -> int:

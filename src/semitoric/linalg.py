@@ -2,7 +2,8 @@
 
 Sparse rows are dicts {column index: Fraction}.  The echelon structure keeps
 rows with distinct pivot columns; reducing a vector against it yields the
-canonical coset representative supported on non-pivot columns.
+canonical coset representative supported on non-pivot columns.  A reduction
+visits the pivot columns of the residual in increasing order, through a heap.
 
 ``lp_feasible``, an exact phase-1 simplex, has no caller in the package:
 cone questions go through the double-description kernel
@@ -13,9 +14,12 @@ tests compare those answers with.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import ValidationError
 from .lattice import _eliminate
+
+_ZERO = Fraction(0)
 
 
 class SparseEchelon:
@@ -23,6 +27,8 @@ class SparseEchelon:
 
     Columns >= ncols are bookkeeping tags: they are carried through row
     operations but never chosen as pivots (used to track combinations).
+    Only input values that are not ``Fraction``s are converted.  Pivot rows
+    have lead 1; a residual whose lead is 1 already is stored undivided.
     """
 
     def __init__(self, ncols: int):
@@ -34,35 +40,41 @@ class SparseEchelon:
         return len(self.pivots)
 
     def reduce(self, row) -> dict[int, Fraction]:
-        """Canonical residual of a row modulo the current row space."""
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        while True:
-            c = min((k for k in r if k < self.ncols and k in self.pivots), default=None)
-            if c is None:
-                return r
-            coef = r.pop(c)
-            for k, v in self.pivots[c].items():
+        """Canonical residual of a row modulo the current row space; a pivot
+        row brings in only columns past its pivot, so a heap gives the next."""
+        pivots = self.pivots
+        r = {c: v if isinstance(v, Fraction) else Fraction(v) for c, v in row.items() if v}
+        heap = [k for k in r if k in pivots]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            coef = r.pop(c, None)
+            if coef is None:   # cancelled after it was pushed
+                continue
+            for k, v in pivots[c].items():
                 if k == c:
                     continue
-                nv = r.get(k, Fraction(0)) - coef * v
+                if k not in r and k in pivots:
+                    heappush(heap, k)
+                nv = r.get(k, _ZERO) - coef * v
                 if nv:
                     r[k] = nv
                 else:
-                    r.pop(k, None)
+                    del r[k]
+        return r
 
     def insert(self, row):
         """Adjoin a row; returns its pivot column, or None if dependent."""
         r = self.reduce(row)
-        c = min((k for k in r if k < self.ncols), default=None)
-        if c is None:
+        c = min(r, default=self.ncols)
+        if c >= self.ncols:
             return None, r
         lead = r[c]
-        self.pivots[c] = {k: v / lead for k, v in r.items()}
+        self.pivots[c] = dict(r) if lead == 1 else {k: v / lead for k, v in r.items()}
         return c, r
 
     def contains(self, row) -> bool:
-        r = self.reduce(row)
-        return not any(k < self.ncols for k in r)
+        return min(self.reduce(row), default=self.ncols) >= self.ncols
 
     def rref_rows(self):
         """Fully inter-reduced rows, sorted by pivot column."""
@@ -75,7 +87,7 @@ class SparseEchelon:
                 for kk, vv in out[k].items():
                     if kk == k:
                         continue
-                    nv = row.get(kk, Fraction(0)) - coef * vv
+                    nv = row.get(kk, _ZERO) - coef * vv
                     if nv:
                         row[kk] = nv
                     else:

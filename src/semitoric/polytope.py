@@ -78,12 +78,8 @@ def _enumerate_integer_points(ineqs, lo, hi):
             sm[j] = sm[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
         suffix_max.append(sm)
     out = []
-    point = [0] * k
 
-    def descend(j, partials):
-        if j == k:
-            out.append(tuple(point))
-            return
+    def descend(j, prefix, partials):
         lo_j, hi_j = lo[j], hi[j]
         for idx, (a, c) in enumerate(ineqs):
             rest = suffix_max[idx][j + 1]
@@ -96,11 +92,14 @@ def _enumerate_integer_points(ineqs, lo, hi):
                 lo_j = max(lo_j, -((-need) // aj))
             else:
                 hi_j = min(hi_j, need // aj)
+        if j == k - 1:   # the tightened interval is exact at the last coordinate
+            out.extend(prefix + (t,) for t in range(lo_j, hi_j + 1))
+            return
         for t in range(lo_j, hi_j + 1):
-            point[j] = t
-            descend(j + 1, [p + a[j] * t for p, (a, _) in zip(partials, ineqs)])
+            descend(j + 1, prefix + (t,),
+                    [p + a[j] * t for p, (a, _) in zip(partials, ineqs)])
 
-    descend(0, [0] * len(ineqs))
+    descend(0, (), [0] * len(ineqs))
     return out
 
 

@@ -202,7 +202,17 @@ class ResidueMap:
         """The unique c with H - c * Jacobian in the span, times d! vol(Delta)."""
         if H.degree != self.rho:
             raise ValidationError("residue argument of the wrong degree")
-        r = self.span.echelon.reduce(self.span._vectorize(H))
+        return self._residue_of_row(self.span._vectorize(H))
+
+    def residue_of_monomial(self, exps) -> Fraction:
+        """The residue of x^exps, of degree rho: one reduction of a one-hot row."""
+        j = self.span.basis.index.get(tuple(exps))
+        if j is None:
+            raise ValidationError("residue argument of the wrong degree")
+        return self._residue_of_row({j: 1})
+
+    def _residue_of_row(self, row) -> Fraction:
+        r = self.span.echelon.reduce(row)
         if not r:
             return Fraction(0)
         c = r[self._col] / self._jcoeff
@@ -257,11 +267,17 @@ class CupProduct:
         return self.c_I * self.res.residue(H * self._xprod)
 
     def eta_monomial(self, exps) -> Fraction:
-        """eta(x^exps), evaluated through `eta` once per exponent vector and
-        remembered: the Gram matrix needs eta only on monomial products."""
+        """eta(x^exps), remembered per exponent vector (the Gram matrix needs
+        eta only on monomial products): zero outside `eta_degree`, else c_I
+        times the residue of x^(exps + 1); `eta` is the independent route."""
         value = self._eta_memo.get(exps)
         if value is None:
-            value = self._eta_memo[exps] = self.eta(self.ring.monomial(exps))
+            if min(exps) < 0:
+                raise ValidationError(f"bad exponent vector {exps}")
+            value = Fraction(0)
+            if self.ring.degree_of_monomial(exps) == self.eta_degree:
+                value = self.c_I * self.res.residue_of_monomial(tuple(e + 1 for e in exps))
+            self._eta_memo[exps] = value
         return value
 
     def pair(self, A: GradedPolynomial, B: GradedPolynomial,

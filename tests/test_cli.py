@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import semitoric
+from semitoric import catalog
 from semitoric.cli import main
 from semitoric.polytope import LatticePolytope
-from semitoric.residue import PairingValue
+from semitoric.residue import CupProduct, PairingValue
 from semitoric.threefold import GramBlock, ThreefoldAnalysis
 
 FIXTURES = resources.files("semitoric") / "fixtures"
@@ -218,6 +219,77 @@ def test_cup_pair(tmp_path, capsys):
     code, out, _ = run(capsys, "cup", "pair", "--input", path)
     assert code == 0
     assert json.loads(out)["pairing"] == {"rational": "1/9", "two_pi_i_exponent": 2}
+
+
+def test_cup_pair_verify(tmp_path, capsys, monkeypatch):
+    """--verify adds the swap-sign and monomial-route checks and changes
+    nothing else, in both level orders and on polynomials of several terms;
+    a wrong eta on monomials shows as a failed monomial-route check."""
+    cubic = fixture("fermat_cubic.json")
+    several = dict(cubic, a=1, b=0)
+    several["A"] = {"terms": [{"exps": [1, 1, 1], "num": 1}, {"exps": [3, 0, 0], "num": 2},
+                              {"exps": [0, 2, 1], "num": -1, "den": 2}]}
+    several["B"] = {"terms": [{"exps": [0, 0, 0], "num": 3}]}
+    for name, doc in (("cubic.json", cubic), ("several.json", several)):
+        path = write(tmp_path, name, doc)
+        code, plain, _ = run(capsys, "cup", "pair", "--input", path)
+        assert code == 0
+        code, out, _ = run(capsys, "cup", "pair", "--input", path, "--verify")
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("verification") == {"pairing_swap_sign": True,
+                                              "pairing_matches_monomial_route": True}
+        assert report == json.loads(plain)
+        assert report["pairing"]["rational"] != "0"
+
+    monkeypatch.setattr(CupProduct, "eta_monomial", lambda self, exps: Fraction(1, 7))
+    code, out, _ = run(capsys, "cup", "pair", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"pairing_swap_sign": True,
+                                               "pairing_matches_monomial_route": False}
+
+
+def test_ring_dims_and_threefold_h3_never_build_j1(tmp_path, capsys, monkeypatch):
+    """R_1 pieces echelonize J_1 on first access only, and neither report
+    reads it: on the quintic fixture every graded subspace built in the
+    degree of an R_1 piece is an ideal piece.  Reading `j1` builds one."""
+    import semitoric.coxring as coxring
+
+    r1_degrees, built, ideal = set(), [], []
+    true_r1, true_subspace, true_piece = (coxring.R1Piece.__init__,
+                                          coxring.GradedSubspace.__init__,
+                                          coxring.ideal_graded_piece)
+
+    def r1_init(self, f, gamma, _j0=None):
+        r1_degrees.add(gamma)
+        true_r1(self, f, gamma, _j0=_j0)
+
+    def subspace_init(self, ring, degree):
+        built.append(self)
+        true_subspace(self, ring, degree)
+
+    def piece(generators, gamma):
+        ideal.append(true_piece(generators, gamma))
+        return ideal[-1]
+
+    def j1_builds():
+        ideal_ids = {id(s) for s in ideal}
+        return [s for s in built if s.degree in r1_degrees and id(s) not in ideal_ids]
+
+    monkeypatch.setattr(coxring.R1Piece, "__init__", r1_init)
+    monkeypatch.setattr(coxring.GradedSubspace, "__init__", subspace_init)
+    monkeypatch.setattr(coxring, "ideal_graded_piece", piece)
+    path = write(tmp_path, "q.json", fixture("fermat_quintic.json"))
+    for command in (("ring", "dims"), ("threefold", "h3")):
+        code, _, _ = run(capsys, *command, "--input", path)
+        assert code == 0
+    assert len({gamma.rep for gamma in r1_degrees}) == 4 and not j1_builds()
+
+    ring = coxring.CoxRing(catalog.projective_plane())
+    cubic = ring.polynomial({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    r1 = coxring.R1Piece(cubic, ring.beta0)
+    assert not j1_builds()
+    assert r1.j1 is r1.j1 and j1_builds() == [r1.j1]
 
 
 def test_hodge_h21(tmp_path, capsys):

@@ -21,6 +21,8 @@ from semitoric.coxring import (
 from semitoric.errors import ValidationError
 from semitoric.polytope import HPolytope, vertices_from_inequalities
 
+from .test_linalg import ReferenceEchelon
+
 
 def fermat(ring, degree):
     n = ring.n
@@ -121,6 +123,25 @@ def test_j0_contained_in_j1():
         assert j1.contains(g)
 
 
+def test_j1_rows_match_a_pinned_copy():
+    """J_1 in degree beta_0, echelonized on first access, for the Fermat
+    cubic and a cubic with two-term rows; pinned from the eager build."""
+    other = P2.polynomial({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1, (1, 2, 0): -1,
+                           (0, 1, 2): Fraction(1, 3)})
+    x3 = (3, 0, 0)
+    pinned = {
+        CUBIC: [{e: 1} for e in [(0, 0, 3), (0, 1, 2), (0, 2, 1), (0, 3, 0), (1, 0, 2),
+                                 (1, 2, 0), (2, 0, 1), (2, 1, 0), (3, 0, 0)]],
+        other: [{e: 1, x3: Fraction(c)} for e, c in [
+            ((0, 0, 3), "-1404/379"), ((0, 1, 2), "6318/379"), ((0, 2, 1), "-28431/379"),
+            ((0, 3, 0), "-730/379"), ((1, 0, 2), "19006/379"), ((1, 1, 1), "-85527/379"),
+            ((1, 2, 0), "-3"), ((2, 0, 1), "-9477/379"), ((2, 1, 0), "-730/1137")]],
+    }
+    for f, rows in pinned.items():
+        basis = j1_graded_piece(f, P2.beta0).reduced_row_basis()
+        assert [r.terms for r in basis] == rows
+
+
 def test_reduce_modulo():
     x3 = P2.monomial((3, 0, 0))
     span = GradedSubspace(P2, x3.degree)
@@ -179,22 +200,24 @@ def test_point_of_monomial_roundtrip():
 
 
 def unskipped_piece(generators, gamma):
-    """The reference for `ideal_graded_piece`: every row m * g, none skipped."""
-    space = GradedSubspace(gamma.ring, gamma)
+    """The reference for `ideal_graded_piece`: every row m * g, none skipped
+    and none scaled, echelonized by `ReferenceEchelon`."""
+    index = gamma.ring.monomial_basis(gamma).index
+    echelon = ReferenceEchelon(len(index))
     for g in generators:
         for mono in gamma.ring.monomial_basis(gamma - g.degree).exponents:
-            space.insert_row({space.basis.index[tuple(a + b for a, b in zip(e, mono))]: c
-                              for e, c in g.terms.items()})
-    return space
+            echelon.insert({index[tuple(a + b for a, b in zip(e, mono))]: c
+                            for e, c in g.terms.items()})
+    return echelon
 
 
 def assert_same_piece(generators, gamma):
     fast = ideal_graded_piece(generators, gamma)
     slow = unskipped_piece(generators, gamma)
-    assert fast.dim == slow.dim
-    assert set(fast.echelon.pivots) == set(slow.echelon.pivots)
+    assert fast.dim == slow.rank
+    assert fast.echelon.pivots.keys() == slow.pivots.keys()
     for j in range(len(fast.basis)):
-        assert fast.echelon.reduce({j: 1}) == slow.echelon.reduce({j: 1})
+        assert fast.echelon.reduce({j: 1}) == slow.reduce({j: 1})
 
 
 def random_section(ring, beta, rng, nterms):

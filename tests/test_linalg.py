@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from semitoric.linalg import (
     SparseEchelon,
@@ -6,6 +9,94 @@ from semitoric.linalg import (
     solve_linear,
     solve_unique,
 )
+
+
+class ReferenceEchelon:
+    """The oracle for `SparseEchelon`: every value converted to a Fraction,
+    the smallest pivot column found by a scan of the row at every step, and
+    every stored row divided by its lead."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row) -> dict[int, Fraction]:
+        """Canonical residual of a row modulo the current row space."""
+        r = {c: Fraction(v) for c, v in row.items() if v}
+        while True:
+            c = min((k for k in r if k < self.ncols and k in self.pivots), default=None)
+            if c is None:
+                return r
+            coef = r.pop(c)
+            for k, v in self.pivots[c].items():
+                if k == c:
+                    continue
+                nv = r.get(k, Fraction(0)) - coef * v
+                if nv:
+                    r[k] = nv
+                else:
+                    r.pop(k, None)
+
+    def insert(self, row):
+        """Adjoin a row; returns its pivot column, or None if dependent."""
+        r = self.reduce(row)
+        c = min((k for k in r if k < self.ncols), default=None)
+        if c is None:
+            return None, r
+        lead = r[c]
+        self.pivots[c] = {k: v / lead for k, v in r.items()}
+        return c, r
+
+    def contains(self, row) -> bool:
+        r = self.reduce(row)
+        return not any(k < self.ncols for k in r)
+
+    def rref_rows(self):
+        """Fully inter-reduced rows, sorted by pivot column."""
+        cols = sorted(self.pivots)
+        out = {}
+        for c in reversed(cols):
+            row = dict(self.pivots[c])
+            for k in [k for k in row if k != c and k in out]:
+                coef = row.pop(k)
+                for kk, vv in out[k].items():
+                    if kk == k:
+                        continue
+                    nv = row.get(kk, Fraction(0)) - coef * vv
+                    if nv:
+                        row[kk] = nv
+                    else:
+                        row.pop(kk, None)
+            out[c] = row
+        return [out[c] for c in cols]
+
+
+def random_rows(rng, ncols, ntags, count):
+    """Sparse rows with int and Fraction values, tag columns, rows that
+    repeat a combination of earlier ones and the negated sum of two earlier
+    rows (which cancels to zero against them)."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            a, b = rng.sample(rows, 2) if len(rows) > 1 else (rows[0], rows[0])
+            s, t = rng.choice([1, 2, -1, Fraction(1, 3)]), rng.choice([1, -3, Fraction(-2, 5)])
+            row = {k: s * a.get(k, 0) + t * b.get(k, 0) for k in set(a) | set(b)}
+        elif rows and kind < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = {k: -(a.get(k, 0) + b.get(k, 0)) for k in set(a) | set(b)}
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+            row = {c: rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+                   for c in cols}
+        if ntags and rng.random() < 0.5:
+            row[ncols + rng.randrange(ntags)] = rng.choice([1, Fraction(1, 2), -2])
+        rows.append(row)
+    return rows
 
 
 def test_sparse_echelon_rank_and_membership():
@@ -78,3 +169,40 @@ def test_lp_feasible_solution_satisfies():
     assert x[0] + 2 * x[1] + 3 * x[2] == 6
     assert x[0] >= 1 and x[1] >= 0
 
+
+
+@pytest.mark.parametrize("seed, ncols, ntags, count", [
+    (1, 4, 0, 12), (2, 8, 3, 40), (3, 15, 5, 60), (4, 30, 0, 80), (5, 6, 6, 30),
+])
+def test_sparse_echelon_matches_reference(seed, ncols, ntags, count):
+    """After every insert the heap kernel and the reference agree on rank,
+    pivot keys, reductions, insert results, membership and rref rows."""
+    rng = random.Random(seed)
+    rows = random_rows(rng, ncols, ntags, count)
+    probes = random_rows(rng, ncols, ntags, 15)
+    fast, slow = SparseEchelon(ncols), ReferenceEchelon(ncols)
+    dependent = multi_step = 0
+    for row in rows:
+        multi_step += sum(k in slow.pivots for k in row) > 1
+        got, want = fast.insert(dict(row)), slow.insert(dict(row))
+        assert got == want
+        dependent += got[0] is None
+        assert fast.rank == slow.rank
+        assert fast.pivots.keys() == slow.pivots.keys()
+        assert fast.pivots == slow.pivots
+        for probe in probes + rows:
+            assert fast.reduce(probe) == slow.reduce(probe)
+            assert fast.contains(probe) == slow.contains(probe)
+        assert fast.rref_rows() == slow.rref_rows()
+    assert dependent and multi_step
+
+
+def test_sparse_echelon_keeps_fractions_and_converts_ints():
+    ech = SparseEchelon(3)
+    half = Fraction(1, 2)
+    r = ech.reduce({0: half, 1: 3, 2: 0})
+    assert r == {0: half, 1: Fraction(3)}
+    assert r[0] is half and type(r[1]) is Fraction
+    piv, resid = ech.insert({1: 1, 2: 4})
+    assert piv == 1 and ech.pivots[1] == {1: 1, 2: 4}
+    assert all(type(v) is Fraction for v in ech.pivots[1].values())

@@ -17,6 +17,8 @@ from semitoric.residue import (
     toric_residue,
 )
 
+from .test_coxring import dwork
+
 P1 = CoxRing(catalog.projective_line())
 P2 = CoxRing(catalog.projective_plane())
 
@@ -169,3 +171,27 @@ def test_cup_pair_vanishes_on_j1_second_slot_too():
     one = P2.one()
     for elt in piece.j1.reduced_row_basis():
         assert cp.pair(elt, one, 1, 0).is_zero()
+
+
+def test_eta_monomial_vanishes_outside_its_degree():
+    cp = CupProduct(P2, CUBIC)
+    assert cp.eta_degree == P2.beta0
+    for exps in [(0, 0, 0), (1, 0, 0), (2, 0, 1), (2, 2, 0)]:
+        assert cp.eta_monomial(exps) == 0 == cp.eta(P2.monomial(exps))
+    assert cp.eta_monomial((1, 1, 1)) == cp.eta(P2.monomial((1, 1, 1))) != 0
+    with pytest.raises(ValidationError):
+        cp.eta_monomial((1, -1, 0))
+
+
+@pytest.mark.parametrize("psi", [0, Fraction(1, 2), Fraction(1, 3), 2, Fraction(-1, 2)])
+def test_eta_on_the_dwork_pencil_by_both_routes(psi):
+    """(1 - psi^5) eta((x_1...x_5)^3) = 1/625 and (1 - psi^5) eta(x_1^15) =
+    psi^3/625 on f = sum x_i^5 - 5 psi x_1...x_5, through the one-hot
+    residue and through eta on the polynomial."""
+    ring = CoxRing(catalog.projective_space(4))
+    cp = CupProduct(ring, dwork(ring, psi))
+    scale = 1 - Fraction(psi) ** 5
+    for exps, value in (((3,) * 5, Fraction(1, 625)),
+                        ((15, 0, 0, 0, 0), Fraction(psi) ** 3 / 625)):
+        assert scale * cp.eta_monomial(exps) == value
+        assert scale * cp.eta(ring.monomial(exps)) == value

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -234,6 +235,24 @@ def test_sparse_gram_rank_of_random_dependent_rows():
         assert g.rank() == lattice.matrix_rank(rows)
 
 
+@pytest.mark.parametrize("name, count", [("quintic_analysis", 1281), ("crepant_analysis", 1000)])
+def test_eta_monomial_matches_eta_on_every_gram_product(name, count, request):
+    """The one-hot residue of x^(e + 1) against eta on the polynomial x^e,
+    for every distinct exponent sum the four Gram blocks read."""
+    analysis = request.getfixturevalue(name)
+    products = set()
+    for a in range(4):
+        for rb in analysis.blocks(a):
+            for cb in analysis.blocks(3 - a):
+                _, cup, _ = analysis._block_factor(rb, cb, a)
+                if cup is not None:
+                    products.update((cup, tuple(map(add, ea, eb)))
+                                    for ea in rb.basis_exponents for eb in cb.basis_exponents)
+    assert len(products) == count
+    for cup, e in products:
+        assert cup.eta_monomial(e) == cup.eta(cup.ring.monomial(e)), e
+
+
 def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
     """The four Gram blocks of the quintic have 1,281 distinct monomial
     products, so at most that many residues are taken; the certificate
@@ -243,11 +262,16 @@ def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
     rho = 5 * f.degree - f.ring.beta0
     residues, rho_pieces = [], []
     true_residue = residue.ResidueMap.residue
+    true_monomial_residue = residue.ResidueMap.residue_of_monomial
     true_piece = coxring.ideal_graded_piece
 
     def counting_residue(self, H):
         residues.append(H)
         return true_residue(self, H)
+
+    def counting_monomial_residue(self, exps):
+        residues.append(exps)
+        return true_monomial_residue(self, exps)
 
     def counting_piece(generators, gamma):
         if gamma == rho:
@@ -255,12 +279,13 @@ def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
         return true_piece(generators, gamma)
 
     monkeypatch.setattr(residue.ResidueMap, "residue", counting_residue)
+    monkeypatch.setattr(residue.ResidueMap, "residue_of_monomial", counting_monomial_residue)
     monkeypatch.setattr(residue, "ideal_graded_piece", counting_piece)
     monkeypatch.setattr(coxring, "ideal_graded_piece", counting_piece)
     analysis = ThreefoldAnalysis(f)
     grams = [analysis.gram(a, 3 - a) for a in range(4)]
     assert [len(g.entries) for g in grams] == [1, 101, 101, 1]
-    assert len(residues) <= 1281
+    assert 0 < len(residues) <= 1281
     assert len(rho_pieces) == 1
     assert analysis.cup.res.span is analysis.certificate.span
     assert analysis.cup.res.jacobian is analysis.certificate.jacobian

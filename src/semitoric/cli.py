@@ -86,7 +86,7 @@ def parse_polynomial(doc, ring: CoxRing, path="polynomial") -> GradedPolynomial:
                                f"{path}.terms[{i}].exps"))
         num = _need(t, "num", int, f"{path}.terms[{i}]")
         den = t.get("den", 1)
-        if not isinstance(den, int) or den == 0:
+        if isinstance(den, bool) or not isinstance(den, int) or den == 0:
             raise ValidationError(f"{path}.terms[{i}].den: expected a nonzero integer")
         terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
     degree = None
@@ -256,6 +256,7 @@ def cmd_threefold_h3(doc, verify):
     fan = parse_fan(_need(doc, "fan", dict, "input"))
     ring = CoxRing(fan)
     f = parse_polynomial(_need(doc, "polynomial", dict, "input"), ring)
+    with_gram = _need(doc, "gram", bool, "input") if "gram" in doc else True
     analysis = ThreefoldAnalysis(f)
     blocks = {}
     hodge = {}
@@ -271,7 +272,6 @@ def cmd_threefold_h3(doc, verify):
         "hodge_numbers": hodge,
         "blocks": blocks,
     }
-    with_gram = doc.get("gram", True)
     if not (with_gram or verify):
         return out
     grams = [analysis.gram(a, 3 - a) for a in range(4)]

@@ -434,9 +434,6 @@ class R1Piece:
     def dim(self) -> int:
         return len(self.coset_exponents)
 
-    def coset_monomials(self):
-        return [self.ring.monomial(e) for e in self.coset_exponents]
-
 
 def j1_graded_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
     return R1Piece(f, gamma).j1

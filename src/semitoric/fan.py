@@ -1,7 +1,8 @@
 """Complete rational polyhedral fans.
 
 Fans are stored as primitive rays plus maximal cones (ray index sets);
-non-simplicial maximal cones are allowed.  Face lattices, completeness and
+non-simplicial maximal cones are allowed.  The faces of a maximal cone come
+from ``polytope.face_closure`` on its facet ray sets.  Completeness and
 refinement queries, smallest containing cones and star (quotient) fans are
 all computed exactly.  Every cone test is a sign test against facet normals
 from the double-description kernel ``cone_rays``; completeness comes with a
@@ -16,7 +17,7 @@ from itertools import combinations, count
 from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
 from .linalg import solve_linear
-from .polytope import _facets_in_span, cone_rays
+from .polytope import _facets_in_span, cone_rays, face_closure
 
 
 def extreme_rays_of_dual(normals, dim):
@@ -100,14 +101,18 @@ class Fan:
             if r != lattice.primitivize(r):
                 raise ValidationError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
-            raise ValidationError("duplicate rays")
+            i = next(i for i, r in enumerate(rays) if r in rays[:i])
+            raise ValidationError(f"rays {rays.index(rays[i])} and {i} are equal: "
+                                  f"{list(rays[i])}")
         self.rays = rays
         self.dim = dim
         cones = []
-        for c in max_cones:
+        for k, c in enumerate(max_cones):
             c = frozenset(int(i) for i in c)
-            if any(not 0 <= i < len(rays) for i in c):
-                raise ValidationError("cone refers to a ray index out of range")
+            for i in sorted(c):
+                if not 0 <= i < len(rays):
+                    raise ValidationError(f"max cone {k} {sorted(c)} refers to ray "
+                                          f"index {i}, out of range 0..{len(rays) - 1}")
             cones.append(c)
         self.max_cones = tuple(cones)
         self._face_sets = None
@@ -156,26 +161,19 @@ class Fan:
                 if any(lattice.pairing(h, g) for g in gens)]
 
     def _faces_of_max_cone(self, ci):
-        """Map {ray index frozenset -> dim} of all faces of max cone ci."""
-        if ci in self._face_memo:
-            return self._face_memo[ci]
-        idx = sorted(self.max_cones[ci])
-        if self.cone_dim(idx) == len(idx):  # simplicial
-            out = {frozenset(sub): k for k in range(len(idx) + 1)
-                   for sub in combinations(idx, k)}
-        else:
-            seen = {frozenset(idx)}
-            queue = [frozenset(idx)]
-            while queue:
-                cur = queue.pop()
-                for h in self._max_cone_rows(ci):  # span equations hold on every face
-                    nxt = frozenset(i for i in cur if lattice.pairing(self.rays[i], h) == 0)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            out = {s: self.cone_dim(s) for s in seen} | {frozenset(): 0}
-        self._face_memo[ci] = out
-        return out
+        """Map {ray index frozenset -> dim} of all faces of max cone ci, the
+        empty face included, by size, then by sorted indices."""
+        if ci not in self._face_memo:
+            c = self.max_cones[ci]
+            if self.cone_dim(c) == len(c):  # simplicial: a facet drops one ray
+                faces = {s: len(s) for s in face_closure(c, [c - {i} for i in c])}
+            else:  # the span equations are tight at every ray
+                tight = [frozenset(i for i in c if lattice.pairing(self.rays[i], h) == 0)
+                         for h in self._max_cone_rows(ci)]
+                faces = {s: self.cone_dim(s) for s in face_closure(c, tight)}
+            self._face_memo[ci] = {s: faces[s] for s in sorted(
+                faces, key=lambda s: (len(s), sorted(s)))}
+        return self._face_memo[ci]
 
     def _all_face_sets(self):
         if self._face_sets is None:
@@ -209,9 +207,6 @@ class Fan:
         if s not in merged:
             raise ValidationError(f"{sorted(s)} is not a cone of this fan")
         return ConeRef(self, s, merged[s])
-
-    def max_cone_refs(self):
-        return [ConeRef(self, c, self.cone_dim(c)) for c in self.max_cones]
 
     # -- global properties -------------------------------------------------------
 

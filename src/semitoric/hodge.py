@@ -65,8 +65,7 @@ def _l_star(face: Face, k: int = 1) -> int:
 def _facet_interior_sum(face: Face) -> int:
     if face.dim <= 0:
         return 0
-    return sum(_l_star(g) for g in face.polytope.faces(face.dim - 1)
-               if g.vertex_indices < face.vertex_indices)
+    return sum(_l_star(g) for g in face.polytope.subfaces(face))
 
 
 def _bracket(face: Face, d: int, p: int) -> int:
@@ -166,41 +165,10 @@ def triangulation_helper(q: LatticePolytope, reverse: bool = False) -> Fan:
     if not q.is_reflexive():
         raise PreconditionError("the triangulation helper expects a reflexive polytope")
     d = q.ambient_dim
-    all_faces = q.all_faces()
-    children = {}
-    for f in all_faces:
-        children[f.vertex_indices] = [
-            g for g in all_faces
-            if g.dim == f.dim - 1 and g.vertex_indices < f.vertex_indices]
-    dim_of = {f.vertex_indices: f.dim for f in all_faces}
-    memo = {}
-
-    def pull(fset):
-        if fset in memo:
-            return memo[fset]
-        dim = dim_of[fset]
-        if len(fset) == dim + 1:
-            memo[fset] = [fset]
-            return memo[fset]
-        v = (max if reverse else min)(fset, key=lambda i: q.vertices[i])
-        out = []
-        for g in children[fset]:
-            if v in g.vertex_indices:
-                continue
-            for s in pull(g.vertex_indices):
-                out.append(s | {v})
-        memo[fset] = out
-        return out
-
+    # every vertex of a reflexive polytope is integral; ray i is vertex i
     rays = [tuple(int(x) for x in v) for v in q.vertices]
     ray_index = {r: i for i, r in enumerate(rays)}
-    cones = []
-    for f in all_faces:
-        if f.dim != d - 1:
-            continue
-        for s in pull(f.vertex_indices):
-            cones.append(frozenset(ray_index[tuple(int(x) for x in q.vertices[i])]
-                                   for i in s))
+    cones = [s for f in q.faces(d - 1) for s in q.pulling_triangulation(f, reverse)]
     extra = [p for p in q.lattice_points()
              if any(p) and p not in ray_index]
     for point in sorted(extra, reverse=reverse):

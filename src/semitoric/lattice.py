@@ -44,10 +44,6 @@ def primitivize(v) -> IntVec:
     return tuple(int(x) // g for x in v)
 
 
-def is_primitive(v) -> bool:
-    return gcd_list(v) == 1
-
-
 def _eliminate(rows, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 

@@ -6,6 +6,12 @@ dilation, reflexive duality and normal fans.  Inequalities are always read
 as <m, normal> >= rhs.  Every conversion between half-spaces and vertices
 goes through one integer double-description kernel, ``cone_rays``.
 
+Every face lattice is one closure, ``face_closure``: the intersections of
+the facet vertex (or ray) sets, here for polytopes and in ``fan.py`` for
+maximal cones.  One pulling triangulation on that lattice,
+``LatticePolytope.pulling_triangulation``, gives normalized volumes and the
+facet cones of the MPCP helper in ``hodge.py``.
+
 Each face records the facets that contain it.  Face counts come from one
 labelled pass per polytope and dilation factor k: every lattice point of kP
 is labelled by the set of facets tight at it, and a point lies in the
@@ -119,10 +125,10 @@ class LatticePolytope:
         self.vertices = tuple(sorted(set(pts)))
         self.ambient_dim = len(self.vertices[0]) if self.vertices else (
             hrep.dim if isinstance(hrep, HPolytope) else 0)
-        self._hrep = hrep
         self._span = None
         self._facets = None
         self._faces = None
+        self._pulls = {}  # (vertex index set, reverse) -> pulling triangulation
         self._polar = None
         self._lattice_points = None
         self._reflexive = None
@@ -218,39 +224,50 @@ class LatticePolytope:
 
     def faces(self, k: int):
         """All k-dimensional faces, each exactly once."""
-        if self.is_empty:
-            raise PreconditionError("faces of the empty polytope")
+        faces = self.all_faces()
         if not 0 <= k <= self.dim:
             raise ValidationError(f"face dimension {k} out of range 0..{self.dim}")
-        return [f for f in self.all_faces() if f.dim == k]
+        return [f for f in faces if f.dim == k]
 
     def all_faces(self):
-        """Every nonempty face (the polytope itself included)."""
-        if self._faces is not None:
-            return self._faces
-        everything = frozenset(range(len(self.vertices)))
-        if self.dim <= 0:
-            faces = {everything: Face(self, everything, max(self.dim, 0))}
-            self._faces = list(faces.values())
-            return self._faces
-        facet_sets = [t for _, _, t in self.facets()]
-        seen = {everything}
-        queue = [everything]
-        while queue:
-            cur = queue.pop()
-            for fs in facet_sets:
-                nxt = cur & fs
-                if nxt and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        faces = []
-        for s in seen:
-            pts = [self.vertices[i] for i in s]
-            faces.append(Face(self, s, _affine_dim(pts),
-                              frozenset(i for i, t in enumerate(facet_sets) if s <= t)))
-        faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))
-        self._faces = faces
-        return faces
+        """Every nonempty face (the polytope itself included), by dimension,
+        then by sorted vertex indices: the facet vertex sets closed under
+        intersection."""
+        if self._faces is None:
+            if self.is_empty:
+                raise PreconditionError("faces of the empty polytope")
+            facet_sets = [t for _, _, t in self.facets()] if self.dim > 0 else []
+            faces = [Face(self, s, _affine_dim([self.vertices[i] for i in s]),
+                          frozenset(i for i, t in enumerate(facet_sets) if s <= t))
+                     for s in face_closure(frozenset(range(len(self.vertices))), facet_sets)
+                     if s]
+            faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))
+            self._faces = faces
+        return self._faces
+
+    def subfaces(self, face: "Face"):
+        """The faces of dimension dim(face) - 1 inside the face."""
+        return [g for g in self.all_faces() if g.dim == face.dim - 1
+                and g.vertex_indices < face.vertex_indices]
+
+    def pulling_triangulation(self, face: "Face" = None, reverse: bool = False):
+        """Simplices (vertex index sets) of the pulling triangulation of a
+        face, or of the polytope itself by default: pull at the lex-first
+        vertex (the lex-last when reverse) and cone it over the
+        triangulations of the subfaces that miss it (De Loera, Rambau and
+        Santos, "Triangulations", 2010, section 4.3).  Memoized per face."""
+        if face is None:
+            face = Face(self, frozenset(range(len(self.vertices))), self.dim, frozenset())
+        key = (face.vertex_indices, reverse)
+        if key not in self._pulls:
+            if len(face.vertex_indices) == face.dim + 1:  # a simplex, before all_faces()
+                out = [face.vertex_indices]
+            else:  # the vertices are sorted, so index order is lex order
+                v = (max if reverse else min)(face.vertex_indices)
+                out = [s | {v} for g in self.subfaces(face) if v not in g.vertex_indices
+                       for s in self.pulling_triangulation(g, reverse)]
+            self._pulls[key] = out
+        return self._pulls[key]
 
     # -- point enumeration -------------------------------------------------
 
@@ -336,12 +353,6 @@ class LatticePolytope:
         """The factors k whose labelled table has been built."""
         return set(self._labels)
 
-    def n_lattice_points(self) -> int:
-        return len(self.lattice_points())
-
-    def n_interior_points(self) -> int:
-        return len(self.relative_interior_points())
-
     def contains(self, x) -> bool:
         if self.is_empty:
             return False
@@ -355,37 +366,17 @@ class LatticePolytope:
     # -- metric and algebraic operations ------------------------------------
 
     def normalized_volume(self) -> Fraction:
-        """k! times the k-dimensional volume, measured in the affine-span lattice."""
+        """k! times the k-dimensional volume, measured in the affine-span
+        lattice: the sum of |det| over the pulling triangulation."""
         if self.is_empty:
             return Fraction(0)
-        k = self.dim
-        if k == 0:
+        if self.dim == 0:
             return Fraction(1)
         total = Fraction(0)
-        for simplex in self._triangulate():
-            t0 = self._to_span_coords(simplex[0])
-            rows = []
-            for v in simplex[1:]:
-                tv = self._to_span_coords(v)
-                rows.append([a - b for a, b in zip(tv, t0)])
-            total += abs(lattice.det(rows))
+        for simplex in self.pulling_triangulation():
+            t0, *ts = (self._to_span_coords(self.vertices[i]) for i in sorted(simplex))
+            total += abs(lattice.det([[a - b for a, b in zip(t, t0)] for t in ts]))
         return total
-
-    def _triangulate(self):
-        """Simplices (tuples of vertex coordinate tuples) covering the polytope."""
-        k = self.dim
-        vs = self.vertices
-        if len(vs) == k + 1:
-            return [tuple(vs)]
-        v0 = vs[0]
-        out = []
-        for _, _, tight in self.facets():
-            if 0 in tight:
-                continue
-            face = LatticePolytope([vs[i] for i in sorted(tight)], _trusted=True)
-            for s in face._triangulate():
-                out.append((v0,) + s)
-        return out
 
     def dilate(self, factor: int) -> "LatticePolytope":
         """factor * P; known facets and span carry over (scaled right-hand
@@ -401,10 +392,6 @@ class LatticePolytope:
         if self._facets is not None:
             out._facets = [(n, r * factor, t) for n, r, t in self._facets]
         return out
-
-    def translate(self, vec) -> "LatticePolytope":
-        return LatticePolytope([tuple(x + Fraction(y) for x, y in zip(v, vec))
-                                for v in self.vertices], _trusted=True)
 
     # -- reflexive duality ---------------------------------------------------
 
@@ -544,6 +531,22 @@ def _size_reduced(basis):
                     bi[:] = [x - q * y for x, y in zip(bi, bj)]
                     shrunk = True
     return [tuple(b) for b in rows]
+
+
+def face_closure(top, tight_sets):
+    """Every intersection of ``top`` with some of the tight sets, the empty
+    set included: the face lattice of a polytope or cone whose facets have
+    the given vertex (or ray) sets."""
+    seen = {top, frozenset()}
+    queue = [top]
+    while queue:
+        cur = queue.pop()
+        for t in tight_sets:
+            nxt = cur & t
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
 
 
 def _affine_dim(points) -> int:

@@ -150,11 +150,14 @@ class SurfaceSlice:
         for ray in star.rays:
             coeffs.append(-min(lattice.pairing(s, ray) for s in vert_coords))
         self.degree = self.ring.degree_class(coeffs)
-        face_poly = face.as_polytope()
+        # a term's point lies in delta; it lies on the face when it is tight
+        # at every facet containing the face
+        facets = delta.facets()
+        tight = [facets[i][:2] for i in face.facets]
         terms = {}
         for exps, coeff in analysis.f.terms.items():
             m = fine_ring.point_of_monomial(exps, analysis.f.degree)
-            if not face_poly.contains(m):
+            if any(lattice.pairing(m, n) != r for n, r in tight):
                 continue
             s = mbar(m)
             exps_sigma = tuple(a + lattice.pairing(s, ray)

@@ -150,6 +150,42 @@ def test_ragged_vectors_exit_1(tmp_path, command, doc, named):
     assert "Traceback" not in out.stderr
 
 
+def quintic_with(**changes):
+    doc = fixture("fermat_quintic.json")
+    doc.update(changes)
+    return doc
+
+
+def quintic_with_den(den):
+    doc = fixture("fermat_quintic.json")
+    doc["polynomial"]["terms"][2]["den"] = den
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    (("threefold", "h3"), quintic_with(gram="no"), "input.gram: expected bool"),
+    (("threefold", "h3"), quintic_with(gram=0), "input.gram: expected bool"),
+    (("threefold", "h3"), quintic_with_den(True),
+     "polynomial.terms[2].den: expected a nonzero integer"),
+    (("ring", "dims"), quintic_with_den(False),
+     "polynomial.terms[2].den: expected a nonzero integer"),
+    (("fan", "check"), {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                                "max_cones": [[0, 1], [1, 2], [2, 3]]}},
+     "max cone 2 [2, 3] refers to ray index 3, out of range 0..2"),
+    (("fan", "check"), {"fan": {"rays": [[1, 0], [0, 1], [-1, -1], [0, 1]],
+                                "max_cones": [[0, 1], [1, 2], [2, 0]]}},
+     "rays 1 and 3 are equal: [0, 1]"),
+])
+def test_malformed_fields_exit_1(tmp_path, capsys, command, doc, named):
+    """A wrongly typed flag or denominator, a ray index out of range and a
+    repeated ray are input errors that name the field, not reports."""
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, *command, "--input", path)
+    assert code == 1
+    assert out == ""
+    assert "input error" in err and named in err
+
+
 PENTAGRAM = {"rays": [[1, 0], [1, 2], [-1, 1], [-1, -1], [1, -2]],
              "max_cones": [[k, (k + 2) % 5] for k in range(5)]}
 DOUBLE_TRIANGLE = {"rays": [[1, 0], [0, 1], [-1, -1], [2, 1], [-1, 0], [0, -1]],

@@ -377,6 +377,23 @@ def test_face_polynomial_on_ample_hypersurface(quintic_analysis):
     assert all(max(e) == 5 for e in poly.terms)
 
 
+def test_face_terms_match_the_face_polytope_route(crepant_analysis):
+    """A term lands on the face of a 2-cone exactly when its point lies in
+    the face rebuilt as a polytope; distinct coefficients pin the terms."""
+    ring = CoxRing(catalog.projective_space(4))
+    rng = random.Random(11)
+    exps = rng.sample(ring.monomial_basis(fermat(ring, 5).degree).exponents, 40)
+    f = ring.polynomial({e: c for c, e in enumerate(exps, start=1)})
+    random_analysis = ThreefoldAnalysis(f, _check_certificate=False)
+    for analysis in (random_analysis, crepant_analysis):
+        f = analysis.f
+        for sigma in analysis.coarse.cones(2):
+            face = analysis.delta.face_at_direction(sigma.relint_point()).as_polytope()
+            expected = sorted(c for e, c in f.terms.items()
+                              if face.contains(f.ring.point_of_monomial(e, f.degree)))
+            assert sorted(analysis.surface(sigma).polynomial.terms.values()) == expected
+
+
 def test_surface_slice_pairing_consistency(crepant_analysis):
     """The quotient projection used for the star fan and for monomial
     transport must agree: pairings of transported points against star rays

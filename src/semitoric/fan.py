@@ -109,10 +109,10 @@ class Fan:
         cones = []
         for k, c in enumerate(max_cones):
             c = frozenset(int(i) for i in c)
-            for i in sorted(c):
-                if not 0 <= i < len(rays):
-                    raise ValidationError(f"max cone {k} {sorted(c)} refers to ray "
-                                          f"index {i}, out of range 0..{len(rays) - 1}")
+            bad = sorted(i for i in c if not 0 <= i < len(rays))
+            if bad:
+                raise ValidationError(f"max cone {k} {sorted(c)} refers to ray "
+                                      f"index {bad[0]}, out of range 0..{len(rays) - 1}")
             cones.append(c)
         self.max_cones = tuple(cones)
         self._face_sets = None

@@ -144,11 +144,7 @@ def cmd_divisor_analyze(doc, verify):
     if out["globally_generated"]:
         out["top_self_intersection"] = q_str(div.degree())
     if verify:
-        out["verification"] = {
-            "nakai_globally_generated_matches": div.nakai_globally_generated()
-            == out["globally_generated"],
-            "nakai_ample_matches": div.nakai_ample() == out["ample"],
-        }
+        out["verification"] = _nakai_verification(div)
     return out
 
 
@@ -162,18 +158,29 @@ def cmd_divisor_sigma_d(doc, verify):
     }
 
 
+def _nakai_verification(div):
+    """The Nakai flags of a Cartier divisor against convexity of its support function."""
+    return {"nakai_globally_generated_matches":
+            div.nakai_globally_generated() == div.is_globally_generated(),
+            "nakai_ample_matches": div.nakai_ample() == div.is_strictly_convex()}
+
+
 def cmd_divisor_nakai(doc, verify):
     div = _parse_divisor(doc)
-    curves = []
-    for tau in div.fan.cones(div.fan.dim - 1):
-        curves.append({"cone": sorted(tau.ray_indices),
-                       "value": q_str(div.curve_intersection(tau))})
-    return {
+    walls = div.fan.cones(div.fan.dim - 1)
+    out = {
         "criterion": "intersection-number criterion for global generation and ampleness",
         "globally_generated": div.nakai_globally_generated(),
         "ample": div.nakai_ample(),
-        "curve_numbers": curves,
+        "curve_numbers": [{"cone": sorted(tau.ray_indices),
+                           "value": q_str(div.curve_intersection(tau))} for tau in walls],
     }
+    if verify:
+        out["verification"] = checks = _nakai_verification(div)
+        if div.is_globally_generated():  # slice volumes need a globally generated D
+            checks["slice_volumes_match"] = all(
+                div.intersection_number(1, tau) == div.curve_intersection(tau) for tau in walls)
+    return out
 
 
 def cmd_divisor_stratify(doc, verify):

@@ -1,18 +1,18 @@
 """Torus-invariant divisors on complete toric varieties.
 
 Support functions, convexity tests, section polytopes, intersection numbers
-against orbit closures, the coarsened fan of a semiample divisor (computed by
-three independent algorithms that must agree), push-forward/pull-back along
-the associated birational morphism, intersection-number criteria for global
-generation and ampleness, and the orbit stratification of a regular
-semiample hypersurface.
+against orbit closures as slice volumes, the coarsened fan of a semiample
+divisor (three independent algorithms that must agree), push-forward and
+pull-back along the associated birational morphism, the Nakai-type criteria
+from curve numbers read off the walls of the support function, and the
+orbit stratification of a regular semiample hypersurface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import lattice
 from .errors import InconsistencyError, NotCartierError, PreconditionError, ValidationError
@@ -28,9 +28,6 @@ class SupportFunction:
 
     fan: Fan
     per_max_cone: tuple
-
-    def m_of_max_cone(self, ci: int):
-        return self.per_max_cone[ci]
 
     def m_of_cone(self, cone: ConeRef):
         for ci, c in enumerate(self.fan.max_cones):
@@ -73,6 +70,7 @@ class TorusInvariantDivisor:
         self.coeffs = coeffs
         self._support = None
         self._polytope = None
+        self._curves = None
 
     def __repr__(self):
         return f"TorusInvariantDivisor({self.coeffs})"
@@ -317,31 +315,34 @@ class TorusInvariantDivisor:
 
     # -- intersection-number criteria ----------------------------------------------------
 
+    def curve_numbers(self) -> dict:
+        """{wall ray set -> (D · V(tau))} for a Cartier D.  At the wall tau of
+        maximal cones a, b, m_a - m_b spans the saturated rank-1 lattice
+        tau-perp ∩ M: the number is its gcd, signed by <m_a - m_b, e> for a ray
+        e of b off tau (Cox-Little-Schenck, Toric Varieties, Prop. 6.3.8)."""
+        if self._curves is None:
+            ms, fan, curves = self.support_function().per_max_cone, self.fan, {}
+            for tau, (a, b) in fan._facet_incidence().items():
+                diff = [x - y for x, y in zip(ms[a], ms[b])]
+                side = lattice.pairing(diff, fan.rays[min(fan.max_cones[b] - tau)])
+                curves[tau] = gcd(*diff) if side > 0 else -gcd(*diff)
+            self._curves = curves
+        return self._curves
+
     def curve_intersection(self, tau: ConeRef) -> Fraction:
-        """(D · V(tau)) for any Cartier D, by writing D as a difference of
-        globally generated divisors."""
-        self.support_function()
-        if self.is_globally_generated():
-            return self.intersection_number(1, tau)
-        ample = find_ample(self.fan)
-        k = 1
-        while not (self + k * ample).is_globally_generated():
-            k *= 2
-            if k > 2 ** 24:
-                raise InconsistencyError("difference decomposition did not terminate")
-        plus = self + k * ample
-        minus = k * ample
-        return plus.intersection_number(1, tau) - minus.intersection_number(1, tau)
+        """(D · V(tau)) for a Cartier D and a wall tau of its fan, from curve_numbers."""
+        if tau.fan.rays != self.fan.rays or tau.ray_indices not in self.curve_numbers():
+            raise ValidationError(f"cone with rays {[list(g) for g in tau.generators()]} and "
+                                  f"dimension {tau.dim} is not a wall of the divisor's fan")
+        return Fraction(self.curve_numbers()[tau.ray_indices])
 
     def nakai_globally_generated(self) -> bool:
         """(D · V(tau)) >= 0 for every (d-1)-cone tau."""
-        return all(self.curve_intersection(tau) >= 0
-                   for tau in self.fan.cones(self.fan.dim - 1))
+        return all(v >= 0 for v in self.curve_numbers().values())
 
     def nakai_ample(self) -> bool:
         """(D · V(tau)) > 0 for every (d-1)-cone tau."""
-        return all(self.curve_intersection(tau) > 0
-                   for tau in self.fan.cones(self.fan.dim - 1))
+        return all(v > 0 for v in self.curve_numbers().values())
 
 
 def pullback(divisor: TorusInvariantDivisor, fine: Fan) -> TorusInvariantDivisor:

@@ -120,7 +120,7 @@ class Fan:
         self._rows = {}
         self._face_memo = {}
         self._complete = None
-        self._simplicial = None
+        self._ranks = {}  # cone_dim by ray index set
         self._ample = None  # memo of divisor.find_ample
 
     # -- identity ------------------------------------------------------------
@@ -142,9 +142,10 @@ class Fan:
     # -- cone structure --------------------------------------------------------
 
     def cone_dim(self, ray_indices) -> int:
-        if not ray_indices:
-            return 0
-        return lattice.matrix_rank([self.rays[i] for i in ray_indices])
+        key = frozenset(ray_indices)
+        if key not in self._ranks:
+            self._ranks[key] = lattice.matrix_rank([self.rays[i] for i in key]) if key else 0
+        return self._ranks[key]
 
     def _max_cone_rows(self, ci):
         """cone_rows of a maximal cone, computed once."""
@@ -212,9 +213,7 @@ class Fan:
 
     @property
     def is_simplicial(self) -> bool:
-        if self._simplicial is None:
-            self._simplicial = all(self.cone_dim(c) == len(c) for c in self.max_cones)
-        return self._simplicial
+        return all(self.cone_dim(c) == len(c) for c in self.max_cones)
 
     def _facet_incidence(self):
         """Map {(d-1)-face -> list of maximal cone indices having it as a face}."""

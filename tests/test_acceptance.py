@@ -77,31 +77,34 @@ def test_criterion_1_sigma_d_three_algorithms():
         assert div.sigma_d() == expected
 
 
+def criterion_2_divisors():
+    """The Cartier divisors of criterion 2: seven draws from [-4, 4] on each
+    of eight smooth fans of ranks 2, 3 and 4."""
+    rng = random.Random(SEED)
+    p1 = catalog.projective_line()
+    fans = [
+        catalog.projective_plane(),
+        catalog.blowup_p2(),
+        catalog.product_fan(p1, p1),
+        catalog.hirzebruch(2),
+        catalog.projective_space(3),
+        catalog.blowup_p3(),
+        catalog.product_fan(catalog.product_fan(p1, p1), p1),
+        catalog.projective_space(4),
+    ]
+    assert len({f.dim for f in fans}) == 3  # ranks 2, 3, 4
+    divisors = [TorusInvariantDivisor(fan, [rng.randint(-4, 4) for _ in fan.rays])
+                for fan in fans for _ in range(7)]
+    return [div for div in divisors if div.is_cartier()]
+
+
 def test_criterion_2_nakai_cross_validation():
     with clocked("2 intersection-number criterion vs convexity", 30.0):
-        rng = random.Random(SEED)
-        p1 = catalog.projective_line()
-        fans = [
-            catalog.projective_plane(),
-            catalog.blowup_p2(),
-            catalog.product_fan(p1, p1),
-            catalog.hirzebruch(2),
-            catalog.projective_space(3),
-            catalog.blowup_p3(),
-            catalog.product_fan(catalog.product_fan(p1, p1), p1),
-            catalog.projective_space(4),
-        ]
-        assert len({f.dim for f in fans}) == 3  # ranks 2, 3, 4
         checked = 0
-        for fan in fans:
-            for _ in range(7):
-                div = TorusInvariantDivisor(
-                    fan, [rng.randint(-4, 4) for _ in fan.rays])
-                if not div.is_cartier():
-                    continue
-                assert div.nakai_globally_generated() == div.is_globally_generated()
-                assert div.nakai_ample() == div.is_strictly_convex()
-                checked += 1
+        for div in criterion_2_divisors():
+            assert div.nakai_globally_generated() == div.is_globally_generated()
+            assert div.nakai_ample() == div.is_strictly_convex()
+            checked += 1
         assert checked >= 50
 
 

@@ -90,6 +90,40 @@ def test_divisor_nakai(tmp_path, capsys):
     assert "0" in {c["value"] for c in doc["curve_numbers"]}
 
 
+def test_divisor_nakai_verify(tmp_path, capsys, monkeypatch):
+    """--verify checks the Nakai flags against convexity and, for a globally
+    generated divisor, every curve number against its slice volume; the rest
+    of the report is unchanged.  A wrong wall table fails the slice check."""
+    from semitoric.divisor import TorusInvariantDivisor
+
+    path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
+    code, plain, _ = run(capsys, "divisor", "nakai", "--input", path)
+    assert code == 0
+    code, out, _ = run(capsys, "divisor", "nakai", "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == {"nakai_globally_generated_matches": True,
+                                          "nakai_ample_matches": True,
+                                          "slice_volumes_match": True}
+    assert report == json.loads(plain)
+    code, out, _ = run(capsys, "divisor", "analyze", "--input", path, "--verify")
+    assert sorted(json.loads(out)["verification"]) == ["nakai_ample_matches",
+                                                       "nakai_globally_generated_matches"]
+
+    not_gg = write(tmp_path, "minus.json", dict(BLOWUP_PULLBACK, coeffs=[0, 0, -1, 0]))
+    code, out, _ = run(capsys, "divisor", "nakai", "--input", not_gg, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"nakai_globally_generated_matches": True,
+                                               "nakai_ample_matches": True}
+
+    true_table = TorusInvariantDivisor.curve_numbers
+    monkeypatch.setattr(TorusInvariantDivisor, "curve_numbers",
+                        lambda self: {tau: v + 1 for tau, v in true_table(self).items()})
+    code, out, _ = run(capsys, "divisor", "nakai", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"]["slice_volumes_match"] is False
+
+
 def test_divisor_stratify(tmp_path, capsys):
     path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
     code, out, _ = run(capsys, "divisor", "stratify", "--input", path)

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from semitoric import catalog
+from semitoric import catalog, lattice
 from semitoric.divisor import TorusInvariantDivisor, find_ample, pullback
-from semitoric.errors import InconsistencyError, NotCartierError, PreconditionError
+from semitoric.errors import (InconsistencyError, NotCartierError, PreconditionError,
+                              ValidationError)
 from semitoric.fan import ConeRef, Fan
 from semitoric.polytope import vertices_from_inequalities
+
+from .test_acceptance import criterion_2_divisors
 
 P2 = catalog.projective_plane()
 BLOWUP = catalog.blowup_p2()
@@ -201,3 +205,110 @@ def test_curve_intersection_decomposition_independent_of_scale():
     manual = (e + 8 * ample).intersection_number(1, tau) \
         - (8 * ample).intersection_number(1, tau)
     assert e.curve_intersection(tau) == manual == -1
+
+
+# -- the wall route against the difference decomposition ----------------------
+
+
+def curve_by_difference(self, tau):
+    """(D · V(tau)) for any Cartier D, by writing D as a difference of
+    globally generated divisors: D = (D + kA) - kA over slice volumes."""
+    self.support_function()
+    if self.is_globally_generated():
+        return self.intersection_number(1, tau)
+    ample = find_ample(self.fan)
+    k = 1
+    while not (self + k * ample).is_globally_generated():
+        k *= 2
+        if k > 2 ** 24:
+            raise InconsistencyError("difference decomposition did not terminate")
+    plus = self + k * ample
+    minus = k * ample
+    return plus.intersection_number(1, tau) - minus.intersection_number(1, tau)
+
+
+def cartier_basis(fan):
+    """A basis of the support functions of Cartier divisors on a complete fan:
+    the integer kernel of <m_a - m_b, e_i> = 0 over maximal cones a, b
+    sharing the ray e_i, in the stacked coordinates (m_0, m_1, ...)."""
+    d, rows = fan.dim, []
+    for i, e in enumerate(fan.rays):
+        holders = [ci for ci, c in enumerate(fan.max_cones) if i in c]
+        for a, b in zip(holders, holders[1:]):
+            row = [0] * (d * len(fan.max_cones))
+            row[a * d:a * d + d] = e
+            row[b * d:b * d + d] = [-x for x in e]
+            rows.append(row)
+    return lattice.integer_kernel(rows, ncols=d * len(fan.max_cones))
+
+
+def cartier_divisor(fan, basis, weights):
+    """The divisor whose support function is the given combination of the basis."""
+    d = fan.dim
+    ms = [sum(w * b[j] for w, b in zip(weights, basis)) for j in range(len(basis[0]))]
+    holder = [next(ci for ci, c in enumerate(fan.max_cones) if i in c)
+              for i in range(len(fan.rays))]
+    return TorusInvariantDivisor(fan, [-lattice.pairing(ms[ci * d:ci * d + d], e)
+                                       for ci, e in zip(holder, fan.rays)])
+
+
+def assert_routes_agree(div):
+    walls = div.fan.cones(div.fan.dim - 1)
+    assert len(walls) == len(div.curve_numbers())
+    for tau in walls:
+        assert div.curve_intersection(tau) == curve_by_difference(div, tau)
+
+
+def test_wall_route_matches_difference_decomposition_on_criterion_2():
+    divisors = criterion_2_divisors()
+    kinds = {div.is_globally_generated() for div in divisors}
+    assert kinds == {True, False}
+    for div in divisors:
+        assert_routes_agree(div)
+
+
+@pytest.mark.parametrize("fan", [catalog.cross_polytope(3).normal_fan(),
+                                 catalog.cube(3).normal_fan(),
+                                 catalog.p11222_crepant_fan()],
+                         ids=["octahedron", "cube", "p11222_crepant"])
+def test_wall_route_matches_difference_decomposition_on_random_cartier(fan):
+    """Random Cartier divisors on the normal fan of the octahedron (not
+    simplicial: 8 rays, 6 cones), of the cube and on crepant P(1,1,2,2,2)."""
+    rng, basis = random.Random(11), cartier_basis(fan)
+    divisors = [cartier_divisor(fan, basis, [rng.randint(-3, 3) for _ in basis])
+                for _ in range(6)]
+    assert all(div.is_cartier() for div in divisors)
+    assert {div.is_globally_generated() for div in divisors} == {True, False}
+    for div in divisors:
+        assert_routes_agree(div)
+
+
+def test_curve_numbers_computed_once(monkeypatch):
+    """The wall table is built once per divisor; the Nakai flags and every
+    curve number read it."""
+    fan = catalog.blowup_p2()
+    div = TorusInvariantDivisor(fan, (0, 0, 0, 1))
+    table = div.curve_numbers()
+    monkeypatch.setattr(fan, "_facet_incidence", None)
+    monkeypatch.setattr(div, "support_function", None)
+    assert div.curve_numbers() is table
+    assert not div.nakai_globally_generated() and not div.nakai_ample()
+    assert div.curve_intersection(ray(fan, (1, 1))) == -1
+
+
+def test_curve_intersection_rejects_cone_of_wrong_dimension():
+    with pytest.raises(ValidationError, match=r"rays \[\[1, 0\], \[1, 1\]\] and dimension 2"):
+        PULLBACK_D3.curve_intersection(BLOWUP.cone_ref([0, 3]))
+    p3 = catalog.projective_space(3)
+    with pytest.raises(ValidationError, match=r"rays \[\[1, 0, 0\]\] and dimension 1"):
+        TorusInvariantDivisor(p3, (1, 0, 0, 0)).curve_intersection(p3.cone_ref([0]))
+
+
+def test_curve_intersection_rejects_cone_of_another_fan():
+    f2 = catalog.hirzebruch(2)
+    tau = ray(f2, (-1, 2))
+    with pytest.raises(ValidationError, match=r"rays \[\[-1, 2\]\] and dimension 1"):
+        PULLBACK_D3.curve_intersection(tau)
+    p3 = catalog.projective_space(3)
+    with pytest.raises(ValidationError, match="not a wall"):
+        PULLBACK_D3.curve_intersection(p3.cone_ref([0, 1]))

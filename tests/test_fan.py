@@ -1,5 +1,6 @@
 import pytest
 
+from semitoric import catalog, lattice
 from semitoric.errors import ValidationError
 from semitoric.fan import ConeRef, Fan, cone_contains
 from semitoric.polytope import HPolytope, vertices_from_inequalities
@@ -149,3 +150,17 @@ def test_cone_ref_rejects_non_cone():
     fan = p2_fan()
     with pytest.raises(ValidationError):
         fan.cone_ref([0, 1, 2])
+
+
+def test_max_cone_ranks_computed_once(monkeypatch):
+    """is_simplicial, the face lattice and the completeness check read one
+    rank per maximal cone: 8 matrix ranks for the 8 cones of crepant
+    P(1,1,2,2,2), not 8 per query."""
+    fan = catalog.p11222_crepant_fan()
+    calls = []
+    true_rank = lattice.matrix_rank
+    monkeypatch.setattr(lattice, "matrix_rank", lambda rows: calls.append(1) or true_rank(rows))
+    assert fan.is_simplicial
+    assert len(fan.cones(2)) > 0
+    assert fan.is_complete
+    assert len(fan.max_cones) == len(calls) == 8

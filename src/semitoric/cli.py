@@ -284,9 +284,13 @@ def cmd_threefold_h3(doc, verify):
     grams = [analysis.gram(a, 3 - a) for a in range(4)]
     ranks = [g.rank() for g in grams]
     if with_gram:
+        # one JSON object per value object: the zero entries of a block are
+        # one object, and most entries are zero
+        objects = {}
         out["gram"] = [{
             "level_a": g.level_a, "level_b": g.level_b, "rank": rank,
-            "entries": [[v.to_json() for v in row] for row in g.entries],
+            "entries": [[objects.get(id(v)) or objects.setdefault(id(v), v.to_json())
+                         for v in row] for row in g.entries],
         } for g, rank in zip(grams, ranks)]
     if verify:
         out["verification"] = {
@@ -314,8 +318,11 @@ def cmd_hodge_h_p2(doc, verify):
         fine = coarse
     else:
         raise ValidationError("input.refinement: expected 'none' or 'mpcp'")
-    return {"criterion": "subdivision-count formula for h^{d-1-p,2}",
-            "p": p, "value": h_p2(delta, fine, coarse, p)}
+    out = {"criterion": "subdivision-count formula for h^{d-1-p,2}",
+           "p": p, "value": h_p2(delta, fine, coarse, p)}
+    if verify:  # every face count h_p2 read comes from the tables of delta
+        out["verification"] = _face_counts_verification(delta)
+    return out
 
 
 def _face_counts_verification(*polys):

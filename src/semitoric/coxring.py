@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor
-from operator import add, ge, mul
+from operator import add, ge
 
 from . import lattice
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
@@ -319,19 +319,21 @@ class CoxRing:
         a = beta.rep
         rays = self.fan.rays
         # the section polytope {m : a_i + <m, e_i> >= 0}, scanned inside the
-        # integer box around its vertices
+        # integer box around its vertices; the exponent of x_i at m is the
+        # slack a_i + <m, e_i>, read off the scan with m itself
         ineqs = [(e, -ai) for e, ai in zip(rays, a)]
         verts = vertices_from_inequalities(HPolytope(ineqs)).vertices
-        points = _enumerate_integer_points(
-            ineqs, [ceil(min(x)) for x in zip(*verts)],
-            [floor(max(x)) for x in zip(*verts)]) if verts else []
-        pairs = sorted((tuple(ai + sum(map(mul, m, e)) for ai, e in zip(a, rays)), m)
-                       for m in points)
+        n, d = len(rays), self.d
+        coords = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
+        rows = sorted(_enumerate_integer_points(
+            ineqs, [ceil(min(x)) for x in zip(*verts)], [floor(max(x)) for x in zip(*verts)],
+            [(e, ai) for e, ai in zip(rays, a)] + coords)) if verts else []
+        exponents = [r[:n] for r in rows]
         basis = GradedPieceBasis(
             degree=beta,
-            exponents=[e for e, _ in pairs],
-            points=[m for _, m in pairs],
-            index={e: i for i, (e, _) in enumerate(pairs)})
+            exponents=exponents,
+            points=[r[n:] for r in rows],
+            index={e: i for i, e in enumerate(exponents)})
         self._basis_cache[beta.rep] = basis
         return basis
 

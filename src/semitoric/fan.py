@@ -259,7 +259,8 @@ class Fan:
         # (a); halves[ci] lists (wall normal y, <y, e> for a ray e of ci off it)
         halves = [[] for _ in self.max_cones]
         for tau, (a, b) in inc.items():
-            y = lattice.integer_kernel([self.rays[i] for i in tau], ncols=self.dim)[0]
+            pivots, duals = lattice.dual_rows([self.rays[i] for i in tau], self.dim)
+            y = duals[len(pivots)]
             va, vb = (lattice.pairing(y, self.rays[min(self.max_cones[ci] - tau)])
                       for ci in (a, b))
             if va * vb >= 0:

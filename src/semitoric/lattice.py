@@ -229,6 +229,19 @@ def integer_kernel(A, ncols=None):
     return out
 
 
+def dual_rows(vectors, dim):
+    """(pivots, rows) from one elimination of [V^T | I], V the vectors in
+    Z^dim as rows.  The v_p, p in pivots, are the lex-first basis of their
+    span; for i < len(pivots), <v_p, rows[i]> > 0 for p = pivots[i] and 0
+    for the other pivots, and the remaining rows span the orthogonal
+    complement of the vectors.  Every row is primitive."""
+    n = len(vectors)
+    a, pivots, d, _, _ = _eliminate(
+        [[v[i] for v in vectors] + [int(i == j) for j in range(dim)] for i in range(dim)], n)
+    sign = 1 if d > 0 else -1
+    return pivots, [primitivize([sign * x for x in row[n:]]) for row in a]
+
+
 def solve_integer(A, b):
     """One integer solution of A x = b, or None."""
     m, n = len(A), len(A[0]) if A else 0

@@ -12,17 +12,24 @@ maximal cones.  One pulling triangulation on that lattice,
 ``LatticePolytope.pulling_triangulation``, gives normalized volumes and the
 facet cones of the MPCP helper in ``hodge.py``.
 
-Each face records the facets that contain it.  Face counts come from one
-labelled pass per polytope and dilation factor k: every lattice point of kP
-is labelled by the set of facets tight at it, and a point lies in the
-relative interior of k*theta exactly when its label is the facet set of
-theta, so ``Face.interior_points(k)`` is a lookup, not a new polytope.
+Every lattice point comes from one scan, ``_enumerate_integer_points``,
+which carries the values of affine forms down its levels instead of
+recomputing them per point: ambient coordinates here, monomial exponents (the
+slacks of the ray inequalities) in ``coxring.py``.  Each face records the
+facets that contain it, and its dimension comes from the closure.  Face
+counts come from the same scan, once per polytope and dilation factor k:
+every lattice point of kP is labelled by the facets whose slack is zero at
+it, and a point lies in the relative interior of k*theta exactly when its
+label is the facet set of theta, so ``Face.interior_points(k)`` is a lookup,
+not a new polytope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import not_
 
 from . import lattice
 from .errors import PreconditionError, RationalVertexError, ValidationError
@@ -65,48 +72,55 @@ def _clear_denominators(vec):
     return tuple(int(Fraction(x) * den) for x in vec), den
 
 
-def _enumerate_integer_points(ineqs, lo, hi):
-    """All integer points of a box satisfying a·t >= c for each (a, c).
+def _enumerate_integer_points(ineqs, lo, hi, forms):
+    """Yield the values f·t + f0 of the affine forms (f, f0) at every
+    integer point t of the box with a·t >= c for each inequality (a, c), in
+    lexicographic order of t; the slack of an inequality is the form
+    (a, -c).  There must be at least one form.
 
-    Depth-first scan with per-level interval tightening; suitable for the
-    simplex-like regions that arise here.
+    Depth-first scan with per-level interval tightening.  Partial sums are
+    carried down the levels; along the last coordinate each form steps by
+    its last coefficient, so a run of points is one zip of ranges.  The
+    stack is explicit, so no reference cycle is left behind.
     """
     k = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
-        return []
+        return
     if k == 0:
-        return [()] if all(c <= 0 for _, c in ineqs) else []
-    # suffix_max[i][j]: largest possible contribution of coordinates >= j
-    suffix_max = []
-    for a, _ in ineqs:
-        sm = [0] * (k + 1)
-        for j in range(k - 1, -1, -1):
-            sm[j] = sm[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
-        suffix_max.append(sm)
-    out = []
-
-    def descend(j, prefix, partials):
+        if all(c <= 0 for _, c in ineqs):
+            yield tuple(f0 for _, f0 in forms)
+        return
+    # rest[j][i]: largest possible contribution of coordinates >= j to inequality i
+    rest = [[0] * len(ineqs) for _ in range(k + 1)]
+    for j in range(k - 1, -1, -1):
+        rest[j] = [r + max(a[j] * lo[j], a[j] * hi[j]) for r, (a, _) in zip(rest[j + 1], ineqs)]
+    a_cols = [[a[j] for a, _ in ineqs] for j in range(k)]
+    f_cols = [[f[j] for f, _ in forms] for j in range(k)]
+    stack = [(0, [0] * len(ineqs), [f0 for _, f0 in forms])]
+    while stack:
+        j, partials, values = stack.pop()
         lo_j, hi_j = lo[j], hi[j]
-        for idx, (a, c) in enumerate(ineqs):
-            rest = suffix_max[idx][j + 1]
-            aj = a[j]
-            need = c - partials[idx] - rest
-            if aj == 0:
-                if need > 0:
-                    return
-            elif aj > 0:
+        for (_, c), p, r, aj in zip(ineqs, partials, rest[j + 1], a_cols[j]):
+            need = c - p - r
+            if aj > 0:
                 lo_j = max(lo_j, -((-need) // aj))
-            else:
+            elif aj < 0:
                 hi_j = min(hi_j, need // aj)
+            elif need > 0:
+                hi_j = lo_j - 1
+                break
+        if lo_j > hi_j:
+            continue
         if j == k - 1:   # the tightened interval is exact at the last coordinate
-            out.extend(prefix + (t,) for t in range(lo_j, hi_j + 1))
-            return
-        for t in range(lo_j, hi_j + 1):
-            descend(j + 1, prefix + (t,),
-                    [p + a[j] * t for p, (a, _) in zip(partials, ineqs)])
-
-    descend(0, (), [0] * len(ineqs))
-    return out
+            n = hi_j - lo_j + 1
+            runs = [range(v + s * lo_j, v + s * (hi_j + 1), s) if s else repeat(v, n)
+                    for v, s in zip(values, f_cols[j])]
+            yield from zip(*runs)
+            continue
+        # pushed in reverse, so the points come out in lexicographic order
+        for t in range(hi_j, lo_j - 1, -1):
+            stack.append((j + 1, [p + a * t for p, a in zip(partials, a_cols[j])],
+                          [v + f * t for v, f in zip(values, f_cols[j])]))
 
 
 class LatticePolytope:
@@ -131,8 +145,9 @@ class LatticePolytope:
         self._pulls = {}  # (vertex index set, reverse) -> pulling triangulation
         self._polar = None
         self._lattice_points = None
+        self._table = None  # {facet index set: lex-sorted lattice points}, set by _points
         self._reflexive = None
-        self._labels = {}  # k -> {facet index set: lex-sorted points of kP}
+        self._labels = {}  # k -> the table of kP, for each k asked for
 
     # -- basic structure ---------------------------------------------------
 
@@ -232,15 +247,20 @@ class LatticePolytope:
     def all_faces(self):
         """Every nonempty face (the polytope itself included), by dimension,
         then by sorted vertex indices: the facet vertex sets closed under
-        intersection."""
+        intersection.  A face's facets are its largest proper faces, among
+        its intersections with the facets that do not contain it, so
+        dim F = 1 + max dim(F & t) over those t, with dim(empty) = -1."""
         if self._faces is None:
             if self.is_empty:
                 raise PreconditionError("faces of the empty polytope")
             facet_sets = [t for _, _, t in self.facets()] if self.dim > 0 else []
-            faces = [Face(self, s, _affine_dim([self.vertices[i] for i in s]),
-                          frozenset(i for i, t in enumerate(facet_sets) if s <= t))
-                     for s in face_closure(frozenset(range(len(self.vertices))), facet_sets)
-                     if s]
+            dims = {}
+            for s in sorted(face_closure(frozenset(range(len(self.vertices))), facet_sets),
+                            key=len):  # F & t is smaller than F, so its dim is known
+                dims[s] = 1 + max((dims[s & t] for t in facet_sets if not s <= t),
+                                  default=-1) if s else -1
+            faces = [Face(self, s, dim, frozenset(i for i, t in enumerate(facet_sets) if s <= t))
+                     for s, dim in dims.items() if s]
             faces.sort(key=lambda f: (f.dim, sorted(f.vertex_indices)))
             self._faces = faces
         return self._faces
@@ -284,40 +304,55 @@ class LatticePolytope:
             out.append((a, c))
         return out
 
-    def _points(self, strict: bool):
+    def _scan(self, strict: bool):
+        """(rows, tight): one unsorted row per integer point x of P (of its
+        relative interior when strict), x followed by its slacks at the
+        facets in tight, those with an integer rhs unless strict (no other
+        facet is tight at a lattice point)."""
         if self.is_empty:
-            return []
+            return [], []
         base, basis, anchor = self._span_data()
         if anchor is None:
-            return []
+            return [], []
         k = len(basis)
         if k == 0:
-            x = tuple(int(v) for v in self.vertices[0]) if self.is_lattice else None
-            return [x] if x is not None else []
+            return [anchor], []
         tcoords = [self._to_span_coords(v) for v in self.vertices]
         if anchor != base:  # the box is read relative to the anchor
             origin = self._to_span_coords(anchor)
             tcoords = [[a - o for a, o in zip(t, origin)] for t in tcoords]
         lo = [_ceil(min(t[j] for t in tcoords)) for j in range(k)]
         hi = [_floor(max(t[j] for t in tcoords)) for j in range(k)]
-        ineqs = []
-        for a, c in self._span_inequalities():
-            if strict:
-                ineqs.append((a, _floor(c) + 1))
-            else:
-                ineqs.append((a, _ceil(c)))
-        pts = _enumerate_integer_points(ineqs, lo, hi)
-        out = []
-        for t in pts:
-            x = tuple(anchor[i] + sum(t[j] * basis[j][i] for j in range(k))
-                      for i in range(self.ambient_dim))
-            out.append(x)
-        out.sort()
-        return out
+        span_ineqs = self._span_inequalities()
+        ineqs = [(a, _floor(c) + 1 if strict else _ceil(c)) for a, c in span_ineqs]
+        # the anchor is integral, so c is an integer exactly when the rhs is
+        tight = [] if strict else [i for i, (_, c) in enumerate(span_ineqs)
+                                   if c.denominator == 1]
+        # x = anchor + sum_j t_j b_j, one form per ambient coordinate
+        forms = [(tuple(b[i] for b in basis), anchor[i]) for i in range(self.ambient_dim)]
+        forms += [(span_ineqs[i][0], -int(span_ineqs[i][1])) for i in tight]
+        return _enumerate_integer_points(ineqs, lo, hi, forms), tight
+
+    def _points(self, strict: bool):
+        """The integer points of P (of its relative interior when strict),
+        in lexicographic order.  Unless strict, the same scan labels each
+        point by its zero slacks into the table of ``labelled_points``."""
+        rows, tight = self._scan(strict)
+        if strict:
+            return sorted(rows)
+        d = self.ambient_dim
+        points, groups = [], {}
+        for row in rows:
+            x = row[:d]
+            points.append(x)
+            groups.setdefault(tuple(compress(tight, map(not_, row[d:]))), []).append(x)
+        self._table = {frozenset(label): tuple(sorted(pts)) for label, pts in groups.items()}
+        points.sort()
+        return points
 
     def lattice_points(self):
         """All integer points, in lexicographic order (a fresh list; the
-        enumeration runs once per polytope)."""
+        enumeration runs once per polytope, and labels the points)."""
         if self._lattice_points is None:
             self._lattice_points = self._points(strict=False)
         return list(self._lattice_points)
@@ -328,25 +363,17 @@ class LatticePolytope:
 
     def labelled_points(self, k: int = 1):
         """{facet index set: lex-sorted tuple of the lattice points of kP
-        tight at exactly those facets}, built on first use from one
-        enumeration of kP.
+        tight at exactly those facets}, from the one scan of kP.
 
         The points labelled with the facet set of a face theta are those in
         the relative interior of k*theta.  The table is shared: read only.
         """
         table = self._labels.get(k)
         if table is None:
-            points = self.lattice_points() if k == 1 else self.dilate(k).lattice_points()
-            # a facet whose k*rhs is not an integer is tight at no lattice point
-            rows = [(i, n, int(k * r)) for i, (n, r, _) in
-                    enumerate(self.facets() if self.dim > 0 else [])
-                    if Fraction(k * r).denominator == 1]
-            table = {}
-            for x in points:
-                label = frozenset(i for i, n, c in rows
-                                  if sum(a * b for a, b in zip(x, n)) == c)
-                table.setdefault(label, []).append(x)
-            table = self._labels[k] = {label: tuple(pts) for label, pts in table.items()}
+            kp = self if k == 1 else self.dilate(k)
+            if kp._lattice_points is None:
+                kp._lattice_points = kp._points(strict=False)
+            table = self._labels[k] = kp._table
         return table
 
     def labelled_dilations(self):
@@ -582,16 +609,13 @@ def cone_rays(rows, dim):
     tight at the ray, or None when the integer rows do not span Q^dim.
     """
     rows = [tuple(r) for r in rows]
-    # the pivot columns of the transpose are the lex-first basis of the rows
-    start = lattice._eliminate([list(c) for c in zip(*rows)], len(rows))[1]
+    # start from the simplex cone of the lex-first basis of the rows: its
+    # ray i is tight at every basis row but the i-th
+    start, duals = lattice.dual_rows(rows, dim)
     if len(start) < dim:
         return None
-    rays = []
-    for i in start:
-        y = lattice.integer_kernel([list(rows[j]) for j in start if j != i], ncols=dim)[0]
-        if lattice.pairing(rows[i], y) < 0:
-            y = tuple(-x for x in y)
-        rays.append((y, sum(1 << j for j in start if j != i)))
+    full = sum(1 << j for j in start)
+    rays = [(y, full ^ 1 << i) for i, y in zip(start, duals)]
     for j in sorted(set(range(len(rows))) - set(start)):
         a, bit = rows[j], 1 << j
         vals = [sum(x * z for x, z in zip(a, y)) for y, _ in rays]

@@ -439,11 +439,12 @@ class ThreefoldAnalysis:
     def _block_entries(self, rb: H3Block, cb: H3Block, a: int):
         """The rb.dim x cb.dim sub-block of gram(a, 3 - a) between two blocks."""
         scale, cup, k = self._block_factor(rb, cb, a)
+        zero = PairingValue(Fraction(0), k)
         if not scale:
-            zero = PairingValue(Fraction(0), k)
             return [[zero] * cb.dim for _ in range(rb.dim)]
         eta = cup.eta_monomial
-        return [[PairingValue(scale * eta(tuple(map(add, ea, eb))), k)
+        # most traces vanish; those entries share one zero value
+        return [[PairingValue(scale * v, k) if (v := eta(tuple(map(add, ea, eb)))) else zero
                  for eb in cb.basis_exponents]
                 for ea in rb.basis_exponents]
 

@@ -428,6 +428,35 @@ def test_face_counts_verify(tmp_path, capsys, monkeypatch, command, name):
     assert json.loads(out)["verification"] == {"face_counts_match_per_face_enumeration": False}
 
 
+def test_h_p2_verify(tmp_path, capsys, monkeypatch):
+    """--verify recounts the tables of the section polytope that h-p2 read;
+    a wrong table shows as a failed check."""
+    doc = fixture("sec6_polytope.json")
+    doc["p"] = 3
+    doc["refinement"] = "mpcp"
+    path = write(tmp_path, "hp2.json", doc)
+    code, plain, _ = run(capsys, "hodge", "h-p2", "--input", path)
+    assert code == 0
+    code, out, _ = run(capsys, "hodge", "h-p2", "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == {"face_counts_match_per_face_enumeration": True}
+    assert report == json.loads(plain)
+
+    labelled = LatticePolytope.labelled_points
+
+    def adding(self, k=1):
+        table = dict(labelled(self, k))
+        label = min(table, key=lambda facets: (len(table[facets]), sorted(facets)))
+        table[label] += ((0,) * self.ambient_dim,)
+        return table
+
+    monkeypatch.setattr(LatticePolytope, "labelled_points", adding)
+    code, out, _ = run(capsys, "hodge", "h-p2", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"face_counts_match_per_face_enumeration": False}
+
+
 def test_output_to_file_and_determinism(tmp_path, capsys):
     path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
     out1 = tmp_path / "a.json"

@@ -1,0 +1,262 @@
+"""Differential tests of the lattice-point scan and of what it no longer
+recomputes.
+
+The references below are the routes the package used before the scan
+carried its slacks: a recursive scan that returns the points alone, the
+values of affine forms (ambient coordinates, and slacks, which are the
+monomial exponents of ``CoxRing.monomial_basis``) as dot products per point,
+and facet labels as one pairing per point and facet.  Face dimensions are checked
+against a rank per face, start rays and wall normals against one Smith
+normal form per kernel.
+"""
+
+import gc
+import random
+from fractions import Fraction
+from math import ceil, floor
+
+import pytest
+
+from semitoric import catalog, lattice, polytope
+from semitoric.fan import Fan
+from semitoric.polytope import LatticePolytope, _enumerate_integer_points, cone_rays
+
+from .test_double_description import ref_affine_dim
+
+SEED = 20261018
+
+
+# -- references ------------------------------------------------------------------
+
+
+def ref_scan(ineqs, lo, hi):
+    """All integer points t of the box with a·t >= c for each (a, c)."""
+    k = len(lo)
+    if any(l > h for l, h in zip(lo, hi)):
+        return []
+    if k == 0:
+        return [()] if all(c <= 0 for _, c in ineqs) else []
+    suffix_max = []
+    for a, _ in ineqs:
+        sm = [0] * (k + 1)
+        for j in range(k - 1, -1, -1):
+            sm[j] = sm[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
+        suffix_max.append(sm)
+    out = []
+
+    def descend(j, prefix, partials):
+        lo_j, hi_j = lo[j], hi[j]
+        for idx, (a, c) in enumerate(ineqs):
+            need = c - partials[idx] - suffix_max[idx][j + 1]
+            if a[j] == 0:
+                if need > 0:
+                    return
+            elif a[j] > 0:
+                lo_j = max(lo_j, -((-need) // a[j]))
+            else:
+                hi_j = min(hi_j, need // a[j])
+        if j == k - 1:
+            out.extend(prefix + (t,) for t in range(lo_j, hi_j + 1))
+            return
+        for t in range(lo_j, hi_j + 1):
+            descend(j + 1, prefix + (t,),
+                    [p + a[j] * t for p, (a, _) in zip(partials, ineqs)])
+
+    descend(0, (), [0] * len(ineqs))
+    return out
+
+
+def ref_points(poly, strict):
+    """Lex-sorted integer points of P (of its relative interior when strict),
+    as ambient coordinates computed per point."""
+    if poly.is_empty:
+        return []
+    base, basis, anchor = poly._span_data()
+    if anchor is None:
+        return []
+    k = len(basis)
+    if k == 0:
+        return [tuple(int(v) for v in poly.vertices[0])] if poly.is_lattice else []
+    tcoords = [poly._to_span_coords(v) for v in poly.vertices]
+    if anchor != base:
+        origin = poly._to_span_coords(anchor)
+        tcoords = [[a - o for a, o in zip(t, origin)] for t in tcoords]
+    lo = [ceil(min(t[j] for t in tcoords)) for j in range(k)]
+    hi = [floor(max(t[j] for t in tcoords)) for j in range(k)]
+    ineqs = [(a, floor(c) + 1 if strict else ceil(c)) for a, c in poly._span_inequalities()]
+    return sorted(tuple(anchor[i] + sum(t[j] * basis[j][i] for j in range(k))
+                        for i in range(poly.ambient_dim))
+                  for t in ref_scan(ineqs, lo, hi))
+
+
+def ref_labelled(poly, k):
+    """{facet index set: lex-sorted points of kP tight at exactly those
+    facets}, one pairing per point and facet."""
+    kp = poly.dilate(k)
+    rows = [(i, n, int(k * r)) for i, (n, r, _) in
+            enumerate(poly.facets() if poly.dim > 0 else [])
+            if Fraction(k * r).denominator == 1]
+    table = {}
+    for x in ref_points(kp, strict=False):
+        label = frozenset(i for i, n, c in rows if lattice.pairing(x, n) == c)
+        table.setdefault(label, []).append(x)
+    return {label: tuple(pts) for label, pts in table.items()}
+
+
+def random_polytope(rng):
+    """A polytope of dimension 0-4 in Z^1-Z^4, with rational vertices in a
+    third of the draws."""
+    n = rng.randint(1, 4)
+    k = rng.randint(0, n)
+    den = rng.choice((1, 1, 2, 3))
+    base = [Fraction(rng.randint(-3, 3), den) for _ in range(n)]
+    dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+    return LatticePolytope([
+        tuple(b + sum(Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) * u[i] for u in dirs)
+              for i, b in enumerate(base))
+        for _ in range(rng.randint(1, k + 4))])
+
+
+# -- the scan ----------------------------------------------------------------------
+
+
+def test_scan_values_match_the_forms_at_the_reference_points():
+    rng = random.Random(SEED)
+    for _ in range(300):
+        k = rng.randint(0, 4)
+        lo = [rng.randint(-3, 1) for _ in range(k)]
+        hi = [rng.randint(-1, 3) for _ in range(k)]
+        ineqs = [(tuple(rng.randint(-2, 2) for _ in range(k)), rng.randint(-4, 2))
+                 for _ in range(rng.randint(0, 5))]
+        forms = [(tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(-5, 5))
+                 for _ in range(rng.randint(1, 4))]
+        want = [tuple(lattice.pairing(f, t) + f0 for f, f0 in forms)
+                for t in ref_scan(ineqs, lo, hi)]
+        assert list(_enumerate_integer_points(ineqs, lo, hi, forms)) == want
+        coords = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
+        if k:
+            assert list(_enumerate_integer_points(ineqs, lo, hi, coords)) == ref_scan(ineqs, lo, hi)
+
+
+def test_points_and_labels_match_reference_on_random_polytopes():
+    rng = random.Random(SEED + 1)
+    seen = set()
+    for _ in range(150):
+        poly = random_polytope(rng)
+        seen.add((poly.ambient_dim, poly.dim, poly.is_lattice))
+        assert poly.lattice_points() == ref_points(poly, strict=False)
+        assert poly.relative_interior_points() == ref_points(poly, strict=True)
+        assert poly.labelled_dilations() == set()
+        for k in (1, 2, 3):
+            assert poly.labelled_points(k) == ref_labelled(poly, k)
+        assert poly.labelled_dilations() == {1, 2, 3}
+    assert {d for _, d, _ in seen} == {0, 1, 2, 3, 4}
+    assert {n for n, _, _ in seen} == {1, 2, 3, 4}
+    assert {lat for _, _, lat in seen} == {False, True}
+
+
+def test_one_scan_serves_points_and_labels(monkeypatch):
+    p = LatticePolytope([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)])
+    scans = []
+    scan = polytope._enumerate_integer_points
+    monkeypatch.setattr(polytope, "_enumerate_integer_points",
+                        lambda *args: scans.append(args) or scan(*args))
+    points = p.lattice_points()
+    table = p.labelled_points(1)
+    assert p.lattice_points() == points
+    assert len(scans) == 1
+    q = LatticePolytope(p.vertices)
+    assert q.labelled_points(1) == table and q.lattice_points() == points
+    assert len(scans) == 2
+
+
+def test_lattice_points_leave_no_reference_cycle():
+    for poly in (catalog.sec6_polytope(), catalog.cube(3).dilate(2),
+                 LatticePolytope([(Fraction(1, 2), 0, 1), (3, 2, 1), (0, 3, 1)])):
+        poly.facets()
+        gc.collect()
+        gc.disable()
+        try:
+            poly.lattice_points()
+            poly.relative_interior_points()
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+
+
+# -- face dimensions ---------------------------------------------------------------
+
+
+def test_face_dimensions_match_ranks(monkeypatch):
+    rng = random.Random(SEED + 3)
+    polys = [random_polytope(rng) for _ in range(80)]
+    polys += [catalog.sec6_polytope(), catalog.cube(4), catalog.cross_polytope(4)]
+    ranks = []
+    rank = lattice.matrix_rank
+    monkeypatch.setattr(lattice, "matrix_rank", lambda rows: ranks.append(rows) or rank(rows))
+    for poly in polys:
+        if poly.is_empty:
+            continue
+        if poly.dim > 0:
+            poly.facets()
+        ranks.clear()
+        faces = poly.all_faces()
+        assert ranks == []
+        for face in faces:
+            assert face.dim == ref_affine_dim(face.vertices())
+        assert faces[-1].dim == poly.dim
+
+
+# -- start rays and wall normals ---------------------------------------------------
+
+
+def test_start_rays_match_integer_kernels():
+    rng = random.Random(SEED + 4)
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
+        if lattice.matrix_rank(basis) < dim:
+            continue
+        pivots, duals = lattice.dual_rows(basis, dim)
+        assert pivots == list(range(dim))
+        for i, y in enumerate(duals):
+            want = lattice.integer_kernel([basis[j] for j in range(dim) if j != i], ncols=dim)[0]
+            if lattice.pairing(basis[i], want) < 0:
+                want = tuple(-x for x in want)
+            assert y == want
+
+
+def test_cone_rays_take_no_smith_normal_form(monkeypatch):
+    rows = [n + (-int(r),) for n, r, _ in catalog.cube(4).facets()] + [(0,) * 4 + (1,)]
+    forms = []
+    snf = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda a: forms.append(a) or snf(a))
+    rays = cone_rays(rows, 5)
+    assert len([y for y, _ in rays if y[-1] > 0]) == 16   # the vertices
+    assert forms == []
+
+
+WALL_FANS = {
+    "P1": catalog.projective_line, "P2": catalog.projective_plane,
+    "P3": lambda: catalog.projective_space(3), "P4": lambda: catalog.projective_space(4),
+    "BlP2": catalog.blowup_p2, "F2": lambda: catalog.hirzebruch(2), "BlP3": catalog.blowup_p3,
+    "P123": lambda: catalog.weighted_projective((1, 2, 3)), "P11222": catalog.p11222_fan,
+    "P11222-crepant": catalog.p11222_crepant_fan, "P11222-triple": catalog.p11222_triple_fan,
+    "P2xP1": lambda: catalog.product_fan(catalog.projective_plane(), catalog.projective_line()),
+    "octahedron-normal-fan": lambda: catalog.cross_polytope(3).normal_fan(),
+}
+
+
+@pytest.mark.parametrize("name", WALL_FANS)
+def test_wall_normals_match_integer_kernels(name):
+    fan = WALL_FANS[name]()
+    walls = fan._facet_incidence()
+    assert walls
+    for tau in walls:
+        rays = [fan.rays[i] for i in tau]
+        pivots, duals = lattice.dual_rows(rays, fan.dim)
+        assert len(pivots) == fan.dim - 1 == len(duals) - 1
+        want = lattice.integer_kernel(rays, ncols=fan.dim)
+        assert len(want) == 1 and duals[-1] in (want[0], tuple(-x for x in want[0]))
+    assert Fan(fan.rays, fan.max_cones).is_complete

@@ -33,10 +33,9 @@ def cone_rows(generators, dim):
     """Rows h with cone(generators) = {x : <h, x> >= 0 for every h}: the
     facet normals inside the linear span, then its equations, both signs."""
     gens = [tuple(g) for g in generators if any(g)]
-    basis = lattice.saturation_basis(gens, dim)
-    rows = [n for n, _ in _facets_in_span(gens, basis, affine=False)] if basis else []
-    equations = lattice.integer_kernel(basis, ncols=dim)
-    return rows + equations + [tuple(-x for x in e) for e in equations]
+    k, W, C = lattice.frame(gens, dim)
+    rows = [n for n, _ in _facets_in_span(gens, W[:k], affine=False)] if k else []
+    return rows + C[k:] + [tuple(-x for x in e) for e in C[k:]]
 
 
 def cone_contains(generators, x) -> bool:
@@ -153,13 +152,6 @@ class Fan:
             self._rows[ci] = cone_rows(
                 [self.rays[i] for i in sorted(self.max_cones[ci])], self.dim)
         return self._rows[ci]
-
-    def _max_cone_facet_normals(self, ci):
-        """Facet normals of a maximal cone, inside its linear span: the rows
-        that do not vanish on every ray."""
-        gens = [self.rays[i] for i in self.max_cones[ci]]
-        return [h for h in self._max_cone_rows(ci)
-                if any(lattice.pairing(h, g) for g in gens)]
 
     def _faces_of_max_cone(self, ci):
         """Map {ray index frozenset -> dim} of all faces of max cone ci, the

@@ -3,6 +3,13 @@
 Vectors are plain tuples of Python ints, matrices are sequences of rows.
 Everything runs in arbitrary precision; there is no floating point and no
 fixed-width fast path.
+
+Every sublattice question is read off one frame: ``frame`` takes one Smith
+normal form U A V = D of the rows A and the inverse W of V.  The rows of W
+split into a basis of the saturated span of A and a complement, the dual
+columns of V into coordinates on that span and its equations (the integer
+kernel of A).  Saturated bases, integer kernels, star quotients and the
+lattice anchors of polytope spans in ``polytope.py`` each cost one frame.
 """
 
 from __future__ import annotations
@@ -189,14 +196,26 @@ def smith_normal_form(A):
     return U, D, V
 
 
-def invariant_factors(A) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form."""
-    _, D, _ = smith_normal_form(A)
-    out = []
-    for i in range(min(len(D), len(D[0]) if D else 0)):
-        if D[i][i] != 0:
-            out.append(D[i][i])
-    return out
+def frame(rows, dim):
+    """(k, W, C) from one Smith normal form U A V = D of the rows A in Z^dim:
+    W = V^-1 as rows and C the columns of V, so <W[i], C[j]> = delta_ij
+    (Cohen, "A Course in Computational Algebraic Number Theory", 1993,
+    section 2.4).  k is the rank; the rows W[:k] are a basis of
+    span_Q(rows) ∩ Z^dim and W[k:] complete it to a basis of Z^dim, C[k:]
+    is a basis of the integer kernel {x : A x = 0}, and <x, C[j]> is
+    coordinate j of x in the basis W.
+
+    Without rows, or at full rank, the frame is the unit one: the V of a
+    full-rank Smith form can carry large entries, and a polytope scans a
+    box in the coordinates of W."""
+    k, V = 0, None
+    if rows:
+        _, D, V = smith_normal_form([list(r) for r in rows])
+        k = sum(1 for i in range(min(len(D), dim)) if D[i][i])
+    if V is None or k == dim:
+        ident = [tuple(r) for r in _identity(dim)]
+        return k, ident, ident
+    return k, inverse_unimodular(V), [tuple(r[j] for r in V) for j in range(dim)]
 
 
 def cone_multiplicity(generators) -> int:
@@ -205,28 +224,20 @@ def cone_multiplicity(generators) -> int:
     gens = [tuple(g) for g in generators]
     if not gens:
         return 1
-    facs = invariant_factors(gens)
-    if len(facs) != len(gens):
-        raise PreconditionError("cone multiplicity requires linearly independent generators")
+    _, D, _ = smith_normal_form(gens)
     mult = 1
-    for f in facs:
-        mult *= f
+    for i in range(len(gens)):
+        if i >= len(D[0]) or not D[i][i]:
+            raise PreconditionError("cone multiplicity requires linearly independent generators")
+        mult *= D[i][i]
     return mult
 
 
 def integer_kernel(A, ncols=None):
     """Basis of the saturated lattice {x : A x = 0}."""
-    if not A:
-        n = ncols if ncols is not None else 0
-        return [tuple(r) for r in _identity(n)]
-    m, n = len(A), len(A[0])
-    _, D, V = smith_normal_form(A)
-    out = []
-    for j in range(n):
-        dj = D[j][j] if j < m else 0
-        if dj == 0:
-            out.append(tuple(V[i][j] for i in range(n)))
-    return out
+    n = len(A[0]) if A else (ncols or 0)
+    k, _, C = frame(A, n)
+    return C[k:]
 
 
 def dual_rows(vectors, dim):
@@ -242,38 +253,9 @@ def dual_rows(vectors, dim):
     return pivots, [primitivize([sign * x for x in row[n:]]) for row in a]
 
 
-def solve_integer(A, b):
-    """One integer solution of A x = b, or None."""
-    m, n = len(A), len(A[0]) if A else 0
-    U, D, V = smith_normal_form(A)
-    ub = [sum(U[i][k] * b[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(m):
-        di = D[i][i] if i < n else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return tuple(sum(V[i][j] * y[j] for j in range(n)) for i in range(n))
-
-
 def matrix_rank(rows) -> int:
     """Rank over the rationals, by fraction-free elimination."""
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
-
-
-def saturation_basis(rows, ambient_dim):
-    """Basis of span_Q(rows) ∩ Z^d (the saturation of the row lattice)."""
-    rows = [tuple(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    K = integer_kernel(rows, ncols=ambient_dim)
-    if not K:
-        return [tuple(r) for r in _identity(ambient_dim)]
-    return integer_kernel([list(k) for k in K], ncols=ambient_dim)
 
 
 def inverse_unimodular(A):
@@ -294,17 +276,8 @@ def quotient_projection(span_rows, ambient_dim):
     Returns (P, Q): P is a (d-s) x d integer matrix that is surjective onto
     Z^(d-s) with kernel the saturation of the span; Q is a d x (d-s) integer
     right inverse (P Q = I), used to transport pairings to the quotient.
+    From the frame (s, W, C) of the span: P = C[s:], and Q has the columns
+    W[s:].
     """
-    C = saturation_basis(span_rows, ambient_dim)
-    s = len(C)
-    d = ambient_dim
-    if s == 0:
-        ident = _identity(d)
-        return [tuple(r) for r in ident], [tuple(r) for r in ident]
-    _, D, V = smith_normal_form([list(r) for r in C])
-    if any(D[i][i] != 1 for i in range(s)):
-        raise ValidationError("span basis is not saturated")
-    P = [tuple(V[i][j] for i in range(d)) for j in range(s, d)]
-    W = inverse_unimodular(V)
-    Q = [tuple(W[s + k][j] for k in range(d - s)) for j in range(d)]
-    return P, Q
+    s, W, C = frame(span_rows, ambient_dim)
+    return C[s:], [tuple(w[i] for w in W[s:]) for i in range(ambient_dim)]

@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
+from math import lcm
 from operator import not_
+from typing import NamedTuple
 
 from . import lattice
 from .errors import PreconditionError, RationalVertexError, ValidationError
-from .linalg import solve_unique
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,10 @@ def _floor(q: Fraction) -> int:
 
 
 def _clear_denominators(vec):
-    from math import lcm
-
-    den = lcm(*[Fraction(x).denominator for x in vec]) if vec else 1
-    return tuple(int(Fraction(x) * den) for x in vec), den
+    """(w, den) with w = den * vec integral, den the lcm of the denominators
+    of the int or Fraction entries."""
+    den = lcm(*[x.denominator for x in vec])
+    return tuple(x.numerator * (den // x.denominator) for x in vec), den
 
 
 def _enumerate_integer_points(ineqs, lo, hi, forms):
@@ -168,51 +169,37 @@ class LatticePolytope:
     def is_lattice(self) -> bool:
         return all(x.denominator == 1 for v in self.vertices for x in v)
 
-    def require_lattice(self):
-        if not self.is_lattice:
-            raise RationalVertexError(
-                "operation requires a lattice polytope but vertices are rational")
-
     @property
     def dim(self) -> int:
         if self.is_empty:
             return -1
-        return len(self._span_data()[1])
+        return len(self._span_data().basis)
 
     def _span_data(self):
-        """(base point, direction-lattice basis rows, integer anchor or None)."""
+        """The affine span, from one ``lattice.frame`` of the vertex
+        differences: see ``_Span``.  Memoized."""
         if self._span is None:
-            base = self.vertices[0]
-            dirs = []
-            for v in self.vertices[1:]:
-                d, _ = _clear_denominators([x - y for x, y in zip(v, base)])
-                if any(d):
-                    dirs.append(d)
-            basis = _size_reduced(lattice.saturation_basis(dirs, self.ambient_dim))
-            anchor = self._integer_anchor(base, basis)
-            self._span = (base, basis, anchor)
+            base, d = self.vertices[0], self.ambient_dim
+            k, W, C = lattice.frame(
+                [_clear_denominators([x - y for x, y in zip(v, base)])[0]
+                 for v in self.vertices[1:]], d)
+            basis, coords = _size_reduced(W[:k], C[:k])
+            w, den = _clear_denominators(base)
+            levels = tuple(Fraction(lattice.pairing(w, e), den) for e in C[k:])
+            self._span = _Span(basis, coords, C[k:], W[k:], levels,
+                               _anchor(levels, W[k:], d))
         return self._span
 
-    def _integer_anchor(self, base, basis):
-        """Some lattice point of the affine span, or None."""
-        if all(x.denominator == 1 for x in base):
-            return tuple(int(x) for x in base)
-        constraints = lattice.integer_kernel([list(b) for b in basis],
-                                             ncols=self.ambient_dim)
-        if not constraints:
-            return (0,) * self.ambient_dim  # a full-dimensional span holds the origin
-        rhs = [sum(Fraction(c) * b for c, b in zip(row, base)) for row in constraints]
-        if any(q.denominator != 1 for q in rhs):
-            return None
-        return lattice.solve_integer([list(r) for r in constraints],
-                                     [int(q) for q in rhs])
-
     def _to_span_coords(self, x):
-        """Coordinates of ambient point x in the affine-span basis."""
-        base, basis, _ = self._span_data()
-        rel = [Fraction(a) - b for a, b in zip(x, base)]
-        cols = [[basis[j][i] for j in range(len(basis))] for i in range(self.ambient_dim)]
-        return solve_unique(cols, rel)
+        """Coordinates t of x = o + sum_j t_j b_j over the span basis b, o the
+        point of the affine span with zero coordinates, or None off the span."""
+        span = self._span_data()
+        w, den = _clear_denominators(x)
+        if any(lattice.pairing(w, e) * h.denominator != h.numerator * den
+               for e, h in zip(span.equations, span.levels)):
+            return None
+        t = [lattice.pairing(w, c) for c in span.coords]
+        return t if den == 1 else [Fraction(p, den) for p in t]
 
     # -- facets and faces --------------------------------------------------
 
@@ -228,7 +215,7 @@ class LatticePolytope:
             return self._facets
         if self.dim <= 0:
             raise PreconditionError("facets of an empty or 0-dimensional polytope")
-        _, basis, _ = self._span_data()
+        basis = self._span_data().basis
         facets = []
         for n, mask in _facets_in_span(self.vertices, basis, affine=True):
             tight = frozenset(i for i in range(len(self.vertices)) if mask >> i & 1)
@@ -293,14 +280,13 @@ class LatticePolytope:
 
     def _span_inequalities(self):
         """Facet inequalities transported to span coordinates: a·t >= c (rational)."""
-        k = self.dim
-        _, basis, anchor = self._span_data()
+        if self.dim == 0:
+            return []
+        span = self._span_data()
         out = []
-        if k == 0:
-            return out
         for n, r, _ in self.facets():
-            a = tuple(lattice.pairing(b, n) for b in basis)
-            c = Fraction(r) - lattice.pairing_q(anchor, n)
+            a = tuple(lattice.pairing(b, n) for b in span.basis)
+            c = Fraction(r) - lattice.pairing_q(span.anchor, n)
             out.append((a, c))
         return out
 
@@ -311,16 +297,15 @@ class LatticePolytope:
         facet is tight at a lattice point)."""
         if self.is_empty:
             return [], []
-        base, basis, anchor = self._span_data()
+        span = self._span_data()
+        basis, anchor = span.basis, span.anchor
         if anchor is None:
             return [], []
         k = len(basis)
         if k == 0:
             return [anchor], []
+        # the anchor has zero span coordinates, so t reads relative to it
         tcoords = [self._to_span_coords(v) for v in self.vertices]
-        if anchor != base:  # the box is read relative to the anchor
-            origin = self._to_span_coords(anchor)
-            tcoords = [[a - o for a, o in zip(t, origin)] for t in tcoords]
         lo = [_ceil(min(t[j] for t in tcoords)) for j in range(k)]
         hi = [_floor(max(t[j] for t in tcoords)) for j in range(k)]
         span_ineqs = self._span_inequalities()
@@ -381,14 +366,9 @@ class LatticePolytope:
         return set(self._labels)
 
     def contains(self, x) -> bool:
-        if self.is_empty:
+        if self.is_empty or self._to_span_coords(x) is None:
             return False
-        t = self._to_span_coords(x)
-        if t is None:
-            return False
-        if self.dim == 0:
-            return tuple(Fraction(a) for a in x) == self.vertices[0]
-        return all(lattice.pairing_q(x, n) >= r for n, r, _ in self.facets())
+        return self.dim == 0 or all(lattice.pairing_q(x, n) >= r for n, r, _ in self.facets())
 
     # -- metric and algebraic operations ------------------------------------
 
@@ -407,15 +387,16 @@ class LatticePolytope:
 
     def dilate(self, factor: int) -> "LatticePolytope":
         """factor * P; known facets and span carry over (scaled right-hand
-        sides, the same lattice basis), as scaling keeps the vertex order."""
+        sides and levels, the same frame; only the anchor is new), as
+        scaling keeps the vertex order."""
         if factor < 1:
             raise ValidationError("dilation factor must be a positive integer")
         out = LatticePolytope([tuple(x * factor for x in v) for v in self.vertices],
                               _trusted=True)
         if self._span is not None:
-            base, basis, _ = self._span
-            base = tuple(x * factor for x in base)
-            out._span = (base, basis, out._integer_anchor(base, basis))
+            levels = tuple(h * factor for h in self._span.levels)
+            out._span = self._span._replace(levels=levels, anchor=_anchor(
+                levels, self._span.complement, self.ambient_dim))
         if self._facets is not None:
             out._facets = [(n, r * factor, t) for n, r, t in self._facets]
         return out
@@ -537,14 +518,40 @@ class Face:
         return f"Face(dim={self.dim}, vertices={sorted(self.vertex_indices)})"
 
 
-def _size_reduced(basis):
-    """The same lattice, spanned by shorter rows: b_i -= q b_j with q the
-    integer nearest <b_i, b_j> / <b_j, b_j>, while some row shrinks.
+class _Span(NamedTuple):
+    """The affine span o + span(basis) of a polytope, read off one frame.
 
-    Saturation bases of small sublattices can carry 9-digit entries, and the
+    The rows b_i and w_j are a basis of Z^d, the rows c_i and e_j its dual
+    basis: <b_i, c_i> = <w_j, e_j> = 1 and every other pairing is 0.  The
+    span is {x : <x, e_j> = h_j}, h_j the levels, and on it
+    x = o + sum_i <x, c_i> b_i with o = sum_j h_j w_j.  The point o is in
+    Z^d, and is the anchor, exactly when every level is an integer."""
+
+    basis: list        # b_i: a basis of the direction lattice
+    coords: list       # c_i: coordinates on the span
+    equations: list    # e_j: a basis of the lattice orthogonal to the span
+    complement: list   # w_j
+    levels: tuple      # h_j, Fractions
+    anchor: tuple      # o as ints, or None
+
+
+def _anchor(levels, complement, dim):
+    """sum_j h_j w_j, or None when some level h_j is not an integer."""
+    if any(h.denominator != 1 for h in levels):
+        return None
+    return tuple(sum(h.numerator * w[i] for h, w in zip(levels, complement))
+                 for i in range(dim))
+
+
+def _size_reduced(basis, coords):
+    """The same lattice, spanned by shorter rows: b_i -= q b_j with q the
+    integer nearest <b_i, b_j> / <b_j, b_j>, while some row shrinks; the
+    dual rows follow, c_j += q c_i, so <b_i, c_j> = delta_ij still.
+
+    Frame bases of small sublattices can carry 9-digit entries, and the
     point enumeration scans a box in the coordinates of the basis.
     """
-    rows = [list(b) for b in basis]
+    rows, duals = [list(b) for b in basis], [list(c) for c in coords]
     shrunk = True
     while shrunk:
         shrunk = False
@@ -556,8 +563,9 @@ def _size_reduced(basis):
                 if 2 * abs(dot) > norm:
                     q = (2 * dot + norm) // (2 * norm)
                     bi[:] = [x - q * y for x, y in zip(bi, bj)]
+                    duals[j][:] = [x + q * y for x, y in zip(duals[j], duals[i])]
                     shrunk = True
-    return [tuple(b) for b in rows]
+    return [tuple(b) for b in rows], [tuple(c) for c in duals]
 
 
 def face_closure(top, tight_sets):
@@ -665,9 +673,8 @@ def vertices_from_inequalities(h: HPolytope) -> LatticePolytope:
     d = h.dim
     rays = cone_rays([n + (-r,) for n, r in h.inequalities] + [(0,) * d + (1,)], d + 1)
     if rays is None:  # the normals have rank k < d: test feasibility in their span
-        basis = lattice.saturation_basis([n for n, _ in h.inequalities], d)
-        rows = [[lattice.pairing(b, n) for b in basis] + [-r] for n, r in h.inequalities]
-        k = len(basis)
+        k, W, _ = lattice.frame([n for n, _ in h.inequalities], d)
+        rows = [[lattice.pairing(b, n) for b in W[:k]] + [-r] for n, r in h.inequalities]
         if any(y[-1] > 0 for y, _ in cone_rays(rows + [[0] * k + [1]], k + 1)):
             raise PreconditionError("inequality system is feasible but unbounded")
         rays = []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,18 +107,58 @@ def test_integer_kernel():
         assert sum(k) == 0
 
 
+def ref_integer_kernel(A, ncols):
+    """Basis of {x : A x = 0} read off its own Smith normal form."""
+    if not A:
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
+    m, n = len(A), len(A[0])
+    _, D, V = lattice.smith_normal_form(A)
+    return [tuple(V[i][j] for i in range(n)) for j in range(n) if j >= m or D[j][j] == 0]
+
+
+def ref_saturation_basis(rows, dim):
+    """Basis of span_Q(rows) ∩ Z^dim as a kernel of a kernel."""
+    rows = [tuple(r) for r in rows if any(r)]
+    if not rows:
+        return []
+    K = ref_integer_kernel(rows, dim)
+    if not K:
+        return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    return ref_integer_kernel(K, dim)
+
+
+def ref_solve_integer(A, b):
+    """One integer solution of A x = b, or None, from the Smith normal form."""
+    m, n = len(A), len(A[0]) if A else 0
+    U, D, V = lattice.smith_normal_form(A)
+    ub = [sum(U[i][k] * b[k] for k in range(m)) for i in range(m)]
+    y = [0] * n
+    for i in range(m):
+        di = D[i][i] if i < n else 0
+        if di == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % di != 0:
+                return None
+            y[i] = ub[i] // di
+    return tuple(sum(V[i][j] * y[j] for j in range(n)) for i in range(n))
+
+
 def test_solve_integer():
-    x = lattice.solve_integer([[2, 0], [0, 3]], [4, 9])
+    x = ref_solve_integer([[2, 0], [0, 3]], [4, 9])
     assert x == (2, 3)
-    assert lattice.solve_integer([[2, 0], [0, 2]], [1, 2]) is None
+    assert ref_solve_integer([[2, 0], [0, 2]], [1, 2]) is None
 
 
 def test_saturation_basis():
-    B = lattice.saturation_basis([[0, -2, -2, -2], [1, 0, 0, 0]], 4)
+    B = ref_saturation_basis([[0, -2, -2, -2], [1, 0, 0, 0]], 4)
     assert len(B) == 2
     # (0,1,1,1) generates the saturation together with e1
-    span = {tuple(b) for b in B}
-    assert lattice.solve_integer([list(b) for b in zip(*B)], [0, 1, 1, 1]) is not None
+    assert ref_solve_integer([list(b) for b in zip(*B)], [0, 1, 1, 1]) is not None
+    k, W, _ = lattice.frame([[0, -2, -2, -2], [1, 0, 0, 0]], 4)
+    assert k == 2
+    assert ref_solve_integer([list(b) for b in zip(*W[:k])], [0, 1, 1, 1]) is not None
 
 
 def test_quotient_projection():
@@ -130,3 +171,36 @@ def test_quotient_projection():
     for k, q in enumerate(zip(*Q)):
         img = tuple(lattice.pairing(p, q) for p in P)
         assert img == tuple(int(i == k) for i in range(2))
+
+
+def _frame_cases(rng):
+    """Integer matrices with d = 1..5: no rows, zero rows, repeated rows,
+    rank deficiency and more rows than columns."""
+    for d in range(1, 6):
+        yield [], d
+        yield [[0] * d], d
+        for _ in range(40):
+            gens = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, d))]
+            rows = [[sum(rng.randint(-1, 1) * g[i] for g in gens) for i in range(d)]
+                    for _ in range(rng.randint(1, d + 3))]
+            rows += [list(rows[0])] + ([[0] * d] if rng.random() < 0.3 else [])
+            rng.shuffle(rows)
+            yield rows, d
+
+
+def test_frame_matches_the_smith_oracles():
+    rng = random.Random(13)
+    for rows, d in _frame_cases(rng):
+        k, W, C = lattice.frame(rows, d)
+        assert k == (lattice.matrix_rank(rows) if rows else 0)
+        assert [[lattice.pairing(w, c) for c in C] for w in W] \
+            == [[int(i == j) for j in range(d)] for i in range(d)]
+        ref = ref_saturation_basis(rows, d)
+        assert len(ref) == k
+        for a, b in ((W[:k], ref), (ref, W[:k])):  # each basis spans the other
+            for row in a:
+                assert ref_solve_integer([list(c) for c in zip(*b)], list(row)) is not None
+        assert C[k:] == lattice.integer_kernel(rows, ncols=d) == ref_integer_kernel(rows, d)
+        x = [rng.randint(-9, 9) for _ in range(d)]
+        t = [lattice.pairing(x, c) for c in C]
+        assert [sum(tj * w[i] for tj, w in zip(t, W)) for i in range(d)] == x

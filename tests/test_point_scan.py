@@ -71,16 +71,14 @@ def ref_points(poly, strict):
     as ambient coordinates computed per point."""
     if poly.is_empty:
         return []
-    base, basis, anchor = poly._span_data()
+    span = poly._span_data()
+    basis, anchor = span.basis, span.anchor
     if anchor is None:
         return []
     k = len(basis)
     if k == 0:
         return [tuple(int(v) for v in poly.vertices[0])] if poly.is_lattice else []
-    tcoords = [poly._to_span_coords(v) for v in poly.vertices]
-    if anchor != base:
-        origin = poly._to_span_coords(anchor)
-        tcoords = [[a - o for a, o in zip(t, origin)] for t in tcoords]
+    tcoords = [poly._to_span_coords(v) for v in poly.vertices]  # 0 at the anchor
     lo = [ceil(min(t[j] for t in tcoords)) for j in range(k)]
     hi = [floor(max(t[j] for t in tcoords)) for j in range(k)]
     ineqs = [(a, floor(c) + 1 if strict else ceil(c)) for a, c in poly._span_inequalities()]

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from semitoric import lattice
-from semitoric.errors import PreconditionError
+from semitoric.errors import PreconditionError, ValidationError
 from semitoric.polytope import Face, HPolytope, LatticePolytope, vertices_from_inequalities
 
 
@@ -171,11 +171,11 @@ def test_interior_points_partition_the_dilates():
 
 
 def test_span_basis_of_a_skew_triangle_is_size_reduced():
-    """The saturation basis of this triangle's span has 9-digit entries; the
+    """A saturation basis of this triangle's span had 9-digit entries; the
     enumeration box in those coordinates took over a minute to scan."""
     verts = [(-3, 5, 7, -4), (8, 2, 3, -2), (9, -3, 4, -10)]
     tri = LatticePolytope(verts)
-    _, basis, _ = tri._span_data()
+    basis = tri._span_data().basis
     assert max(abs(x) for b in basis for x in b) < 20
     box = [range(min(v[i] for v in verts), max(v[i] for v in verts) + 1) for i in range(4)]
     brute = sorted(x for x in product(*box) if tri.contains(x))
@@ -291,3 +291,56 @@ def test_normal_fan_face_cone_bijection():
             if gamma.ray_indices <= bigger.ray_indices:
                 sub = cube.face_at_direction(bigger.relint_point())
                 assert sub.vertex_indices <= face.vertex_indices
+
+
+def test_segment_off_the_lattice():
+    """The span of (1/2, 0)-(1/2, 1) holds no lattice point; twice it does."""
+    half = Fraction(1, 2)
+    seg = LatticePolytope([(half, 0), (half, 1)])
+    assert seg._span_data().anchor is None
+    assert seg.lattice_points() == [] and seg.relative_interior_points() == []
+    assert seg.normalized_volume() == 1
+    assert seg.contains((half, half))
+    assert not seg.contains((0, 0))
+    assert not seg.contains((half, 2))
+    double = seg.dilate(2)
+    assert double._span_data().anchor is not None
+    assert double.lattice_points() == [(1, 0), (1, 1), (1, 2)]
+
+
+def test_contains_of_a_point_polytope():
+    pt = LatticePolytope([(1, Fraction(2, 3), -4)])
+    assert pt.dim == 0
+    assert pt.contains((1, Fraction(2, 3), -4))
+    assert not pt.contains((1, 0, -4))
+    assert pt.lattice_points() == []
+    assert LatticePolytope([(1, 2)]).lattice_points() == [(1, 2)]
+
+
+def test_contains_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(ValidationError):
+        unit_simplex(3).contains((0, 0))
+    with pytest.raises(ValidationError):
+        LatticePolytope([(1, 2)]).contains((1, 2, 3))
+
+
+def test_span_takes_one_smith_form_and_scans_without_solves(monkeypatch):
+    from semitoric import linalg
+
+    forms, solves = [], []
+    snf, solve = lattice.smith_normal_form, linalg.solve_linear
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda a: forms.append(a) or snf(a))
+    monkeypatch.setattr(linalg, "solve_linear", lambda *a: solves.append(a) or solve(*a))
+    for verts in ([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)],  # full
+                  [(-3, 5, 7, -4), (8, 2, 3, -2), (9, -3, 4, -10)],     # a skew triangle
+                  [(Fraction(1, 2), 0, 1), (Fraction(5, 2), 1, 0)]):     # a rational segment
+        poly = LatticePolytope(verts)  # the hull takes a span of its own
+        forms.clear()
+        poly._span_data()
+        assert len(forms) == 1
+        poly.lattice_points()
+        poly.relative_interior_points()
+        poly.normalized_volume()
+        poly.dilate(3).lattice_points()
+        assert len(forms) == 1
+    assert solves == []

@@ -21,6 +21,7 @@ from .divisor import TorusInvariantDivisor
 from .errors import SemitoricError, ValidationError
 from .fan import Fan
 from .hodge import h21_batyrev, h_p2, mirror_check, triangulation_helper
+from .linalg import SparseEchelon
 from .polytope import HPolytope, LatticePolytope, vertices_from_inequalities
 from .residue import CupProduct, ResidueMap, cup_constant
 from .threefold import ThreefoldAnalysis, gram_skew_between_levels
@@ -208,6 +209,7 @@ def cmd_ring_dims(doc, verify):
         return j0[degree]
 
     entries = []
+    checks = {}
     for i, rep in enumerate(_need(doc, "degrees", list, "input")):
         gamma = _degree(ring, rep, f"input.degrees[{i}]")
         s_dim = ring.piece_dim(gamma)
@@ -216,8 +218,40 @@ def cmd_ring_dims(doc, verify):
         r1_dim_ = R1Piece(f, gamma, _j0=j0_at(gamma + ring.beta0)).dim
         entries.append({"degree_rep": list(gamma.rep), "s_dim": s_dim,
                         "r_dim": r_dim, "r0_dim": r0_dim, "r1_dim": r1_dim_})
-    return {"criterion": "graded dimensions of the Jacobian-type quotients",
-            "entries": entries}
+        if verify:
+            for name, ok in _ring_dims_verification(f, gamma, entries[-1]).items():
+                checks[name] = checks.get(name, True) and ok
+    out = {"criterion": "graded dimensions of the Jacobian-type quotients",
+           "entries": entries}
+    if verify:
+        out["verification"] = checks
+    return out
+
+
+def _ring_dims_verification(f, gamma, entry):
+    """S_gamma against the lattice points of the section polytope; the
+    ranks of J and J_0 against a rebuild from every row m * g, generators in
+    reverse order and none skipped, on the tuple index of the basis."""
+    ring = f.ring
+    poly = TorusInvariantDivisor(ring.fan, gamma.rep).section_polytope()
+    index = ring.monomial_basis(gamma).index
+
+    def rank(generators):
+        echelon = SparseEchelon(len(index))
+        for g in reversed(generators):
+            for mono in ring.monomial_basis(gamma - g.degree).exponents:
+                echelon.insert({index[tuple(map(add, e, mono))]: c for e, c in g.terms.items()})
+        return echelon.rank
+
+    s_dim = entry["s_dim"]
+    return {
+        "s_dim_matches_section_polytope":
+            s_dim == (0 if poly.is_empty else len(poly.lattice_points())),
+        "j_rank_matches_unskipped_rebuild":
+            s_dim - entry["r_dim"] == rank([f.partial(i) for i in range(ring.n)]),
+        "j0_rank_matches_unskipped_rebuild":
+            s_dim - entry["r0_dim"] == rank(ring.weighted_partials(f)),
+    }
 
 
 def cmd_residue_eval(doc, verify):
@@ -387,7 +421,8 @@ def cmd_corpus_run(doc, verify):
     dims = cmd_ring_dims(quintic, verify)
     results.append({
         "name": "Fermat quintic graded dimensions",
-        "passed": [e["r1_dim"] for e in dims["entries"]] == [1, 101, 101, 1],
+        "passed": [e["r1_dim"] for e in dims["entries"]] == [1, 101, 101, 1]
+        and all(dims.get("verification", {}).values()),
     })
 
     sec6 = _fixture("sec6_polytope.json")

@@ -6,6 +6,15 @@ the ray matrix), graded pieces get explicit monomial bases through lattice
 points of section polytopes, and ideal pieces are handled degree by degree
 with sparse exact row reduction.  No Groebner bases anywhere.
 
+Inside the graded-piece kernel a monomial x^e is one integer, its code
+sum_i e_i 2^(SLOT (n-1-i)): exponent e_i fills slot i, the first variable
+in the top slot.  While every exponent stays below 2^SLOT the code is
+injective, integer order is the lex order of exponent vectors, and a
+product of monomials is the sum of their codes.  `monomial_basis` refuses
+a piece whose exponents could reach 2^(SLOT-1), so a sum of two codes of
+pieces never carries from one slot into the next.  Tuples of exponents
+stay the interface of `GradedPolynomial`; bases decode them on demand.
+
 An ideal piece skips rows by the Koszul criterion (the first criterion of
 Faugere's F5): with LT(g) the lex-largest exponent vector of a generator,
 the row m * g_j is left out when LT(g_i) divides m for some i < j.  The
@@ -23,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor
-from operator import add, ge
 
 from . import lattice
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
@@ -31,6 +39,7 @@ from .fan import Fan
 from .linalg import SparseEchelon, solve_unique
 from .polytope import HPolytope, _enumerate_integer_points, vertices_from_inequalities
 
+SLOT = 32  # bits per exponent in a monomial code
 CERTIFIED_NONDEGENERATE = "CERTIFIED_NONDEGENERATE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -73,16 +82,25 @@ class GradedPieceBasis:
     """Lexicographic monomial basis of one graded piece S_beta.
 
     Monomial exponent vectors are in bijection with the lattice points of the
-    section polytope of the canonical representative divisor.
+    section polytope of the canonical representative divisor.  The basis is
+    the sorted list of monomial codes, `column` their positions; exponent
+    vectors and their index are decoded when first read.
     """
 
     degree: DegreeClass
-    exponents: list
-    points: list
-    index: dict
+    codes: list
+    column: dict
 
     def __len__(self):
-        return len(self.exponents)
+        return len(self.codes)
+
+    @cached_property
+    def exponents(self):
+        return [self.degree.ring.decode(c) for c in self.codes]
+
+    @cached_property
+    def index(self):
+        return {e: i for i, e in enumerate(self.exponents)}
 
 
 class GradedPolynomial:
@@ -210,16 +228,18 @@ class GradedSubspace:
     def _vectorize(self, poly: GradedPolynomial):
         if poly.degree != self.degree:
             raise ValidationError("polynomial degree does not match the subspace")
+        code, column = self.ring.code, self.basis.column
         row = {}
         for e, c in poly.terms.items():
-            j = self.basis.index.get(e)
+            j = column.get(code(e))
             if j is None:
                 raise InconsistencyError(f"monomial {e} missing from the graded basis")
             row[j] = c
         return row
 
     def _devectorize(self, row) -> GradedPolynomial:
-        terms = {self.basis.exponents[j]: c for j, c in row.items() if j < len(self.basis)}
+        decode, codes = self.ring.decode, self.basis.codes
+        terms = {decode(codes[j]): c for j, c in row.items() if j < len(codes)}
         return GradedPolynomial(self.ring, terms, self.degree, _trusted=True)
 
     def insert(self, poly: GradedPolynomial):
@@ -257,7 +277,24 @@ class CoxRing:
         self._diag = [D[i][i] for i in range(self.d)]
         self._nf_cache: dict = {}
         self._basis_cache: dict = {}
+        self._shifts = tuple(SLOT * (self.n - 1 - i) for i in range(self.n))
         self.beta0 = self.degree_class((1,) * self.n)
+        self.ones = self.code((1,) * self.n)  # the code of x_1...x_n
+        self.high = sum(1 << (SLOT - 1 + s) for s in self._shifts)  # 2^(SLOT-1) per slot
+
+    # -- monomial codes ---------------------------------------------------------
+
+    def code(self, exps) -> int:
+        """The code sum_i e_i 2^(SLOT (n-1-i)) of x^exps (module docstring);
+        exponents must stay below 2^(SLOT-1)."""
+        if max(exps) >> (SLOT - 1):
+            raise PreconditionError(
+                f"exponent vector {tuple(exps)} past the 2^{SLOT - 1} that monomial codes hold")
+        return sum(e << s for e, s in zip(exps, self._shifts))
+
+    def decode(self, code: int) -> tuple:
+        mask = (1 << SLOT) - 1
+        return tuple(code >> s & mask for s in self._shifts)
 
     # -- grading ------------------------------------------------------------
 
@@ -320,20 +357,24 @@ class CoxRing:
         rays = self.fan.rays
         # the section polytope {m : a_i + <m, e_i> >= 0}, scanned inside the
         # integer box around its vertices; the exponent of x_i at m is the
-        # slack a_i + <m, e_i>, read off the scan with m itself
+        # slack a_i + <m, e_i>, so the code of the monomial is one affine
+        # form in m, read off the scan
         ineqs = [(e, -ai) for e, ai in zip(rays, a)]
         verts = vertices_from_inequalities(HPolytope(ineqs)).vertices
-        n, d = len(rays), self.d
-        coords = [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
-        rows = sorted(_enumerate_integer_points(
-            ineqs, [ceil(min(x)) for x in zip(*verts)], [floor(max(x)) for x in zip(*verts)],
-            [(e, ai) for e, ai in zip(rays, a)] + coords)) if verts else []
-        exponents = [r[:n] for r in rows]
-        basis = GradedPieceBasis(
-            degree=beta,
-            exponents=exponents,
-            points=[r[n:] for r in rows],
-            index={e: i for i, e in enumerate(exponents)})
+        codes = []
+        if verts:
+            lo = [ceil(min(x)) for x in zip(*verts)]
+            hi = [floor(max(x)) for x in zip(*verts)]
+            # the carry guard: the largest slack over the box bounds every exponent
+            top = max(ai + sum(max(c * l, c * h) for c, l, h in zip(e, lo, hi))
+                      for e, ai in zip(rays, a))
+            if top >> (SLOT - 1):
+                raise PreconditionError(f"the piece of degree {list(a)} allows exponents up to "
+                                        f"{top}, past the 2^{SLOT - 1} that monomial codes hold")
+            form = ([sum(e[j] << s for e, s in zip(rays, self._shifts)) for j in range(self.d)],
+                    sum(ai << s for ai, s in zip(a, self._shifts)))
+            codes = sorted(c for c, in _enumerate_integer_points(ineqs, lo, hi, [form]))
+        basis = GradedPieceBasis(beta, codes, {c: i for i, c in enumerate(codes)})
         self._basis_cache[beta.rep] = basis
         return basis
 
@@ -357,24 +398,30 @@ def ideal_graded_piece(generators, gamma: DegreeClass) -> GradedSubspace:
 
     The row m * g_j is skipped when LT(g_i) divides m for some i < j, LT
     being the lex-largest exponent vector of a generator (Koszul criterion,
-    exact: see the module docstring).  Generators are scaled to 1 at their
+    exact: see the module docstring), tested by one subtraction per lead:
+    with every exponent below 2^(SLOT-1), slot k of (m | high) - LT(g_i) is
+    m_k + 2^(SLOT-1) - LT_k, which borrows from no other slot and keeps its
+    top bit exactly when m_k >= LT_k.  Generators are scaled to 1 at their
     lex-first term, the lead of each row m * g (basis indices follow the
     translation-invariant lex order): an unreduced row enters with lead 1.
     """
     ring = gamma.ring
     space = GradedSubspace(ring, gamma)
-    index = space.basis.index
-    leads = []   # LT(g_i) for the generators already done
+    column, insert, code, high = space.basis.column, space.echelon.insert, ring.code, ring.high
+    leads = []   # codes of LT(g_i) for the generators already done
     for g in generators:
         if g.is_zero():
             continue
         c0 = g.terms[min(g.terms)]
-        terms = [(e, c if c0 == 1 else c / c0) for e, c in g.terms.items()]
-        for mono in ring.monomial_basis(gamma - g.degree).exponents:
-            if any(all(map(ge, mono, lt)) for lt in leads):
-                continue
-            space.insert_row({index[tuple(map(add, e, mono))]: c for e, c in terms})
-        leads.append(max(g.terms))
+        terms = [(code(e), c if c0 == 1 else c / c0) for e, c in g.terms.items()]
+        for m in ring.monomial_basis(gamma - g.degree).codes:
+            mh = m | high
+            for lt in leads:
+                if (mh - lt) & high == high:   # LT(g_i) divides m
+                    break
+            else:
+                insert({column[e + m]: c for e, c in terms})
+        leads.append(code(max(g.terms)))
     return space
 
 
@@ -392,7 +439,8 @@ class R1Piece:
     """R_1(f)_gamma = (S / J_1(f))_gamma together with a monomial coset basis.
 
     J_1(f)_gamma = {h : h * x_1...x_n in J_0(f)_{gamma + beta_0}} is computed
-    as the kernel of the shifted reduction map, tracked with tag columns;
+    as the kernel of the shifted reduction map (the shift by x_1...x_n adds
+    `CoxRing.ones` to each monomial code), tracked with tag columns;
     `j1` echelonizes the kernel rows on first access only.
     J_0(f)_{gamma + beta_0} is built here unless already at hand (`_j0`, as a
     nondegeneracy certificate of f holds it in its critical degree).
@@ -407,20 +455,19 @@ class R1Piece:
         j0 = _j0 if _j0 is not None else j0_piece(f, shifted_degree)
         if j0.degree != shifted_degree:
             raise InconsistencyError("the J_0 piece is not in the shifted degree")
-        shifted_basis = j0.basis
-        ncols = len(shifted_basis)
+        column, ones = j0.basis.column, ring.ones
+        ncols = len(column)
         tracker = SparseEchelon(ncols)
         coset_exponents = []
         kernel_rows = []
-        for i, exps in enumerate(self.ambient.exponents):
-            shifted = tuple(e + 1 for e in exps)
-            residual = j0.echelon.reduce({shifted_basis.index[shifted]: Fraction(1)})
+        for i, m in enumerate(self.ambient.codes):
+            residual = j0.echelon.reduce({column[m + ones]: Fraction(1)})
             residual[ncols + i] = Fraction(1)
             piv, resid = tracker.insert(residual)
             if piv is None:
                 kernel_rows.append({k - ncols: v for k, v in resid.items()})
             else:
-                coset_exponents.append(exps)
+                coset_exponents.append(ring.decode(m))
         self._kernel_rows = kernel_rows
         self.coset_exponents = coset_exponents
 

@@ -64,13 +64,19 @@ class SparseEchelon:
         return r
 
     def insert(self, row):
-        """Adjoin a row; returns its pivot column, or None if dependent."""
-        r = self.reduce(row)
+        """Adjoin a row; returns (pivot column, or None if dependent, residual).
+        A row that meets no pivot column is adopted without a reduction; a
+        residual of lead 1 is stored as it is returned: do not change it."""
+        pivots = self.pivots
+        if pivots.keys().isdisjoint(row):
+            r = {c: v if isinstance(v, Fraction) else Fraction(v) for c, v in row.items() if v}
+        else:
+            r = self.reduce(row)
         c = min(r, default=self.ncols)
         if c >= self.ncols:
             return None, r
         lead = r[c]
-        self.pivots[c] = dict(r) if lead == 1 else {k: v / lead for k, v in r.items()}
+        pivots[c] = r if lead == 1 else {k: v / lead for k, v in r.items()}
         return c, r
 
     def contains(self, row) -> bool:

@@ -135,13 +135,20 @@ class LatticePolytope:
         pts = [tuple(Fraction(x) for x in v) for v in vertices]
         if pts and len({len(p) for p in pts}) != 1:
             raise ValidationError("vertices of mixed dimensions")
+        hull = None
         if not _trusted:
-            pts = _extreme_points(pts)
+            pts, hull = _extreme_points(pts)
         self.vertices = tuple(sorted(set(pts)))
         self.ambient_dim = len(self.vertices[0]) if self.vertices else (
             hrep.dim if isinstance(hrep, HPolytope) else 0)
         self._span = None
         self._facets = None
+        if hull is not None:   # the hull of all the points has the same span and facets
+            position = {v: i for i, v in enumerate(self.vertices)}
+            kept = {i: position[p] for i, p in enumerate(hull.vertices) if p in position}
+            self._span = hull._span
+            self._facets = [(n, r, frozenset(kept[i] for i in t if i in kept))
+                            for n, r, t in hull.facets()]
         self._faces = None
         self._pulls = {}  # (vertex index set, reverse) -> pulling triangulation
         self._polar = None
@@ -596,16 +603,19 @@ def _affine_dim(points) -> int:
 
 
 def _extreme_points(points):
-    """The vertices among the points: a point is a vertex exactly when the
-    facets of the hull through it meet in that point alone."""
+    """(vertices, hull): the vertices among the points, and the polytope of
+    all the points (None for at most one point), whose span and facets are
+    built.  A point is a vertex exactly when the facets of the hull through
+    it meet in that point alone."""
     pts = sorted(set(points))
     if len(pts) <= 1:
-        return pts
+        return pts, None
+    hull = LatticePolytope(pts, _trusted=True)
     through = [frozenset(range(len(pts)))] * len(pts)
-    for _, _, tight in LatticePolytope(pts, _trusted=True).facets():
+    for _, _, tight in hull.facets():
         for i in tight:
             through[i] &= tight
-    return [p for i, p in enumerate(pts) if through[i] == {i}]
+    return [p for i, p in enumerate(pts) if through[i] == {i}], hull
 
 
 def cone_rays(rows, dim):

@@ -204,9 +204,10 @@ class ResidueMap:
             raise ValidationError("residue argument of the wrong degree")
         return self._residue_of_row(self.span._vectorize(H))
 
-    def residue_of_monomial(self, exps) -> Fraction:
-        """The residue of x^exps, of degree rho: one reduction of a one-hot row."""
-        j = self.span.basis.index.get(tuple(exps))
+    def residue_of_monomial(self, code: int) -> Fraction:
+        """The residue of the monomial with this code (`CoxRing.code`), of
+        degree rho: one reduction of a one-hot row."""
+        j = self.span.basis.column.get(code)
         if j is None:
             raise ValidationError("residue argument of the wrong degree")
         return self._residue_of_row({j: 1})
@@ -256,7 +257,7 @@ class CupProduct:
                               _span=certificate.span, _jacobian=certificate.jacobian)
         self.eta_degree = (ring.d + 1) * f.degree - 2 * ring.beta0
         self._xprod = ring.variables_product()
-        self._eta_memo = {}
+        self._eta_memo = {}  # monomial code -> eta
 
     def eta(self, H: GradedPolynomial) -> Fraction:
         """Trace functional on R_1(f); vanishes outside its critical degree."""
@@ -267,17 +268,22 @@ class CupProduct:
         return self.c_I * self.res.residue(H * self._xprod)
 
     def eta_monomial(self, exps) -> Fraction:
-        """eta(x^exps), remembered per exponent vector (the Gram matrix needs
-        eta only on monomial products): zero outside `eta_degree`, else c_I
-        times the residue of x^(exps + 1); `eta` is the independent route."""
-        value = self._eta_memo.get(exps)
+        """eta(x^exps), through `eta_of_code`; `eta` is the independent route."""
+        if min(exps) < 0:
+            raise ValidationError(f"bad exponent vector {exps}")
+        return self.eta_of_code(self.ring.code(exps))
+
+    def eta_of_code(self, code: int) -> Fraction:
+        """eta of the monomial x^e with this code, remembered per code (the
+        Gram matrix needs eta only on monomial products, sums of two codes
+        of basis monomials): c_I times the residue of x^(e + 1) when that is
+        in the critical degree, which is when e has `eta_degree`, else zero."""
+        value = self._eta_memo.get(code)
         if value is None:
-            if min(exps) < 0:
-                raise ValidationError(f"bad exponent vector {exps}")
-            value = Fraction(0)
-            if self.ring.degree_of_monomial(exps) == self.eta_degree:
-                value = self.c_I * self.res.residue_of_monomial(tuple(e + 1 for e in exps))
-            self._eta_memo[exps] = value
+            shifted = code + self.ring.ones
+            value = (self.c_I * self.res.residue_of_monomial(shifted)
+                     if shifted in self.res.span.basis.column else Fraction(0))
+            self._eta_memo[code] = value
         return value
 
     def pair(self, A: GradedPolynomial, B: GradedPolynomial,

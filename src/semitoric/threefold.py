@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from . import lattice
 from .coxring import CoxRing, GradedPolynomial, R1Piece, nondegeneracy_certificate
@@ -388,7 +387,8 @@ class ThreefoldAnalysis:
 
         Every basis element is a monomial, so each entry is a factor fixed by
         its pair of blocks times eta of one monomial product x^(e_A + e_B);
-        eta is evaluated once per distinct product (`CupProduct.eta_monomial`).
+        eta is evaluated once per distinct product, a sum of two monomial
+        codes (`CupProduct.eta_of_code`).
         `entry_by_polynomials` is the route through products of polynomials.
         """
         if a + b != 3:
@@ -442,11 +442,12 @@ class ThreefoldAnalysis:
         zero = PairingValue(Fraction(0), k)
         if not scale:
             return [[zero] * cb.dim for _ in range(rb.dim)]
-        eta = cup.eta_monomial
+        eta, code = cup.eta_of_code, cup.ring.code
+        col_codes = [code(e) for e in cb.basis_exponents]
         # most traces vanish; those entries share one zero value
-        return [[PairingValue(scale * v, k) if (v := eta(tuple(map(add, ea, eb)))) else zero
-                 for eb in cb.basis_exponents]
-                for ea in rb.basis_exponents]
+        return [[PairingValue(scale * v, k) if (v := eta(ca + cc)) else zero
+                 for cc in col_codes]
+                for ca in map(code, rb.basis_exponents)]
 
     def entry_by_polynomials(self, a: int, i: int, j: int) -> PairingValue:
         """Entry (i, j) of gram(a, 3 - a) from the product of the two basis

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import semitoric
-from semitoric import catalog
+from semitoric import catalog, cli
 from semitoric.cli import main
 from semitoric.polytope import LatticePolytope
 from semitoric.residue import CupProduct, PairingValue
@@ -426,6 +426,38 @@ def test_face_counts_verify(tmp_path, capsys, monkeypatch, command, name):
     code, out, _ = run(capsys, *command, "--input", path, "--verify")
     assert code == 0
     assert json.loads(out)["verification"] == {"face_counts_match_per_face_enumeration": False}
+
+
+RING_DIMS_CHECKS = ("j0_rank_matches_unskipped_rebuild", "j_rank_matches_unskipped_rebuild",
+                    "s_dim_matches_section_polytope")
+
+
+@pytest.mark.parametrize("doc", [
+    fixture("fermat_quartic.json"),
+    {"fan": fixture("fermat_cubic.json")["fan"],
+     "polynomial": {"terms": [{"exps": e, "num": c} for e, c in (
+         ([3, 0, 0], 1), ([0, 3, 0], 2), ([0, 0, 3], -1), ([1, 2, 0], 3), ([1, 1, 1], -2),
+         ([0, 1, 2], 5), ([2, 0, 1], 1))]},
+     "degrees": [[0, 0, -1], [0, 0, 0], [0, 0, 2], [0, 0, 3], [0, 0, 4], [0, 0, 6]]},
+], ids=["fermat-quartic", "dense-cubic"])
+def test_ring_dims_verify(tmp_path, capsys, monkeypatch, doc):
+    """--verify recounts S_gamma from the section polytope and rebuilds J
+    and J_0 without the Koszul skip; the rest of the report is unchanged,
+    and a wrong J piece shows as a failed check."""
+    path = write(tmp_path, "dims.json", doc)
+    code, plain, _ = run(capsys, "ring", "dims", "--input", path)
+    assert code == 0
+    code, out, _ = run(capsys, "ring", "dims", "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == dict.fromkeys(RING_DIMS_CHECKS, True)
+    assert report == json.loads(plain)
+
+    monkeypatch.setattr(cli, "jacobian_piece", cli.j0_piece)
+    code, out, _ = run(capsys, "ring", "dims", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == dict(
+        dict.fromkeys(RING_DIMS_CHECKS, True), j_rank_matches_unskipped_rebuild=False)
 
 
 def test_h_p2_verify(tmp_path, capsys, monkeypatch):

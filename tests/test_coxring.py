@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
+from operator import add, ge
 
 import pytest
 
@@ -8,6 +10,7 @@ from semitoric import catalog, lattice, linalg
 from semitoric.coxring import (
     CERTIFIED_NONDEGENERATE,
     INCONCLUSIVE,
+    SLOT,
     CoxRing,
     GradedSubspace,
     R1Piece,
@@ -18,8 +21,10 @@ from semitoric.coxring import (
     r1_dim,
     reduce_modulo,
 )
-from semitoric.errors import ValidationError
+from semitoric.errors import PreconditionError, ValidationError
+from semitoric.linalg import SparseEchelon
 from semitoric.polytope import HPolytope, vertices_from_inequalities
+from semitoric.residue import CupProduct
 
 from .test_linalg import ReferenceEchelon
 
@@ -191,8 +196,8 @@ def test_certificate_fermat_quartic_p3():
 
 
 def test_point_of_monomial_roundtrip():
-    basis = P2.monomial_basis(P2.beta0)
-    for exps, point in zip(basis.exponents, basis.points):
+    _, exponents, points = basis_by_section_polytope(P2, P2.beta0)
+    for exps, point in zip(exponents, points):
         assert P2.point_of_monomial(exps, P2.beta0) == point
 
 
@@ -347,7 +352,160 @@ def test_monomial_basis_matches_section_polytope_points(fan):
         poly, exponents, points = basis_by_section_polytope(ring, beta)
         basis = ring.monomial_basis(beta)
         assert basis.exponents == exponents
-        assert basis.points == points
+        assert [ring.point_of_monomial(e, beta) for e in basis.exponents] == points
         assert basis.index == {e: i for i, e in enumerate(exponents)}
         seen.add("empty" if poly.is_empty else "full" if poly.dim == ring.d else "flat")
     assert {"empty", "flat", "full"} <= seen
+
+
+# -- monomial codes against the tuple-keyed kernel ---------------------------------
+
+
+def tuple_ideal_graded_piece(generators, gamma):
+    """The tuple-keyed `ideal_graded_piece` that monomial codes replaced, kept
+    unchanged as the reference: rows found through the exponent-tuple index,
+    the Koszul skip as a componentwise test per multiplier and lead."""
+    ring = gamma.ring
+    space = GradedSubspace(ring, gamma)
+    index = space.basis.index
+    leads = []   # LT(g_i) for the generators already done
+    for g in generators:
+        if g.is_zero():
+            continue
+        c0 = g.terms[min(g.terms)]
+        terms = [(e, c if c0 == 1 else c / c0) for e, c in g.terms.items()]
+        for mono in ring.monomial_basis(gamma - g.degree).exponents:
+            if any(all(map(ge, mono, lt)) for lt in leads):
+                continue
+            space.insert_row({index[tuple(map(add, e, mono))]: c for e, c in terms})
+        leads.append(max(g.terms))
+    return space
+
+
+def tuple_r1_loop(ring, gamma, j0):
+    """The tuple-keyed loop of `R1Piece`, unchanged: (coset exponents,
+    kernel rows) of the shifted reduction map."""
+    ambient = ring.monomial_basis(gamma)
+    shifted_basis = j0.basis
+    ncols = len(shifted_basis)
+    tracker = SparseEchelon(ncols)
+    coset_exponents = []
+    kernel_rows = []
+    for i, exps in enumerate(ambient.exponents):
+        shifted = tuple(e + 1 for e in exps)
+        residual = j0.echelon.reduce({shifted_basis.index[shifted]: Fraction(1)})
+        residual[ncols + i] = Fraction(1)
+        piv, resid = tracker.insert(residual)
+        if piv is None:
+            kernel_rows.append({k - ncols: v for k, v in resid.items()})
+        else:
+            coset_exponents.append(exps)
+    return coset_exponents, kernel_rows
+
+
+def tuple_eta_monomial(cup, exps):
+    """eta(x^exps) as the tuple-keyed memo computed it."""
+    if cup.ring.degree_of_monomial(exps) != cup.eta_degree:
+        return Fraction(0)
+    j = cup.res.span.basis.index[tuple(e + 1 for e in exps)]
+    return cup.c_I * cup.res._residue_of_row({j: 1})
+
+
+def dense_section(ring, beta, seed):
+    rng = random.Random(seed)
+    return ring.polynomial({e: rng.randint(-9, 9) or 1
+                            for e in ring.monomial_basis(beta).exponents}, beta)
+
+
+def assert_pieces_match_tuples(f, levels):
+    """J and J_0 pieces, R_1 cosets and kernel rows at the given levels
+    gamma = (a + 1) beta - beta_0 agree with the tuple-keyed references."""
+    ring = f.ring
+    partials = [f.partial(i) for i in range(ring.n)]
+    for a in levels:
+        gamma = (a + 1) * f.degree - ring.beta0
+        for gens, degree in ((partials, gamma), (ring.weighted_partials(f), gamma + ring.beta0)):
+            fast, ref = ideal_graded_piece(gens, degree), tuple_ideal_graded_piece(gens, degree)
+            assert fast.echelon.pivots.keys() == ref.echelon.pivots.keys()
+            assert fast.echelon.pivots == ref.echelon.pivots
+        piece = R1Piece(f, gamma, _j0=fast)
+        assert (piece.coset_exponents, piece._kernel_rows) == tuple_r1_loop(ring, gamma, ref)
+
+
+def assert_eta_matches_tuples(f):
+    """eta of f, which must be certified, on products of the first basis
+    monomials of every pair of complementary levels, through the exponent
+    vector and through the sum of codes."""
+    ring, beta, d = f.ring, f.degree, f.ring.d
+    cert = nondegeneracy_certificate(f)
+    assert cert.certified
+    cup = CupProduct(ring, f, cert)
+    nonzero = 0
+    for a in range(d):
+        left = ring.monomial_basis((a + 1) * beta - ring.beta0)
+        right = ring.monomial_basis((d - a) * beta - ring.beta0)
+        for ea in left.exponents[:12]:
+            for eb in right.exponents[:12]:
+                want = tuple_eta_monomial(cup, tuple(map(add, ea, eb)))
+                assert cup.eta_monomial(tuple(map(add, ea, eb))) == want
+                assert cup.eta_of_code(ring.code(ea) + ring.code(eb)) == want
+                nonzero += bool(want)
+    assert nonzero
+
+
+def test_packed_kernel_matches_tuples_on_the_dwork_pencil():
+    ring = CoxRing(catalog.projective_space(4))
+    f = dwork(ring, Fraction(1, 2))
+    assert_pieces_match_tuples(f, (0, 1, 2))
+    assert_eta_matches_tuples(f)
+
+
+@pytest.mark.parametrize("dim, k, seed", [(2, 3, 1), (2, 3, 2), (3, 2, 3)])
+def test_packed_kernel_matches_tuples_on_dense_sections(dim, k, seed):
+    """Every monomial of degree k with a seeded coefficient: the rows fill
+    in as they are reduced.  (A dense quartic on P^3 takes half a minute
+    per J_0 piece in exact arithmetic; the quadric keeps the test short.)"""
+    ring = CoxRing(catalog.projective_space(dim))
+    f = dense_section(ring, k * ring.variable_degree(0), seed)
+    assert_pieces_match_tuples(f, range(dim))
+    assert_eta_matches_tuples(f)
+
+
+def test_packed_kernel_matches_tuples_on_crepant_p11222():
+    """The Fermat pullback with three seeded random terms added, whose
+    partials have several terms each.  eta is left out: certifying such a
+    section takes 10-25 s."""
+    ring = CoxRing(catalog.p11222_crepant_fan())
+    _, fermat = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
+    beta = ring.degree_class(fermat.degree.rep)
+    extra = random_section(ring, beta, random.Random(0), 3)
+    f = ring.polynomial({**fermat.terms, **extra.terms}, beta)
+    assert max(len(g.terms) for g in ring.weighted_partials(f)) > 1
+    assert_pieces_match_tuples(f, (0, 1))
+
+
+def test_codes_add_without_carry_below_the_bound():
+    ring = CoxRing(catalog.p11222_crepant_fan())
+    rng = random.Random(3)
+    top = (1 << (SLOT - 1)) - 1
+    for _ in range(200):
+        a, b = ([rng.choice([0, 1, rng.randint(0, top), top]) for _ in range(ring.n)]
+                for _ in range(2))
+        assert ring.decode(ring.code(a)) == tuple(a)
+        assert ring.decode(ring.code(a) + ring.code(b)) == tuple(map(add, a, b))
+        assert (ring.code(a) < ring.code(b)) == (a < b)
+    with pytest.raises(PreconditionError, match="monomial codes"):
+        ring.code((0, 0, 1 << (SLOT - 1), 0, 0, 0))
+
+
+def test_carry_guard_names_the_degree():
+    """S_{k E} on Bl P^2 is the one monomial x_E^k: at k = 2^(SLOT-1) an
+    exponent would fill the top bit of its slot, and the basis refuses."""
+    ring = CoxRing(catalog.blowup_p2())
+    assert ring.fan.rays[3] == (1, 1)
+    k = 1 << (SLOT - 1)
+    basis = ring.monomial_basis(ring.degree_class((0, 0, 0, k - 1)))
+    assert basis.exponents == [(0, 0, 0, k - 1)]
+    beta = ring.degree_class((0, 0, 0, k))
+    with pytest.raises(PreconditionError, match=re.escape(str(list(beta.rep)))):
+        ring.monomial_basis(beta)

@@ -334,9 +334,10 @@ def test_span_takes_one_smith_form_and_scans_without_solves(monkeypatch):
     for verts in ([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)],  # full
                   [(-3, 5, 7, -4), (8, 2, 3, -2), (9, -3, 4, -10)],     # a skew triangle
                   [(Fraction(1, 2), 0, 1), (Fraction(5, 2), 1, 0)]):     # a rational segment
-        poly = LatticePolytope(verts)  # the hull takes a span of its own
         forms.clear()
+        poly = LatticePolytope(verts)  # the hull's span and facets carry over
         poly._span_data()
+        poly.facets()
         assert len(forms) == 1
         poly.lattice_points()
         poly.relative_interior_points()

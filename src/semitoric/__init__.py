@@ -41,7 +41,7 @@ from .residue import (
     toric_jacobian,
     toric_residue,
 )
-from .threefold import ThreefoldAnalysis, face_polynomial, gram_h3, h3_decomposition, two_cone_charts
+from .threefold import ThreefoldAnalysis, face_polynomial, two_cone_charts
 from .hodge import (
     e_face_values,
     h21_batyrev,
@@ -79,9 +79,7 @@ __all__ = [
     "e_face_values",
     "face_polynomial",
     "find_ample",
-    "gram_h3",
     "h21_batyrev",
-    "h3_decomposition",
     "h_p2",
     "ideal_graded_piece",
     "j1_graded_piece",

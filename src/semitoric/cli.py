@@ -186,15 +186,22 @@ def cmd_divisor_nakai(doc, verify):
 
 def cmd_divisor_stratify(doc, verify):
     div = _parse_divisor(doc)
+    records = div.stratify()
     strata = []
-    for rec in div.stratify():
+    for rec in records:
         strata.append({
             "cone": sorted(rec.cone.ray_indices),
             "container_rays": sorted(list(r) for r in rec.container.generators()),
             "torus_factor_dim": rec.torus_factor_dim,
         })
-    return {"criterion": "orbit stratification of a regular semiample hypersurface",
-            "strata": strata}
+    out = {"criterion": "orbit stratification of a regular semiample hypersurface",
+           "strata": strata}
+    if verify:  # the slice volume (D^(d-k) . V(sigma)) > 0 exactly without a torus factor
+        d = div.fan.dim
+        out["verification"] = {"slice_volumes_match_torus_factors": all(
+            (div.intersection_number(d - r.cone.dim, r.cone) > 0) == (r.torus_factor_dim == 0)
+            for r in records)}
+    return out
 
 
 def cmd_ring_dims(doc, verify):

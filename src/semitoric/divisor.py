@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import and_
 
 from . import lattice
 from .errors import InconsistencyError, NotCartierError, PreconditionError, ValidationError
-from .fan import ConeRef, Fan, cone_contains, extreme_rays_of_dual
+from .fan import ConeRef, Fan, extreme_rays_of_dual
 from .linalg import solve_unique
 from .polytope import HPolytope, LatticePolytope, cone_rays, vertices_from_inequalities
 
@@ -33,18 +35,19 @@ class SupportFunction:
         for ci, c in enumerate(self.fan.max_cones):
             if cone.ray_indices <= c:
                 return self.per_max_cone[ci]
-        for ci, c in enumerate(self.fan.max_cones):
-            gens = [self.fan.rays[i] for i in c]
-            if all(cone_contains(gens, g) for g in cone.generators()):
-                return self.per_max_cone[ci]
-        raise ValidationError("cone does not belong to the fan of this divisor")
+        # a cone of a refinement lies in every maximal cone that holds the
+        # sum of its rays, if it lies in any
+        ci = self.fan.max_cone_index(cone.relint_point())
+        if ci is None or not all(self.fan._holds(ci, g) for g in cone.generators()):
+            raise ValidationError("cone does not belong to the fan of this divisor")
+        return self.per_max_cone[ci]
 
     def value(self, n):
         """psi_D(n), exact."""
-        for ci, c in enumerate(self.fan.max_cones):
-            if cone_contains([self.fan.rays[i] for i in c], n):
-                return lattice.pairing_q(n, self.per_max_cone[ci])
-        raise PreconditionError("support function evaluated outside a complete fan")
+        ci = self.fan.max_cone_index(n)
+        if ci is None:
+            raise PreconditionError("support function evaluated outside a complete fan")
+        return lattice.pairing_q(n, self.per_max_cone[ci])
 
 
 @dataclass(frozen=True)
@@ -267,12 +270,10 @@ class TorusInvariantDivisor:
                     extremes = [tuple(r) for r in gens]
                 else:
                     extremes = extreme_rays_of_dual(normals, d)
-            else:
-                extremes = []
-                for i in member_rays:
-                    others = [self.fan.rays[j] for j in member_rays if j != i]
-                    if not cone_contains(others, self.fan.rays[i]):
-                        extremes.append(self.fan.rays[i])
+            else:  # extreme: the facets through a ray hold no other member
+                facets = [mask for _, mask in cone_rays(gens, d)]  # the group is full
+                extremes = [g for i, g in enumerate(gens) if reduce(
+                    and_, (m for m in facets if m >> i & 1), (1 << len(gens)) - 1) == 1 << i]
             extremes = sorted(extremes)
             for r in extremes:
                 if r not in self.fan.rays:

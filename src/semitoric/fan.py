@@ -2,11 +2,12 @@
 
 Fans are stored as primitive rays plus maximal cones (ray index sets);
 non-simplicial maximal cones are allowed.  The faces of a maximal cone come
-from ``polytope.face_closure`` on its facet ray sets.  Completeness and
-refinement queries, smallest containing cones and star (quotient) fans are
-all computed exactly.  Every cone test is a sign test against facet normals
-from the double-description kernel ``cone_rays``; completeness comes with a
-certificate that rejects inputs whose cones close up without forming a fan.
+from ``polytope.face_closure`` on its facet ray sets.  Every "which cone
+holds x" question (membership, smallest containing cones, refinement) goes
+through ``Fan.locate``, a sign test against the memoized rows of the
+maximal cones from the double-description kernel ``cone_rays``.  Completeness
+comes with a certificate that rejects inputs whose cones close up without
+forming a fan.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import combinations, count
 
 from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
-from .linalg import solve_linear
 from .polytope import _facets_in_span, cone_rays, face_closure
 
 
@@ -38,27 +38,6 @@ def cone_rows(generators, dim):
     return rows + C[k:] + [tuple(-x for x in e) for e in C[k:]]
 
 
-def cone_contains(generators, x) -> bool:
-    """Exact membership of x in the cone spanned by the generators."""
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        return not any(x)
-    d = len(gens[0])
-    sol = solve_linear([[g[i] for g in gens] for i in range(d)], list(x))
-    if sol is None:
-        return False
-    particular, kernel = sol
-    if not kernel:
-        return all(c >= 0 for c in particular)
-    return all(lattice.pairing(h, x) >= 0 for h in cone_rows(gens, d))
-
-
-def cone_is_pointed(generators) -> bool:
-    """Strong convexity: the dual cone, spanned by the rows, is full."""
-    gens = [tuple(g) for g in generators]
-    return not gens or lattice.matrix_rank(cone_rows(gens, len(gens[0]))) == len(gens[0])
-
-
 @dataclass(frozen=True)
 class ConeRef:
     """A cone of a fan, identified by its set of ray indices."""
@@ -77,7 +56,10 @@ class ConeRef:
         return tuple(sum(g[i] for g in gens) for i in range(self.fan.dim))
 
     def contains(self, x) -> bool:
-        return cone_contains(self.generators(), x)
+        """x lies in this cone: the cone of the fan whose relative interior
+        holds x is a face of it."""
+        held = self.fan.locate(x)
+        return held is not None and held.ray_indices <= self.ray_indices
 
     def __repr__(self):
         return f"ConeRef(dim={self.dim}, rays={sorted(self.ray_indices)})"
@@ -117,6 +99,7 @@ class Fan:
         self._face_sets = None
         self._cones_by_dim = None
         self._rows = {}
+        self._on_rows = {}
         self._face_memo = {}
         self._complete = None
         self._ranks = {}  # cone_dim by ray index set
@@ -153,6 +136,33 @@ class Fan:
                 [self.rays[i] for i in sorted(self.max_cones[ci])], self.dim)
         return self._rows[ci]
 
+    def _rays_on_rows(self, ci):
+        """For each row of maximal cone ci, the set of its rays on the row."""
+        if ci not in self._on_rows:
+            c = self.max_cones[ci]
+            self._on_rows[ci] = [frozenset(i for i in c if lattice.pairing(h, self.rays[i]) == 0)
+                                 for h in self._max_cone_rows(ci)]
+        return self._on_rows[ci]
+
+    def _holds(self, ci, x) -> bool:
+        return all(lattice.pairing(h, x) >= 0 for h in self._max_cone_rows(ci))
+
+    def max_cone_index(self, x):
+        """Index of the first maximal cone that holds x, or None."""
+        return next((ci for ci in range(len(self.max_cones)) if self._holds(ci, x)), None)
+
+    def locate(self, x):
+        """The cone whose relative interior holds x, or None off the support.
+        In a maximal cone that holds x, the rows that vanish at x cut out
+        that face: its rays are the rays tight on every one of them."""
+        ci = self.max_cone_index(x)
+        if ci is None:
+            return None
+        s = self.max_cones[ci].intersection(*(
+            on for h, on in zip(self._max_cone_rows(ci), self._rays_on_rows(ci))
+            if lattice.pairing(h, x) == 0))
+        return ConeRef(self, s, self._faces_of_max_cone(ci)[s])
+
     def _faces_of_max_cone(self, ci):
         """Map {ray index frozenset -> dim} of all faces of max cone ci, the
         empty face included, by size, then by sorted indices."""
@@ -161,9 +171,7 @@ class Fan:
             if self.cone_dim(c) == len(c):  # simplicial: a facet drops one ray
                 faces = {s: len(s) for s in face_closure(c, [c - {i} for i in c])}
             else:  # the span equations are tight at every ray
-                tight = [frozenset(i for i in c if lattice.pairing(self.rays[i], h) == 0)
-                         for h in self._max_cone_rows(ci)]
-                faces = {s: self.cone_dim(s) for s in face_closure(c, tight)}
+                faces = {s: self.cone_dim(s) for s in face_closure(c, self._rays_on_rows(ci))}
             self._face_memo[ci] = {s: faces[s] for s in sorted(
                 faces, key=lambda s: (len(s), sorted(s)))}
         return self._face_memo[ci]
@@ -275,9 +283,8 @@ class Fan:
     def validate(self):
         """All detected violations of the fan axioms, as human-readable strings."""
         issues = []
-        for c in self.max_cones:
-            gens = [self.rays[i] for i in sorted(c)]
-            if not cone_is_pointed(gens):
+        for ci, c in enumerate(self.max_cones):  # pointed: the dual cone is full
+            if lattice.matrix_rank(self._max_cone_rows(ci)) < self.dim:
                 issues.append(f"cone {sorted(c)} is not strongly convex")
         for a, b in combinations(range(len(self.max_cones)), 2):
             issue = self._face_compatibility_issue(a, b)
@@ -322,28 +329,26 @@ class Fan:
             return True
         if not (self.is_complete and coarser.is_complete):
             return False
+        # a maximal cone of self lies in a cone of coarser exactly when it
+        # lies in the one whose relative interior holds the sum of its rays
         for c in self.max_cones:
             gens = [self.rays[i] for i in c]
-            if not any(all(cone_contains([coarser.rays[j] for j in cc], g)
-                           for g in gens)
-                       for cc in coarser.max_cones):
+            held = coarser.locate([sum(col) for col in zip(*gens)])
+            if held is None or not all(held.contains(g) for g in gens):
                 return False
         return True
 
     def smallest_containing_cone(self, cone: ConeRef) -> ConeRef:
-        """Minimal cone of this fan containing the given cone of a refinement."""
-        if not cone.ray_indices:
-            return ConeRef(self, frozenset(), 0)
-        x = cone.relint_point()
-        for k in range(self.dim + 1):
-            for cand in self.cones(k):
-                if cand.contains(x):
-                    if all(cand.contains(g) for g in cone.generators()):
-                        return cand
-                    raise InconsistencyError(
-                        "cone is not contained in any cone of the coarser fan; "
-                        "refinement precondition violated")
-        raise InconsistencyError("complete fan does not cover a point")
+        """Minimal cone of this fan containing the given cone of a refinement:
+        the cone whose relative interior holds the sum of its rays."""
+        held = self.locate(cone.relint_point())
+        if held is None:
+            raise InconsistencyError("complete fan does not cover a point")
+        if not all(held.contains(g) for g in cone.generators()):
+            raise InconsistencyError(
+                "cone is not contained in any cone of the coarser fan; "
+                "refinement precondition violated")
+        return held
 
     def star_projection(self, cone: ConeRef):
         """Quotient data (P, Q) for N -> N/N_cone; P is surjective with
@@ -364,10 +369,8 @@ class Fan:
         new_rays = []
         new_cones = []
         for c in self.max_cones:
-            if not cone.ray_indices <= c:
-                if not all(cone_contains([self.rays[i] for i in c], g)
-                           for g in cone.generators()):
-                    continue
+            if not cone.ray_indices <= c:  # a face of c is spanned by rays of c
+                continue
             proj = set()
             for i in c:
                 img = tuple(lattice.pairing(p, self.rays[i]) for p in P)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
 from .fan import ConeRef, Fan
-from .linalg import solve_linear
 from .polytope import Face, LatticePolytope
 
 
@@ -171,26 +171,19 @@ def triangulation_helper(q: LatticePolytope, reverse: bool = False) -> Fan:
     cones = [s for f in q.faces(d - 1) for s in q.pulling_triangulation(f, reverse)]
     extra = [p for p in q.lattice_points()
              if any(p) and p not in ray_index]
+    duals = {}  # cone -> [(ray, row)]: a point's coefficient on a ray has the sign of <row, point>
     for point in sorted(extra, reverse=reverse):
-        ray_index[point] = len(rays)
         rays.append(point)
-        qi = ray_index[point]
         new_cones = []
         for c in cones:
-            gens = [rays[i] for i in sorted(c)]
-            cols = [[g[k] for g in gens] for k in range(d)]
-            sol = solve_linear(cols, list(point))
-            coeffs = None
-            if sol is not None and not sol[1]:
-                coeffs = sol[0]
-            if coeffs is None or any(x < 0 for x in coeffs):
+            if c not in duals:  # every cone is simplicial and full
+                idx = sorted(c)
+                duals[c] = list(zip(idx, lattice.dual_rows([rays[i] for i in idx], d)[1]))
+            signs = [(i, lattice.pairing(h, point)) for i, h in duals[c]]
+            if any(v < 0 for _, v in signs):
                 new_cones.append(c)
-                continue
-            idx = sorted(c)
-            for g_pos, lam in enumerate(coeffs):
-                if lam > 0:
-                    new_cones.append(frozenset(
-                        [i for ii, i in enumerate(idx) if ii != g_pos] + [qi]))
+            else:
+                new_cones.extend(c - {i} | {len(rays) - 1} for i, v in signs if v > 0)
         cones = new_cones
     fan = Fan(rays, cones, dim=d)
     boundary = {p for p in q.lattice_points() if any(p)}
@@ -227,7 +220,7 @@ class HodgeReport:
         raise ValidationError(f"no recorded value h^{p},{q}")
 
 
-def _h32_of_side(section: LatticePolytope, label: str) -> HodgeValue:
+def _h32_of_side(section: LatticePolytope) -> HodgeValue:
     """h^{3,2} of the MPCP hypersurface with the given section polytope.
 
     When every nonzero lattice point of the dual is a vertex the refinement
@@ -289,8 +282,8 @@ def mirror_check(delta: LatticePolytope) -> MirrorReport:
     if not delta.is_reflexive():
         raise PreconditionError("mirror comparison requires a reflexive polytope")
     dual = delta.dual_polytope()
-    side = HodgeReport("section polytope", [_h32_of_side(delta, "delta")])
-    mirror_side = HodgeReport("dual section polytope", [_h32_of_side(dual, "dual")])
+    side = HodgeReport("section polytope", [_h32_of_side(delta)])
+    mirror_side = HodgeReport("dual section polytope", [_h32_of_side(dual)])
     for report in (side, mirror_side):
         for v in report.values:
             if v.value < 0:

@@ -5,7 +5,8 @@ Everything runs in arbitrary precision; there is no floating point and no
 fixed-width fast path.
 
 Every sublattice question is read off one frame: ``frame`` takes one Smith
-normal form U A V = D of the rows A and the inverse W of V.  The rows of W
+normal form U A V = D of the rows A and the inverse W of V (a span of rank 0
+or of full rank gets the unit frame from one elimination).  The rows of W
 split into a basis of the saturated span of A and a complement, the dual
 columns of V into coordinates on that span and its equations (the integer
 kernel of A).  Saturated bases, integer kernels, star quotients and the
@@ -205,16 +206,15 @@ def frame(rows, dim):
     is a basis of the integer kernel {x : A x = 0}, and <x, C[j]> is
     coordinate j of x in the basis W.
 
-    Without rows, or at full rank, the frame is the unit one: the V of a
-    full-rank Smith form can carry large entries, and a polytope scans a
-    box in the coordinates of W."""
-    k, V = 0, None
-    if rows:
-        _, D, V = smith_normal_form([list(r) for r in rows])
-        k = sum(1 for i in range(min(len(D), dim)) if D[i][i])
-    if V is None or k == dim:
+    At rank 0 or full rank the frame is the unit one, and no Smith form is
+    taken: the rank comes from one elimination, the V of a full-rank Smith
+    form can carry large entries, and a polytope scans a box in the
+    coordinates of W."""
+    k = len(_eliminate(rows, dim)[1]) if rows else 0
+    if k in (0, dim):
         ident = [tuple(r) for r in _identity(dim)]
         return k, ident, ident
+    _, _, V = smith_normal_form([list(r) for r in rows])
     return k, inverse_unimodular(V), [tuple(r[j] for r in V) for j in range(dim)]
 
 

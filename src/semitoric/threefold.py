@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fan import ConeRef, Fan, cone_contains
+from .fan import ConeRef, Fan
 from .linalg import SparseEchelon, solve_unique
 from .residue import CupProduct, PairingValue, cup_constant
 
@@ -73,18 +73,15 @@ def two_cone_charts(fine: Fan, coarse: Fan):
         raise PreconditionError("charts are defined for rank-4 fans")
     if not fine.is_refinement(coarse):
         raise PreconditionError("the fine fan must refine the coarse fan")
-    coarse_ray_set = set(coarse.rays)
     fine_two_cones = {c.ray_indices for c in fine.cones(2)}
+    inside = {}  # the interior rays of a 2-cone are the fine rays it holds in its interior
+    for i, r in enumerate(fine.rays):
+        inside.setdefault(coarse.locate(r).ray_indices, []).append(i)
     charts = []
     for sigma in coarse.cones(2):
         gens = sigma.generators()
         boundary = [fine.rays.index(g) for g in gens]
-        interior = []
-        for i, r in enumerate(fine.rays):
-            if r in gens or r in coarse_ray_set:
-                continue
-            if cone_contains(gens, r):
-                interior.append(i)
+        interior = inside.get(sigma.ray_indices, [])
 
         def arc_position(i):
             coords = solve_unique([[gens[0][k], gens[1][k]] for k in range(4)],
@@ -210,17 +207,6 @@ def face_polynomial(f: GradedPolynomial, sigma: ConeRef,
     analysis = ThreefoldAnalysis(f, coarse, _check_certificate=False)
     slice_ = SurfaceSlice(analysis, _same_cone_in(analysis.coarse, sigma))
     return slice_.polynomial
-
-
-def h3_decomposition(f: GradedPolynomial, coarse: Fan | None = None):
-    """Block decomposition of the middle cohomology, keyed by level."""
-    return ThreefoldAnalysis(f, coarse).decomposition()
-
-
-def gram_h3(f: GradedPolynomial, coarse: Fan | None = None):
-    """Pairing matrices between all complementary levels."""
-    analysis = ThreefoldAnalysis(f, coarse)
-    return [analysis.gram(a, 3 - a) for a in range(4)]
 
 
 @dataclass

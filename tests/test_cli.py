@@ -133,6 +133,27 @@ def test_divisor_stratify(tmp_path, capsys):
     assert strata[(3,)]["torus_factor_dim"] == 1
 
 
+def test_divisor_stratify_verify(tmp_path, capsys, monkeypatch):
+    """--verify checks each torus factor against the slice volume
+    (D^(d-k) . V(sigma)); the rest of the report is unchanged.  Containers
+    that are maximal rather than smallest fail the check."""
+    from semitoric.fan import Fan
+
+    path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
+    code, plain, _ = run(capsys, "divisor", "stratify", "--input", path)
+    code, out, _ = run(capsys, "divisor", "stratify", "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == {"slice_volumes_match_torus_factors": True}
+    assert report == json.loads(plain)
+
+    monkeypatch.setattr(Fan, "smallest_containing_cone", lambda self, cone: self.cone_ref(
+        self.max_cones[self.max_cone_index(cone.relint_point())]))
+    code, out, _ = run(capsys, "divisor", "stratify", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"slice_volumes_match_torus_factors": False}
+
+
 def test_malformed_rays_exit_1(tmp_path, capsys):
     path = write(tmp_path, "bad.json",
                  {"fan": {"rays": [[1, 0], ["x", 1]], "max_cones": [[0, 1]]}})

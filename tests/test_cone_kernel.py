@@ -9,11 +9,18 @@ with the sign tests on facet normals, the ray test on the intersection of
 two cones and the nef cone, on seeded random inputs.  The completeness
 certificate is checked on inputs that close up along their facets without
 being fans.
+
+``Fan.locate`` answers every "which cone holds x" question of the package.
+Its references are the routes it replaced, kept here: ``cone_contains``, one
+solve of x in the generators (and the rows of their cone when they are
+dependent), and the scan of every cone, dimension by dimension, for the
+first one that contains x.
 """
 
 import ast
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from pathlib import Path
 
@@ -23,14 +30,46 @@ import semitoric
 from semitoric import catalog, lattice
 from semitoric.divisor import TorusInvariantDivisor, find_ample
 from semitoric.errors import PreconditionError, ValidationError
-from semitoric.fan import Fan, cone_contains, cone_is_pointed
-from semitoric.linalg import lp_feasible
+from semitoric.fan import Fan, cone_rows
+from semitoric.linalg import lp_feasible, solve_linear
 from semitoric.polytope import HPolytope, LatticePolytope, vertices_from_inequalities
 
 SEED = 20261019
 
 
 # -- references ------------------------------------------------------------------
+
+
+def cone_contains(generators, x) -> bool:
+    """Exact membership of x in the cone spanned by the generators: the
+    coefficients of one solve when they are independent, else the rows of
+    their cone."""
+    gens = [tuple(g) for g in generators]
+    if not gens:
+        return not any(x)
+    d = len(gens[0])
+    sol = solve_linear([[g[i] for g in gens] for i in range(d)], list(x))
+    if sol is None:
+        return False
+    particular, kernel = sol
+    if not kernel:
+        return all(c >= 0 for c in particular)
+    return all(lattice.pairing(h, x) >= 0 for h in cone_rows(gens, d))
+
+
+def cone_is_pointed(generators) -> bool:
+    """Strong convexity: the dual cone, spanned by the rows, is full."""
+    gens = [tuple(g) for g in generators]
+    return not gens or lattice.matrix_rank(cone_rows(gens, len(gens[0]))) == len(gens[0])
+
+
+def ref_locate(fan, x):
+    """The first cone, by dimension, that contains x: the smallest one."""
+    for k in range(fan.dim + 1):
+        for cone in fan.cones(k):
+            if cone_contains(cone.generators(), x):
+                return cone
+    return None
 
 
 def ref_cone_contains(generators, x):
@@ -311,15 +350,71 @@ def test_rank_deficient_systems_match_lp():
     assert seen == {True, False}
 
 
-def test_no_simplex_caller_in_package():
-    """One polyhedral kernel: the definition of lp_feasible is the only
-    place the package names it."""
+def places_naming(target):
+    """(module, node type) of every place in the package that names target."""
     found = []
     for path in sorted(Path(semitoric.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
                     node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
-            if name is not None and name.split(".")[-1] == "lp_feasible":
+            if name is not None and name.split(".")[-1] == target:
                 found.append((path.name, type(node).__name__))
-    assert found == [("linalg.py", "FunctionDef")]
+    return found
+
+
+def test_no_simplex_caller_in_package():
+    """One polyhedral kernel: the definition of lp_feasible is the only
+    place the package names it."""
+    assert places_naming("lp_feasible") == [("linalg.py", "FunctionDef")]
+
+
+def test_one_membership_kernel_in_package():
+    """solve_linear is called by solve_unique alone, and the cone tests that
+    locate replaced live only here."""
+    assert places_naming("solve_linear") == [("linalg.py", "FunctionDef"), ("linalg.py", "Name")]
+    assert places_naming("cone_contains") == places_naming("cone_is_pointed") == []
+
+
+# -- point location ----------------------------------------------------------------
+
+
+def locate_fans():
+    """Seeded normal fans (the octahedron's and the cube's among them), a
+    stellar subdivision of each, and crepant P(1,1,2,2,2)."""
+    rng = random.Random(SEED + 4)
+    for base in random_normal_fans(rng):
+        yield base
+        yield stellar_subdivision(base, rng.choice([c.ray_indices for c in base.cones(2)]))
+    yield catalog.p11222_crepant_fan()
+
+
+def test_locate_matches_the_scan_and_contains_matches_lp():
+    """At every integer point of a box, ``locate`` gives the cone the scan
+    by dimension finds, and ``ConeRef.contains`` agrees with the LP on that
+    cone and on three cones drawn at random."""
+    rng = random.Random(SEED + 5)
+    dims = set()
+    for fan in locate_fans():
+        cones = fan.all_cones()
+        r = 1 if fan.dim == 4 else 2
+        for x in product(range(-r, r + 1), repeat=fan.dim):
+            held, ref = fan.locate(x), ref_locate(fan, x)
+            assert (held.ray_indices, held.dim) == (ref.ray_indices, ref.dim), (fan, x)
+            assert fan.max_cone_index(x) is not None
+            dims.add(held.dim)
+            for cone in [held] + rng.sample(cones, 3):
+                assert cone.contains(x) == ref_cone_contains(cone.generators(), x), (cone, x)
+    assert dims == {0, 1, 2, 3, 4}
+
+
+def test_refinement_queries_match_the_scan():
+    """Each cone of a stellar subdivision has as smallest container the cone
+    of the base fan that the scan finds for the sum of its rays."""
+    rng = random.Random(SEED + 6)
+    for base in random_normal_fans(rng):
+        fine = stellar_subdivision(base, rng.choice([c.ray_indices for c in base.cones(2)]))
+        assert fine.is_refinement(base) and not base.is_refinement(fine)
+        for cone in fine.all_cones():
+            ref = ref_locate(base, cone.relint_point())
+            assert base.smallest_containing_cone(cone).ray_indices == ref.ray_indices

@@ -66,7 +66,9 @@ def ref_normalized_volume(poly):
 
 
 def ref_triangulation_helper(q, reverse=False):
-    """The helper with its own children/dim_of/memo/pull face table."""
+    """The helper with its own children/dim_of/memo/pull face table, and
+    the stellar step that solves for the coefficients of each new point in
+    each cone (the package reads their signs off the dual rows)."""
     d = q.ambient_dim
     all_faces = q.all_faces()
     children = {}

@@ -2,8 +2,10 @@ import pytest
 
 from semitoric import catalog, lattice
 from semitoric.errors import ValidationError
-from semitoric.fan import ConeRef, Fan, cone_contains
+from semitoric.fan import ConeRef, Fan
 from semitoric.polytope import HPolytope, vertices_from_inequalities
+
+from .test_cone_kernel import cone_contains
 
 
 def p2_fan():
@@ -33,6 +35,18 @@ def test_validate_incomplete():
     fan = Fan([(1, 0), (0, 1), (-1, -1)], [{0, 1}, {0, 2}])
     assert not fan.is_complete
     assert "fan is not complete" in fan.validate()
+
+
+def test_locate_on_and_off_the_support_of_an_incomplete_fan():
+    fan = Fan([(1, 0), (0, 1), (-1, -1)], [{0, 1}, {0, 2}])
+    located = {x: fan.locate(x) for x in
+               [(0, 0), (2, 1), (0, 3), (1, -1), (-1, -1), (-1, 0), (-2, 1), (0, -1)]}
+    assert {x: c and sorted(c.ray_indices) for x, c in located.items()} == {
+        (0, 0): [], (2, 1): [0, 1], (0, 3): [1], (1, -1): [0, 2], (-1, -1): [2],
+        (-1, 0): None, (-2, 1): None, (0, -1): [0, 2]}
+    assert [c.dim for c in located.values() if c] == [0, 2, 1, 2, 1, 2]
+    assert fan.max_cone_index((-1, 0)) is None
+    assert not fan.cone_ref([0, 1]).contains((-1, 0))
 
 
 def test_validate_sec6_wps_fan():

@@ -204,3 +204,25 @@ def test_frame_matches_the_smith_oracles():
         x = [rng.randint(-9, 9) for _ in range(d)]
         t = [lattice.pairing(x, c) for c in C]
         assert [sum(tj * w[i] for tj, w in zip(t, W)) for i in range(d)] == x
+
+
+def test_frame_takes_no_smith_form_at_full_rank(monkeypatch):
+    """A full-rank span gets the unit frame from one elimination.  The 8 x 5
+    matrix below kept the Smith form busy for over 5 s; d + 4 random points
+    of [-20, 20]^d took 11 s to build a polytope from in Z^5."""
+    from semitoric.polytope import LatticePolytope
+
+    forms = []
+    snf = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda a: forms.append(a) or snf(a))
+    A = [[-12, 17, -10, 1, -12], [17, -1, 18, -6, 6], [0, -3, -9, -8, 23], [0, -3, -9, -8, 23],
+         [-5, 6, 16, -13, -1], [2, -8, -28, 14, 1], [7, -6, 33, 7, 13], [8, -3, 12, -9, -17]]
+    k, W, C = lattice.frame(A, 5)
+    assert k == 5 and W == C == [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    for d in (5, 6, 7):
+        rng = random.Random(1)
+        poly = LatticePolytope([tuple(rng.randint(-20, 20) for _ in range(d))
+                                for _ in range(d + 4)])
+        assert poly.dim == d and poly.facets()
+    assert forms == []
+    assert lattice.frame([[2, 4, 6]], 3)[0] == 1 and len(forms) == 1

@@ -331,17 +331,18 @@ def test_span_takes_one_smith_form_and_scans_without_solves(monkeypatch):
     snf, solve = lattice.smith_normal_form, linalg.solve_linear
     monkeypatch.setattr(lattice, "smith_normal_form", lambda a: forms.append(a) or snf(a))
     monkeypatch.setattr(linalg, "solve_linear", lambda *a: solves.append(a) or solve(*a))
-    for verts in ([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)],  # full
-                  [(-3, 5, 7, -4), (8, 2, 3, -2), (9, -3, 4, -10)],     # a skew triangle
-                  [(Fraction(1, 2), 0, 1), (Fraction(5, 2), 1, 0)]):     # a rational segment
+    # a full span takes no Smith form at all
+    for verts, n in (([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)], 0),  # full
+                     ([(-3, 5, 7, -4), (8, 2, 3, -2), (9, -3, 4, -10)], 1),  # a skew triangle
+                     ([(Fraction(1, 2), 0, 1), (Fraction(5, 2), 1, 0)], 1)):  # a rational segment
         forms.clear()
         poly = LatticePolytope(verts)  # the hull's span and facets carry over
         poly._span_data()
         poly.facets()
-        assert len(forms) == 1
+        assert len(forms) == n
         poly.lattice_points()
         poly.relative_interior_points()
         poly.normalized_volume()
         poly.dilate(3).lattice_points()
-        assert len(forms) == 1
+        assert len(forms) == n
     assert solves == []

@@ -18,12 +18,12 @@ from operator import add
 from . import lattice
 from .coxring import CoxRing, GradedPolynomial, R1Piece, j0_piece, jacobian_piece
 from .divisor import TorusInvariantDivisor
-from .errors import SemitoricError, ValidationError
+from .errors import InconsistencyError, SemitoricError, ValidationError
 from .fan import Fan
 from .hodge import h21_batyrev, h_p2, mirror_check, triangulation_helper
 from .linalg import SparseEchelon
 from .polytope import HPolytope, LatticePolytope, vertices_from_inequalities
-from .residue import CupProduct, ResidueMap, cup_constant
+from .residue import CupProduct, ResidueMap, admissible_index_sets, cup_constant, toric_jacobian
 from .threefold import ThreefoldAnalysis, gram_skew_between_levels
 
 
@@ -152,11 +152,24 @@ def cmd_divisor_analyze(doc, verify):
 def cmd_divisor_sigma_d(doc, verify):
     div = _parse_divisor(doc)
     coarse = div.sigma_d()
-    return {
-        "criterion": "coarsened fan of a semiample divisor; three constructions agree",
+    out = {
+        "criterion": "coarsened fan of a semiample divisor: normal fan of its section polytope",
         "fan": fan_to_json(coarse),
         "pushforward_coeffs": list(div.pushforward(coarse).coeffs),
     }
+    if verify:  # both gluing routes over the fine fan against the normal fan
+        out["verification"] = {
+            "gluing_by_linear_parts_matches": _agrees(div._sigma_d_by_gluing, coarse),
+            "gluing_across_zero_walls_matches": _agrees(div._sigma_d_by_zero_facets, coarse)}
+    return out
+
+
+def _agrees(route, value) -> bool:
+    """Whether a second route gives the value; one that finds itself inconsistent does not."""
+    try:
+        return route() == value
+    except InconsistencyError:
+        return False
 
 
 def _nakai_verification(div):
@@ -268,11 +281,18 @@ def cmd_residue_eval(doc, verify):
                 for i, s in enumerate(_need(doc, "sections", list, "input"))]
     argument = parse_polynomial(_need(doc, "argument", dict, "input"), ring)
     res = ResidueMap(ring, sections)
-    return {
-        "criterion": "toric residue normalized to the section-polytope volume",
-        "residue": q_str(res.residue(argument)),
-        "jacobian_residue": q_str(res.volume),
-    }
+    value = res.residue(argument)
+    out = {"criterion": "toric residue normalized to the section-polytope volume",
+           "residue": q_str(value),
+           "jacobian_residue": q_str(res.volume)}
+    if verify:  # the toric Jacobian is taken on the first admissible index set
+        out["verification"] = checks = {"residue_matches_monomial_sum": value == sum(
+            c * res.residue_of_monomial(ring.code(e)) for e, c in argument.terms.items())}
+        picks = admissible_index_sets(ring, res.beta)
+        if len(picks) > 1:
+            checks["jacobian_matches_second_index_set"] = _agrees(
+                lambda: toric_jacobian(ring, sections, picks[1]), res.jacobian)
+    return out
 
 
 def cmd_cup_pair(doc, verify):
@@ -413,7 +433,8 @@ def cmd_corpus_run(doc, verify):
     p2 = parse_fan(_fixture("projective_plane.json")["fan"])
     results.append({
         "name": "blowdown of the pulled-back hyperplane class",
-        "passed": parse_fan(report["fan"]) == p2,
+        "passed": parse_fan(report["fan"]) == p2
+        and all(report.get("verification", {}).values()),
     })
 
     cubic = _fixture("fermat_cubic.json")
@@ -501,11 +522,11 @@ def main(argv=None) -> int:
                 raise ValidationError("--input is required for this subcommand")
         else:
             try:
-                with open(args.input) as fh:
+                with open(args.input, encoding="utf-8") as fh:
                     doc = json.load(fh)
             except OSError as exc:
                 raise ValidationError(f"cannot read input: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise ValidationError(f"input is not valid JSON: {exc}") from exc
         report = handler(doc, args.verify)
     except ValidationError as exc:
@@ -517,9 +538,13 @@ def main(argv=None) -> int:
     text = json.dumps(report, sort_keys=True, indent=2, separators=(",", ": "))
     if args.output == "stdout":
         print(text)
-    else:
-        with open(args.output, "w") as fh:
+        return 0
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        print(f"output error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,10 +2,11 @@
 
 Support functions, convexity tests, section polytopes, intersection numbers
 against orbit closures as slice volumes, the coarsened fan of a semiample
-divisor (three independent algorithms that must agree), push-forward and
-pull-back along the associated birational morphism, the Nakai-type criteria
-from curve numbers read off the walls of the support function, and the
-orbit stratification of a regular semiample hypersurface.
+divisor (the normal fan of its section polytope; two gluing routes over the
+fine fan rebuild it for tests and `--verify`), push-forward and pull-back
+along the associated birational morphism, the Nakai-type criteria from curve
+numbers read off the walls of the support function, and the orbit
+stratification of a regular semiample hypersurface.
 """
 
 from __future__ import annotations
@@ -202,31 +203,29 @@ class TorusInvariantDivisor:
     # -- the coarsened fan -------------------------------------------------------
 
     def sigma_d(self) -> Fan:
-        """The complete fan on which D becomes ample.
-
-        Three mutually verifying constructions: (a) glue maximal cones that
-        share the same linear function m_sigma, (b) glue across facets with
-        (D·V(tau)) = 0, (c) the normal fan of the section polytope.  All
-        three must agree exactly.
-        """
+        """The complete fan on which D becomes ample: the normal fan of the
+        section polytope.  `_sigma_d_by_gluing` and `_sigma_d_by_zero_facets`
+        build it again from the fine fan, for tests and `--verify`."""
         if not self.is_semiample():
             raise PreconditionError("the coarsened fan is defined for semiample divisors")
-        fan_a = self._sigma_d_by_gluing()
-        fan_b = self._sigma_d_by_zero_facets()
-        fan_c = self.section_polytope().normal_fan()
-        if not (fan_a == fan_b == fan_c):
-            raise InconsistencyError(
-                "the three constructions of the coarsened fan disagree")
-        return fan_a
+        return self.section_polytope().normal_fan()
 
     def _sigma_d_by_gluing(self):
-        sf = self.support_function()
-        groups = {}
-        for ci in range(len(self.fan.max_cones)):
-            groups.setdefault(sf.per_max_cone[ci], []).append(ci)
-        return self._assemble_glued_fan(groups, method="dual")
+        """Glue the maximal cones that share their linear function m; the
+        glued cone is dual to the differences m' - m of the other ones."""
+        ms = self.support_function().per_max_cone
+
+        def glued(m):
+            normals = {lattice.primitivize(tuple(a - b for a, b in zip(m2, m)))
+                       for m2 in ms if m2 != m}
+            return extreme_rays_of_dual(sorted(normals), self.fan.dim)
+
+        return self._assemble_glued_fan([glued(m) for m in sorted(set(ms))])
 
     def _sigma_d_by_zero_facets(self):
+        """Glue maximal cones across the walls tau whose slice volume
+        (D . V(tau)) is 0; a ray of a glued cone is extreme when the facets
+        through it hold no other ray of the cone."""
         sf = self.support_function()
         parent = list(range(len(self.fan.max_cones)))
 
@@ -244,49 +243,29 @@ class TorusInvariantDivisor:
         groups = {}
         for ci in range(len(self.fan.max_cones)):
             groups.setdefault(find(ci), []).append(ci)
-        # keyed by representative support value for assembly symmetry
-        sfgroups = {}
+        cones = {}  # keyed by the common linear part, the order of the gluing route
         for cis in groups.values():
             keys = {sf.per_max_cone[ci] for ci in cis}
             if len(keys) != 1:
                 raise InconsistencyError(
                     "zero-facet gluing merged cones with different linear parts")
-            sfgroups[keys.pop()] = cis
-        return self._assemble_glued_fan(sfgroups, method="extreme-test")
+            members = sorted({i for ci in cis for i in self.fan.max_cones[ci]})
+            gens = [self.fan.rays[i] for i in members]
+            facets = [mask for _, mask in cone_rays(gens, self.fan.dim)]  # the group is full
+            cones[keys.pop()] = [g for i, g in enumerate(gens) if reduce(
+                and_, (m for m in facets if m >> i & 1), (1 << len(gens)) - 1) == 1 << i]
+        return self._assemble_glued_fan([cones[m] for m in sorted(cones)])
 
-    def _assemble_glued_fan(self, groups, method: str):
-        sf = self.support_function()
-        d = self.fan.dim
-        all_rays = []
-        cones = []
-        for m, cis in sorted(groups.items()):
-            member_rays = sorted({i for ci in cis for i in self.fan.max_cones[ci]})
-            gens = [self.fan.rays[i] for i in member_rays]
-            if method == "dual":
-                normals = sorted({
-                    lattice.primitivize(tuple(a - b for a, b in zip(m2, m)))
-                    for m2 in sf.per_max_cone if m2 != m})
-                if not normals:
-                    extremes = [tuple(r) for r in gens]
-                else:
-                    extremes = extreme_rays_of_dual(normals, d)
-            else:  # extreme: the facets through a ray hold no other member
-                facets = [mask for _, mask in cone_rays(gens, d)]  # the group is full
-                extremes = [g for i, g in enumerate(gens) if reduce(
-                    and_, (m for m in facets if m >> i & 1), (1 << len(gens)) - 1) == 1 << i]
-            extremes = sorted(extremes)
-            for r in extremes:
-                if r not in self.fan.rays:
-                    raise InconsistencyError(
-                        f"glued cone has extreme ray {r} outside the original fan")
-                if r not in all_rays:
-                    all_rays.append(r)
-            cones.append(frozenset(all_rays.index(r) for r in extremes))
-        order = sorted(range(len(all_rays)), key=lambda i: all_rays[i])
-        rank_of = {old: new for new, old in enumerate(order)}
-        return Fan([all_rays[i] for i in order],
-                   [frozenset(rank_of[i] for i in c) for c in cones],
-                   dim=d)
+    def _assemble_glued_fan(self, cones):
+        """The fan of the glued cones, each given by its extreme rays."""
+        rays = sorted({tuple(r) for c in cones for r in c})
+        for r in rays:
+            if r not in self.fan.rays:
+                raise InconsistencyError(
+                    f"glued cone has extreme ray {r} outside the original fan")
+        index = {r: i for i, r in enumerate(rays)}
+        return Fan(rays, [frozenset(index[tuple(r)] for r in c) for c in cones],
+                   dim=self.fan.dim)
 
     # -- push-forward / pull-back --------------------------------------------------
 

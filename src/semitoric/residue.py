@@ -3,8 +3,10 @@
 The residue map is realized by exact linear algebra in the critical degree
 rho = (d+1)beta - beta_0: the span of the input sections has codimension one
 there, the toric Jacobian spans the complement, and the residue of the toric
-Jacobian is normalized to d! vol(Delta).  On top of this sit the trace
-functional eta and the pairing procedure for regular semiample hypersurfaces.
+Jacobian is normalized to d! vol(Delta).  The toric Jacobian does not depend
+on the admissible index set; it is taken on the first one, and `residue eval
+--verify` compares a second.  On top of this sit the trace functional eta and
+the pairing procedure for regular semiample hypersurfaces.
 """
 
 from __future__ import annotations
@@ -114,59 +116,52 @@ def _poly_det(ring: CoxRing, M):
     return minor(0, tuple(range(n)))
 
 
-def toric_jacobian(ring: CoxRing, F, I=None) -> GradedPolynomial:
-    """The toric Jacobian of d+1 sections of the same degree:
-    det(dF_j / dx_{i_k}) / (c_I^beta * xhat_I), an element of
-    S_{(d+1)beta - beta_0} independent of the admissible I."""
+def _sections(ring: CoxRing, F):
+    """F as a list of d+1 sections of one degree, and that degree."""
     F = list(F)
     if len(F) != ring.d + 1:
         raise ValidationError(f"{len(F)} sections, expected {ring.d + 1}")
-    beta = F[0].degree
-    if any(g.degree != beta for g in F):
+    if any(g.degree != F[0].degree for g in F):
         raise ValidationError("sections of mixed degrees")
+    return F, F[0].degree
+
+
+def _first_admissible(ring: CoxRing, beta):
+    """The first (d+1)-subset I, in lexicographic order, with c_I^beta != 0."""
     picks = admissible_index_sets(ring, beta)
     if not picks:
         raise PreconditionError("no admissible index set: degree determinant vanishes")
-    chosen = [tuple(I)] if I is not None else picks[:2]
-    results = []
-    for J in chosen:
-        c = c_I_beta(ring, beta, J)
-        if c == 0:
-            raise ValidationError(f"index set {J} is not admissible")
-        M = [[F[j].partial(i) for i in J] for j in range(len(F))]
-        det = _poly_det(ring, M)
-        xhat = tuple(0 if i in J else 1 for i in range(ring.n))
-        rho = (ring.d + 1) * beta - ring.beta0
-        if det is None or det.is_zero():
-            results.append(GradedPolynomial(ring, {}, rho, _trusted=True))
-            continue
-        try:
-            quot = det.divide_by_monomial(xhat)
-        except ValidationError as exc:
-            raise InconsistencyError(
-                f"Jacobian determinant not divisible by the complementary "
-                f"monomial for I={J}") from exc
-        results.append(Fraction(1, c) * quot)
-    if len(results) == 2 and results[0] != results[1]:
-        raise InconsistencyError("toric Jacobian depends on the index set")
-    return results[0]
+    return picks[0]
+
+
+def toric_jacobian(ring: CoxRing, F, I=None) -> GradedPolynomial:
+    """The toric Jacobian det(dF_j / dx_{i_k}) / (c_I^beta * xhat_I) of d+1
+    sections of one degree, in S_{(d+1)beta - beta_0}; independent of the
+    admissible I, by default the first (`residue eval --verify` takes a second)."""
+    F, beta = _sections(ring, F)
+    I = tuple(I) if I is not None else _first_admissible(ring, beta)
+    c = c_I_beta(ring, beta, I)
+    if c == 0:
+        raise ValidationError(f"index set {I} is not admissible")
+    det = _poly_det(ring, [[g.partial(i) for i in I] for g in F])
+    if det is None or det.is_zero():
+        return GradedPolynomial(ring, {}, (ring.d + 1) * beta - ring.beta0, _trusted=True)
+    try:
+        quot = det.divide_by_monomial(tuple(0 if i in I else 1 for i in range(ring.n)))
+    except ValidationError as exc:
+        raise InconsistencyError(
+            f"Jacobian determinant not divisible by the complementary "
+            f"monomial for I={I}") from exc
+    return Fraction(1, c) * quot
 
 
 def cup_jacobian(ring: CoxRing, f: GradedPolynomial) -> GradedPolynomial:
     """det(dF_j/dx_i)_{i,j in I} / ((c_I^beta)^2 xhat_I) for the weighted
-    partials F_j = x_j df/dx_j; independent of the admissible I."""
-    beta = f.degree
-    picks = admissible_index_sets(ring, beta)
-    if not picks:
-        raise PreconditionError("no admissible index set for the degree of f")
-    results = []
-    for I in picks[:2]:
-        c = c_I_beta(ring, beta, I)
-        F = [f.weighted_partial(i) for i in I]
-        results.append(Fraction(1, c) * toric_jacobian(ring, F, I))
-    if len(results) == 2 and results[0] != results[1]:
-        raise InconsistencyError("cup Jacobian depends on the index set")
-    return results[0]
+    partials F_j = x_j df/dx_j; independent of the admissible I, taken on
+    the first one."""
+    I = _first_admissible(ring, f.degree)
+    jacobian = toric_jacobian(ring, [f.weighted_partial(i) for i in I], I)
+    return Fraction(1, c_I_beta(ring, f.degree, I)) * jacobian
 
 
 class ResidueMap:
@@ -179,8 +174,7 @@ class ResidueMap:
 
     def __init__(self, ring: CoxRing, F, _span=None, _jacobian=None):
         self.ring = ring
-        self.F = list(F)
-        beta = self.F[0].degree
+        self.F, beta = _sections(ring, F)
         div = TorusInvariantDivisor(ring.fan, beta.rep)
         if not div.is_semiample():
             raise PreconditionError("the residue map is defined for semiample degrees")

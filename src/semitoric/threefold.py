@@ -204,7 +204,7 @@ def face_polynomial(f: GradedPolynomial, sigma: ConeRef,
     """The polynomial cutting the hypersurface out of the orbit-closure
     surface of a 2-cone: the terms of f on the matching face of the section
     polytope, rewritten in quotient-lattice coordinates."""
-    analysis = ThreefoldAnalysis(f, coarse, _check_certificate=False)
+    analysis = ThreefoldAnalysis(f, coarse)
     slice_ = SurfaceSlice(analysis, _same_cone_in(analysis.coarse, sigma))
     return slice_.polynomial
 
@@ -286,8 +286,7 @@ def _expand_indices(blocks, kind):
 class ThreefoldAnalysis:
     """Middle-cohomology data of a regular semiample hypersurface, d = 4."""
 
-    def __init__(self, f: GradedPolynomial, coarse: Fan | None = None,
-                 _check_certificate: bool = True):
+    def __init__(self, f: GradedPolynomial, coarse: Fan | None = None):
         ring = f.ring
         if ring.d != 4:
             raise PreconditionError("threefold analysis requires a rank-4 fan")
@@ -302,16 +301,20 @@ class ThreefoldAnalysis:
         if not ring.fan.is_refinement(self.coarse):
             raise PreconditionError("the given coarse fan is not refined by the fan of f")
         self.delta = self.divisor.section_polytope()
-        self.certificate = None
-        if _check_certificate:
-            self.certificate = nondegeneracy_certificate(f)
-            if not self.certificate.certified:
-                raise CertificateError(
-                    "hypersurface section is not certified nondegenerate")
+        self._certificate = None
         self.charts = two_cone_charts(ring.fan, self.coarse)
         self._slices = {}
         self._bulk_pieces = {}
         self._cup = None
+
+    @property
+    def certificate(self):
+        """The nondegeneracy certificate of f, computed on first use."""
+        if self._certificate is None:
+            self._certificate = nondegeneracy_certificate(self.f)
+        if not self._certificate.certified:
+            raise CertificateError("hypersurface section is not certified nondegenerate")
+        return self._certificate
 
     # -- pieces -----------------------------------------------------------------
 
@@ -330,9 +333,8 @@ class ThreefoldAnalysis:
             # where D_k multiplies each term by u_k, and the rows (a_i, e_i),
             # i in I, have determinant +-c_I != 0, so the weighted partials
             # of I span those of every variable and generate J_0.
-            cert = self.certificate
-            j0 = (cert.span if cert is not None
-                  and cert.span.degree == gamma + self.ring.beta0 else None)
+            span = self.certificate.span
+            j0 = span if span.degree == gamma + self.ring.beta0 else None
             self._bulk_pieces[a] = R1Piece(self.f, gamma, _j0=j0)
         return self._bulk_pieces[a]
 

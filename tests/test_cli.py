@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -12,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import semitoric
-from semitoric import catalog, cli
+from semitoric import catalog, cli, residue
 from semitoric.cli import main
+from semitoric.divisor import TorusInvariantDivisor
+from semitoric.errors import InconsistencyError
 from semitoric.polytope import LatticePolytope
-from semitoric.residue import CupProduct, PairingValue
+from semitoric.residue import CupProduct, PairingValue, ResidueMap, admissible_index_sets
 from semitoric.threefold import GramBlock, ThreefoldAnalysis
 
 FIXTURES = resources.files("semitoric") / "fixtures"
@@ -53,6 +57,23 @@ BLOWUP_PULLBACK = {
 }
 
 
+P1_RESIDUE = {
+    "fan": {"rays": [[1], [-1]], "max_cones": [[0], [1]]},
+    "sections": [{"terms": [{"exps": [2, 0], "num": 1}]},
+                 {"terms": [{"exps": [0, 2], "num": 1}]}],
+    "argument": {"terms": [{"exps": [1, 1], "num": 1}]},
+}
+# x0 y0, x1 y1, x0 y1 + x1 y0 on P^1 x P^1: no common zero, four admissible index sets
+P1XP1_RESIDUE = {
+    "fan": {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+            "max_cones": [[0, 2], [2, 1], [1, 3], [3, 0]]},
+    "sections": [{"terms": [{"exps": [1, 0, 1, 0], "num": 1}]},
+                 {"terms": [{"exps": [0, 1, 0, 1], "num": 1}]},
+                 {"terms": [{"exps": [1, 0, 0, 1], "num": 1}, {"exps": [0, 1, 1, 0], "num": 1}]}],
+    "argument": {"terms": [{"exps": [1, 0, 0, 1], "num": 3}, {"exps": [0, 1, 0, 1], "num": -2}]},
+}
+
+
 def test_fan_check(tmp_path, capsys):
     path = write(tmp_path, "fan.json", {"fan": BLOWUP_PULLBACK["fan"]})
     code, out, _ = run(capsys, "fan", "check", "--input", path)
@@ -79,6 +100,31 @@ def test_divisor_sigma_d(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert sorted(map(tuple, doc["fan"]["rays"])) == [(-1, -1), (0, 1), (1, 0)]
+
+
+def test_divisor_sigma_d_verify(tmp_path, capsys, monkeypatch):
+    """--verify lists both gluing routes over the fine fan against the normal
+    fan and changes nothing else.  A route that builds another fan, or that
+    finds itself inconsistent, is listed as false, and the run exits 0."""
+    path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
+    code, plain, _ = run(capsys, "divisor", "sigma-d", "--input", path)
+    assert code == 0
+    code, out, _ = run(capsys, "divisor", "sigma-d", "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == {"gluing_by_linear_parts_matches": True,
+                                          "gluing_across_zero_walls_matches": True}
+    assert report == json.loads(plain)
+
+    def inconsistent(self):
+        raise InconsistencyError("zero-facet gluing merged cones with different linear parts")
+
+    monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_gluing", lambda self: self.fan)
+    monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_zero_facets", inconsistent)
+    code, out, _ = run(capsys, "divisor", "sigma-d", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"gluing_by_linear_parts_matches": False,
+                                               "gluing_across_zero_walls_matches": False}
 
 
 def test_divisor_nakai(tmp_path, capsys):
@@ -174,6 +220,29 @@ def test_unreadable_input_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'\xff\xfe{"fan":1}', "input is not valid JSON: 'utf-8' codec"),  # not UTF-8
+    (b"[" * 200000, "input is not valid JSON: maximum recursion depth"),  # too deep
+    # past the digit limit of int(), where the Python version has one
+    (b'{"fan": [' + b"9" * 5000 + b"]}", ""),
+])
+def test_undecodable_input_exit_1(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "fan", "check", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: " + message)
+
+
+def test_unwritable_output_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "divisor", "analyze", "--input", path, "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("output error: cannot write report:") and str(target) in err
+    assert not target.parent.exists()
+
+
 RAGGED_RAYS = {"rays": [[1, 0], [0, 1, 0], [-1, -1]],
                "max_cones": [[0, 1], [1, 2], [2, 0]]}
 RAGGED_NORMALS = {"polytope": {"inequalities": [
@@ -230,10 +299,15 @@ def quintic_with_den(den):
     (("fan", "check"), {"fan": {"rays": [[1, 0], [0, 1], [-1, -1], [0, 1]],
                                 "max_cones": [[0, 1], [1, 2], [2, 0]]}},
      "rays 1 and 3 are equal: [0, 1]"),
+    (("residue", "eval"), dict(P1XP1_RESIDUE, sections=[]), "0 sections, expected 3"),
+    (("residue", "eval"), dict(P1XP1_RESIDUE, sections=P1XP1_RESIDUE["sections"][:2] + [
+        {"terms": [{"exps": [2, 0, 0, 0], "num": 1}, {"exps": [0, 2, 0, 0], "num": 1}]}]),
+     "sections of mixed degrees"),
 ])
 def test_malformed_fields_exit_1(tmp_path, capsys, command, doc, named):
-    """A wrongly typed flag or denominator, a ray index out of range and a
-    repeated ray are input errors that name the field, not reports."""
+    """A wrongly typed flag or denominator, a ray index out of range, a
+    repeated ray, and residues of too few sections or of sections of mixed
+    degrees are input errors that name the field, not reports."""
     path = write(tmp_path, "bad.json", doc)
     code, out, err = run(capsys, *command, "--input", path)
     assert code == 1
@@ -290,18 +364,83 @@ def test_ring_dims(tmp_path, capsys):
 
 
 def test_residue_eval(tmp_path, capsys):
-    doc = {
-        "fan": {"rays": [[1], [-1]], "max_cones": [[0], [1]]},
-        "sections": [{"terms": [{"exps": [2, 0], "num": 1}]},
-                     {"terms": [{"exps": [0, 2], "num": 1}]}],
-        "argument": {"terms": [{"exps": [1, 1], "num": 1}]},
-    }
-    path = write(tmp_path, "res.json", doc)
+    path = write(tmp_path, "res.json", P1_RESIDUE)
     code, out, _ = run(capsys, "residue", "eval", "--input", path)
     assert code == 0
     doc = json.loads(out)
     assert doc["residue"] == "-1"
     assert doc["jacobian_residue"] == "2"
+
+
+def test_residue_eval_verify(tmp_path, capsys, monkeypatch):
+    """--verify checks the residue against the sum of `residue_of_monomial`
+    over the terms of the argument, and the toric Jacobian against a second
+    admissible index set where there is one (P^1 has one only); it changes
+    nothing else.  Wrong routes are listed as false, and the run exits 0."""
+    for name, doc, checks in (
+            ("p1.json", P1_RESIDUE, {"residue_matches_monomial_sum": True}),
+            ("p1xp1.json", P1XP1_RESIDUE, {"residue_matches_monomial_sum": True,
+                                           "jacobian_matches_second_index_set": True})):
+        path = write(tmp_path, name, doc)
+        code, plain, _ = run(capsys, "residue", "eval", "--input", path)
+        assert code == 0
+        code, out, _ = run(capsys, "residue", "eval", "--input", path, "--verify")
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("verification") == checks
+        assert report == json.loads(plain)
+    assert json.loads(plain)["residue"] == "3"
+
+    monkeypatch.setattr(ResidueMap, "residue_of_monomial", lambda self, code: Fraction(1, 7))
+    monkeypatch.setattr(cli, "toric_jacobian",
+                        lambda ring, F, I: 2 * residue.toric_jacobian(ring, F, I))
+    code, out, _ = run(capsys, "residue", "eval", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"residue_matches_monomial_sum": False,
+                                               "jacobian_matches_second_index_set": False}
+
+
+def test_second_routes_run_only_under_verify(tmp_path, capsys, monkeypatch):
+    """Without --verify, no subcommand builds Sigma_D by a gluing route or
+    takes the toric Jacobian on an index set other than the first: the
+    corpus (divisor sigma-d, cup pair, ring dims, mirror check, threefold
+    h3), divisor stratify and residue eval all pass with the gluing routes
+    made to raise.  Under --verify, residue eval takes a second index set."""
+    def forbidden(self):
+        raise AssertionError("a gluing route of Sigma_D ran without --verify")
+
+    monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_gluing", forbidden)
+    monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_zero_facets", forbidden)
+    first_only = []
+    original = residue.toric_jacobian
+
+    def recorded(ring, F, I=None):
+        first = admissible_index_sets(ring, F[0].degree)[0]
+        first_only.append(I is None or tuple(I) == first)
+        return original(ring, F, I)
+
+    monkeypatch.setattr(residue, "toric_jacobian", recorded)
+    monkeypatch.setattr(cli, "toric_jacobian", recorded)
+    code, out, _ = run(capsys, "corpus", "run")
+    assert code == 0 and json.loads(out)["all_passed"]
+    for command, doc in ((("divisor", "stratify"), BLOWUP_PULLBACK),
+                         (("residue", "eval"), P1XP1_RESIDUE)):
+        code, _, err = run(capsys, *command, "--input", write(tmp_path, "in.json", doc))
+        assert code == 0, err
+    assert first_only and all(first_only)
+    code, _, _ = run(capsys, "residue", "eval", "--input", str(tmp_path / "in.json"), "--verify")
+    assert code == 0 and not all(first_only)
+
+
+def test_every_handler_reads_verify():
+    """A handler that never reads its `verify` argument makes --verify a
+    silent no-op.  `fan check` has no second route yet (ROADMAP item 7)."""
+    allowed = {("fan", "check")}
+    for command, handler in cli.HANDLERS.items():
+        tree = ast.parse(inspect.getsource(handler))
+        reads = any(isinstance(node, ast.Name) and node.id == "verify"
+                    and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+        assert reads or command in allowed, f"{' '.join(command)} ignores --verify"
 
 
 def test_cup_pair(tmp_path, capsys):

@@ -10,7 +10,7 @@ from semitoric.errors import (InconsistencyError, NotCartierError, PreconditionE
 from semitoric.fan import ConeRef, Fan
 from semitoric.polytope import vertices_from_inequalities
 
-from .test_acceptance import criterion_2_divisors
+from .test_acceptance import criterion_2_divisors, semiample_corpus
 
 P2 = catalog.projective_plane()
 BLOWUP = catalog.blowup_p2()
@@ -184,6 +184,39 @@ def test_semiample_corollary_on_random_cartier():
         gg = div.nakai_globally_generated()
         top_positive = gg and div.degree() > 0
         assert div.is_semiample() == (gg and top_positive)
+
+
+def test_sigma_d_is_the_normal_fan_and_both_gluing_routes_rebuild_it():
+    """Sigma_D, the normal fan of the section polytope, equals the fans that
+    both gluing routes build over the fine fan, with the rays and maximal
+    cones in the order of the gluing by linear parts (reports print it)."""
+    divisors = [div for div in criterion_2_divisors() if div.is_semiample()]
+    divisors += semiample_corpus()
+    divisors += [find_ample(fan) for fan in (catalog.p11222_triple_fan(), catalog.blowup_p3(),
+                                             catalog.hirzebruch(3))]
+    assert len(divisors) >= 20
+    for div in divisors:
+        coarse = div.sigma_d()
+        assert coarse == div._sigma_d_by_zero_facets()
+        glued = div._sigma_d_by_gluing()
+        assert (coarse.rays, coarse.max_cones) == (glued.rays, glued.max_cones)
+
+
+def test_default_paths_build_no_gluing_route(monkeypatch):
+    """sigma_d, stratify and a threefold analysis need neither gluing route."""
+    from semitoric.threefold import ThreefoldAnalysis
+
+    def forbidden(self):
+        raise AssertionError("a gluing route of Sigma_D ran on a default path")
+
+    monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_gluing", forbidden)
+    monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_zero_facets", forbidden)
+    assert PULLBACK_D3.sigma_d() == P2
+    assert {r.torus_factor_dim for r in PULLBACK_D3.stratify()} == {0, 1}
+    ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
+    analysis = ThreefoldAnalysis(f)
+    assert analysis.coarse == catalog.p11222_fan()
+    assert sum(c.n_interior for c in analysis.charts) == 1
 
 
 def test_sigma_d_on_projective_line():

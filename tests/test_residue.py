@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from semitoric import catalog
+from semitoric import catalog, residue
 from semitoric.coxring import CoxRing, R1Piece, nondegeneracy_certificate
 from semitoric.errors import CertificateError, ValidationError
 from semitoric.residue import (
@@ -99,13 +99,35 @@ def test_cup_jacobian_fermat_cubic():
     assert j.terms == {(2, 2, 2): Fraction(81)}
 
 
+P1XP1 = CoxRing(catalog.product_fan(catalog.projective_line(), catalog.projective_line()))
+BIQUADRIC = P1XP1.polynomial({(2, 0, 2, 0): 1, (0, 2, 2, 0): 2, (2, 0, 0, 2): 3,
+                              (0, 2, 0, 2): 5, (1, 1, 1, 1): 7})
+
+
 def test_cup_jacobian_two_index_sets_agree():
-    ring = CoxRing(catalog.product_fan(catalog.projective_line(),
-                                       catalog.projective_line()))
-    f = ring.polynomial({(2, 0, 2, 0): 1, (0, 2, 2, 0): 2, (2, 0, 0, 2): 3,
-                         (0, 2, 0, 2): 5, (1, 1, 1, 1): 7})
-    assert len(admissible_index_sets(ring, f.degree)) >= 2
-    cup_jacobian(ring, f)  # internal two-choice cross-check must pass
+    """The cup Jacobian is taken on the first admissible index set; the
+    second one gives the same polynomial."""
+    def on(I):
+        F = [BIQUADRIC.weighted_partial(i) for i in I]
+        return Fraction(1, c_I_beta(P1XP1, BIQUADRIC.degree, I)) * toric_jacobian(P1XP1, F, I)
+
+    first, second = admissible_index_sets(P1XP1, BIQUADRIC.degree)[:2]
+    assert not on(first).is_zero()
+    assert on(first) == on(second) == cup_jacobian(P1XP1, BIQUADRIC)
+
+
+def test_toric_jacobian_takes_one_determinant(monkeypatch):
+    """With no index set given, the toric Jacobian and the cup Jacobian take
+    the determinant on the first admissible index set only."""
+    calls = []
+    original = residue._poly_det
+    monkeypatch.setattr(residue, "_poly_det", lambda ring, M: calls.append(M) or original(ring, M))
+    F = [BIQUADRIC.weighted_partial(i) for i in range(3)]
+    assert len(admissible_index_sets(P1XP1, BIQUADRIC.degree)) >= 2
+    toric_jacobian(P1XP1, F)
+    assert len(calls) == 1
+    cup_jacobian(P1XP1, BIQUADRIC)
+    assert len(calls) == 2
 
 
 def test_eta_on_fermat_cubic():

@@ -4,10 +4,10 @@ from operator import add
 
 import pytest
 
-from semitoric import catalog, coxring, lattice, residue
+from semitoric import catalog, coxring, lattice, residue, threefold
 from semitoric.coxring import CoxRing, R1Piece, r1_dim
 from semitoric.divisor import TorusInvariantDivisor
-from semitoric.errors import PreconditionError
+from semitoric.errors import CertificateError, PreconditionError
 from semitoric.hodge import h21_batyrev
 from semitoric.residue import PairingValue
 from semitoric.threefold import (
@@ -41,6 +41,22 @@ def crepant_analysis():
 def triple_analysis():
     ring, f = catalog.p11222_pullback_fermat(catalog.p11222_triple_fan())
     return ThreefoldAnalysis(f)
+
+
+def test_certificate_is_computed_on_first_use(monkeypatch):
+    """The analysis of a degenerate cubic (no x_4 term, so every weighted
+    partial vanishes at (0, 0, 0, 0, 1)) builds without its certificate;
+    the first ring piece asks for it and fails."""
+    calls = []
+    monkeypatch.setattr(threefold, "nondegeneracy_certificate",
+                        lambda f: calls.append(f) or coxring.nondegeneracy_certificate(f))
+    ring = CoxRing(catalog.projective_space(4))
+    f = ring.polynomial({tuple(3 * int(i == j) for j in range(5)): 1 for i in range(4)})
+    analysis = ThreefoldAnalysis(f)
+    assert calls == []
+    with pytest.raises(CertificateError, match="not certified nondegenerate"):
+        analysis.blocks(1)
+    assert len(calls) == 1
 
 
 def test_charts_ample_case_all_trivial(quintic_analysis):
@@ -384,7 +400,7 @@ def test_face_terms_match_the_face_polytope_route(crepant_analysis):
     rng = random.Random(11)
     exps = rng.sample(ring.monomial_basis(fermat(ring, 5).degree).exponents, 40)
     f = ring.polynomial({e: c for c, e in enumerate(exps, start=1)})
-    random_analysis = ThreefoldAnalysis(f, _check_certificate=False)
+    random_analysis = ThreefoldAnalysis(f)
     for analysis in (random_analysis, crepant_analysis):
         f = analysis.f
         for sigma in analysis.coarse.cones(2):

@@ -345,14 +345,7 @@ def cmd_threefold_h3(doc, verify):
     grams = [analysis.gram(a, 3 - a) for a in range(4)]
     ranks = [g.rank() for g in grams]
     if with_gram:
-        # one JSON object per value object: the zero entries of a block are
-        # one object, and most entries are zero
-        objects = {}
-        out["gram"] = [{
-            "level_a": g.level_a, "level_b": g.level_b, "rank": rank,
-            "entries": [[objects.get(id(v)) or objects.setdefault(id(v), v.to_json())
-                         for v in row] for row in g.entries],
-        } for g, rank in zip(grams, ranks)]
+        out["gram"] = [g.to_json(rank) for g, rank in zip(grams, ranks)]
     if verify:
         out["verification"] = {
             "gram_skew_between_levels": gram_skew_between_levels(grams),

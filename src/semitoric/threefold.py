@@ -230,24 +230,32 @@ class GramBlock:
     row_blocks: list
     col_blocks: list
     entries: list
+    nonzeros: list | None = None   # per row, its nonzero (column, value) pairs
+
+    def __post_init__(self):
+        """The one scan for nonzero entries, unless the builder knows them;
+        `rank` and `to_json` read `nonzeros` only."""
+        if self.nonzeros is None:
+            self.nonzeros = [[(j, v) for j, v in enumerate(row) if v.rational]
+                             for row in self.entries]
 
     def rank(self) -> int:
-        """Rank over Q; ring and link parts never mix, so the rank splits.
+        """Rank over Q, from the nonzero entries of the rows in a
+        `SparseEchelon`.  The dense route (`lattice.matrix_rank` on the whole
+        matrix) is the `--verify` check."""
+        echelon = SparseEchelon(sum(b.dim for b in self.col_blocks))
+        for row in self.nonzeros:
+            echelon.insert({j: v.rational for j, v in row})
+        return echelon.rank
 
-        Each part is ranked sparsely: the nonzero entries of its rows go into
-        a `SparseEchelon`, whose rank is the part's rank.  The dense route
-        (`lattice.matrix_rank` on the whole matrix) is the `--verify` check.
-        """
-        def part_rank(kind):
-            cols = _expand_indices(self.col_blocks, kind)
-            echelon = SparseEchelon(len(cols))
-            for i in _expand_indices(self.row_blocks, kind):
-                row = self.entries[i]
-                echelon.insert({k: row[j].rational for k, j in enumerate(cols)
-                                if row[j].rational})
-            return echelon.rank
-
-        return part_rank("ring") + part_rank("link")
+    def to_json(self, rank: int):
+        """The report form: each row lists its nonzero cells in column order
+        as {"col": j, "rational", "two_pi_i_exponent"}; a cell it does not
+        list is zero."""
+        return {"level_a": self.level_a, "level_b": self.level_b, "rank": rank,
+                "columns": sum(b.dim for b in self.col_blocks),
+                "entries": [[{"col": j, **v.to_json()} for j, v in row]
+                            for row in self.nonzeros]}
 
     def sample_positions(self):
         """The diagonal and the first row of every pair of blocks: a fixed
@@ -271,16 +279,6 @@ def gram_skew_between_levels(grams) -> bool:
                for g in grams
                for i, row in enumerate(g.entries)
                for j, v in enumerate(row))
-
-
-def _expand_indices(blocks, kind):
-    out = []
-    offset = 0
-    for b in blocks:
-        if b.kind == kind:
-            out.extend(range(offset, offset + b.dim))
-        offset += b.dim
-    return out
 
 
 class ThreefoldAnalysis:
@@ -386,12 +384,22 @@ class ThreefoldAnalysis:
         for level, blocks in ((a, rows), (b, cols)):
             for block in blocks:
                 self._check_basis_degree(block, level)
-        entries = []
+        entries, nonzeros = [], []
         for rb in rows:
-            parts = [self._block_entries(rb, cb, a) for cb in cols]
-            entries.extend([v for part in parts for v in part[i]]
-                           for i in range(rb.dim))
-        return GramBlock(a, b, rows, cols, entries)
+            zero_row, sparse = [], [[] for _ in range(rb.dim)]
+            for cb in cols:
+                zero, part = self._block_entries(rb, cb, a)
+                c0 = len(zero_row)
+                zero_row += [zero] * cb.dim
+                for row, cells in zip(sparse, part):
+                    row.extend((c0 + j, v) for j, v in cells)
+            for row in sparse:
+                dense = zero_row.copy()
+                for j, v in row:
+                    dense[j] = v
+                entries.append(dense)
+            nonzeros.extend(sparse)
+        return GramBlock(a, b, rows, cols, entries, nonzeros)
 
     def _check_basis_degree(self, block: H3Block, level: int):
         if block.kind == "ring":
@@ -425,17 +433,18 @@ class ThreefoldAnalysis:
         return (0 if seg is None else Fraction(sign, seg)), cup, 2
 
     def _block_entries(self, rb: H3Block, cb: H3Block, a: int):
-        """The rb.dim x cb.dim sub-block of gram(a, 3 - a) between two blocks."""
+        """The rb.dim x cb.dim sub-block of gram(a, 3 - a) between two
+        blocks: its zero value, and per row the (column, value) pairs of its
+        nonzero entries.  Most traces vanish."""
         scale, cup, k = self._block_factor(rb, cb, a)
         zero = PairingValue(Fraction(0), k)
         if not scale:
-            return [[zero] * cb.dim for _ in range(rb.dim)]
+            return zero, [[] for _ in range(rb.dim)]
         eta, code = cup.eta_of_code, cup.ring.code
-        col_codes = [code(e) for e in cb.basis_exponents]
-        # most traces vanish; those entries share one zero value
-        return [[PairingValue(scale * v, k) if (v := eta(ca + cc)) else zero
-                 for cc in col_codes]
-                for ca in map(code, rb.basis_exponents)]
+        col_codes = [(j, code(e)) for j, e in enumerate(cb.basis_exponents)]
+        return zero, [[(j, PairingValue(scale * v, k)) for j, cc in col_codes
+                       if (v := eta(ca + cc))]
+                      for ca in map(code, rb.basis_exponents)]
 
     def entry_by_polynomials(self, a: int, i: int, j: int) -> PairingValue:
         """Entry (i, j) of gram(a, 3 - a) from the product of the two basis

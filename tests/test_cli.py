@@ -669,6 +669,28 @@ def test_threefold_h3_quintic_no_gram(tmp_path, capsys):
     assert doc["hodge_numbers"] == {"h30": 1, "h21": 101, "h12": 101, "h03": 1}
 
 
+def test_threefold_h3_lists_only_nonzero_gram_cells(capsys):
+    """On the Fermat quintic each middle Gram block pairs the 101 basis
+    monomials by a permutation that is not the diagonal: one listed entry in
+    each row and each column.  The 1 x 1 end blocks list their one entry."""
+    with resources.as_file(FIXTURES / "fermat_quintic.json") as path:
+        code, out, _ = run(capsys, "threefold", "h3", "--input", str(path))
+    assert code == 0
+    assert len(out.encode()) < 64 * 1024
+    grams = json.loads(out)["gram"]
+    assert [g["columns"] for g in grams] == [1, 101, 101, 1]
+    for g in grams:
+        rows = g["entries"]
+        assert len(rows) == g["columns"] == g["rank"]
+        assert all(len(row) == 1 for row in rows)
+        cols = [row[0]["col"] for row in rows]
+        assert sorted(cols) == list(range(len(rows)))
+        assert all(row[0]["rational"] != "0" and row[0]["two_pi_i_exponent"] == 4
+                   for row in rows)
+        if len(rows) > 1:
+            assert cols != list(range(len(rows)))
+
+
 def test_threefold_h3_verify(tmp_path, capsys, monkeypatch):
     """--verify adds the four Gram cross-checks, computing the Gram blocks
     even when the report leaves them out, and changes nothing else; a

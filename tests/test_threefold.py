@@ -227,9 +227,22 @@ def test_sparse_gram_rank_matches_dense_elimination(name, request):
                                                 for row in g.entries])
 
 
+@pytest.mark.parametrize("name", ["quintic_analysis", "crepant_analysis",
+                                  "triple_analysis"])
+def test_gram_nonzeros_are_the_nonzero_dense_entries(name, request):
+    """The nonzero pairs `gram` hands its block are those a scan of the
+    dense entries finds, in column order, with the same value objects."""
+    analysis = request.getfixturevalue(name)
+    for a in range(4):
+        g = analysis.gram(a, 3 - a)
+        rescanned = GramBlock(g.level_a, g.level_b, g.row_blocks, g.col_blocks, g.entries)
+        assert g.nonzeros == rescanned.nonzeros
+        assert all(g.entries[i][j] is v for i, row in enumerate(g.nonzeros) for j, v in row)
+
+
 def test_sparse_gram_rank_of_random_dependent_rows():
     """Seeded rational matrices of known low rank, split into ring and link
-    blocks that never mix: the sparse part-ranks add up to the dense rank."""
+    blocks that never mix: the sparse rank is the dense rank."""
     rng = random.Random(9)
 
     def low_rank(nrows, ncols, k):

@@ -15,7 +15,10 @@ facet cones of the MPCP helper in ``hodge.py``.
 Every lattice point comes from one scan, ``_enumerate_integer_points``,
 which carries the values of affine forms down its levels instead of
 recomputing them per point: ambient coordinates here, monomial exponents (the
-slacks of the ray inequalities) in ``coxring.py``.  Each face records the
+slacks of the ray inequalities) in ``coxring.py``.  The scan counts its
+intervals before it visits them and raises ``PreconditionError`` once the
+count passes ``SCAN_LIMIT``, so a polytope too large to list is refused at
+once instead of running with no end.  Each face records the
 facets that contain it, and its dimension comes from the closure.  Face
 counts come from the same scan, once per polytope and dilation factor k:
 every lattice point of kP is labelled by the facets whose slack is zero at
@@ -73,6 +76,9 @@ def _clear_denominators(vec):
     return tuple(x.numerator * (den // x.denominator) for x in vec), den
 
 
+SCAN_LIMIT = 10**6   # scan steps: the partial points and the points of a scan
+
+
 def _enumerate_integer_points(ineqs, lo, hi, forms):
     """Yield the values f·t + f0 of the affine forms (f, f0) at every
     integer point t of the box with a·t >= c for each inequality (a, c), in
@@ -82,7 +88,11 @@ def _enumerate_integer_points(ineqs, lo, hi, forms):
     Depth-first scan with per-level interval tightening.  Partial sums are
     carried down the levels; along the last coordinate each form steps by
     its last coefficient, so a run of points is one zip of ranges.  The
-    stack is explicit, so no reference cycle is left behind.
+    stack is explicit, so no reference cycle is left behind.  Each tightened
+    interval is counted when it is found, before any of it is visited, and
+    the scan collects its runs before it lists a point, so an input past
+    `SCAN_LIMIT` raises `PreconditionError` after a few levels, not after
+    the work.
     """
     k = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
@@ -97,9 +107,8 @@ def _enumerate_integer_points(ineqs, lo, hi, forms):
         rest[j] = [r + max(a[j] * lo[j], a[j] * hi[j]) for r, (a, _) in zip(rest[j + 1], ineqs)]
     a_cols = [[a[j] for a, _ in ineqs] for j in range(k)]
     f_cols = [[f[j] for f, _ in forms] for j in range(k)]
-    stack = [(0, [0] * len(ineqs), [f0 for _, f0 in forms])]
-    while stack:
-        j, partials, values = stack.pop()
+
+    def interval(j, partials):
         lo_j, hi_j = lo[j], hi[j]
         for (_, c), p, r, aj in zip(ineqs, partials, rest[j + 1], a_cols[j]):
             need = c - p - r
@@ -108,20 +117,37 @@ def _enumerate_integer_points(ineqs, lo, hi, forms):
             elif aj < 0:
                 hi_j = min(hi_j, need // aj)
             elif need > 0:
-                hi_j = lo_j - 1
-                break
-        if lo_j > hi_j:
-            continue
-        if j == k - 1:   # the tightened interval is exact at the last coordinate
-            n = hi_j - lo_j + 1
-            runs = [range(v + s * lo_j, v + s * (hi_j + 1), s) if s else repeat(v, n)
-                    for v, s in zip(values, f_cols[j])]
-            yield from zip(*runs)
-            continue
-        # pushed in reverse, so the points come out in lexicographic order
-        for t in range(hi_j, lo_j - 1, -1):
-            stack.append((j + 1, [p + a * t for p, a in zip(partials, a_cols[j])],
-                          [v + f * t for v, f in zip(values, f_cols[j])]))
+                return lo_j, lo_j - 1
+        return lo_j, hi_j
+
+    # a frame (j, partials, values, t, hi_j) is the rest t..hi_j of the
+    # interval of coordinate j; the child at t is visited before the rest
+    frames, runs, steps = [], [], 0
+    j, partials, values = 0, [0] * len(ineqs), [f0 for _, f0 in forms]
+    while True:
+        lo_j, hi_j = interval(j, partials)
+        if lo_j <= hi_j:
+            steps += hi_j - lo_j + 1
+            if steps > SCAN_LIMIT:
+                raise PreconditionError(f"more than {SCAN_LIMIT:,} steps to list the integer "
+                                        f"points of a polytope; it is too large to enumerate")
+            if j == k - 1:   # the tightened interval is exact at the last coordinate
+                runs.append((values, lo_j, hi_j))
+            else:
+                frames.append((j, partials, values, lo_j, hi_j))
+        if not frames:
+            break
+        j, partials, values, t, hi_j = frames.pop()
+        if t < hi_j:
+            frames.append((j, partials, values, t + 1, hi_j))
+        partials = [p + a * t for p, a in zip(partials, a_cols[j])]
+        values = [v + f * t for v, f in zip(values, f_cols[j])]
+        j += 1
+    last = f_cols[k - 1]
+    for values, lo_j, hi_j in runs:
+        n = hi_j - lo_j + 1
+        yield from zip(*[range(v + s * lo_j, v + s * (hi_j + 1), s) if s else repeat(v, n)
+                         for v, s in zip(values, last)])
 
 
 class LatticePolytope:

@@ -15,7 +15,7 @@ product.  The route through products of basis polynomials and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattice
@@ -230,14 +230,13 @@ class GramBlock:
     row_blocks: list
     col_blocks: list
     entries: list
-    nonzeros: list | None = None   # per row, its nonzero (column, value) pairs
+    nonzeros: list = field(init=False, repr=False)   # per row, its nonzero (column, value) pairs
 
     def __post_init__(self):
-        """The one scan for nonzero entries, unless the builder knows them;
-        `rank` and `to_json` read `nonzeros` only."""
-        if self.nonzeros is None:
-            self.nonzeros = [[(j, v) for j, v in enumerate(row) if v.rational]
-                             for row in self.entries]
+        """The one scan for nonzero entries; `rank` and `to_json` read
+        `nonzeros` only."""
+        self.nonzeros = [[(j, v) for j, v in enumerate(row) if v.rational]
+                         for row in self.entries]
 
     def rank(self) -> int:
         """Rank over Q, from the nonzero entries of the rows in a
@@ -384,22 +383,12 @@ class ThreefoldAnalysis:
         for level, blocks in ((a, rows), (b, cols)):
             for block in blocks:
                 self._check_basis_degree(block, level)
-        entries, nonzeros = [], []
+        entries = []
         for rb in rows:
-            zero_row, sparse = [], [[] for _ in range(rb.dim)]
-            for cb in cols:
-                zero, part = self._block_entries(rb, cb, a)
-                c0 = len(zero_row)
-                zero_row += [zero] * cb.dim
-                for row, cells in zip(sparse, part):
-                    row.extend((c0 + j, v) for j, v in cells)
-            for row in sparse:
-                dense = zero_row.copy()
-                for j, v in row:
-                    dense[j] = v
-                entries.append(dense)
-            nonzeros.extend(sparse)
-        return GramBlock(a, b, rows, cols, entries, nonzeros)
+            parts = [self._block_entries(rb, cb, a) for cb in cols]
+            entries.extend([v for part in parts for v in part[i]]
+                           for i in range(rb.dim))
+        return GramBlock(a, b, rows, cols, entries)
 
     def _check_basis_degree(self, block: H3Block, level: int):
         if block.kind == "ring":
@@ -433,18 +422,17 @@ class ThreefoldAnalysis:
         return (0 if seg is None else Fraction(sign, seg)), cup, 2
 
     def _block_entries(self, rb: H3Block, cb: H3Block, a: int):
-        """The rb.dim x cb.dim sub-block of gram(a, 3 - a) between two
-        blocks: its zero value, and per row the (column, value) pairs of its
-        nonzero entries.  Most traces vanish."""
+        """The rb.dim x cb.dim sub-block of gram(a, 3 - a) between two blocks."""
         scale, cup, k = self._block_factor(rb, cb, a)
         zero = PairingValue(Fraction(0), k)
         if not scale:
-            return zero, [[] for _ in range(rb.dim)]
+            return [[zero] * cb.dim for _ in range(rb.dim)]
         eta, code = cup.eta_of_code, cup.ring.code
-        col_codes = [(j, code(e)) for j, e in enumerate(cb.basis_exponents)]
-        return zero, [[(j, PairingValue(scale * v, k)) for j, cc in col_codes
-                       if (v := eta(ca + cc))]
-                      for ca in map(code, rb.basis_exponents)]
+        col_codes = [code(e) for e in cb.basis_exponents]
+        # most traces vanish; those entries share one zero value
+        return [[PairingValue(scale * v, k) if (v := eta(ca + cc)) else zero
+                 for cc in col_codes]
+                for ca in map(code, rb.basis_exponents)]
 
     def entry_by_polynomials(self, a: int, i: int, j: int) -> PairingValue:
         """Entry (i, j) of gram(a, 3 - a) from the product of the two basis

@@ -346,6 +346,32 @@ def test_precondition_failure_exit_2(tmp_path, capsys):
     assert "semiample" in err
 
 
+def with_field(name, path, value):
+    """A bundled fixture with the field at a key path set to value."""
+    doc = fixture(name)
+    *parents, key = path
+    container = doc
+    for k in parents:
+        container = container[k]
+    container[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("name, command, path", [
+    ("fermat_quartic.json", ("ring", "dims"), ("degrees", 0, 3)),
+    ("fermat_quintic.json", ("ring", "dims"), ("degrees", 3, 0)),
+    ("blowup_pullback.json", ("divisor", "analyze"), ("coeffs", 0)),
+    ("blowup_pullback.json", ("divisor", "analyze"), ("coeffs", 2)),
+])
+def test_too_many_lattice_points_exit_2(tmp_path, capsys, name, command, path):
+    """A degree or a coefficient of 10**6 asks for a polytope with 10**12 or
+    more lattice points: the scan refuses it before listing any."""
+    doc = with_field(name, path, 10**6)
+    code, _, err = run(capsys, *command, "--input", write(tmp_path, name, doc))
+    assert code == 2
+    assert "too large to enumerate" in err
+
+
 def test_ring_dims(tmp_path, capsys):
     doc = {
         "fan": {"rays": [[1, 0], [0, 1], [-1, -1]],

@@ -18,6 +18,7 @@ from math import ceil, floor
 import pytest
 
 from semitoric import catalog, lattice, polytope
+from semitoric.errors import PreconditionError
 from semitoric.fan import Fan
 from semitoric.polytope import LatticePolytope, _enumerate_integer_points, cone_rays
 
@@ -134,6 +135,18 @@ def test_scan_values_match_the_forms_at_the_reference_points():
         coords = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
         if k:
             assert list(_enumerate_integer_points(ineqs, lo, hi, coords)) == ref_scan(ineqs, lo, hi)
+
+
+def test_scan_counts_its_steps_against_the_limit(monkeypatch):
+    """The 10 x 10 box takes 10 steps for its first coordinate and 100 for
+    its points; one step fewer is refused before any point is listed."""
+    box = ([], [0, 0], [9, 9], [((1, 0), 0), ((0, 1), 0)])
+    monkeypatch.setattr(polytope, "SCAN_LIMIT", 110)
+    assert len(list(_enumerate_integer_points(*box))) == 100
+    monkeypatch.setattr(polytope, "SCAN_LIMIT", 109)
+    scan = _enumerate_integer_points(*box)
+    with pytest.raises(PreconditionError, match="too large to enumerate"):
+        next(scan)
 
 
 def test_points_and_labels_match_reference_on_random_polytopes():

@@ -229,15 +229,22 @@ def test_sparse_gram_rank_matches_dense_elimination(name, request):
 
 @pytest.mark.parametrize("name", ["quintic_analysis", "crepant_analysis",
                                   "triple_analysis"])
-def test_gram_nonzeros_are_the_nonzero_dense_entries(name, request):
-    """The nonzero pairs `gram` hands its block are those a scan of the
-    dense entries finds, in column order, with the same value objects."""
+def test_gram_block_scans_its_entries_once(name, request):
+    """A block scans its dense entries for nonzeros once, when it is built:
+    the pairs are the nonzero entries in column order, `rank` and `to_json`
+    read only them, and a caller cannot hand in pairs of its own."""
     analysis = request.getfixturevalue(name)
     for a in range(4):
         g = analysis.gram(a, 3 - a)
-        rescanned = GramBlock(g.level_a, g.level_b, g.row_blocks, g.col_blocks, g.entries)
-        assert g.nonzeros == rescanned.nonzeros
-        assert all(g.entries[i][j] is v for i, row in enumerate(g.nonzeros) for j, v in row)
+        assert g.nonzeros == [[(j, v) for j, v in enumerate(row) if v.rational]
+                              for row in g.entries]
+        rank = g.rank()
+        report = g.to_json(rank)
+        g.entries = None
+        assert g.rank() == rank
+        assert g.to_json(rank) == report
+    with pytest.raises(TypeError):
+        GramBlock(0, 3, [], [], [], nonzeros=[])
 
 
 def test_sparse_gram_rank_of_random_dependent_rows():

@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from operator import add
 
 from . import lattice
@@ -111,7 +112,7 @@ def q_str(x) -> str:
 def cmd_fan_check(doc, verify):
     fan = parse_fan(_need(doc, "fan", dict, "input"))
     issues = fan.validate()
-    return {
+    out = {
         "criterion": "fan axioms: strong convexity, common faces, completeness",
         "complete": fan.is_complete,
         "simplicial": fan.is_simplicial,
@@ -119,6 +120,11 @@ def cmd_fan_check(doc, verify):
         "n_rays": len(fan.rays),
         "n_max_cones": len(fan.max_cones),
     }
+    if verify and out["complete"]:  # a complete fan locates every point of a grid
+        side = range(-1, 2) if fan.dim > 4 else range(-2, 3)
+        out["verification"] = {"locate_covers_grid": all(
+            fan.locate(x) is not None for x in product(side, repeat=fan.dim))}
+    return out
 
 
 def _parse_divisor(doc):

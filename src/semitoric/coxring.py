@@ -12,8 +12,10 @@ in the top slot.  While every exponent stays below 2^SLOT the code is
 injective, integer order is the lex order of exponent vectors, and a
 product of monomials is the sum of their codes.  `monomial_basis` refuses
 a piece whose exponents could reach 2^(SLOT-1), so a sum of two codes of
-pieces never carries from one slot into the next.  Tuples of exponents
-stay the interface of `GradedPolynomial`; bases decode them on demand.
+pieces never carries from one slot into the next.  The code is an affine
+form on the section polytope, so along each run of the lattice-point scan
+(`polytope._integer_runs`) it is one range.  Tuples of exponents stay the
+interface of `GradedPolynomial`; bases decode them on demand.
 
 An ideal piece skips rows by the Koszul criterion (the first criterion of
 Faugere's F5): with LT(g) the lex-largest exponent vector of a generator,
@@ -24,6 +26,8 @@ term is a combination of rows t * g_i with i < j, the second of rows
 t * g_j with t below m in the lex order, which is multiplicative; by
 induction on j and on the multiplier both lie in the span of the kept rows.
 The span is unchanged, so are its pivot columns and every reduction.
+Each kept row has lead 1 at a column known in advance, and is adopted by
+the echelon as it stands when it meets no pivot column.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from . import lattice
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
 from .fan import Fan
 from .linalg import SparseEchelon, solve_unique
-from .polytope import HPolytope, _enumerate_integer_points, vertices_from_inequalities
+from .polytope import HPolytope, _integer_runs, vertices_from_inequalities
 
 SLOT = 32  # bits per exponent in a monomial code
 CERTIFIED_NONDEGENERATE = "CERTIFIED_NONDEGENERATE"
@@ -373,7 +377,15 @@ class CoxRing:
                                         f"{top}, past the 2^{SLOT - 1} that monomial codes hold")
             form = ([sum(e[j] << s for e, s in zip(rays, self._shifts)) for j in range(self.d)],
                     sum(ai << s for ai, s in zip(a, self._shifts)))
-            codes = sorted(c for c, in _enumerate_integer_points(ineqs, lo, hi, [form]))
+            # along a run of the scan the code steps by the form's last
+            # coefficient, so each run is one range of codes
+            runs, (step,) = _integer_runs(ineqs, lo, hi, [form])
+            if step:
+                for (v,), lo_t, hi_t in runs:
+                    codes.extend(range(v + step * lo_t, v + step * (hi_t + 1), step))
+            else:   # rays past 2^SLOT in the last coordinate: runs of one point
+                codes.extend(v for (v,), lo_t, hi_t in runs for _ in range(lo_t, hi_t + 1))
+            codes.sort()
         basis = GradedPieceBasis(beta, codes, {c: i for i, c in enumerate(codes)})
         self._basis_cache[beta.rep] = basis
         return basis
@@ -403,24 +415,27 @@ def ideal_graded_piece(generators, gamma: DegreeClass) -> GradedSubspace:
     m_k + 2^(SLOT-1) - LT_k, which borrows from no other slot and keeps its
     top bit exactly when m_k >= LT_k.  Generators are scaled to 1 at their
     lex-first term, the lead of each row m * g (basis indices follow the
-    translation-invariant lex order): an unreduced row enters with lead 1.
+    translation-invariant lex order), so every row is adopted at the column
+    of that term shifted by m (`SparseEchelon.adopt`).
     """
     ring = gamma.ring
     space = GradedSubspace(ring, gamma)
-    column, insert, code, high = space.basis.column, space.echelon.insert, ring.code, ring.high
+    column, adopt, code, high = space.basis.column, space.echelon.adopt, ring.code, ring.high
     leads = []   # codes of LT(g_i) for the generators already done
     for g in generators:
         if g.is_zero():
             continue
-        c0 = g.terms[min(g.terms)]
+        first = min(g.terms)
+        c0 = g.terms[first]
         terms = [(code(e), c if c0 == 1 else c / c0) for e, c in g.terms.items()]
+        lead = code(first)
         for m in ring.monomial_basis(gamma - g.degree).codes:
             mh = m | high
             for lt in leads:
                 if (mh - lt) & high == high:   # LT(g_i) divides m
                     break
             else:
-                insert({column[e + m]: c for e, c in terms})
+                adopt(column[lead + m], {column[e + m]: c for e, c in terms})
         leads.append(code(max(g.terms)))
     return space
 
@@ -440,8 +455,9 @@ class R1Piece:
 
     J_1(f)_gamma = {h : h * x_1...x_n in J_0(f)_{gamma + beta_0}} is computed
     as the kernel of the shifted reduction map (the shift by x_1...x_n adds
-    `CoxRing.ones` to each monomial code), tracked with tag columns;
-    `j1` echelonizes the kernel rows on first access only.
+    `CoxRing.ones` to each monomial code), tracked with tag columns; a
+    monomial whose shift reduces to zero is a kernel row by itself, with no
+    tracker step.  `j1` echelonizes the kernel rows on first access only.
     J_0(f)_{gamma + beta_0} is built here unless already at hand (`_j0`, as a
     nondegeneracy certificate of f holds it in its critical degree).
     """
@@ -462,6 +478,9 @@ class R1Piece:
         kernel_rows = []
         for i, m in enumerate(self.ambient.codes):
             residual = j0.echelon.reduce({column[m + ones]: Fraction(1)})
+            if not residual:   # m x_1...x_n is in J_0; tag columns are never pivots
+                kernel_rows.append({i: Fraction(1)})
+                continue
             residual[ncols + i] = Fraction(1)
             piv, resid = tracker.insert(residual)
             if piv is None:

@@ -4,6 +4,8 @@ Sparse rows are dicts {column index: Fraction}.  The echelon structure keeps
 rows with distinct pivot columns; reducing a vector against it yields the
 canonical coset representative supported on non-pivot columns.  A reduction
 visits the pivot columns of the residual in increasing order, through a heap.
+A row whose lead is known to be 1 is adopted: when it meets no pivot column
+it becomes a pivot row as it stands (`SparseEchelon.adopt`).
 
 ``lp_feasible``, an exact phase-1 simplex, has no caller in the package:
 cone questions go through the double-description kernel
@@ -78,6 +80,17 @@ class SparseEchelon:
         lead = r[c]
         pivots[c] = r if lead == 1 else {k: v / lead for k, v in r.items()}
         return c, r
+
+    def adopt(self, lead: int, row):
+        """`insert` for a row whose values are nonzero Fractions and whose
+        least column, below ncols, is `lead`, with value 1: a row that meets
+        no pivot column is stored as it is, the pivot row at `lead`, with no
+        conversion, scan or division; any other row is inserted."""
+        pivots = self.pivots
+        if pivots.keys().isdisjoint(row):
+            pivots[lead] = row
+            return lead, row
+        return self.insert(row)
 
     def contains(self, row) -> bool:
         return min(self.reduce(row), default=self.ncols) >= self.ncols

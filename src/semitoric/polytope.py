@@ -12,14 +12,17 @@ maximal cones.  One pulling triangulation on that lattice,
 ``LatticePolytope.pulling_triangulation``, gives normalized volumes and the
 facet cones of the MPCP helper in ``hodge.py``.
 
-Every lattice point comes from one scan, ``_enumerate_integer_points``,
-which carries the values of affine forms down its levels instead of
-recomputing them per point: ambient coordinates here, monomial exponents (the
-slacks of the ray inequalities) in ``coxring.py``.  The scan counts its
-intervals before it visits them and raises ``PreconditionError`` once the
-count passes ``SCAN_LIMIT``, so a polytope too large to list is refused at
-once instead of running with no end.  Each face records the
-facets that contain it, and its dimension comes from the closure.  Face
+Every lattice point comes from one scan, ``_integer_runs``, which carries
+the values of affine forms down its levels instead of recomputing them per
+point and returns the points as runs along the last coordinate, on which
+each form steps by its last coefficient.  ``_enumerate_integer_points``
+lists the values at every point (ambient coordinates and slacks here);
+``coxring.py`` reads one range of monomial codes off each run.  The scan
+counts its intervals before it visits them and raises ``PreconditionError``
+once the count passes ``SCAN_LIMIT``, so a polytope too large to list is
+refused at once instead of running with no end.  Each face records the
+facets that contain it, and its dimension comes from the closure; the face
+on which a direction is least is looked up there by its vertex set.  Face
 counts come from the same scan, once per polytope and dilation factor k:
 every lattice point of kP is labelled by the facets whose slack is zero at
 it, and a point lies in the relative interior of k*theta exactly when its
@@ -79,28 +82,27 @@ def _clear_denominators(vec):
 SCAN_LIMIT = 10**6   # scan steps: the partial points and the points of a scan
 
 
-def _enumerate_integer_points(ineqs, lo, hi, forms):
-    """Yield the values f·t + f0 of the affine forms (f, f0) at every
-    integer point t of the box with a·t >= c for each inequality (a, c), in
-    lexicographic order of t; the slack of an inequality is the form
-    (a, -c).  There must be at least one form.
+def _integer_runs(ineqs, lo, hi, forms):
+    """(runs, last): the integer points t of the box with a·t >= c for each
+    inequality (a, c), as runs (values, lo_t, hi_t) in lexicographic order
+    of t, and `last`, the last coefficient of each affine form (f, f0).
+    Along a run the last coordinate of t goes from lo_t to hi_t, and the
+    values f·t + f0 of the forms start at `values` and step by `last`.  The
+    slack of an inequality is the form (a, -c).  There must be at least one
+    form; with no coordinate, the one run has lo_t = hi_t = 0.
 
     Depth-first scan with per-level interval tightening.  Partial sums are
-    carried down the levels; along the last coordinate each form steps by
-    its last coefficient, so a run of points is one zip of ranges.  The
-    stack is explicit, so no reference cycle is left behind.  Each tightened
-    interval is counted when it is found, before any of it is visited, and
-    the scan collects its runs before it lists a point, so an input past
-    `SCAN_LIMIT` raises `PreconditionError` after a few levels, not after
-    the work.
+    carried down the levels.  The stack is explicit, so no reference cycle
+    is left behind.  Each tightened interval is counted when it is found,
+    before any of it is visited, so an input past `SCAN_LIMIT` raises
+    `PreconditionError` after a few levels, not after the work.
     """
     k = len(lo)
+    last = [f[-1] for f, _ in forms] if k else [0] * len(forms)
     if any(l > h for l, h in zip(lo, hi)):
-        return
+        return [], last
     if k == 0:
-        if all(c <= 0 for _, c in ineqs):
-            yield tuple(f0 for _, f0 in forms)
-        return
+        return ([([f0 for _, f0 in forms], 0, 0)] if all(c <= 0 for _, c in ineqs) else []), last
     # rest[j][i]: largest possible contribution of coordinates >= j to inequality i
     rest = [[0] * len(ineqs) for _ in range(k + 1)]
     for j in range(k - 1, -1, -1):
@@ -143,10 +145,16 @@ def _enumerate_integer_points(ineqs, lo, hi, forms):
         partials = [p + a * t for p, a in zip(partials, a_cols[j])]
         values = [v + f * t for v, f in zip(values, f_cols[j])]
         j += 1
-    last = f_cols[k - 1]
-    for values, lo_j, hi_j in runs:
-        n = hi_j - lo_j + 1
-        yield from zip(*[range(v + s * lo_j, v + s * (hi_j + 1), s) if s else repeat(v, n)
+    return runs, last
+
+
+def _enumerate_integer_points(ineqs, lo, hi, forms):
+    """Yield the values of the affine forms at every point of
+    `_integer_runs`, in its order: along a run each form is one range."""
+    runs, last = _integer_runs(ineqs, lo, hi, forms)
+    for values, lo_t, hi_t in runs:
+        n = hi_t - lo_t + 1
+        yield from zip(*[range(v + s * lo_t, v + s * (hi_t + 1), s) if s else repeat(v, n)
                          for v, s in zip(values, last)])
 
 
@@ -176,6 +184,8 @@ class LatticePolytope:
             self._facets = [(n, r, frozenset(kept[i] for i in t if i in kept))
                             for n, r, t in hull.facets()]
         self._faces = None
+        self._vertex_rows = None   # integer vertex rows, set by face_at_direction
+        self._by_vertex_set = None   # {vertex index set: face}, set by face_at_direction
         self._pulls = {}  # (vertex index set, reverse) -> pulling triangulation
         self._polar = None
         self._lattice_points = None
@@ -510,13 +520,19 @@ class LatticePolytope:
         return Fan(rays, cones)
 
     def face_at_direction(self, n) -> "Face":
-        """The face on which <., n> attains its minimum."""
+        """The face on which <., n> attains its minimum, looked up in
+        `all_faces` by its vertex set.  The vertices are paired as integer
+        rows, cleared of one common denominator once per polytope."""
         if self.is_empty:
             raise PreconditionError("face of the empty polytope")
-        vals = [lattice.pairing_q(v, n) for v in self.vertices]
+        if self._by_vertex_set is None:
+            den = lcm(*[x.denominator for v in self.vertices for x in v])
+            self._vertex_rows = [tuple(x.numerator * (den // x.denominator) for x in v)
+                                 for v in self.vertices]
+            self._by_vertex_set = {f.vertex_indices: f for f in self.all_faces()}
+        vals = [lattice.pairing(r, n) for r in self._vertex_rows]
         m = min(vals)
-        idx = frozenset(i for i, v in enumerate(vals) if v == m)
-        return Face(self, idx, _affine_dim([self.vertices[i] for i in idx]))
+        return self._by_vertex_set[frozenset(i for i, v in enumerate(vals) if v == m)]
 
 
 @dataclass(frozen=True)
@@ -615,17 +631,6 @@ def face_closure(top, tight_sets):
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
-
-
-def _affine_dim(points) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    dirs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    dirs = [d for d in dirs if any(d)]
-    if not dirs:
-        return 0
-    return lattice.matrix_rank(dirs)
 
 
 def _extreme_points(points):

@@ -82,6 +82,36 @@ def test_fan_check(tmp_path, capsys):
     assert doc["complete"] and doc["simplicial"] and doc["issues"] == []
 
 
+@pytest.mark.parametrize("fan", [BLOWUP_PULLBACK["fan"], catalog.projective_space(4),
+                                 catalog.p11222_crepant_fan(), catalog.projective_space(5)])
+def test_fan_check_verify(tmp_path, capsys, fan):
+    """--verify locates every point of a grid in a complete fan ({-2..2}^d
+    up to d = 4, {-1, 0, 1}^d past it) and changes nothing else."""
+    if not isinstance(fan, dict):
+        fan = cli.fan_to_json(fan)
+    path = write(tmp_path, "fan.json", {"fan": fan})
+    code, plain, _ = run(capsys, "fan", "check", "--input", path)
+    assert code == 0
+    code, out, _ = run(capsys, "fan", "check", "--input", path, "--verify")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("verification") == {"locate_covers_grid": True}
+    assert report == json.loads(plain)
+
+
+def test_fan_check_verify_sees_a_missing_cone(tmp_path, capsys, monkeypatch):
+    """A fan of P2 without one of its cones, taken for complete, leaves grid
+    points unlocated; an incomplete fan lists no check."""
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2]]}
+    path = write(tmp_path, "fan.json", {"fan": fan})
+    code, out, _ = run(capsys, "fan", "check", "--input", path, "--verify")
+    assert code == 0 and "verification" not in json.loads(out)
+    monkeypatch.setattr(cli.Fan, "is_complete", property(lambda self: True))
+    code, out, _ = run(capsys, "fan", "check", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"locate_covers_grid": False}
+
+
 def test_fan_check_lower_dimensional_square_cone(tmp_path, capsys):
     """A non-simplicial cone that is not full-dimensional meets a 2-cone in a
     common ray: the only issues are incompleteness and non-simpliciality."""
@@ -460,13 +490,12 @@ def test_second_routes_run_only_under_verify(tmp_path, capsys, monkeypatch):
 
 def test_every_handler_reads_verify():
     """A handler that never reads its `verify` argument makes --verify a
-    silent no-op.  `fan check` has no second route yet (ROADMAP item 7)."""
-    allowed = {("fan", "check")}
+    silent no-op."""
     for command, handler in cli.HANDLERS.items():
         tree = ast.parse(inspect.getsource(handler))
         reads = any(isinstance(node, ast.Name) and node.id == "verify"
                     and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
-        assert reads or command in allowed, f"{' '.join(command)} ignores --verify"
+        assert reads, f"{' '.join(command)} ignores --verify"
 
 
 def test_cup_pair(tmp_path, capsys):
@@ -683,6 +712,34 @@ def test_output_to_file_and_determinism(tmp_path, capsys):
     assert main(["divisor", "analyze", "--input", path, "--output", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_threefold_h3_quintic_echelon_counts(capsys, monkeypatch):
+    """On the quintic fixture every J/J_0 row is adopted at its known lead
+    without a reduction, and R_1 shifts that reduce to zero inside J_0 take
+    no tracker step: 15,005 rows adopted, none handed on to `insert`, and at
+    most 408 `insert` calls in all."""
+    from semitoric import linalg
+
+    calls = {"adopt": 0, "fallback": 0, "insert": 0}
+    true_insert, true_adopt = linalg.SparseEchelon.insert, linalg.SparseEchelon.adopt
+
+    def counting_insert(self, row):
+        calls["insert"] += 1
+        return true_insert(self, row)
+
+    def counting_adopt(self, lead, row):
+        calls["adopt"] += 1
+        calls["fallback"] += not self.pivots.keys().isdisjoint(row)
+        return true_adopt(self, lead, row)
+
+    monkeypatch.setattr(linalg.SparseEchelon, "insert", counting_insert)
+    monkeypatch.setattr(linalg.SparseEchelon, "adopt", counting_adopt)
+    with resources.as_file(FIXTURES / "fermat_quintic.json") as path:
+        code, _, _ = run(capsys, "threefold", "h3", "--input", str(path))
+    assert code == 0
+    assert calls["adopt"] == 15005 and calls["fallback"] == 0
+    assert calls["insert"] <= 408
 
 
 def test_threefold_h3_quintic_no_gram(tmp_path, capsys):

@@ -22,6 +22,7 @@ from semitoric.coxring import (
     reduce_modulo,
 )
 from semitoric.errors import PreconditionError, ValidationError
+from semitoric.fan import Fan
 from semitoric.linalg import SparseEchelon
 from semitoric.polytope import HPolytope, vertices_from_inequalities
 from semitoric.residue import CupProduct
@@ -293,23 +294,30 @@ def test_dwork_pencil_at_the_conifold_point_is_inconclusive():
 
 def test_fermat_quintic_j0_inserts_its_rank(monkeypatch):
     """On the Fermat quintic every kept J_0 row is independent: the pieces
-    in degrees 10, 15 and 20 insert exactly their rank (the unskipped
-    builder inserts 630, 5,005 and 19,380 rows)."""
+    in degrees 10, 15 and 20 take in exactly their rank, by `adopt` or
+    `insert` (the unskipped builder takes in 630, 5,005 and 19,380 rows).
+    A row that `adopt` hands on to `insert` is the same object, and counts
+    once."""
     ring = CoxRing(catalog.projective_space(4))
     quintic = fermat(ring, 5)
-    inserts = []
-    true_insert = linalg.SparseEchelon.insert
+    rows_in = []   # kept alive, so their ids stay distinct
+    true_insert, true_adopt = linalg.SparseEchelon.insert, linalg.SparseEchelon.adopt
 
     def counting_insert(self, row):
-        inserts.append(row)
+        rows_in.append(row)
         return true_insert(self, row)
 
+    def counting_adopt(self, lead, row):
+        rows_in.append(row)
+        return true_adopt(self, lead, row)
+
     monkeypatch.setattr(linalg.SparseEchelon, "insert", counting_insert)
+    monkeypatch.setattr(linalg.SparseEchelon, "adopt", counting_adopt)
     h = ring.variable_degree(0)
     for k, rows in ((10, 620), (15, 3755), (20, 10625)):
-        inserts.clear()
+        rows_in.clear()
         piece = j0_piece(quintic, k * h)
-        assert len(inserts) == rows == piece.dim
+        assert len({id(row) for row in rows_in}) == rows == piece.dim
 
 
 # -- monomial bases against the section polytope's lattice points ------------------
@@ -356,6 +364,17 @@ def test_monomial_basis_matches_section_polytope_points(fan):
         assert basis.index == {e: i for i, e in enumerate(exponents)}
         seen.add("empty" if poly.is_empty else "full" if poly.dim == ring.d else "flat")
     assert {"empty", "flat", "full"} <= seen
+
+
+def test_monomial_basis_when_the_code_stands_still_along_a_run():
+    """With the ray (-1, -2^32) the code form has last coefficient
+    2^32 - 2^32 = 0, so every run of the scan is one point, and the pieces
+    whose exponents stay in the code slots still match the section polytope."""
+    ring = CoxRing(Fan([(1, 0), (0, 1), (-1, -2**32)], [(0, 1), (1, 2), (0, 2)]))
+    for vec in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (5, 0, 0), (2, 0, 3)):
+        beta = ring.degree_class(vec)
+        _, exponents, _ = basis_by_section_polytope(ring, beta)
+        assert exponents and ring.monomial_basis(beta).exponents == exponents
 
 
 # -- monomial codes against the tuple-keyed kernel ---------------------------------

@@ -206,3 +206,47 @@ def test_sparse_echelon_keeps_fractions_and_converts_ints():
     piv, resid = ech.insert({1: 1, 2: 4})
     assert piv == 1 and ech.pivots[1] == {1: 1, 2: 4}
     assert all(type(v) is Fraction for v in ech.pivots[1].values())
+
+
+def unit_lead_rows(rng, ncols, count):
+    """(lead, row) pairs: rows of nonzero Fractions whose least column is
+    the lead, with value 1, some of them sums of earlier rows rescaled to
+    lead 1 (dependent ones among them)."""
+    out = []
+    for _ in range(count):
+        if len(out) > 1 and rng.random() < 0.3:
+            (_, a), (_, b) = rng.sample(out, 2)
+            s = rng.choice([1, -1, Fraction(2, 3)])
+            row = {k: a.get(k, 0) + s * b.get(k, 0) for k in set(a) | set(b)}
+            row = {k: Fraction(v) for k, v in row.items() if v}
+            if not row:
+                continue
+            lead = min(row)
+            row = {k: v / row[lead] for k, v in row.items()}
+        else:
+            lead = rng.randrange(ncols)
+            rest = rng.sample(range(lead + 1, ncols), min(rng.randint(0, 4), ncols - 1 - lead))
+            row = {lead: Fraction(1)}
+            row.update({k: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) for k in rest})
+        out.append((lead, row))
+    return out
+
+
+@pytest.mark.parametrize("seed, ncols, count", [(1, 6, 20), (2, 12, 50), (3, 25, 80)])
+def test_adopt_matches_reference(seed, ncols, count):
+    """`adopt` agrees with the reference's `insert` after every row: rows
+    that meet no pivot are stored as they stand, rows that meet one, at
+    their lead or only past it, are reduced."""
+    rng = random.Random(seed)
+    fast, slow = SparseEchelon(ncols), ReferenceEchelon(ncols)
+    kinds = {"kept": 0, "at lead": 0, "past lead": 0}
+    for lead, row in unit_lead_rows(rng, ncols, count):
+        kind = ("kept" if fast.pivots.keys().isdisjoint(row)
+                else "at lead" if lead in fast.pivots else "past lead")
+        kinds[kind] += 1
+        got, want = fast.adopt(lead, row), slow.insert(dict(row))
+        assert got == want
+        assert (fast.pivots.get(lead) is row) == (kind == "kept")
+        assert fast.pivots == slow.pivots
+        assert fast.rref_rows() == slow.rref_rows()
+    assert all(kinds.values())

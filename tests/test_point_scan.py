@@ -20,7 +20,7 @@ import pytest
 from semitoric import catalog, lattice, polytope
 from semitoric.errors import PreconditionError
 from semitoric.fan import Fan
-from semitoric.polytope import LatticePolytope, _enumerate_integer_points, cone_rays
+from semitoric.polytope import LatticePolytope, _enumerate_integer_points, _integer_runs, cone_rays
 
 from .test_double_description import ref_affine_dim
 
@@ -137,6 +137,27 @@ def test_scan_values_match_the_forms_at_the_reference_points():
             assert list(_enumerate_integer_points(ineqs, lo, hi, coords)) == ref_scan(ineqs, lo, hi)
 
 
+def test_runs_expand_by_ranges_to_the_listed_scan():
+    """Each run read as one range per form, stepping by the form's last
+    coefficient (as `CoxRing.monomial_basis` reads its codes), lists the
+    values of the scan, in its order."""
+    rng = random.Random(SEED)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        lo = [rng.randint(-3, 1) for _ in range(k)]
+        hi = [rng.randint(-1, 3) for _ in range(k)]
+        ineqs = [(tuple(rng.randint(-2, 2) for _ in range(k)), rng.randint(-4, 2))
+                 for _ in range(rng.randint(0, 5))]
+        forms = [(tuple(rng.randint(-3, 3) for _ in range(k - 1)) + (rng.choice((-3, -1, 1, 2)),),
+                  rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
+        runs, last = _integer_runs(ineqs, lo, hi, forms)
+        assert last == [f[-1] for f, _ in forms]
+        columns = [[x for values, lo_t, hi_t in runs
+                    for x in range(values[i] + s * lo_t, values[i] + s * (hi_t + 1), s)]
+                   for i, s in enumerate(last)]
+        assert list(zip(*columns)) == list(_enumerate_integer_points(ineqs, lo, hi, forms))
+
+
 def test_scan_counts_its_steps_against_the_limit(monkeypatch):
     """The 10 x 10 box takes 10 steps for its first coordinate and 100 for
     its points; one step fewer is refused before any point is listed."""
@@ -217,6 +238,31 @@ def test_face_dimensions_match_ranks(monkeypatch):
         for face in faces:
             assert face.dim == ref_affine_dim(face.vertices())
         assert faces[-1].dim == poly.dim
+
+
+def test_face_at_direction_matches_pairings_and_ranks(monkeypatch):
+    """The face looked up by its vertex set is the set of vertices at which
+    an exact pairing is least, of the rank of their differences, and
+    carries the facets through it; no rank is taken."""
+    rng = random.Random(SEED + 5)
+    polys = [random_polytope(rng) for _ in range(80)] + [catalog.sec6_polytope()]
+    ranks = []
+    rank = lattice.matrix_rank
+    monkeypatch.setattr(lattice, "matrix_rank", lambda rows: ranks.append(rows) or rank(rows))
+    for poly in polys:
+        if poly.is_empty:
+            continue
+        tights = [t for _, _, t in poly.facets()] if poly.dim > 0 else []
+        for _ in range(8):
+            n = tuple(rng.randint(-2, 2) for _ in range(poly.ambient_dim))
+            vals = [lattice.pairing_q(v, n) for v in poly.vertices]
+            want = frozenset(i for i, x in enumerate(vals) if x == min(vals))
+            ranks.clear()
+            face = poly.face_at_direction(n)
+            assert ranks == []
+            assert face.vertex_indices == want
+            assert face.dim == ref_affine_dim(face.vertices())
+            assert face.facets == frozenset(i for i, t in enumerate(tights) if want <= t)
 
 
 # -- start rays and wall normals ---------------------------------------------------

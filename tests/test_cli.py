@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import semitoric
-from semitoric import catalog, cli, residue
+from semitoric import catalog, cli, linalg, residue
 from semitoric.cli import main
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import InconsistencyError
@@ -82,14 +82,12 @@ def test_fan_check(tmp_path, capsys):
     assert doc["complete"] and doc["simplicial"] and doc["issues"] == []
 
 
-@pytest.mark.parametrize("fan", [BLOWUP_PULLBACK["fan"], catalog.projective_space(4),
+@pytest.mark.parametrize("fan", [catalog.blowup_p2(), catalog.projective_space(4),
                                  catalog.p11222_crepant_fan(), catalog.projective_space(5)])
 def test_fan_check_verify(tmp_path, capsys, fan):
     """--verify locates every point of a grid in a complete fan ({-2..2}^d
     up to d = 4, {-1, 0, 1}^d past it) and changes nothing else."""
-    if not isinstance(fan, dict):
-        fan = cli.fan_to_json(fan)
-    path = write(tmp_path, "fan.json", {"fan": fan})
+    path = write(tmp_path, "fan.json", {"fan": cli.fan_to_json(fan)})
     code, plain, _ = run(capsys, "fan", "check", "--input", path)
     assert code == 0
     code, out, _ = run(capsys, "fan", "check", "--input", path, "--verify")
@@ -719,8 +717,6 @@ def test_threefold_h3_quintic_echelon_counts(capsys, monkeypatch):
     without a reduction, and R_1 shifts that reduce to zero inside J_0 take
     no tracker step: 15,005 rows adopted, none handed on to `insert`, and at
     most 408 `insert` calls in all."""
-    from semitoric import linalg
-
     calls = {"adopt": 0, "fallback": 0, "insert": 0}
     true_insert, true_adopt = linalg.SparseEchelon.insert, linalg.SparseEchelon.adopt
 

@@ -55,7 +55,7 @@ for rb in g.row_blocks:
         if rb.kind == cb.kind == "link":
             for i in range(rb.dim):
                 for j in range(cb.dim):
-                    link_entries.append(g.entries[off_r + i][off_c + j])
+                    link_entries.append(g.entry(off_r + i, off_c + j))
         off_c += cb.dim
     off_r += rb.dim
 print("surface-block entries (rational part, times (2 pi i)^2):")

@@ -356,12 +356,13 @@ def cmd_threefold_h3(doc, verify):
         out["verification"] = {
             "gram_skew_between_levels": gram_skew_between_levels(grams),
             "gram_rank_equals_block_size": all(
-                rank == len(g.entries) for g, rank in zip(grams, ranks)),
+                rank == len(g.rows) for g, rank in zip(grams, ranks)),
             "gram_rank_matches_dense_elimination": all(
-                rank == lattice.matrix_rank([[v.rational for v in row] for row in g.entries])
+                rank == lattice.matrix_rank([[g.entry(i, j).rational for j in range(g.columns)]
+                                             for i in range(len(g.rows))])
                 for g, rank in zip(grams, ranks)),
             "gram_sample_matches_polynomial_route": all(
-                analysis.entry_by_polynomials(g.level_a, i, j) == g.entries[i][j]
+                analysis.entry_by_polynomials(g.level_a, i, j) == g.entry(i, j)
                 for g in grams for i, j in g.sample_positions()),
         }
     return out

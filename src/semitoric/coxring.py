@@ -15,7 +15,8 @@ a piece whose exponents could reach 2^(SLOT-1), so a sum of two codes of
 pieces never carries from one slot into the next.  The code is an affine
 form on the section polytope, so along each run of the lattice-point scan
 (`polytope._integer_runs`) it is one range.  Tuples of exponents stay the
-interface of `GradedPolynomial`; bases decode them on demand.
+interface of `GradedPolynomial`; bases, coset bases of `R1Piece` among them,
+keep codes and decode them only when their tuples are read.
 
 An ideal piece skips rows by the Koszul criterion (the first criterion of
 Faugere's F5): with LT(g) the lex-largest exponent vector of a generator,
@@ -474,7 +475,7 @@ class R1Piece:
         column, ones = j0.basis.column, ring.ones
         ncols = len(column)
         tracker = SparseEchelon(ncols)
-        coset_exponents = []
+        coset_codes = []
         kernel_rows = []
         for i, m in enumerate(self.ambient.codes):
             residual = j0.echelon.reduce({column[m + ones]: Fraction(1)})
@@ -486,9 +487,14 @@ class R1Piece:
             if piv is None:
                 kernel_rows.append({k - ncols: v for k, v in resid.items()})
             else:
-                coset_exponents.append(ring.decode(m))
+                coset_codes.append(m)
         self._kernel_rows = kernel_rows
-        self.coset_exponents = coset_exponents
+        self.coset_codes = coset_codes
+
+    @cached_property
+    def coset_exponents(self) -> list:
+        """The coset basis as exponent tuples, decoded on first access."""
+        return [self.ring.decode(m) for m in self.coset_codes]
 
     @cached_property
     def j1(self) -> GradedSubspace:
@@ -500,7 +506,7 @@ class R1Piece:
 
     @property
     def dim(self) -> int:
-        return len(self.coset_exponents)
+        return len(self.coset_codes)
 
 
 def j1_graded_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
@@ -541,17 +547,13 @@ def nondegeneracy_certificate(f: GradedPolynomial) -> NondegeneracyCertificate:
     partials in degree (d+1)beta - beta_0 has codimension exactly one and
     the toric Jacobian lies outside it.  Sufficient, not necessary.
     """
-    from .residue import admissible_index_sets, toric_jacobian
+    from .residue import _first_admissible, toric_jacobian
 
     ring = f.ring
     beta = f.degree
     if beta == ring.zero_degree():
         raise PreconditionError("nondegeneracy is about hypersurfaces of nonzero degree")
-    picks = admissible_index_sets(ring, beta)
-    if not picks:
-        raise InconsistencyError(
-            "no index set with nonzero degree determinant for a nonzero degree")
-    I = picks[0]
+    I = _first_admissible(ring, beta)
     F = [f.weighted_partial(i) for i in I]
     rho = (ring.d + 1) * beta - ring.beta0
     span = ideal_graded_piece(F, rho)

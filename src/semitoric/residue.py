@@ -128,10 +128,10 @@ def _sections(ring: CoxRing, F):
 
 def _first_admissible(ring: CoxRing, beta):
     """The first (d+1)-subset I, in lexicographic order, with c_I^beta != 0."""
-    picks = admissible_index_sets(ring, beta)
-    if not picks:
-        raise PreconditionError("no admissible index set: degree determinant vanishes")
-    return picks[0]
+    for I in combinations(range(ring.n), ring.d + 1):
+        if c_I_beta(ring, beta, I) != 0:
+            return I
+    raise PreconditionError("no admissible index set: degree determinant vanishes")
 
 
 def toric_jacobian(ring: CoxRing, F, I=None) -> GradedPolynomial:

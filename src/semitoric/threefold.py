@@ -7,15 +7,16 @@ orbit-closure surface.  The cup product is block anti-diagonal across
 complementary levels; ring-by-surface blocks vanish, surface blocks are
 scaled by lattice multiplicities of the flanking 2-cones.
 
-Every basis element is a monomial, so a Gram entry is a block factor times
-the trace eta of one monomial product; eta is evaluated once per distinct
-product.  The route through products of basis polynomials and
+Every basis element is a monomial, held as its code in the block's R_1
+piece, so a Gram entry is a block factor times the trace eta of a sum of two
+codes, evaluated once per distinct sum; a Gram block keeps only its nonzero
+cells.  The route through products of basis polynomials and
 `CupProduct.pair` is kept as the oracle (`entry_by_polynomials`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice
@@ -162,7 +163,6 @@ class SurfaceSlice:
         self.polynomial = GradedPolynomial(self.ring, terms, self.degree)
         self._certificate = None
         self._cup = None
-        self._pieces = {}
 
     @property
     def certificate(self):
@@ -181,10 +181,7 @@ class SurfaceSlice:
         return self._cup
 
     def level_piece(self, a: int) -> R1Piece:
-        if a not in self._pieces:
-            gamma = a * self.degree - self.ring.beta0
-            self._pieces[a] = R1Piece(self.polynomial, gamma)
-        return self._pieces[a]
+        return R1Piece(self.polynomial, a * self.degree - self.ring.beta0)
 
 
 def _same_cone_in(fan: Fan, cone: ConeRef) -> ConeRef:
@@ -211,40 +208,51 @@ def face_polynomial(f: GradedPolynomial, sigma: ConeRef,
 
 @dataclass
 class H3Block:
-    """One summand of a Hodge piece of the middle cohomology."""
+    """One summand of a Hodge piece of H^3, on the coset basis of its R_1 piece."""
 
     level: int
     kind: str                      # "ring" or "link"
-    dim: int
-    basis_exponents: list
+    piece: R1Piece
     sigma: tuple | None = None     # coarse-fan ray indices of the 2-cone
     interior_ray: int | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.piece.dim
 
 
 @dataclass
 class GramBlock:
-    """The pairing matrix between the concatenated bases of two levels."""
+    """The pairing matrix between the concatenated bases of two levels, by
+    its nonzero cells: rows[i] maps column j to a nonzero entry, in column
+    order; every other cell is the zero of its pair of blocks (`entry`)."""
 
     level_a: int
     level_b: int
     row_blocks: list
     col_blocks: list
-    entries: list
-    nonzeros: list = field(init=False, repr=False)   # per row, its nonzero (column, value) pairs
+    rows: list
 
-    def __post_init__(self):
-        """The one scan for nonzero entries; `rank` and `to_json` read
-        `nonzeros` only."""
-        self.nonzeros = [[(j, v) for j, v in enumerate(row) if v.rational]
-                         for row in self.entries]
+    @property
+    def columns(self) -> int:
+        return sum(b.dim for b in self.col_blocks)
+
+    def entry(self, i: int, j: int) -> PairingValue:
+        """Cell (i, j): a listed cell, else zero times (2 pi i)^2 between two
+        link blocks and (2 pi i)^4 otherwise, as `_block_factor` assigns."""
+        v = self.rows[i].get(j)
+        if v is not None:
+            return v
+        rb, _ = _locate(self.row_blocks, i)
+        cb, _ = _locate(self.col_blocks, j)
+        return PairingValue(Fraction(0), 2 if rb.kind == cb.kind == "link" else 4)
 
     def rank(self) -> int:
-        """Rank over Q, from the nonzero entries of the rows in a
-        `SparseEchelon`.  The dense route (`lattice.matrix_rank` on the whole
-        matrix) is the `--verify` check."""
-        echelon = SparseEchelon(sum(b.dim for b in self.col_blocks))
-        for row in self.nonzeros:
-            echelon.insert({j: v.rational for j, v in row})
+        """Rank over Q, from the listed cells in a `SparseEchelon`.  The dense
+        route (`lattice.matrix_rank` on every cell) is the `--verify` check."""
+        echelon = SparseEchelon(self.columns)
+        for row in self.rows:
+            echelon.insert({j: v.rational for j, v in row.items()})
         return echelon.rank
 
     def to_json(self, rank: int):
@@ -252,9 +260,9 @@ class GramBlock:
         as {"col": j, "rational", "two_pi_i_exponent"}; a cell it does not
         list is zero."""
         return {"level_a": self.level_a, "level_b": self.level_b, "rank": rank,
-                "columns": sum(b.dim for b in self.col_blocks),
-                "entries": [[{"col": j, **v.to_json()} for j, v in row]
-                            for row in self.nonzeros]}
+                "columns": self.columns,
+                "entries": [[{"col": j, **v.to_json()} for j, v in row.items()]
+                            for row in self.rows]}
 
     def sample_positions(self):
         """The diagonal and the first row of every pair of blocks: a fixed
@@ -273,11 +281,13 @@ class GramBlock:
 def gram_skew_between_levels(grams) -> bool:
     """gram(b, a) = -gram(a, b)^T on every entry, for the four Gram blocks
     listed by level a = 0..3: c_ab / c_ba = (-1)^(a - b) on ring blocks, and
-    the link sign flips between complementary levels."""
-    return all(grams[g.level_b].entries[j][i] == (-1) * v
+    the link sign flips between complementary levels.  Each listed cell has
+    its negative at the transposed place; run over all four blocks, that
+    makes the two sets of cells equal."""
+    return all(grams[g.level_b].rows[j].get(i) == (-1) * v
                for g in grams
-               for i, row in enumerate(g.entries)
-               for j, v in enumerate(row))
+               for i, row in enumerate(g.rows)
+               for j, v in row.items())
 
 
 class ThreefoldAnalysis:
@@ -301,7 +311,7 @@ class ThreefoldAnalysis:
         self._certificate = None
         self.charts = two_cone_charts(ring.fan, self.coarse)
         self._slices = {}
-        self._bulk_pieces = {}
+        self._blocks = {}
         self._cup = None
 
     @property
@@ -323,17 +333,15 @@ class ThreefoldAnalysis:
         return self._slices[key]
 
     def bulk_piece(self, a: int) -> R1Piece:
-        if a not in self._bulk_pieces:
-            gamma = (a + 1) * self.f.degree - self.ring.beta0
-            # The certificate's span is J_0(f) in its degree: with u(x^E) the
-            # lattice point of a term, x_i df/dx_i = a_i f + sum_k e_ik D_k f
-            # where D_k multiplies each term by u_k, and the rows (a_i, e_i),
-            # i in I, have determinant +-c_I != 0, so the weighted partials
-            # of I span those of every variable and generate J_0.
-            span = self.certificate.span
-            j0 = span if span.degree == gamma + self.ring.beta0 else None
-            self._bulk_pieces[a] = R1Piece(self.f, gamma, _j0=j0)
-        return self._bulk_pieces[a]
+        gamma = (a + 1) * self.f.degree - self.ring.beta0
+        # The certificate's span is J_0(f) in its degree: with u(x^E) the
+        # lattice point of a term, x_i df/dx_i = a_i f + sum_k e_ik D_k f
+        # where D_k multiplies each term by u_k, and the rows (a_i, e_i),
+        # i in I, have determinant +-c_I != 0, so the weighted partials
+        # of I span those of every variable and generate J_0.
+        span = self.certificate.span
+        j0 = span if span.degree == gamma + self.ring.beta0 else None
+        return R1Piece(self.f, gamma, _j0=j0)
 
     @property
     def cup(self) -> CupProduct:
@@ -343,21 +351,20 @@ class ThreefoldAnalysis:
 
     def blocks(self, a: int):
         """The summands of H^{3-a,a}: the ring piece, then one link piece per
-        interior ray of every subdivided 2-cone."""
+        interior ray of every subdivided 2-cone.  A level's blocks, and so
+        its pieces, are built once."""
         if not 0 <= a <= 3:
             raise ValidationError("level out of range 0..3")
-        bulk = self.bulk_piece(a)
-        out = [H3Block(a, "ring", bulk.dim, list(bulk.coset_exponents))]
-        for chart in self.charts:
-            if chart.n_interior == 0:
-                continue
-            piece = self.surface(chart.sigma).level_piece(a)
-            for i in chart.interior_rays:
-                out.append(H3Block(a, "link", piece.dim,
-                                   list(piece.coset_exponents),
-                                   sigma=tuple(sorted(chart.sigma.ray_indices)),
-                                   interior_ray=i))
-        return out
+        if a not in self._blocks:
+            out = [H3Block(a, "ring", self.bulk_piece(a))]
+            for chart in self.charts:
+                if chart.n_interior == 0:
+                    continue
+                piece = self.surface(chart.sigma).level_piece(a)
+                sigma = tuple(sorted(chart.sigma.ray_indices))
+                out += [H3Block(a, "link", piece, sigma, i) for i in chart.interior_rays]
+            self._blocks[a] = out
+        return self._blocks[a]
 
     def hodge_number(self, a: int) -> int:
         return sum(b.dim for b in self.blocks(a))
@@ -378,29 +385,9 @@ class ThreefoldAnalysis:
         """
         if a + b != 3:
             raise ValidationError("the pairing couples complementary levels only")
-        rows = self.blocks(a)
-        cols = self.blocks(b)
-        for level, blocks in ((a, rows), (b, cols)):
-            for block in blocks:
-                self._check_basis_degree(block, level)
-        entries = []
-        for rb in rows:
-            parts = [self._block_entries(rb, cb, a) for cb in cols]
-            entries.extend([v for part in parts for v in part[i]]
-                           for i in range(rb.dim))
-        return GramBlock(a, b, rows, cols, entries)
-
-    def _check_basis_degree(self, block: H3Block, level: int):
-        if block.kind == "ring":
-            ring = self.ring
-            degree = (level + 1) * self.f.degree - ring.beta0
-        else:
-            slice_ = self.surface(self.coarse.cone_ref(block.sigma))
-            ring = slice_.ring
-            degree = level * slice_.degree - ring.beta0
-        if any(ring.degree_of_monomial(e) != degree for e in block.basis_exponents):
-            raise InconsistencyError(
-                f"a level-{level} {block.kind} basis monomial has the wrong degree")
+        row_blocks, col_blocks = self.blocks(a), self.blocks(b)
+        rows = [row for rb in row_blocks for row in self._block_rows(rb, col_blocks, a)]
+        return GramBlock(a, b, row_blocks, col_blocks, rows)
 
     def _block_factor(self, rb: H3Block, cb: H3Block, a: int):
         """(scale, cup, k): an entry between the two blocks is scale times the
@@ -421,18 +408,21 @@ class ThreefoldAnalysis:
         seg = chart.segment_between(rb.interior_ray, cb.interior_ray)
         return (0 if seg is None else Fraction(sign, seg)), cup, 2
 
-    def _block_entries(self, rb: H3Block, cb: H3Block, a: int):
-        """The rb.dim x cb.dim sub-block of gram(a, 3 - a) between two blocks."""
-        scale, cup, k = self._block_factor(rb, cb, a)
-        zero = PairingValue(Fraction(0), k)
-        if not scale:
-            return [[zero] * cb.dim for _ in range(rb.dim)]
-        eta, code = cup.eta_of_code, cup.ring.code
-        col_codes = [code(e) for e in cb.basis_exponents]
-        # most traces vanish; those entries share one zero value
-        return [[PairingValue(scale * v, k) if (v := eta(ca + cc)) else zero
-                 for cc in col_codes]
-                for ca in map(code, rb.basis_exponents)]
+    def _block_rows(self, rb: H3Block, col_blocks, a: int):
+        """The rows of gram(a, 3 - a) through block rb, by their nonzero cells."""
+        rows = [{} for _ in range(rb.dim)]
+        c0 = 0
+        for cb in col_blocks:
+            scale, cup, k = self._block_factor(rb, cb, a)
+            if scale:
+                eta = cup.eta_of_code
+                cols = list(enumerate(cb.piece.coset_codes, c0))
+                for row, ca in zip(rows, rb.piece.coset_codes):
+                    for j, cc in cols:
+                        if v := eta(ca + cc):   # most traces vanish
+                            row[j] = PairingValue(scale * v, k)
+            c0 += cb.dim
+        return rows
 
     def entry_by_polynomials(self, a: int, i: int, j: int) -> PairingValue:
         """Entry (i, j) of gram(a, 3 - a) from the product of the two basis
@@ -443,8 +433,8 @@ class ThreefoldAnalysis:
         scale, cup, k = self._block_factor(rb, cb, a)
         if not scale:
             return PairingValue(Fraction(0), k)
-        A = cup.ring.monomial(rb.basis_exponents[ri])
-        B = cup.ring.monomial(cb.basis_exponents[ci])
+        A = cup.ring.monomial(rb.piece.coset_exponents[ri])
+        B = cup.ring.monomial(cb.piece.coset_exponents[ci])
         if rb.kind == "ring":
             return cup.pair(A, B, a, 3 - a)
         return PairingValue(scale * cup.eta(A * B), k)

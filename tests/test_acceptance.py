@@ -306,7 +306,7 @@ def test_criterion_10_semiample_threefold_cross_check():
                 if rb.kind != cb.kind:
                     for i in range(rb.dim):
                         for j in range(cb.dim):
-                            assert g.entries[offset_r + i][offset_c + j].is_zero()
+                            assert g.entry(offset_r + i, offset_c + j).is_zero()
                 offset_c += cb.dim
             offset_r += rb.dim
         # non-adjacent interior rays pair to zero: triple-subdivision variant
@@ -327,6 +327,6 @@ def test_criterion_10_semiample_threefold_cross_check():
         first, _, last = chart.interior_rays
         r0, rd = pos_r[first]
         c0, cd = pos_c[last]
-        assert all(g3.entries[r0 + i][c0 + j].is_zero()
+        assert all(g3.entry(r0 + i, c0 + j).is_zero()
                    for i in range(rd) for j in range(cd))
         assert g3.rank() == sum(b.dim for b in g3.row_blocks)

@@ -800,7 +800,7 @@ def test_threefold_h3_verify(tmp_path, capsys, monkeypatch):
     assert checks["gram_sample_matches_polynomial_route"] is False
     assert checks["gram_skew_between_levels"] is True
 
-    monkeypatch.setattr(GramBlock, "rank", lambda self: len(self.entries) - 1)
+    monkeypatch.setattr(GramBlock, "rank", lambda self: len(self.rows) - 1)
     code, out, _ = run(capsys, "threefold", "h3", "--input", path, "--verify")
     assert code == 0
     checks = json.loads(out)["verification"]

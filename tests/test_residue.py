@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -128,6 +129,23 @@ def test_toric_jacobian_takes_one_determinant(monkeypatch):
     assert len(calls) == 1
     cup_jacobian(P1XP1, BIQUADRIC)
     assert len(calls) == 2
+
+
+def test_certificate_takes_determinants_up_to_the_first_admissible_set(monkeypatch):
+    """On the crepant P(1,1,2,2,2) fixture the certificate takes c_I^beta on
+    the index sets in lexicographic order up to the first admissible one,
+    then once more inside the toric Jacobian, and no further."""
+    ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
+    subsets = list(combinations(range(ring.n), ring.d + 1))
+    first = admissible_index_sets(ring, f.degree)[0]
+    calls = []
+    original = residue.c_I_beta
+    monkeypatch.setattr(residue, "c_I_beta",
+                        lambda ring, beta, I: calls.append(tuple(I)) or original(ring, beta, I))
+    certificate = nondegeneracy_certificate(f)
+    assert certificate.index_set == first
+    assert calls == subsets[:subsets.index(first) + 1] + [first]
+    assert len(calls) < len(subsets) + 1
 
 
 def test_eta_on_fermat_cubic():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from importlib import resources
 from operator import add
+from types import SimpleNamespace
 
 import pytest
 
-from semitoric import catalog, coxring, lattice, residue, threefold
+from semitoric import catalog, cli, coxring, lattice, residue, threefold
 from semitoric.coxring import CoxRing, R1Piece, r1_dim
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import CertificateError, PreconditionError
@@ -125,6 +127,50 @@ def test_h3_crepant_matches_batyrev(crepant_analysis):
     assert h21_batyrev(delta4) == crepant_analysis.hodge_number(1)
 
 
+@pytest.mark.parametrize("name", ["quintic_analysis", "crepant_analysis",
+                                  "triple_analysis"])
+def test_every_coset_monomial_has_its_level_degree(name, request):
+    """The basis of a level-a block lies in the degree of its piece: ring
+    blocks in (a+1)beta - beta_0 of the ambient ring, link blocks in
+    a beta_sigma - beta_0 of the slice ring."""
+    analysis = request.getfixturevalue(name)
+    seen = 0
+    for a in range(4):
+        for block in analysis.blocks(a):
+            if block.kind == "ring":
+                ring = analysis.ring
+                degree = (a + 1) * analysis.f.degree - ring.beta0
+            else:
+                slice_ = analysis.surface(analysis.coarse.cone_ref(block.sigma))
+                ring = slice_.ring
+                degree = a * slice_.degree - ring.beta0
+            assert block.piece.ring is ring
+            exps = block.piece.coset_exponents
+            assert all(ring.degree_of_monomial(e) == degree for e in exps)
+            seen += len(exps)
+    assert seen == sum(analysis.hodge_number(a) for a in range(4))
+
+
+@pytest.mark.parametrize("flag", [[], ["--verify"]])
+def test_h3_report_builds_each_block_once(flag, monkeypatch, capsys):
+    """One `threefold h3` report on the crepant fixture builds 2 blocks per
+    level, the ring block and the one link block, each once."""
+    built = []
+    true_block = threefold.H3Block
+
+    def counting_block(*args, **kwargs):
+        built.append(true_block(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(threefold, "H3Block", counting_block)
+    fixture = resources.files("semitoric") / "fixtures" / "p11222_crepant.json"
+    with resources.as_file(fixture) as path:
+        assert cli.main(["threefold", "h3", "--input", str(path), *flag]) == 0
+    capsys.readouterr()
+    assert sorted((b.level, b.kind) for b in built) == [
+        (a, kind) for a in range(4) for kind in ("link", "ring")]
+
+
 def test_gram_quintic_rank(quintic_analysis):
     g = quintic_analysis.gram(1, 2)
     assert g.rank() == 101
@@ -140,7 +186,7 @@ def test_gram_crepant_full_rank_and_vanishing(crepant_analysis):
             if rb.kind != cb.kind:
                 for i in range(rb.dim):
                     for j in range(cb.dim):
-                        assert g.entries[offset_r + i][offset_c + j].is_zero()
+                        assert g.entry(offset_r + i, offset_c + j).is_zero()
             offset_c += cb.dim
         offset_r += rb.dim
 
@@ -152,26 +198,33 @@ def test_gram_skew_symmetry_between_levels(quintic_analysis, crepant_analysis,
     for analysis in (quintic_analysis, crepant_analysis, triple_analysis):
         g12 = analysis.gram(1, 2)
         g21 = analysis.gram(2, 1)
-        assert len(g12.entries) == len(g21.entries[0])
-        assert len(g21.entries) == len(g12.entries[0])
-        for i, row in enumerate(g12.entries):
-            for j, v in enumerate(row):
-                assert v.rational == -g21.entries[j][i].rational
-                assert v.two_pi_i_exponent == g21.entries[j][i].two_pi_i_exponent
+        assert len(g12.rows) == g21.columns
+        assert len(g21.rows) == g12.columns
+        for i in range(len(g12.rows)):
+            for j in range(g12.columns):
+                v, w = g12.entry(i, j), g21.entry(j, i)
+                assert v.rational == -w.rational
+                assert v.two_pi_i_exponent == w.two_pi_i_exponent
         assert gram_skew_between_levels([analysis.gram(a, 3 - a) for a in range(4)])
 
 
 def test_gram_skew_check_sees_one_flipped_entry(crepant_analysis):
+    """One listed cell of gram(2, 1) with its sign flipped, or left out, is
+    seen from the cell at the transposed place of gram(1, 2)."""
     grams = [crepant_analysis.gram(a, 3 - a) for a in range(4)]
-    row = next(r for r in grams[2].entries if any(not v.is_zero() for v in r))
-    j = next(j for j, v in enumerate(row) if not v.is_zero())
-    row[j] = (-1) * row[j]
+    row = next(r for r in grams[2].rows if r)
+    j, v = next(iter(row.items()))
+    row[j] = (-1) * v
     assert not gram_skew_between_levels(grams)
+    del row[j]
+    assert not gram_skew_between_levels(grams)
+    row[j] = v
+    assert gram_skew_between_levels(grams)
 
 
 def assert_matches_polynomial_route(analysis, g, positions):
     for i, j in positions:
-        v = g.entries[i][j]
+        v = g.entry(i, j)
         assert isinstance(v.rational, Fraction)
         assert v == analysis.entry_by_polynomials(g.level_a, i, j), (g.level_a, i, j)
 
@@ -186,9 +239,8 @@ def test_gram_monomial_route_matches_polynomial_route(name, request):
     rng = random.Random(20)
     for a in range(4):
         g = analysis.gram(a, 3 - a)
-        cells = [(i, j) for i in range(len(g.entries))
-                 for j in range(len(g.entries[i]))]
-        assert all(isinstance(v.rational, Fraction) for row in g.entries for v in row)
+        cells = [(i, j) for i in range(len(g.rows)) for j in range(g.columns)]
+        assert all(isinstance(v.rational, Fraction) for row in g.rows for v in row.values())
         assert_matches_polynomial_route(
             analysis, g, cells if a in (0, 3) else rng.sample(cells, 200))
 
@@ -223,28 +275,36 @@ def test_sparse_gram_rank_matches_dense_elimination(name, request):
     analysis = request.getfixturevalue(name)
     for a in range(4):
         g = analysis.gram(a, 3 - a)
-        assert g.rank() == lattice.matrix_rank([[v.rational for v in row]
-                                                for row in g.entries])
+        assert g.rank() == lattice.matrix_rank([[g.entry(i, j).rational
+                                                 for j in range(g.columns)]
+                                                for i in range(len(g.rows))])
+
+
+def _block_kinds(blocks):
+    """The kind of the block holding each row (or column)."""
+    return [b.kind for b in blocks for _ in range(b.dim)]
 
 
 @pytest.mark.parametrize("name", ["quintic_analysis", "crepant_analysis",
                                   "triple_analysis"])
-def test_gram_block_scans_its_entries_once(name, request):
-    """A block scans its dense entries for nonzeros once, when it is built:
-    the pairs are the nonzero entries in column order, `rank` and `to_json`
-    read only them, and a caller cannot hand in pairs of its own."""
+def test_gram_block_lists_its_nonzero_cells(name, request):
+    """A block lists only nonzero cells, each row in column order; every
+    cell it does not list reads as the zero of its pair of blocks, times
+    (2 pi i)^2 between two link blocks and (2 pi i)^4 otherwise; and at the
+    fixed sample positions the cells match the polynomial route."""
     analysis = request.getfixturevalue(name)
     for a in range(4):
         g = analysis.gram(a, 3 - a)
-        assert g.nonzeros == [[(j, v) for j, v in enumerate(row) if v.rational]
-                              for row in g.entries]
-        rank = g.rank()
-        report = g.to_json(rank)
-        g.entries = None
-        assert g.rank() == rank
-        assert g.to_json(rank) == report
-    with pytest.raises(TypeError):
-        GramBlock(0, 3, [], [], [], nonzeros=[])
+        row_kinds, col_kinds = _block_kinds(g.row_blocks), _block_kinds(g.col_blocks)
+        assert len(g.rows) == len(row_kinds)
+        for i, row in enumerate(g.rows):
+            assert list(row) == sorted(row)
+            assert all(not v.is_zero() for v in row.values())
+            for j, kind in enumerate(col_kinds):
+                if j not in row:
+                    k = 2 if row_kinds[i] == kind == "link" else 4
+                    assert g.entry(i, j) == PairingValue(Fraction(0), k)
+        assert_matches_polynomial_route(analysis, g, g.sample_positions())
 
 
 def test_sparse_gram_rank_of_random_dependent_rows():
@@ -265,10 +325,15 @@ def test_sparse_gram_rank_of_random_dependent_rows():
         (r1, c1), (r2, c2) = dims["ring"], dims["link"]
         rows = [row + [Fraction(0)] * c2 for row in parts["ring"]]
         rows += [[Fraction(0)] * c1 + row for row in parts["link"]]
-        entries = [[PairingValue(x, 4) for x in row] for row in rows]
-        g = GramBlock(1, 2, [H3Block(1, "ring", r1, []), H3Block(1, "link", r2, [])],
-                      [H3Block(2, "ring", c1, []), H3Block(2, "link", c2, [])], entries)
+        cells = [{j: PairingValue(x, 4) for j, x in enumerate(row) if x} for row in rows]
+        g = GramBlock(1, 2, [sized_block(1, "ring", r1), sized_block(1, "link", r2)],
+                      [sized_block(2, "ring", c1), sized_block(2, "link", c2)], cells)
         assert g.rank() == lattice.matrix_rank(rows)
+
+
+def sized_block(level, kind, dim):
+    """A block that knows only its size: a stand-in piece with `dim`."""
+    return H3Block(level, kind, SimpleNamespace(dim=dim))
 
 
 @pytest.mark.parametrize("name, count", [("quintic_analysis", 1281), ("crepant_analysis", 1000)])
@@ -283,7 +348,8 @@ def test_eta_monomial_matches_eta_on_every_gram_product(name, count, request):
                 _, cup, _ = analysis._block_factor(rb, cb, a)
                 if cup is not None:
                     products.update((cup, tuple(map(add, ea, eb)))
-                                    for ea in rb.basis_exponents for eb in cb.basis_exponents)
+                                    for ea in rb.piece.coset_exponents
+                                    for eb in cb.piece.coset_exponents)
     assert len(products) == count
     for cup, e in products:
         assert cup.eta_monomial(e) == cup.eta(cup.ring.monomial(e)), e
@@ -320,7 +386,7 @@ def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
     monkeypatch.setattr(coxring, "ideal_graded_piece", counting_piece)
     analysis = ThreefoldAnalysis(f)
     grams = [analysis.gram(a, 3 - a) for a in range(4)]
-    assert [len(g.entries) for g in grams] == [1, 101, 101, 1]
+    assert [len(g.rows) for g in grams] == [1, 101, 101, 1]
     assert 0 < len(residues) <= 1281
     assert len(rho_pieces) == 1
     assert analysis.cup.res.span is analysis.certificate.span
@@ -379,11 +445,11 @@ def test_triple_subdivision_nonadjacent_links_vanish(triple_analysis):
     # non-adjacent interior rays: zero block
     r0, rd = row_pos[i_first]
     c0, cd = col_pos[i_last]
-    assert all(g.entries[r0 + i][c0 + j].is_zero()
+    assert all(g.entry(r0 + i, c0 + j).is_zero()
                for i in range(rd) for j in range(cd))
     # adjacent interior rays: some nonzero entry
     c0, cd = col_pos[i_mid]
-    assert any(not g.entries[r0 + i][c0 + j].is_zero()
+    assert any(not g.entry(r0 + i, c0 + j).is_zero()
                for i in range(rd) for j in range(cd))
     # Poincare duality still holds for the full pairing
     assert g.rank() == sum(b.dim for b in g.row_blocks)
@@ -453,13 +519,13 @@ def test_gram_quintic_closed_form(quintic_analysis):
     bases is (1/1250) times a permutation matrix: eta of the complementary
     product is c_I * Res((x0..x4)^4) = 5 * (5^4 / 5^9), and c_12 = 1/2."""
     g = quintic_analysis.gram(1, 2)
-    rows = g.row_blocks[0].basis_exponents
-    cols = g.col_blocks[0].basis_exponents
+    rows = g.row_blocks[0].piece.coset_exponents
+    cols = g.col_blocks[0].piece.coset_exponents
     for i, ea in enumerate(rows):
         for j, eb in enumerate(cols):
             expected = Fraction(1, 1250) if all(
                 a + b == 3 for a, b in zip(ea, eb)) else Fraction(0)
-            assert g.entries[i][j].rational == expected
+            assert g.entry(i, j).rational == expected
 
 
 def test_gram_crepant_link_closed_form(crepant_analysis):
@@ -478,11 +544,11 @@ def test_gram_crepant_link_closed_form(crepant_analysis):
         if cb.kind == "link":
             break
         off_c += cb.dim
-    for i, ea in enumerate(rb.basis_exponents):
-        for j, eb in enumerate(cb.basis_exponents):
+    for i, ea in enumerate(rb.piece.coset_exponents):
+        for j, eb in enumerate(cb.piece.coset_exponents):
             expected = Fraction(-1, 8) if all(
                 a + b == 2 for a, b in zip(ea, eb)) else Fraction(0)
-            assert g.entries[off_r + i][off_c + j].rational == expected
+            assert g.entry(off_r + i, off_c + j).rational == expected
 
 
 def test_face_polynomial_accepts_foreign_cone_ref():

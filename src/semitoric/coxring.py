@@ -41,7 +41,7 @@ from math import ceil, floor
 from . import lattice
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
 from .fan import Fan
-from .linalg import SparseEchelon, solve_unique
+from .linalg import _ONE, SparseEchelon, solve_unique
 from .polytope import HPolytope, _integer_runs, vertices_from_inequalities
 
 SLOT = 32  # bits per exponent in a monomial code
@@ -478,11 +478,11 @@ class R1Piece:
         coset_codes = []
         kernel_rows = []
         for i, m in enumerate(self.ambient.codes):
-            residual = j0.echelon.reduce({column[m + ones]: Fraction(1)})
+            residual = j0.echelon.reduce({column[m + ones]: _ONE})
             if not residual:   # m x_1...x_n is in J_0; tag columns are never pivots
-                kernel_rows.append({i: Fraction(1)})
+                kernel_rows.append({i: _ONE})
                 continue
-            residual[ncols + i] = Fraction(1)
+            residual[ncols + i] = _ONE
             piv, resid = tracker.insert(residual)
             if piv is None:
                 kernel_rows.append({k - ncols: v for k, v in resid.items()})

@@ -166,7 +166,7 @@ def triangulation_helper(q: LatticePolytope, reverse: bool = False) -> Fan:
         raise PreconditionError("the triangulation helper expects a reflexive polytope")
     d = q.ambient_dim
     # every vertex of a reflexive polytope is integral; ray i is vertex i
-    rays = [tuple(int(x) for x in v) for v in q.vertices]
+    rays = list(q.vertices)
     ray_index = {r: i for i, r in enumerate(rays)}
     cones = [s for f in q.faces(d - 1) for s in q.pulling_triangulation(f, reverse)]
     extra = [p for p in q.lattice_points()
@@ -255,10 +255,10 @@ def _h32_of_side(section: LatticePolytope) -> HodgeValue:
             continue
         total += len(pts) * bracket
         witnesses.append({
-            "face": [list(map(int, v)) for v in gamma_face.vertices()],
+            "face": [list(v) for v in gamma_face.vertices()],
             "double_face_interior_points": [list(pt) for pt in
                                             gamma_face.interior_points(2)],
-            "dual_face": [list(map(int, v)) for v in f.vertices()],
+            "dual_face": [list(v) for v in f.vertices()],
             "subdividing_points": [list(pt) for pt in pts],
         })
     return HodgeValue(3, 2, total, "carrier-face classification", witnesses)

@@ -23,18 +23,17 @@ from .errors import PreconditionError, ValidationError
 IntVec = tuple[int, ...]
 
 
-def pairing(m, n) -> int:
-    """Dual pairing <m, n> = sum_j m_j n_j under the fixed dual bases."""
+def pairing(m, n):
+    """Dual pairing <m, n> = sum_j m_j n_j under the fixed dual bases.
+
+    Entries may be ints or Fractions: the sum is exact, an int when every
+    entry is an int and a Fraction as soon as one entry is."""
     if len(m) != len(n):
         raise ValidationError(f"pairing of vectors of lengths {len(m)} and {len(n)}")
     return sum(a * b for a, b in zip(m, n))
 
 
-def pairing_q(m, n) -> Fraction:
-    """Pairing allowing rational entries."""
-    if len(m) != len(n):
-        raise ValidationError(f"pairing of vectors of lengths {len(m)} and {len(n)}")
-    return sum(Fraction(a) * b for a, b in zip(m, n))
+pairing_q = pairing   # the name kept for pairings with rational entries
 
 
 def gcd_list(xs) -> int:

@@ -21,7 +21,7 @@ from heapq import heapify, heappop, heappush
 from .errors import ValidationError
 from .lattice import _eliminate
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)   # shared: Fractions are immutable
 
 
 class SparseEchelon:

@@ -1,5 +1,11 @@
 """Lattice polytopes with exact rational vertices.
 
+Every exact coordinate and value here (vertices, facet right-hand sides,
+span levels, volumes) is an ``int`` when it is integral and a ``Fraction``
+only when it is not, so a lattice polytope is plain integer arithmetic end
+to end.  Ints compare and hash equal to the Fractions of the same value,
+and mixed int and Fraction arithmetic is exact.
+
 Conversions between half-space and vertex descriptions, face lattices,
 lattice-point and relative-interior-point enumeration, normalized volumes,
 dilation, reflexive duality and normal fans.  Inequalities are always read
@@ -62,6 +68,19 @@ class HPolytope:
     @property
     def dim(self) -> int:
         return len(self.inequalities[0][0]) if self.inequalities else 0
+
+
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _ratio(p: int, q: int):
+    """p / q for integers p and q > 0: an int when q divides p."""
+    return p // q if p % q == 0 else Fraction(p, q)
 
 
 def _ceil(q: Fraction) -> int:
@@ -166,25 +185,24 @@ class LatticePolytope:
     """
 
     def __init__(self, vertices, hrep=None, _trusted=False):
-        pts = [tuple(Fraction(x) for x in v) for v in vertices]
+        pts = [tuple(map(_exact, v)) for v in vertices]
         if pts and len({len(p) for p in pts}) != 1:
             raise ValidationError("vertices of mixed dimensions")
         hull = None
         if not _trusted:
             pts, hull = _extreme_points(pts)
         self.vertices = tuple(sorted(set(pts)))
+        self._index = {v: i for i, v in enumerate(self.vertices)}   # vertex -> index
         self.ambient_dim = len(self.vertices[0]) if self.vertices else (
             hrep.dim if isinstance(hrep, HPolytope) else 0)
         self._span = None
         self._facets = None
         if hull is not None:   # the hull of all the points has the same span and facets
-            position = {v: i for i, v in enumerate(self.vertices)}
-            kept = {i: position[p] for i, p in enumerate(hull.vertices) if p in position}
+            kept = {i: self._index[p] for i, p in enumerate(hull.vertices) if p in self._index}
             self._span = hull._span
             self._facets = [(n, r, frozenset(kept[i] for i in t if i in kept))
                             for n, r, t in hull.facets()]
         self._faces = None
-        self._vertex_rows = None   # integer vertex rows, set by face_at_direction
         self._by_vertex_set = None   # {vertex index set: face}, set by face_at_direction
         self._pulls = {}  # (vertex index set, reverse) -> pulling triangulation
         self._polar = None
@@ -210,7 +228,7 @@ class LatticePolytope:
 
     @property
     def is_lattice(self) -> bool:
-        return all(x.denominator == 1 for v in self.vertices for x in v)
+        return all(type(x) is int for v in self.vertices for x in v)
 
     @property
     def dim(self) -> int:
@@ -227,8 +245,7 @@ class LatticePolytope:
                 [_clear_denominators([x - y for x, y in zip(v, base)])[0]
                  for v in self.vertices[1:]], d)
             basis, coords = _size_reduced(W[:k], C[:k])
-            w, den = _clear_denominators(base)
-            levels = tuple(Fraction(lattice.pairing(w, e), den) for e in C[k:])
+            levels = tuple(_exact(lattice.pairing(base, e)) for e in C[k:])
             self._span = _Span(basis, coords, C[k:], W[k:], levels,
                                _anchor(levels, W[k:], d))
         return self._span
@@ -237,12 +254,9 @@ class LatticePolytope:
         """Coordinates t of x = o + sum_j t_j b_j over the span basis b, o the
         point of the affine span with zero coordinates, or None off the span."""
         span = self._span_data()
-        w, den = _clear_denominators(x)
-        if any(lattice.pairing(w, e) * h.denominator != h.numerator * den
-               for e, h in zip(span.equations, span.levels)):
+        if any(lattice.pairing(x, e) != h for e, h in zip(span.equations, span.levels)):
             return None
-        t = [lattice.pairing(w, c) for c in span.coords]
-        return t if den == 1 else [Fraction(p, den) for p in t]
+        return [lattice.pairing(x, c) for c in span.coords]
 
     # -- facets and faces --------------------------------------------------
 
@@ -251,8 +265,8 @@ class LatticePolytope:
 
         Normals are primitive integer vectors in ambient coordinates that
         lie in the direction space of the affine span, in increasing order;
-        the facet inequality is <x, normal> >= rhs (rhs rational in general).
-        For polytopes of positive dimension only.
+        the facet inequality is <x, normal> >= rhs (an int when integral,
+        else a Fraction).  For polytopes of positive dimension only.
         """
         if self._facets is not None:
             return self._facets
@@ -262,7 +276,7 @@ class LatticePolytope:
         facets = []
         for n, mask in _facets_in_span(self.vertices, basis, affine=True):
             tight = frozenset(i for i in range(len(self.vertices)) if mask >> i & 1)
-            facets.append((n, lattice.pairing_q(self.vertices[min(tight)], n), tight))
+            facets.append((n, _exact(lattice.pairing(self.vertices[min(tight)], n)), tight))
         facets.sort(key=lambda f: f[0])
         self._facets = facets
         return facets
@@ -322,15 +336,15 @@ class LatticePolytope:
     # -- point enumeration -------------------------------------------------
 
     def _span_inequalities(self):
-        """Facet inequalities transported to span coordinates: a·t >= c (rational)."""
+        """Facet inequalities transported to span coordinates: a·t >= c,
+        c an int exactly when the facet's rhs is (the anchor is integral)."""
         if self.dim == 0:
             return []
         span = self._span_data()
         out = []
         for n, r, _ in self.facets():
             a = tuple(lattice.pairing(b, n) for b in span.basis)
-            c = Fraction(r) - lattice.pairing_q(span.anchor, n)
-            out.append((a, c))
+            out.append((a, r - lattice.pairing(span.anchor, n)))
         return out
 
     def _scan(self, strict: bool):
@@ -353,12 +367,11 @@ class LatticePolytope:
         hi = [_floor(max(t[j] for t in tcoords)) for j in range(k)]
         span_ineqs = self._span_inequalities()
         ineqs = [(a, _floor(c) + 1 if strict else _ceil(c)) for a, c in span_ineqs]
-        # the anchor is integral, so c is an integer exactly when the rhs is
         tight = [] if strict else [i for i, (_, c) in enumerate(span_ineqs)
-                                   if c.denominator == 1]
+                                   if type(c) is int]
         # x = anchor + sum_j t_j b_j, one form per ambient coordinate
         forms = [(tuple(b[i] for b in basis), anchor[i]) for i in range(self.ambient_dim)]
-        forms += [(span_ineqs[i][0], -int(span_ineqs[i][1])) for i in tight]
+        forms += [(span_ineqs[i][0], -span_ineqs[i][1]) for i in tight]
         return _enumerate_integer_points(ineqs, lo, hi, forms), tight
 
     def _points(self, strict: bool):
@@ -415,18 +428,18 @@ class LatticePolytope:
 
     # -- metric and algebraic operations ------------------------------------
 
-    def normalized_volume(self) -> Fraction:
+    def normalized_volume(self):
         """k! times the k-dimensional volume, measured in the affine-span
         lattice: the sum of |det| over the pulling triangulation."""
         if self.is_empty:
-            return Fraction(0)
+            return 0
         if self.dim == 0:
-            return Fraction(1)
-        total = Fraction(0)
+            return 1
+        total = 0
         for simplex in self.pulling_triangulation():
             t0, *ts = (self._to_span_coords(self.vertices[i]) for i in sorted(simplex))
             total += abs(lattice.det([[a - b for a, b in zip(t, t0)] for t in ts]))
-        return total
+        return _exact(total)
 
     def dilate(self, factor: int) -> "LatticePolytope":
         """factor * P; known facets and span carry over (scaled right-hand
@@ -437,11 +450,11 @@ class LatticePolytope:
         out = LatticePolytope([tuple(x * factor for x in v) for v in self.vertices],
                               _trusted=True)
         if self._span is not None:
-            levels = tuple(h * factor for h in self._span.levels)
+            levels = tuple(_exact(h * factor) for h in self._span.levels)
             out._span = self._span._replace(levels=levels, anchor=_anchor(
                 levels, self._span.complement, self.ambient_dim))
         if self._facets is not None:
-            out._facets = [(n, r * factor, t) for n, r, t in self._facets]
+            out._facets = [(n, _exact(r * factor), t) for n, r, t in self._facets]
         return out
 
     # -- reflexive duality ---------------------------------------------------
@@ -462,20 +475,12 @@ class LatticePolytope:
         if self._polar is not None:
             return self._polar
         self._check_dualizable()
-        h = HPolytope([(v_int, -1) for v_int in self._integral_vertex_rows()])
-        dual = vertices_from_inequalities(h)
+        if not self.is_lattice:
+            raise RationalVertexError("polar dual of a rational-vertex polytope")
+        dual = vertices_from_inequalities(HPolytope([(v, -1) for v in self.vertices]))
         self._polar = dual
         dual._polar = self
         return dual
-
-    def _integral_vertex_rows(self):
-        rows = []
-        for v in self.vertices:
-            r, den = _clear_denominators(v)
-            rows.append(r if den == 1 else None)
-        if any(r is None for r in rows):
-            raise RationalVertexError("polar dual of a rational-vertex polytope")
-        return rows
 
     def is_reflexive(self) -> bool:
         """Memoized: every dual_face call asks."""
@@ -499,9 +504,8 @@ class LatticePolytope:
         if not self.is_reflexive():
             raise PreconditionError("dual faces are defined for reflexive polytopes")
         dual = self.dual_polytope()
-        index = {tuple(int(x) for x in w): j for j, w in enumerate(dual.vertices)}
         facets = self.facets()
-        idx = frozenset(index[facets[i][0]] for i in face.facets)
+        idx = frozenset(dual._index[facets[i][0]] for i in face.facets)
         return Face(dual, idx, self.dim - 1 - face.dim)
 
     # -- normal fan ----------------------------------------------------------
@@ -521,16 +525,12 @@ class LatticePolytope:
 
     def face_at_direction(self, n) -> "Face":
         """The face on which <., n> attains its minimum, looked up in
-        `all_faces` by its vertex set.  The vertices are paired as integer
-        rows, cleared of one common denominator once per polytope."""
+        `all_faces` by its vertex set."""
         if self.is_empty:
             raise PreconditionError("face of the empty polytope")
         if self._by_vertex_set is None:
-            den = lcm(*[x.denominator for v in self.vertices for x in v])
-            self._vertex_rows = [tuple(x.numerator * (den // x.denominator) for x in v)
-                                 for v in self.vertices]
             self._by_vertex_set = {f.vertex_indices: f for f in self.all_faces()}
-        vals = [lattice.pairing(r, n) for r in self._vertex_rows]
+        vals = [lattice.pairing(v, n) for v in self.vertices]
         m = min(vals)
         return self._by_vertex_set[frozenset(i for i, v in enumerate(vals) if v == m)]
 
@@ -580,15 +580,15 @@ class _Span(NamedTuple):
     coords: list       # c_i: coordinates on the span
     equations: list    # e_j: a basis of the lattice orthogonal to the span
     complement: list   # w_j
-    levels: tuple      # h_j, Fractions
+    levels: tuple      # h_j, ints where integral
     anchor: tuple      # o as ints, or None
 
 
 def _anchor(levels, complement, dim):
     """sum_j h_j w_j, or None when some level h_j is not an integer."""
-    if any(h.denominator != 1 for h in levels):
+    if any(type(h) is not int for h in levels):
         return None
-    return tuple(sum(h.numerator * w[i] for h, w in zip(levels, complement))
+    return tuple(sum(h * w[i] for h, w in zip(levels, complement))
                  for i in range(dim))
 
 
@@ -719,7 +719,7 @@ def vertices_from_inequalities(h: HPolytope) -> LatticePolytope:
         if any(y[-1] > 0 for y, _ in cone_rays(rows + [[0] * k + [1]], k + 1)):
             raise PreconditionError("inequality system is feasible but unbounded")
         rays = []
-    verts = [tuple(Fraction(x, y[-1]) for x in y[:-1]) for y, _ in rays if y[-1] > 0]
+    verts = [tuple(_ratio(x, y[-1]) for x in y[:-1]) for y, _ in rays if y[-1] > 0]
     if verts and len(verts) < len(rays):
         raise PreconditionError("inequality system is unbounded, not a polytope")
     return LatticePolytope(verts, hrep=h, _trusted=True)

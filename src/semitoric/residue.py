@@ -25,6 +25,7 @@ from .coxring import (
 )
 from .divisor import TorusInvariantDivisor
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
+from .linalg import _ONE, _ZERO
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,12 @@ class ResidueMap:
         j = self.span.basis.column.get(code)
         if j is None:
             raise ValidationError("residue argument of the wrong degree")
-        return self._residue_of_row({j: 1})
+        return self._residue_of_row({j: _ONE})
 
     def _residue_of_row(self, row) -> Fraction:
         r = self.span.echelon.reduce(row)
         if not r:
-            return Fraction(0)
+            return _ZERO
         c = r[self._col] / self._jcoeff
         return c * self.volume
 
@@ -276,7 +277,7 @@ class CupProduct:
         if value is None:
             shifted = code + self.ring.ones
             value = (self.c_I * self.res.residue_of_monomial(shifted)
-                     if shifted in self.res.span.basis.column else Fraction(0))
+                     if shifted in self.res.span.basis.column else _ZERO)
             self._eta_memo[code] = value
         return value
 

@@ -132,17 +132,17 @@ class SurfaceSlice:
         P, Q = coarse.star_projection(sigma)
         delta = analysis.delta
         face = delta.face_at_direction(sigma.relint_point())
-        base = min(face.vertices())
-        if any(Fraction(x).denominator != 1 for x in base):
+        verts = face.vertices()
+        if any(type(x) is not int for v in verts for x in v):
             raise PreconditionError("face of the section polytope is not a lattice polytope")
-        base = tuple(int(x) for x in base)
+        base = min(verts)
 
         def mbar(point):
             rel = [a - b for a, b in zip(point, base)]
             return tuple(sum(Q[j][k] * rel[j] for j in range(len(rel)))
                          for k in range(len(Q[0])))
 
-        vert_coords = [mbar(tuple(int(x) for x in v)) for v in face.vertices()]
+        vert_coords = [mbar(v) for v in verts]
         coeffs = []
         for ray in star.rays:
             coeffs.append(-min(lattice.pairing(s, ray) for s in vert_coords))

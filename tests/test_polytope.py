@@ -346,3 +346,112 @@ def test_span_takes_one_smith_form_and_scans_without_solves(monkeypatch):
         poly.dilate(3).lattice_points()
         assert len(forms) == n
     assert solves == []
+
+
+# -- the representation: an int when integral, a Fraction only when not ---------
+
+QUINTIC_INEQS = [(tuple(int(i == j) for j in range(4)), -1) for i in range(4)] + \
+    [((-1, -1, -1, -1), -1)]
+
+
+def coordinates(poly):
+    """Every vertex coordinate, facet right-hand side and span level."""
+    return ([x for v in poly.vertices for x in v] + [r for _, r, _ in poly.facets()]
+            + list(poly._span_data().levels))
+
+
+def test_integral_polytopes_store_ints():
+    quintic = vertices_from_inequalities(HPolytope(QUINTIC_INEQS))
+    skew = LatticePolytope([(Fraction(4, 2), 0, 1), (0, 3, 1), (1, 1, 1)])  # a triangle in a plane
+    for poly in (quintic, quintic.dual_polytope(), quintic.dilate(3),
+                 LatticePolytope(quintic.lattice_points()), skew, skew.dilate(2)):
+        assert all(type(x) is int for x in coordinates(poly))
+        assert all(type(x) is int for pt in poly.lattice_points() for x in pt)
+        assert type(poly.normalized_volume()) is int
+    assert skew.vertices[0] == (0, 3, 1)
+
+
+def test_a_rational_vertex_stays_a_fraction():
+    half = Fraction(1, 2)
+    tri = vertices_from_inequalities(HPolytope([((1, 0), 0), ((0, 1), 0), ((-2, -2), -3)]))
+    assert tri.vertices == ((0, 0), (0, 3 * half), (3 * half, 0))
+    assert [type(x) for v in tri.vertices for x in v] == [int, int, int, Fraction, Fraction, int]
+    assert [r for _, r, _ in tri.facets()] == [-3 * half, 0, 0]
+    assert not tri.is_lattice and tri.normalized_volume() == Fraction(9, 4)
+    assert all(type(x) is int for x in coordinates(tri.dilate(2)))
+    # integral values of a rational polytope are ints too
+    assert type(LatticePolytope([(0, 0), (3 * half, 0), (0, 2)]).normalized_volume()) is int
+    seg = LatticePolytope([(half, 0), (half, 1)])
+    assert [(r, type(r)) for _, r, _ in seg.facets()] == [(-1, int), (0, int)]
+    assert seg._span_data().levels == (half,) and type(seg.normalized_volume()) is int
+    assert all(type(x) is int for x in coordinates(seg.dilate(2)))
+
+
+def test_int_and_fraction_input_build_equal_polytopes():
+    verts = [(0, 0, 0), (2, 0, 1), (0, 3, 0), (1, 1, 2), (1, 1, 1)]
+    for extra in ([], [(Fraction(1, 3), Fraction(2, 3), 0)]):
+        ints = LatticePolytope(verts + extra)
+        fracs = LatticePolytope([tuple(Fraction(x) for x in v) for v in verts + extra])
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert [list(map(type, v)) for v in ints.vertices] == \
+            [list(map(type, v)) for v in fracs.vertices]
+        assert ints.facets() == fracs.facets()
+        assert ints.lattice_points() == fracs.lattice_points()
+        # equal, with equal hashes, to the all-Fraction vertex tuples
+        as_fractions = tuple(tuple(Fraction(x) for x in v) for v in ints.vertices)
+        assert ints.vertices == as_fractions and hash(ints.vertices) == hash(as_fractions)
+
+
+def test_pairing_q_is_exact_on_ints_and_fractions():
+    import random
+
+    rng = random.Random(20)
+    assert lattice.pairing_q((1, -2, 3), (4, 5, -6)) == -24
+    assert type(lattice.pairing_q((1, -2, 3), (4, 5, -6))) is int
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+             for _ in range(n)]
+        w = [rng.randint(-9, 9) for _ in range(n)]
+        assert lattice.pairing_q(m, w) == sum(Fraction(a) * b for a, b in zip(m, w))
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """A cell counting the Fractions built from now on, to the end of the
+    test.  From Python 3.12 arithmetic builds its results through
+    ``_from_coprime_ints``, not ``__new__``, so that is counted too."""
+    cell = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        cell[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    coprime = vars(Fraction).get("_from_coprime_ints")
+    if coprime is not None:
+        make = coprime.__func__
+
+        def counting_coprime(cls, *args):
+            cell[0] += 1
+            return make(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return cell
+
+
+def test_a_reflexive_lattice_polytope_builds_no_fraction(fraction_count):
+    """From its H-description to its points, facets, faces, volume and
+    dual, and as the hull of its own points, the quintic's polytope is
+    plain integer arithmetic."""
+    quintic = vertices_from_inequalities(HPolytope(QUINTIC_INEQS))
+    hull = LatticePolytope(quintic.lattice_points())
+    for poly in (quintic, hull, quintic.dual_polytope()):
+        poly.lattice_points()
+        poly.facets()
+        poly.labelled_points(2)
+        poly.normalized_volume()
+        poly.face_at_direction((1, 2, 3, 4))
+    quintic.dual_face(quintic.faces(2)[0])
+    assert hull == quintic and fraction_count[0] == 0

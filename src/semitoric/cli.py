@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 from itertools import product
 from operator import add
 
@@ -103,7 +102,8 @@ def fan_to_json(fan: Fan):
 
 
 def q_str(x) -> str:
-    return str(Fraction(x))
+    """An exact number as "p" or "p/q"; ints and Fractions print as they are."""
+    return str(x if type(x) is int or type(x) is Fraction else Fraction(x))
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -421,6 +421,8 @@ def cmd_mirror_check(doc, verify):
 
 
 def _fixture(name):
+    from importlib import resources   # slow to import, and used only here
+
     ref = resources.files("semitoric") / "fixtures" / name
     return json.loads(ref.read_text())
 

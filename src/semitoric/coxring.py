@@ -33,7 +33,6 @@ the echelon as it stands when it meets no pivot column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor
@@ -49,12 +48,14 @@ CERTIFIED_NONDEGENERATE = "CERTIFIED_NONDEGENERATE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
 class DegreeClass:
     """An element of the class group, stored by its canonical representative."""
 
-    ring: "CoxRing"
-    rep: tuple
+    __slots__ = ("ring", "rep")
+
+    def __init__(self, ring: CoxRing, rep: tuple):
+        self.ring = ring
+        self.rep = rep
 
     def __add__(self, other):
         self._same_ring(other)
@@ -82,7 +83,6 @@ class DegreeClass:
         return f"DegreeClass{self.rep}"
 
 
-@dataclass
 class GradedPieceBasis:
     """Lexicographic monomial basis of one graded piece S_beta.
 
@@ -92,9 +92,10 @@ class GradedPieceBasis:
     vectors and their index are decoded when first read.
     """
 
-    degree: DegreeClass
-    codes: list
-    column: dict
+    def __init__(self, degree: DegreeClass, codes: list, column: dict):
+        self.degree = degree
+        self.codes = codes
+        self.column = column
 
     def __len__(self):
         return len(self.codes)
@@ -522,18 +523,19 @@ def reduce_modulo(subspace: GradedSubspace, h: GradedPolynomial) -> GradedPolyno
     return subspace.reduce(h)
 
 
-@dataclass
 class NondegeneracyCertificate:
     """The verdict, with the echelonized span of the weighted partials F_I in
     the critical degree and their toric Jacobian (None when the codimension
     test already failed), kept so the residue map need not rebuild them."""
 
-    verdict: str
-    index_set: tuple
-    codim: int
-    jacobian_in_span: bool
-    span: GradedSubspace | None = field(default=None, repr=False, compare=False)
-    jacobian: GradedPolynomial | None = field(default=None, repr=False, compare=False)
+    def __init__(self, verdict: str, index_set: tuple, codim: int, jacobian_in_span: bool,
+                 span: GradedSubspace | None = None, jacobian: GradedPolynomial | None = None):
+        self.verdict = verdict
+        self.index_set = index_set
+        self.codim = codim
+        self.jacobian_in_span = jacobian_in_span
+        self.span = span
+        self.jacobian = jacobian
 
     @property
     def certified(self) -> bool:

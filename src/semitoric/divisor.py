@@ -11,7 +11,6 @@ stratification of a regular semiample hypersurface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -24,13 +23,13 @@ from .linalg import solve_unique
 from .polytope import HPolytope, LatticePolytope, cone_rays, vertices_from_inequalities
 
 
-@dataclass(frozen=True)
 class SupportFunction:
     """The piecewise-linear function of a Cartier divisor: one linear
     functional m_sigma per maximal cone, with <m_sigma, e_i> = -a_i on rays."""
 
-    fan: Fan
-    per_max_cone: tuple
+    def __init__(self, fan: Fan, per_max_cone: tuple):
+        self.fan = fan
+        self.per_max_cone = per_max_cone
 
     def m_of_cone(self, cone: ConeRef):
         for ci, c in enumerate(self.fan.max_cones):
@@ -51,15 +50,15 @@ class SupportFunction:
         return lattice.pairing_q(n, self.per_max_cone[ci])
 
 
-@dataclass(frozen=True)
 class StratumRecord:
     """One stratum of a regular semiample hypersurface: a cone of the fine
     fan, its smallest container in the coarse fan, and the rank of the torus
     factor (C*)^k of the stratum."""
 
-    cone: ConeRef
-    container: ConeRef
-    torus_factor_dim: int
+    def __init__(self, cone: ConeRef, container: ConeRef, torus_factor_dim: int):
+        self.cone = cone
+        self.container = container
+        self.torus_factor_dim = torus_factor_dim
 
 
 class TorusInvariantDivisor:

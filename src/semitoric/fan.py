@@ -12,7 +12,6 @@ forming a fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, count
 
 from . import lattice
@@ -38,13 +37,24 @@ def cone_rows(generators, dim):
     return rows + C[k:] + [tuple(-x for x in e) for e in C[k:]]
 
 
-@dataclass(frozen=True)
 class ConeRef:
     """A cone of a fan, identified by its set of ray indices."""
 
-    fan: "Fan"
-    ray_indices: frozenset
-    dim: int
+    __slots__ = ("fan", "ray_indices", "dim")
+
+    def __init__(self, fan: Fan, ray_indices: frozenset, dim: int):
+        self.fan = fan
+        self.ray_indices = ray_indices
+        self.dim = dim
+
+    def __eq__(self, other):
+        if other.__class__ is not ConeRef:
+            return NotImplemented
+        return (self.fan, self.ray_indices, self.dim) == (
+            other.fan, other.ray_indices, other.dim)
+
+    def __hash__(self):
+        return hash((self.fan, self.ray_indices, self.dim))
 
     def generators(self):
         return tuple(self.fan.rays[i] for i in sorted(self.ray_indices))

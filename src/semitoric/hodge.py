@@ -11,8 +11,6 @@ parent polytope (``Face.interior_points``); no face is rebuilt as a polytope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import lattice
 from .errors import InconsistencyError, PreconditionError, ValidationError
 from .fan import ConeRef, Fan
@@ -22,14 +20,14 @@ from .polytope import Face, LatticePolytope
 # -- subdivision counts ------------------------------------------------------
 
 
-@dataclass
 class SubdivisionCounts:
     """a_k(gamma) = number of k-cones of the fine fan whose smallest
     containing cone in the coarse fan is gamma, for k = 1, 2."""
 
-    coarse: Fan
-    a1: dict
-    a2: dict
+    def __init__(self, coarse: Fan, a1: dict, a2: dict):
+        self.coarse = coarse
+        self.a1 = a1
+        self.a2 = a2
 
     def a(self, gamma: ConeRef, k: int) -> int:
         table = {1: self.a1, 2: self.a2}[k]
@@ -197,21 +195,21 @@ def triangulation_helper(q: LatticePolytope, reverse: bool = False) -> Fan:
 # -- the mirror comparison -------------------------------------------------------------
 
 
-@dataclass
 class HodgeValue:
-    p: int
-    q: int
-    value: int
-    formula: str
-    witnesses: list = field(default_factory=list)
+    def __init__(self, p: int, q: int, value: int, formula: str, witnesses: list | None = None):
+        self.p = p
+        self.q = q
+        self.value = value
+        self.formula = formula
+        self.witnesses = [] if witnesses is None else witnesses
 
 
-@dataclass
 class HodgeReport:
     """Named Hodge numbers of one side of a mirror pair, with witnesses."""
 
-    label: str
-    values: list
+    def __init__(self, label: str, values: list):
+        self.label = label
+        self.values = values
 
     def value(self, p: int, q: int) -> int:
         for v in self.values:
@@ -264,10 +262,10 @@ def _h32_of_side(section: LatticePolytope) -> HodgeValue:
     return HodgeValue(3, 2, total, "carrier-face classification", witnesses)
 
 
-@dataclass
 class MirrorReport:
-    side: HodgeReport
-    mirror_side: HodgeReport
+    def __init__(self, side: HodgeReport, mirror_side: HodgeReport):
+        self.side = side
+        self.mirror_side = mirror_side
 
     @property
     def symmetric(self) -> bool:

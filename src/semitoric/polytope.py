@@ -38,32 +38,28 @@ not a new polytope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import not_
-from typing import NamedTuple
 
 from . import lattice
 from .errors import PreconditionError, RationalVertexError, ValidationError
 
 
-@dataclass(frozen=True)
 class HPolytope:
     """Finite intersection of half-spaces {m : <m, normal> >= rhs}."""
 
-    inequalities: tuple
-
-    def __post_init__(self):
-        ineqs = tuple((tuple(int(x) for x in n), int(r)) for n, r in self.inequalities)
+    def __init__(self, inequalities):
+        ineqs = tuple((tuple(int(x) for x in n), int(r)) for n, r in inequalities)
         for i, (n, _) in enumerate(ineqs):
             if len(n) != len(ineqs[0][0]):
                 raise ValidationError(f"normal {i} has length {len(n)}, "
                                       f"not the ambient rank {len(ineqs[0][0])}")
             if not any(n):
                 raise ValidationError("zero normal in inequality system")
-        object.__setattr__(self, "inequalities", ineqs)
+        self.inequalities = ineqs
 
     @property
     def dim(self) -> int:
@@ -535,22 +531,31 @@ class LatticePolytope:
         return self._by_vertex_set[frozenset(i for i, v in enumerate(vals) if v == m)]
 
 
-@dataclass(frozen=True)
 class Face:
     """A face of a polytope, recorded by its vertex subset, with the indices
-    (into ``polytope.facets()``) of the facets that contain it."""
+    (into ``polytope.facets()``) of the facets that contain it.  Equality
+    and hashing leave out the facets, which follow from the rest."""
 
-    polytope: LatticePolytope
-    vertex_indices: frozenset
-    dim: int
-    facets: frozenset = field(default=None, compare=False, repr=False)
+    __slots__ = ("polytope", "vertex_indices", "dim", "facets")
 
-    def __post_init__(self):
-        if self.facets is None:
-            poly = self.polytope
-            tights = [t for _, _, t in poly.facets()] if poly.dim > 0 else []
-            object.__setattr__(self, "facets", frozenset(
-                i for i, t in enumerate(tights) if self.vertex_indices <= t))
+    def __init__(self, polytope: LatticePolytope, vertex_indices: frozenset, dim: int,
+                 facets: frozenset | None = None):
+        if facets is None:
+            tights = [t for _, _, t in polytope.facets()] if polytope.dim > 0 else []
+            facets = frozenset(i for i, t in enumerate(tights) if vertex_indices <= t)
+        self.polytope = polytope
+        self.vertex_indices = vertex_indices
+        self.dim = dim
+        self.facets = facets
+
+    def __eq__(self, other):
+        if other.__class__ is not Face:
+            return NotImplemented
+        return (self.polytope, self.vertex_indices, self.dim) == (
+            other.polytope, other.vertex_indices, other.dim)
+
+    def __hash__(self):
+        return hash((self.polytope, self.vertex_indices, self.dim))
 
     def vertices(self):
         return tuple(self.polytope.vertices[i] for i in sorted(self.vertex_indices))
@@ -567,21 +572,21 @@ class Face:
         return f"Face(dim={self.dim}, vertices={sorted(self.vertex_indices)})"
 
 
-class _Span(NamedTuple):
-    """The affine span o + span(basis) of a polytope, read off one frame.
-
-    The rows b_i and w_j are a basis of Z^d, the rows c_i and e_j its dual
-    basis: <b_i, c_i> = <w_j, e_j> = 1 and every other pairing is 0.  The
-    span is {x : <x, e_j> = h_j}, h_j the levels, and on it
-    x = o + sum_i <x, c_i> b_i with o = sum_j h_j w_j.  The point o is in
-    Z^d, and is the anchor, exactly when every level is an integer."""
-
-    basis: list        # b_i: a basis of the direction lattice
-    coords: list       # c_i: coordinates on the span
-    equations: list    # e_j: a basis of the lattice orthogonal to the span
-    complement: list   # w_j
-    levels: tuple      # h_j, ints where integral
-    anchor: tuple      # o as ints, or None
+# The affine span o + span(basis) of a polytope, read off one frame.
+#
+# The rows b_i and w_j are a basis of Z^d, the rows c_i and e_j its dual
+# basis: <b_i, c_i> = <w_j, e_j> = 1 and every other pairing is 0.  The
+# span is {x : <x, e_j> = h_j}, h_j the levels, and on it
+# x = o + sum_i <x, c_i> b_i with o = sum_j h_j w_j.  The point o is in
+# Z^d, and is the anchor, exactly when every level is an integer.
+_Span = namedtuple("_Span", [
+    "basis",        # b_i: a basis of the direction lattice
+    "coords",       # c_i: coordinates on the span
+    "equations",    # e_j: a basis of the lattice orthogonal to the span
+    "complement",   # w_j
+    "levels",       # h_j, ints where integral
+    "anchor",       # o as ints, or None
+])
 
 
 def _anchor(levels, complement, dim):

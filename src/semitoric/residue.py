@@ -11,7 +11,6 @@ the pairing procedure for regular semiample hypersurfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -28,7 +27,6 @@ from .errors import CertificateError, InconsistencyError, PreconditionError, Val
 from .linalg import _ONE, _ZERO
 
 
-@dataclass(frozen=True)
 class PairingValue:
     """An exact intersection pairing value r * (2 pi i)^k.
 
@@ -36,8 +34,18 @@ class PairingValue:
     computed with.
     """
 
-    rational: Fraction
-    two_pi_i_exponent: int
+    def __init__(self, rational: Fraction, two_pi_i_exponent: int):
+        self.rational = rational
+        self.two_pi_i_exponent = two_pi_i_exponent
+
+    def __eq__(self, other):
+        if other.__class__ is not PairingValue:
+            return NotImplemented
+        return (self.rational, self.two_pi_i_exponent) == (
+            other.rational, other.two_pi_i_exponent)
+
+    def __hash__(self):
+        return hash((self.rational, self.two_pi_i_exponent))
 
     def is_zero(self) -> bool:
         return self.rational == 0

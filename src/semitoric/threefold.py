@@ -16,7 +16,6 @@ cells.  The route through products of basis polynomials and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice
@@ -33,7 +32,6 @@ from .linalg import SparseEchelon, solve_unique
 from .residue import CupProduct, PairingValue, cup_constant
 
 
-@dataclass
 class TwoConeChart:
     """A 2-cone of the coarse fan with the fine-fan rays subdividing it.
 
@@ -42,10 +40,11 @@ class TwoConeChart:
     Each consecutive pair spans a 2-cone of the fine fan.
     """
 
-    sigma: ConeRef
-    chain: list
-    seg_mults: list        # multiplicity of each consecutive-pair 2-cone
-    sum_mults: dict        # interior ray index -> mult of the flanking sum cone
+    def __init__(self, sigma: ConeRef, chain: list, seg_mults: list, sum_mults: dict):
+        self.sigma = sigma
+        self.chain = chain
+        self.seg_mults = seg_mults    # multiplicity of each consecutive-pair 2-cone
+        self.sum_mults = sum_mults    # interior ray index -> mult of the flanking sum cone
 
     @property
     def interior_rays(self):
@@ -206,32 +205,34 @@ def face_polynomial(f: GradedPolynomial, sigma: ConeRef,
     return slice_.polynomial
 
 
-@dataclass
 class H3Block:
     """One summand of a Hodge piece of H^3, on the coset basis of its R_1 piece."""
 
-    level: int
-    kind: str                      # "ring" or "link"
-    piece: R1Piece
-    sigma: tuple | None = None     # coarse-fan ray indices of the 2-cone
-    interior_ray: int | None = None
+    def __init__(self, level: int, kind: str, piece: R1Piece, sigma: tuple | None = None,
+                 interior_ray: int | None = None):
+        self.level = level
+        self.kind = kind                    # "ring" or "link"
+        self.piece = piece
+        self.sigma = sigma                  # coarse-fan ray indices of the 2-cone
+        self.interior_ray = interior_ray
 
     @property
     def dim(self) -> int:
         return self.piece.dim
 
 
-@dataclass
 class GramBlock:
     """The pairing matrix between the concatenated bases of two levels, by
     its nonzero cells: rows[i] maps column j to a nonzero entry, in column
     order; every other cell is the zero of its pair of blocks (`entry`)."""
 
-    level_a: int
-    level_b: int
-    row_blocks: list
-    col_blocks: list
-    rows: list
+    def __init__(self, level_a: int, level_b: int, row_blocks: list, col_blocks: list,
+                 rows: list):
+        self.level_a = level_a
+        self.level_b = level_b
+        self.row_blocks = row_blocks
+        self.col_blocks = col_blocks
+        self.rows = rows
 
     @property
     def columns(self) -> int:

@@ -847,7 +847,20 @@ def test_console_entry_point(plane_json):
     assert_fan_check_ok([sys.executable, "-c", wrapper], plane_json, package_env())
 
 
+def test_python_m_semitoric(plane_json):
+    """``python -m semitoric`` is the CLI, started cold in a fresh interpreter."""
+    assert_fan_check_ok([sys.executable, "-m", "semitoric"], plane_json, package_env())
+
+
 @pytest.mark.skipif(shutil.which("semitoric") is None,
                     reason="no `semitoric` script on PATH; it exists after pip install")
 def test_installed_console_script(plane_json):
     assert_fan_check_ok([shutil.which("semitoric")], plane_json)
+
+
+def test_q_str_prints_ints_and_fractions_without_building_fractions(fraction_count):
+    values = [0, -7, 10**30, Fraction(3, 2), Fraction(-5, 7), Fraction(4, 2)]
+    fraction_count[0] = 0
+    assert [cli.q_str(x) for x in values] == ["0", "-7", str(10**30), "3/2", "-5/7", "2"]
+    assert fraction_count[0] == 0
+    assert cli.q_str(True) == "1"

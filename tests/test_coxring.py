@@ -61,6 +61,15 @@ def test_degrees_equal_api():
     assert not P2.degrees_equal((1, 0, 0), (0, 0, 2))
 
 
+def test_degree_classes_of_different_rings_differ():
+    other = CoxRing(catalog.projective_plane())
+    h, h_other = P2.degree_class((1, 0, 0)), other.degree_class((1, 0, 0))
+    assert h.rep == h_other.rep and h != h_other
+    assert h == P2.degree_class((0, 0, 1)) and hash(h) == hash(P2.degree_class((0, 1, 0)))
+    with pytest.raises(ValidationError, match="different rings"):
+        h + h_other
+
+
 def test_monomial_basis_cubics():
     basis = P2.monomial_basis(P2.beta0)
     assert len(basis) == 10  # cubics in three variables

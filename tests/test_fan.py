@@ -70,6 +70,18 @@ def test_cones_counts():
     assert len(blowup_fan().cones(2)) == 4
 
 
+def test_cone_refs_are_equal_by_fan_rays_and_dimension():
+    fan, same = p2_fan(), p2_fan()
+    for k in range(3):
+        for a, b in zip(fan.cones(k), same.cones(k)):
+            assert a == b and hash(a) == hash(b) and a is not b
+        assert len(set(fan.cones(k)) | set(same.cones(k))) == len(fan.cones(k))
+    ray = ConeRef(fan, frozenset({0}), 1)
+    assert ray != ConeRef(fan, frozenset({1}), 1)
+    assert ray != ConeRef(blowup_fan(), frozenset({0}), 1)
+    assert ray != frozenset({0})
+
+
 def test_cones_of_nonsimplicial_fan():
     # fan over the faces of the square: one non-simplicial check via normal fan
     diamond = vertices_from_inequalities(HPolytope(

@@ -6,6 +6,7 @@ from semitoric import catalog
 from semitoric.errors import PreconditionError
 from semitoric.fan import Fan
 from semitoric.hodge import (
+    HodgeValue,
     e_face_values,
     h21_batyrev,
     h_p2,
@@ -357,3 +358,9 @@ def test_mirror_check_sec6_enumerates_delta_once(monkeypatch):
         for key in ("double_face_interior_points", "subdividing_points"):
             assert w[key] == sorted(w[key])
     assert witnesses == SEC6_WITNESSES
+
+
+def test_hodge_values_do_not_share_default_witnesses():
+    a, b = HodgeValue(3, 2, 0, "formula"), HodgeValue(3, 2, 0, "formula")
+    a.witnesses.append({"face": []})
+    assert b.witnesses == [] and HodgeValue(3, 2, 0, "formula").witnesses == []

@@ -160,6 +160,15 @@ def test_faces_know_their_facets():
             rebuilt = Face(p, face.vertex_indices, face.dim)
             assert rebuilt == face and hash(rebuilt) == hash(face)
             assert rebuilt.facets == face.facets
+            # equality and hashing ignore the facets, which follow from the rest
+            mislabelled = Face(p, face.vertex_indices, face.dim, frozenset({-1}))
+            assert mislabelled == face and hash(mislabelled) == hash(face)
+            assert Face(p, face.vertex_indices, face.dim + 1) != face
+        assert len(set(p.all_faces())) == len(p.all_faces())
+    p = unit_simplex(2)
+    assert Face(p, frozenset({0}), 0) != Face(unit_simplex(3), frozenset({0}), 0)
+    assert Face(p, frozenset({0}), 0) != Face(p, frozenset({1}), 0)
+    assert Face(p, frozenset({0}), 0) != frozenset({0})
 
 
 def test_interior_points_partition_the_dilates():
@@ -317,6 +326,17 @@ def test_contains_of_a_point_polytope():
     assert LatticePolytope([(1, 2)]).lattice_points() == [(1, 2)]
 
 
+def test_h_polytope_casts_to_ints_and_rejects_bad_normals():
+    h = HPolytope([([Fraction(4, 2), 0], Fraction(-6, 3)), ((0, 1), 0)])
+    assert h.inequalities == (((2, 0), -2), ((0, 1), 0))
+    assert all(type(x) is int for n, r in h.inequalities for x in n + (r,))
+    assert h.dim == 2 and HPolytope([]).dim == 0
+    with pytest.raises(ValidationError, match="zero normal"):
+        HPolytope([((1, 0), 0), ((0, 0), 1)])
+    with pytest.raises(ValidationError, match="length 3"):
+        HPolytope([((1, 0), 0), ((0, 1, 0), 1)])
+
+
 def test_contains_rejects_a_point_of_the_wrong_length():
     with pytest.raises(ValidationError):
         unit_simplex(3).contains((0, 0))
@@ -414,31 +434,6 @@ def test_pairing_q_is_exact_on_ints_and_fractions():
              for _ in range(n)]
         w = [rng.randint(-9, 9) for _ in range(n)]
         assert lattice.pairing_q(m, w) == sum(Fraction(a) * b for a, b in zip(m, w))
-
-
-@pytest.fixture
-def fraction_count(monkeypatch):
-    """A cell counting the Fractions built from now on, to the end of the
-    test.  From Python 3.12 arithmetic builds its results through
-    ``_from_coprime_ints``, not ``__new__``, so that is counted too."""
-    cell = [0]
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        cell[0] += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    coprime = vars(Fraction).get("_from_coprime_ints")
-    if coprime is not None:
-        make = coprime.__func__
-
-        def counting_coprime(cls, *args):
-            cell[0] += 1
-            return make(cls, *args)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-    return cell
 
 
 def test_a_reflexive_lattice_polytope_builds_no_fraction(fraction_count):

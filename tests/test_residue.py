@@ -203,6 +203,8 @@ def test_pairing_value_arithmetic():
     assert v.to_json() == {"rational": "1/2", "two_pi_i_exponent": 4}
     with pytest.raises(ValidationError):
         v + PairingValue(Fraction(1), 2)
+    assert v == PairingValue(Fraction(2, 4), 4) and hash(v) == hash(PairingValue(Fraction(1, 2), 4))
+    assert v != w and v != PairingValue(Fraction(1, 2), 2) and v != Fraction(1, 2)
 
 
 def test_cup_pair_vanishes_on_j1_second_slot_too():

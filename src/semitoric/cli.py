@@ -146,7 +146,7 @@ def cmd_divisor_analyze(doc, verify):
     out["section_polytope"] = {
         "dim": poly.dim,
         "vertices": sorted([q_str(x) for x in v] for v in poly.vertices),
-        "lattice_points": len(poly.lattice_points()) if not poly.is_empty else 0,
+        "lattice_points": poly.count_lattice_points(),
     }
     if out["globally_generated"]:
         out["top_self_intersection"] = q_str(div.degree())
@@ -272,7 +272,7 @@ def _ring_dims_verification(f, gamma, entry):
     s_dim = entry["s_dim"]
     return {
         "s_dim_matches_section_polytope":
-            s_dim == (0 if poly.is_empty else len(poly.lattice_points())),
+            s_dim == poly.count_lattice_points(),
         "j_rank_matches_unskipped_rebuild":
             s_dim - entry["r_dim"] == rank([f.partial(i) for i in range(ring.n)]),
         "j0_rank_matches_unskipped_rebuild":

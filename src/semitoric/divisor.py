@@ -19,7 +19,6 @@ from operator import and_
 from . import lattice
 from .errors import InconsistencyError, NotCartierError, PreconditionError, ValidationError
 from .fan import ConeRef, Fan, extreme_rays_of_dual
-from .linalg import solve_unique
 from .polytope import HPolytope, LatticePolytope, cone_rays, vertices_from_inequalities
 
 
@@ -72,6 +71,7 @@ class TorusInvariantDivisor:
         self.fan = fan
         self.coeffs = coeffs
         self._support = None
+        self._globally_generated = None
         self._polytope = None
         self._curves = None
 
@@ -100,24 +100,25 @@ class TorusInvariantDivisor:
     # -- support function and convexity --------------------------------------
 
     def support_function(self) -> SupportFunction:
-        """Solve <m_sigma, e_i> = -a_i on every maximal cone; Cartier test."""
+        """Solve <m_sigma, e_i> = -a_i on every maximal cone; D is Cartier
+        exactly when each solution exists and is integral."""
         if self._support is not None:
             return self._support
         if not self.fan.is_complete:
             raise PreconditionError("support functions require a complete fan")
         per_cone = []
         for c in self.fan.max_cones:
-            rows = [list(self.fan.rays[i]) for i in sorted(c)]
-            rhs = [-self.coeffs[i] for i in sorted(c)]
-            m = solve_unique(rows, rhs)
-            if m is None:
+            idx = sorted(c)
+            sol = lattice.rational_solution([self.fan.rays[i] for i in idx],
+                                            [-self.coeffs[i] for i in idx])
+            if sol is None:
                 raise NotCartierError(
-                    f"no linear function matches the coefficients on cone "
-                    f"{sorted(c)}")
-            if any(x.denominator != 1 for x in m):
-                raise NotCartierError(
-                    f"support function on cone {sorted(c)} is not integral: {m}")
-            per_cone.append(tuple(int(x) for x in m))
+                    f"no linear function matches the coefficients on cone {idx}")
+            nums, den = sol
+            if den != 1:
+                m = tuple(Fraction(x, den) for x in nums)
+                raise NotCartierError(f"support function on cone {idx} is not integral: {m}")
+            per_cone.append(tuple(nums))
         self._support = SupportFunction(self.fan, tuple(per_cone))
         return self._support
 
@@ -130,13 +131,11 @@ class TorusInvariantDivisor:
 
     def is_globally_generated(self) -> bool:
         """Convexity of the support function."""
-        sf = self.support_function()
-        for ci in range(len(self.fan.max_cones)):
-            m = sf.per_max_cone[ci]
-            for j, e in enumerate(self.fan.rays):
-                if lattice.pairing(m, e) < -self.coeffs[j]:
-                    return False
-        return True
+        if self._globally_generated is None:
+            ms, rays = self.support_function().per_max_cone, self.fan.rays
+            self._globally_generated = all(lattice.pairing(m, e) >= -a for m in ms
+                                           for e, a in zip(rays, self.coeffs))
+        return self._globally_generated
 
     def is_strictly_convex(self) -> bool:
         """Strict convexity: equality on a maximal cone only for its own rays."""
@@ -366,13 +365,12 @@ def find_ample(fan: Fan) -> TorusInvariantDivisor:
 
     def relation(j, basis, sign=1):
         """sign * den * (a_j - sum c_i a_i) for e_j = sum c_i e_i, on keep."""
-        c = solve_unique([[fan.rays[i][k] for i in basis] for k in range(d)],
-                         list(fan.rays[j]))
-        den = sign * lcm(*(x.denominator for x in c))
+        nums, den = lattice.rational_solution(
+            [[fan.rays[i][k] for i in basis] for k in range(d)], fan.rays[j])
         row = [0] * n
-        row[j] = den
-        for i, x in zip(basis, c):
-            row[i] -= int(x * den)
+        row[j] = sign * den
+        for i, x in zip(basis, nums):
+            row[i] -= sign * x
         return [row[i] for i in keep]
 
     walls = [relation(min(fan.max_cones[b] - tau), bases[a])
@@ -390,9 +388,9 @@ def find_ample(fan: Fan) -> TorusInvariantDivisor:
     for i, x in zip(keep, total):
         coeffs[i] = x
     # scale so that every linear function m_sigma is integral
-    scale = lcm(*(x.denominator for c in fan.max_cones
-                  for x in solve_unique([fan.rays[i] for i in sorted(c)],
-                                        [-coeffs[i] for i in sorted(c)])))
+    scale = lcm(*(lattice.rational_solution([fan.rays[i] for i in sorted(c)],
+                                            [-coeffs[i] for i in sorted(c)])[1]
+                  for c in fan.max_cones))
     div = TorusInvariantDivisor(fan, [scale * x for x in coeffs])
     if not div.is_strictly_convex():
         raise InconsistencyError("ample search produced a non-ample divisor")

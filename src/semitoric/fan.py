@@ -5,9 +5,10 @@ non-simplicial maximal cones are allowed.  The faces of a maximal cone come
 from ``polytope.face_closure`` on its facet ray sets.  Every "which cone
 holds x" question (membership, smallest containing cones, refinement) goes
 through ``Fan.locate``, a sign test against the memoized rows of the
-maximal cones from the double-description kernel ``cone_rays``.  Completeness
-comes with a certificate that rejects inputs whose cones close up without
-forming a fan.
+maximal cones from the double-description kernel ``cone_rays``, one call per
+maximal cone that spans N_R.  Completeness comes with a certificate that
+rejects inputs whose cones close up without forming a fan; it reads the
+walls, and the side of each wall a cone lies on, off those facet rows.
 """
 
 from __future__ import annotations
@@ -29,12 +30,16 @@ def extreme_rays_of_dual(normals, dim):
 
 
 def cone_rows(generators, dim):
-    """Rows h with cone(generators) = {x : <h, x> >= 0 for every h}: the
-    facet normals inside the linear span, then its equations, both signs."""
+    """(rank, rows) with cone(generators) = {x : <h, x> >= 0 for h in rows}:
+    the facet normals inside the linear span, then its equations, both
+    signs.  Generators that span Q^dim take one cone_rays, others a frame."""
     gens = [tuple(g) for g in generators if any(g)]
+    rays = cone_rays(gens, dim)
+    if rays is not None:
+        return dim, [n for n, _ in rays]
     k, W, C = lattice.frame(gens, dim)
     rows = [n for n, _ in _facets_in_span(gens, W[:k], affine=False)] if k else []
-    return rows + C[k:] + [tuple(-x for x in e) for e in C[k:]]
+    return k, rows + C[k:] + [tuple(-x for x in e) for e in C[k:]]
 
 
 class ConeRef:
@@ -140,10 +145,11 @@ class Fan:
         return self._ranks[key]
 
     def _max_cone_rows(self, ci):
-        """cone_rows of a maximal cone, computed once."""
+        """cone_rows of a maximal cone, computed once, keeping its rank."""
         if ci not in self._rows:
-            self._rows[ci] = cone_rows(
-                [self.rays[i] for i in sorted(self.max_cones[ci])], self.dim)
+            c = self.max_cones[ci]
+            self._ranks[c], self._rows[ci] = cone_rows(
+                [self.rays[i] for i in sorted(c)], self.dim)
         return self._rows[ci]
 
     def _rays_on_rows(self, ci):
@@ -187,10 +193,10 @@ class Fan:
         return self._face_memo[ci]
 
     def _all_face_sets(self):
+        """{ray index set -> dim} of every cone of the fan."""
         if self._face_sets is None:
-            per_cone = [self._faces_of_max_cone(ci) for ci in range(len(self.max_cones))]
-            merged = {s: k for faces in per_cone for s, k in faces.items()}
-            self._face_sets = (per_cone, merged)
+            self._face_sets = {s: k for ci in range(len(self.max_cones))
+                               for s, k in self._faces_of_max_cone(ci).items()}
         return self._face_sets
 
     def cones(self, k: int):
@@ -198,9 +204,8 @@ class Fan:
         if not 0 <= k <= self.dim:
             raise ValidationError(f"cone dimension {k} out of range 0..{self.dim}")
         if self._cones_by_dim is None:
-            _, merged = self._all_face_sets()
             by_dim = {}
-            for s, d in merged.items():
+            for s, d in self._all_face_sets().items():
                 by_dim.setdefault(d, set()).add(s)
             self._cones_by_dim = by_dim
         return [ConeRef(self, s, k)
@@ -214,7 +219,7 @@ class Fan:
 
     def cone_ref(self, ray_indices) -> ConeRef:
         s = frozenset(ray_indices)
-        _, merged = self._all_face_sets()
+        merged = self._all_face_sets()
         if s not in merged:
             raise ValidationError(f"{sorted(s)} is not a cone of this fan")
         return ConeRef(self, s, merged[s])
@@ -226,13 +231,13 @@ class Fan:
         return all(self.cone_dim(c) == len(c) for c in self.max_cones)
 
     def _facet_incidence(self):
-        """Map {(d-1)-face -> list of maximal cone indices having it as a face}."""
-        per_cone, _ = self._all_face_sets()
+        """Map {wall -> list of maximal cone indices having it as a facet},
+        for maximal cones of full dimension: each facet row of a cone gives
+        the wall of its rays; a cone's walls come by size, then ray list."""
         inc = {}
-        for ci, faces in enumerate(per_cone):
-            for s, k in faces.items():
-                if k == self.dim - 1:
-                    inc.setdefault(s, []).append(ci)
+        for ci in range(len(self.max_cones)):
+            for s in sorted(self._rays_on_rows(ci), key=lambda s: (len(s), sorted(s))):
+                inc.setdefault(s, []).append(ci)
         return inc
 
     @property
@@ -245,11 +250,15 @@ class Fan:
 
     def _check_complete(self) -> bool:
         """Each facet of a maximal cone is shared with exactly one other, in a
-        connected adjacency graph.  Then (a) the two cones at every shared
-        facet lie on opposite sides of it and (b) a point on no wall lies in
-        exactly one maximal cone, or the input is not a fan."""
+        connected adjacency graph.  Walls and sides are read off the facet
+        rows of the maximal cones: (a) the two cones at a wall lie on
+        opposite sides of it exactly when their inward normals there are
+        negatives of each other, and (b) a point on no wall lies in the
+        cones whose facet rows are all positive at it, and must lie in
+        exactly one, or the input is not a fan."""
         if not self.max_cones:
             return self.dim == 0
+        rows = [self._max_cone_rows(ci) for ci in range(len(self.max_cones))]
         if any(self.cone_dim(c) != self.dim for c in self.max_cones):
             return False
         inc = self._facet_incidence()
@@ -266,25 +275,19 @@ class Fan:
             stack.extend(new)
         if len(seen) != len(self.max_cones):
             return False
-        # (a); halves[ci] lists (wall normal y, <y, e> for a ray e of ci off it)
-        halves = [[] for _ in self.max_cones]
+        # (a) normal[ci][tau]: the inward normal of cone ci at its wall tau
+        normal = [dict(zip(self._rays_on_rows(ci), hs)) for ci, hs in enumerate(rows)]
         for tau, (a, b) in inc.items():
-            pivots, duals = lattice.dual_rows([self.rays[i] for i in tau], self.dim)
-            y = duals[len(pivots)]
-            va, vb = (lattice.pairing(y, self.rays[min(self.max_cones[ci] - tau)])
-                      for ci in (a, b))
-            if va * vb >= 0:
+            if normal[b][tau] != tuple(-x for x in normal[a][tau]):
                 raise ValidationError(
                     f"cones {sorted(self.max_cones[a])} and {sorted(self.max_cones[b])} "
                     f"lie on the same side of their common facet {sorted(tau)}")
-            halves[a].append((y, va))
-            halves[b].append((y, vb))
-        # (b) at p = (1, t, ..., t^(d-1)), t >= 2 least off every wall: <y, p>
+        # (b) at p = (1, t, ..., t^(d-1)), t >= 2 least off every wall: <h, p>
         # is a nonzero polynomial in t, so few values of t are tried
         p = next(p for p in ([t ** k for k in range(self.dim)] for t in count(2))
-                 if all(lattice.pairing(y, p) for hs in halves for y, _ in hs))
-        holders = [sorted(c) for c, hs in zip(self.max_cones, halves)
-                   if all(lattice.pairing(y, p) * v > 0 for y, v in hs)]
+                 if all(lattice.pairing(h, p) for hs in rows for h in hs))
+        holders = [sorted(c) for c, hs in zip(self.max_cones, rows)
+                   if all(lattice.pairing(h, p) > 0 for h in hs)]
         if len(holders) != 1:
             raise ValidationError(f"the point {p} lies in {len(holders)} maximal "
                                   f"cones, not one: {holders}")

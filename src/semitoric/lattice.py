@@ -252,6 +252,18 @@ def dual_rows(vectors, dim):
     return pivots, [primitivize([sign * x for x in row[n:]]) for row in a]
 
 
+def rational_solution(rows, rhs):
+    """The unique rational solution of rows * x = rhs in lowest terms, as
+    (nums, den): x = nums / den with integer nums and den > 0, read off one
+    elimination of [rows | rhs]; None when there is none or more than one."""
+    n = len(rows[0]) if rows else 0
+    a, pivots, d, _, _ = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if len(pivots) < n or any(row[n] for row in a[n:]):
+        return None
+    g = gcd(d, *(row[n] for row in a[:n])) * (1 if d > 0 else -1)
+    return [row[n] // g for row in a[:n]], d // g
+
+
 def matrix_rank(rows) -> int:
     """Rank over the rationals, by fraction-free elimination."""
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])

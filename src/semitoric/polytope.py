@@ -23,7 +23,8 @@ the values of affine forms down its levels instead of recomputing them per
 point and returns the points as runs along the last coordinate, on which
 each form steps by its last coefficient.  ``_enumerate_integer_points``
 lists the values at every point (ambient coordinates and slacks here);
-``coxring.py`` reads one range of monomial codes off each run.  The scan
+``coxring.py`` reads one range of monomial codes off each run, and
+``LatticePolytope.count_lattice_points`` adds up the run lengths.  The scan
 counts its intervals before it visits them and raises ``PreconditionError``
 once the count passes ``SCAN_LIMIT``, so a polytope too large to list is
 refused at once instead of running with no end.  Each face records the
@@ -103,8 +104,8 @@ def _integer_runs(ineqs, lo, hi, forms):
     of t, and `last`, the last coefficient of each affine form (f, f0).
     Along a run the last coordinate of t goes from lo_t to hi_t, and the
     values f·t + f0 of the forms start at `values` and step by `last`.  The
-    slack of an inequality is the form (a, -c).  There must be at least one
-    form; with no coordinate, the one run has lo_t = hi_t = 0.
+    slack of an inequality is the form (a, -c).  With no form the runs still
+    count the points; with no coordinate, the one run has lo_t = hi_t = 0.
 
     Depth-first scan with per-level interval tightening.  Partial sums are
     carried down the levels.  The stack is explicit, so no reference cycle
@@ -343,6 +344,18 @@ class LatticePolytope:
             out.append((a, r - lattice.pairing(span.anchor, n)))
         return out
 
+    def _scan_box(self, strict: bool):
+        """(ineqs, lo, hi, span_ineqs): the scan of the integer points of P
+        (of its relative interior when strict) in span coordinates t, which
+        read relative to the anchor, and the facet inequalities unrounded."""
+        k = len(self._span_data().basis)
+        tcoords = [self._to_span_coords(v) for v in self.vertices]
+        lo = [_ceil(min(t[j] for t in tcoords)) for j in range(k)]
+        hi = [_floor(max(t[j] for t in tcoords)) for j in range(k)]
+        span_ineqs = self._span_inequalities()
+        ineqs = [(a, _floor(c) + 1 if strict else _ceil(c)) for a, c in span_ineqs]
+        return ineqs, lo, hi, span_ineqs
+
     def _scan(self, strict: bool):
         """(rows, tight): one unsorted row per integer point x of P (of its
         relative interior when strict), x followed by its slacks at the
@@ -354,15 +367,9 @@ class LatticePolytope:
         basis, anchor = span.basis, span.anchor
         if anchor is None:
             return [], []
-        k = len(basis)
-        if k == 0:
+        if not basis:
             return [anchor], []
-        # the anchor has zero span coordinates, so t reads relative to it
-        tcoords = [self._to_span_coords(v) for v in self.vertices]
-        lo = [_ceil(min(t[j] for t in tcoords)) for j in range(k)]
-        hi = [_floor(max(t[j] for t in tcoords)) for j in range(k)]
-        span_ineqs = self._span_inequalities()
-        ineqs = [(a, _floor(c) + 1 if strict else _ceil(c)) for a, c in span_ineqs]
+        ineqs, lo, hi, span_ineqs = self._scan_box(strict)
         tight = [] if strict else [i for i, (_, c) in enumerate(span_ineqs)
                                    if type(c) is int]
         # x = anchor + sum_j t_j b_j, one form per ambient coordinate
@@ -393,6 +400,16 @@ class LatticePolytope:
         if self._lattice_points is None:
             self._lattice_points = self._points(strict=False)
         return list(self._lattice_points)
+
+    def count_lattice_points(self) -> int:
+        """The number of integer points: the length of their list once it is
+        made, else the run lengths of the same scan, with no point listed."""
+        if self._lattice_points is not None:
+            return len(self._lattice_points)
+        if self.is_empty or self._span_data().anchor is None:
+            return 0
+        runs, _ = _integer_runs(*self._scan_box(strict=False)[:3], [])
+        return sum(hi_t - lo_t + 1 for _, lo_t, hi_t in runs)
 
     def relative_interior_points(self):
         """Integer points strictly inside every facet of the affine span."""

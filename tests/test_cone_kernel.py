@@ -8,7 +8,8 @@ the strict-convexity LP that searched for an ample class.  They are compared
 with the sign tests on facet normals, the ray test on the intersection of
 two cones and the nef cone, on seeded random inputs.  The completeness
 certificate is checked on inputs that close up along their facets without
-being fans.
+being fans, and against the certificate it replaced, which took one
+``dual_rows`` per wall where it reads walls and sides off facet rows.
 
 ``Fan.locate`` answers every "which cone holds x" question of the package.
 Its references are the routes it replaced, kept here: ``cone_contains``, one
@@ -20,7 +21,7 @@ first one that contains x.
 import ast
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import lcm
 from pathlib import Path
 
@@ -54,13 +55,13 @@ def cone_contains(generators, x) -> bool:
     particular, kernel = sol
     if not kernel:
         return all(c >= 0 for c in particular)
-    return all(lattice.pairing(h, x) >= 0 for h in cone_rows(gens, d))
+    return all(lattice.pairing(h, x) >= 0 for h in cone_rows(gens, d)[1])
 
 
 def cone_is_pointed(generators) -> bool:
     """Strong convexity: the dual cone, spanned by the rows, is full."""
     gens = [tuple(g) for g in generators]
-    return not gens or lattice.matrix_rank(cone_rows(gens, len(gens[0]))) == len(gens[0])
+    return not gens or lattice.matrix_rank(cone_rows(gens, len(gens[0]))[1]) == len(gens[0])
 
 
 def ref_locate(fan, x):
@@ -129,6 +130,51 @@ def ref_ample_by_lp(fan):
     scale = lcm(*[Fraction(x).denominator for x in sol])
     return TorusInvariantDivisor(
         fan, [int(Fraction(sol[ncones * d + i]) * scale) for i in range(n)])
+
+
+def ref_check_complete(fan):
+    """The completeness certificate on wall normals: the walls from the face
+    lattice of each maximal cone, one dual_rows per wall for its normal y,
+    and halves[ci] listing (y, <y, e> for a ray e of ci off the wall)."""
+    if not fan.max_cones:
+        return fan.dim == 0
+    if any(c and lattice.matrix_rank([fan.rays[i] for i in c]) != fan.dim or
+           not c and fan.dim for c in fan.max_cones):
+        return False
+    inc = {}
+    for ci in range(len(fan.max_cones)):
+        for s, k in fan._faces_of_max_cone(ci).items():
+            if k == fan.dim - 1:
+                inc.setdefault(s, []).append(ci)
+    if any(len(cis) != 2 for cis in inc.values()):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        ci = stack.pop()
+        new = {b if a == ci else a for a, b in inc.values() if ci in (a, b)} - seen
+        seen |= new
+        stack.extend(new)
+    if len(seen) != len(fan.max_cones):
+        return False
+    halves = [[] for _ in fan.max_cones]
+    for tau, (a, b) in inc.items():
+        pivots, duals = lattice.dual_rows([fan.rays[i] for i in tau], fan.dim)
+        y = duals[len(pivots)]
+        va, vb = (lattice.pairing(y, fan.rays[min(fan.max_cones[ci] - tau)]) for ci in (a, b))
+        if va * vb >= 0:
+            raise ValidationError(
+                f"cones {sorted(fan.max_cones[a])} and {sorted(fan.max_cones[b])} "
+                f"lie on the same side of their common facet {sorted(tau)}")
+        halves[a].append((y, va))
+        halves[b].append((y, vb))
+    p = next(p for p in ([t ** k for k in range(fan.dim)] for t in count(2))
+             if all(lattice.pairing(y, p) for hs in halves for y, _ in hs))
+    holders = [sorted(c) for c, hs in zip(fan.max_cones, halves)
+               if all(lattice.pairing(y, p) * v > 0 for y, v in hs)]
+    if len(holders) != 1:
+        raise ValidationError(f"the point {p} lies in {len(holders)} maximal "
+                              f"cones, not one: {holders}")
+    return True
 
 
 # -- inputs ----------------------------------------------------------------------
@@ -316,6 +362,39 @@ def test_covers_that_are_not_fans_are_rejected(fan, named):
     with pytest.raises(ValidationError) as exc:
         fan.is_complete
     assert str(exc.value) == named
+
+
+def certificate_verdict(rays, cones, check):
+    """What a certificate says of a fresh fan: its verdict or its error text."""
+    try:
+        return check(Fan(rays, cones))
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_completeness_certificate_matches_wall_normals():
+    """The certificate on facet rows gives the verdict and the error text of
+    the one on wall normals: on seeded normal fans and stellar subdivisions
+    of them, each without one of its maximal cones, and with a maximal cone
+    of lower dimension or an empty one added; on the covers that are not
+    fans; and on two half-planes, cones that hold a line."""
+    rng = random.Random(SEED + 7)
+    cases = [(fan.rays, fan.max_cones) for fan in (PENTAGRAM, DOUBLE_TRIANGLE, FOLDED_TRIANGLE)]
+    cases.append(([(1, 0), (-1, 0), (0, 1), (0, -1)], [{0, 1, 2}, {0, 1, 3}]))  # half-planes
+    for base in random_normal_fans(rng):
+        for fan in (base, stellar_subdivision(base, rng.choice(
+                [c.ray_indices for c in base.cones(2)]))):
+            cones = list(fan.max_cones)
+            cases.append((fan.rays, cones))
+            cases.append((fan.rays, cones[1:]))
+            cases.append((fan.rays, cones[:-1] + [sorted(cones[-1])[:-1]]))
+            cases.append((fan.rays, cones + [[]]))
+    verdicts = set()
+    for rays, cones in cases:
+        want = certificate_verdict(rays, cones, ref_check_complete)
+        assert certificate_verdict(rays, cones, lambda fan: fan.is_complete) == want, cones
+        verdicts.add(want if type(want) is bool else want.split()[0])
+    assert verdicts == {True, False, "the", "cones"}
 
 
 def test_generic_point_avoids_every_wall():

@@ -38,10 +38,20 @@ def test_support_function_pullback():
 
 
 def test_not_cartier():
+    """A non-integral linear function, and none at all on a cone of four
+    rays, each with its message."""
     fan = Fan([(1, 1), (1, -1), (-1, 0)], [{0, 1}, {0, 2}, {1, 2}])
     div = TorusInvariantDivisor(fan, (1, 0, 0))
-    with pytest.raises(NotCartierError):
+    with pytest.raises(NotCartierError) as exc:
         div.support_function()
+    assert str(exc.value) == ("support function on cone [0, 1] is not integral: "
+                              "(Fraction(-1, 2), Fraction(-1, 2))")
+    assert not div.is_cartier()
+    fan = catalog.cross_polytope(3).normal_fan()
+    div = TorusInvariantDivisor(fan, [1] + [0] * (len(fan.rays) - 1))
+    with pytest.raises(NotCartierError) as exc:
+        div.support_function()
+    assert str(exc.value) == "no linear function matches the coefficients on cone [0, 2, 4, 6]"
     assert not div.is_cartier()
 
 

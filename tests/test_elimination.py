@@ -8,6 +8,7 @@ with it on seeded random small rational matrices.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -127,6 +128,29 @@ def test_solve_unique_matches_reference():
         sol = reference_solve(rows, rhs)
         expected = sol[0] if sol is not None and not sol[1] else None
         assert solve_unique(rows, rhs) == expected, (rows, rhs)
+
+
+def test_rational_solution_matches_solve_unique():
+    """The integer solve gives the rationals of solve_unique as integers
+    over one positive denominator, in lowest terms, and None exactly where
+    solve_unique gives None."""
+    outcomes = set()
+    for rng, rational, rows in random_cases(14, 600):
+        rhs = [random_entry(rng, rational) for _ in rows]
+        if rng.random() < 0.5:  # a consistent right-hand side
+            x = [random_entry(rng, rational) for _ in rows[0]]
+            rhs = [sum(Fraction(a) * b for a, b in zip(r, x)) for r in rows]
+        expected, got = solve_unique(rows, rhs), lattice.rational_solution(rows, rhs)
+        if expected is None:
+            assert got is None, (rows, rhs)
+            outcomes.add("inconsistent" if solve_linear(rows, rhs) is None else "singular")
+            continue
+        nums, den = got
+        assert all(type(v) is int for v in nums) and type(den) is int
+        assert den > 0 and gcd(den, *nums) == 1
+        assert tuple(Fraction(v, den) for v in nums) == expected, (rows, rhs)
+        outcomes.add("square" if len(rows) == len(rows[0]) else "tall")
+    assert outcomes == {"inconsistent", "singular", "square", "tall"}
 
 
 def test_matrix_rank_matches_reference():

@@ -1,6 +1,11 @@
+import sys
+from collections import Counter
+
 import pytest
 
-from semitoric import catalog, lattice
+from semitoric import catalog, lattice, linalg
+from semitoric import fan as fan_module
+from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import ValidationError
 from semitoric.fan import ConeRef, Fan
 from semitoric.polytope import HPolytope, vertices_from_inequalities
@@ -178,15 +183,28 @@ def test_cone_ref_rejects_non_cone():
         fan.cone_ref([0, 1, 2])
 
 
-def test_max_cone_ranks_computed_once(monkeypatch):
-    """is_simplicial, the face lattice and the completeness check read one
-    rank per maximal cone: 8 matrix ranks for the 8 cones of crepant
-    P(1,1,2,2,2), not 8 per query."""
+def test_one_elimination_per_maximal_cone(monkeypatch):
+    """On crepant P(1,1,2,2,2), the completeness certificate and one
+    divisor's support function take one cone_rays and one integer solve per
+    maximal cone, 8 of each, and no rank or Fraction solve; the only
+    dual_rows are the eliminations that start each cone_rays."""
     fan = catalog.p11222_crepant_fan()
-    calls = []
-    true_rank = lattice.matrix_rank
-    monkeypatch.setattr(lattice, "matrix_rank", lambda rows: calls.append(1) or true_rank(rows))
-    assert fan.is_simplicial
-    assert len(fan.cones(2)) > 0
+    calls = Counter()
+
+    def spy(module, name):
+        true = getattr(module, name)
+
+        def counted(*args):
+            calls[name, sys._getframe(1).f_code.co_name] += 1
+            return true(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(fan_module, "cone_rays")
+    for name in ("rational_solution", "dual_rows", "matrix_rank"):
+        spy(lattice, name)
+    spy(linalg, "solve_linear")
     assert fan.is_complete
-    assert len(fan.max_cones) == len(calls) == 8
+    TorusInvariantDivisor(fan, [1] * len(fan.rays)).support_function()
+    assert len(fan.max_cones) == 8
+    assert calls == {("cone_rays", "cone_rows"): 8, ("dual_rows", "cone_rays"): 8,
+                     ("rational_solution", "support_function"): 8}

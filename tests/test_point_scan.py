@@ -187,6 +187,28 @@ def test_points_and_labels_match_reference_on_random_polytopes():
     assert {lat for _, _, lat in seen} == {False, True}
 
 
+def test_count_matches_the_listed_points():
+    """The count sums the run lengths of the scan and lists no point; it
+    equals the length of the list, before the list is made and after, on
+    seeded polytopes with integral and with rational vertices, of every
+    dimension, on a line with no lattice point, on single points and on
+    the empty polytope."""
+    rng = random.Random(SEED + 6)
+    polys = [random_polytope(rng) for _ in range(150)]
+    polys += [LatticePolytope([(Fraction(1, 2), 0), (Fraction(1, 2), 3)]),  # on x = 1/2
+              LatticePolytope([(1, 2)]), LatticePolytope([(Fraction(1, 3), 2)]),
+              LatticePolytope([])]
+    seen = set()
+    for poly in polys:
+        count = poly.count_lattice_points()
+        assert poly._lattice_points is None
+        assert count == len(poly.lattice_points()) == poly.count_lattice_points()
+        seen.add((poly.dim, poly.is_lattice, count > 0))
+    assert {d for d, _, _ in seen} == {-1, 0, 1, 2, 3, 4}
+    assert {(lat, some) for _, lat, some in seen} == {
+        (True, True), (False, True), (False, False), (True, False)}
+
+
 def test_one_scan_serves_points_and_labels(monkeypatch):
     p = LatticePolytope([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)])
     scans = []

@@ -14,9 +14,10 @@ product of monomials is the sum of their codes.  `monomial_basis` refuses
 a piece whose exponents could reach 2^(SLOT-1), so a sum of two codes of
 pieces never carries from one slot into the next.  The code is an affine
 form on the section polytope, so along each run of the lattice-point scan
-(`polytope._integer_runs`) it is one range.  Tuples of exponents stay the
-interface of `GradedPolynomial`; bases, coset bases of `R1Piece` among them,
-keep codes and decode them only when their tuples are read.
+(`polytope._integer_runs`, run along the widest coordinate of the box) it
+is one range.  Tuples of exponents stay the interface of
+`GradedPolynomial`; bases, coset bases of `R1Piece` among them, keep codes
+and decode them only when their tuples are read.
 
 An ideal piece skips rows by the Koszul criterion (the first criterion of
 Faugere's F5): with LT(g) the lex-largest exponent vector of a generator,
@@ -40,8 +41,8 @@ from math import ceil, floor
 from . import lattice
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
 from .fan import Fan
-from .linalg import _ONE, SparseEchelon, solve_unique
-from .polytope import HPolytope, _integer_runs, vertices_from_inequalities
+from .linalg import _ONE, SparseEchelon
+from .polytope import HPolytope, _integer_runs, _widest_last, vertices_from_inequalities
 
 SLOT = 32  # bits per exponent in a monomial code
 CERTIFIED_NONDEGENERATE = "CERTIFIED_NONDEGENERATE"
@@ -380,13 +381,11 @@ class CoxRing:
             form = ([sum(e[j] << s for e, s in zip(rays, self._shifts)) for j in range(self.d)],
                     sum(ai << s for ai, s in zip(a, self._shifts)))
             # along a run of the scan the code steps by the form's last
-            # coefficient, so each run is one range of codes
-            runs, (step,) = _integer_runs(ineqs, lo, hi, [form])
-            if step:
-                for (v,), lo_t, hi_t in runs:
-                    codes.extend(range(v + step * lo_t, v + step * (hi_t + 1), step))
-            else:   # rays past 2^SLOT in the last coordinate: runs of one point
-                codes.extend(v for (v,), lo_t, hi_t in runs for _ in range(lo_t, hi_t + 1))
+            # coefficient, so each run is one range of codes; codes are
+            # injective, so a run with step 0 (rays past 2^SLOT) is one point
+            runs, (step,) = _integer_runs(*_widest_last(ineqs, lo, hi, [form]))
+            for (v,), lo_t, hi_t in runs:
+                codes.extend(range(v + step * lo_t, v + step * (hi_t + 1), step) if step else (v,))
             codes.sort()
         basis = GradedPieceBasis(beta, codes, {c: i for i, c in enumerate(codes)})
         self._basis_cache[beta.rep] = basis
@@ -398,10 +397,10 @@ class CoxRing:
     def point_of_monomial(self, exps, beta: DegreeClass):
         """Lattice point of the section polytope matching a monomial."""
         rhs = [e - a for e, a in zip(exps, beta.rep)]
-        m = solve_unique([list(r) for r in self.fan.rays], rhs)
-        if m is None or any(x.denominator != 1 for x in m):
+        sol = lattice.rational_solution(self.fan.rays, rhs)
+        if sol is None or sol[1] != 1:
             raise InconsistencyError("monomial does not match the divisor data")
-        return tuple(int(x) for x in m)
+        return tuple(sol[0])
 
 
 # -- ideal pieces ------------------------------------------------------------------

@@ -19,11 +19,13 @@ maximal cones.  One pulling triangulation on that lattice,
 facet cones of the MPCP helper in ``hodge.py``.
 
 Every lattice point comes from one scan, ``_integer_runs``, which carries
-the values of affine forms down its levels instead of recomputing them per
-point and returns the points as runs along the last coordinate, on which
-each form steps by its last coefficient.  ``_enumerate_integer_points``
-lists the values at every point (ambient coordinates and slacks here);
-``coxring.py`` reads one range of monomial codes off each run, and
+the values of affine forms and inequalities down its levels, updating at
+each level only those that move there, instead of recomputing them per
+point.  It returns the points as runs along the last coordinate, which its
+callers make the widest (``_widest_last``); along a run each form steps by
+its last coefficient.  ``_enumerate_integer_points`` lists the values at
+every point (ambient coordinates and slacks here); ``coxring.py`` reads one
+range of monomial codes off each run, and
 ``LatticePolytope.count_lattice_points`` adds up the run lengths.  The scan
 counts its intervals before it visits them and raises ``PreconditionError``
 once the count passes ``SCAN_LIMIT``, so a polytope too large to list is
@@ -33,8 +35,8 @@ on which a direction is least is looked up there by its vertex set.  Face
 counts come from the same scan, once per polytope and dilation factor k:
 every lattice point of kP is labelled by the facets whose slack is zero at
 it, and a point lies in the relative interior of k*theta exactly when its
-label is the facet set of theta, so ``Face.interior_points(k)`` is a lookup,
-not a new polytope.
+label is the facet set of theta, so ``Face.interior_points(k)`` is a
+lookup, not a new polytope.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def _clear_denominators(vec):
     return tuple(x.numerator * (den // x.denominator) for x in vec), den
 
 
-SCAN_LIMIT = 10**6   # scan steps: the partial points and the points of a scan
+# Scan steps: the partial points and the points of a scan.  Runs along the widest
+# coordinate take the fewest, so near the limit the order decides what is refused.
+SCAN_LIMIT = 10**6
 
 
 def _integer_runs(ineqs, lo, hi, forms):
@@ -107,61 +111,79 @@ def _integer_runs(ineqs, lo, hi, forms):
     slack of an inequality is the form (a, -c).  With no form the runs still
     count the points; with no coordinate, the one run has lo_t = hi_t = 0.
 
-    Depth-first scan with per-level interval tightening.  Partial sums are
-    carried down the levels.  The stack is explicit, so no reference cycle
-    is left behind.  Each tightened interval is counted when it is found,
-    before any of it is visited, so an input past `SCAN_LIMIT` raises
-    `PreconditionError` after a few levels, not after the work.
+    Depth-first scan with per-level interval tightening.  The partial sums
+    a·t and the forms go down the levels in one list, and a level reads and
+    updates only those with a nonzero coefficient there: what an inequality
+    still needs, c - a·t - (the most the coordinates >= j can add), is <= 0
+    after a level where its coefficient is nonzero and does not move where
+    it is zero, so one check at the root stands in for those levels.  The
+    caller picks the run coordinate by the order it gives (``_widest_last``).
+    The stack is explicit, so no reference cycle is left behind.  Each
+    tightened interval is counted when it is found, before any of it is
+    visited, so an input past `SCAN_LIMIT` raises `PreconditionError` after
+    a few levels, not after the work.
     """
-    k = len(lo)
+    k, m = len(lo), len(ineqs)
     last = [f[-1] for f, _ in forms] if k else [0] * len(forms)
-    if any(l > h for l, h in zip(lo, hi)):
-        return [], last
-    if k == 0:
-        return ([([f0 for _, f0 in forms], 0, 0)] if all(c <= 0 for _, c in ineqs) else []), last
     # rest[j][i]: largest possible contribution of coordinates >= j to inequality i
-    rest = [[0] * len(ineqs) for _ in range(k + 1)]
+    rest = [[0] * m for _ in range(k + 1)]
     for j in range(k - 1, -1, -1):
         rest[j] = [r + max(a[j] * lo[j], a[j] * hi[j]) for r, (a, _) in zip(rest[j + 1], ineqs)]
-    a_cols = [[a[j] for a, _ in ineqs] for j in range(k)]
-    f_cols = [[f[j] for f, _ in forms] for j in range(k)]
-
-    def interval(j, partials):
-        lo_j, hi_j = lo[j], hi[j]
-        for (_, c), p, r, aj in zip(ineqs, partials, rest[j + 1], a_cols[j]):
-            need = c - p - r
-            if aj > 0:
-                lo_j = max(lo_j, -((-need) // aj))
-            elif aj < 0:
-                hi_j = min(hi_j, need // aj)
-            elif need > 0:
-                return lo_j, lo_j - 1
-        return lo_j, hi_j
-
-    # a frame (j, partials, values, t, hi_j) is the rest t..hi_j of the
-    # interval of coordinate j; the child at t is visited before the rest
-    frames, runs, steps = [], [], 0
-    j, partials, values = 0, [0] * len(ineqs), [f0 for _, f0 in forms]
+    if any(l > h for l, h in zip(lo, hi)) or any(c > r for (_, c), r in zip(ineqs, rest[0])):
+        return [], last
+    sums = [0] * m + [f0 for _, f0 in forms]   # the partial sums a·t, then the forms
+    if k == 0:
+        return [(sums[m:], 0, 0)], last
+    # levels[j]: the (i, a_ij, c_i - rest[j + 1][i]) with a_ij != 0
+    levels = [[(i, a[j], c - r) for i, ((a, c), r) in enumerate(zip(ineqs, rest[j + 1])) if a[j]]
+              for j in range(k)]
+    # moved[j]: the (index into sums, coefficient) of what moves at level j
+    moved = [[(i, a) for i, a, _ in level] + [(m + i, f[j]) for i, (f, _) in enumerate(forms)
+                                               if f[j]] for j, level in enumerate(levels)]
+    # a frame (j, sums, t, hi_j) is the rest t..hi_j of the interval of
+    # coordinate j; the child at t is visited before the rest
+    frames, runs, steps, j = [], [], 0, 0
     while True:
-        lo_j, hi_j = interval(j, partials)
+        lo_j, hi_j = lo[j], hi[j]
+        for i, a, b in levels[j]:
+            if a > 0:   # a t >= b - sums[i]
+                x = (b - sums[i] + a - 1) // a
+                if x > lo_j:
+                    lo_j = x
+            else:
+                x = (b - sums[i]) // a
+                if x < hi_j:
+                    hi_j = x
         if lo_j <= hi_j:
             steps += hi_j - lo_j + 1
             if steps > SCAN_LIMIT:
                 raise PreconditionError(f"more than {SCAN_LIMIT:,} steps to list the integer "
                                         f"points of a polytope; it is too large to enumerate")
             if j == k - 1:   # the tightened interval is exact at the last coordinate
-                runs.append((values, lo_j, hi_j))
+                runs.append((sums[m:], lo_j, hi_j))
             else:
-                frames.append((j, partials, values, lo_j, hi_j))
+                frames.append((j, sums, lo_j, hi_j))
         if not frames:
             break
-        j, partials, values, t, hi_j = frames.pop()
+        j, sums, t, hi_j = frames.pop()
         if t < hi_j:
-            frames.append((j, partials, values, t + 1, hi_j))
-        partials = [p + a * t for p, a in zip(partials, a_cols[j])]
-        values = [v + f * t for v, f in zip(values, f_cols[j])]
+            frames.append((j, sums, t + 1, hi_j))
+        if t:
+            sums = sums[:]
+            for i, a in moved[j]:
+                sums[i] += a * t
         j += 1
     return runs, last
+
+
+def _widest_last(ineqs, lo, hi, forms):
+    """The arguments of `_integer_runs` with the coordinates sorted by their
+    extent in the box, widest last (a stable sort): the same points and
+    values, in runs along the widest side of the box."""
+    order = sorted(range(len(lo)), key=lambda j: hi[j] - lo[j])
+    ineqs = [([a[j] for j in order], c) for a, c in ineqs]
+    forms = [([f[j] for j in order], f0) for f, f0 in forms]
+    return ineqs, [lo[j] for j in order], [hi[j] for j in order], forms
 
 
 def _enumerate_integer_points(ineqs, lo, hi, forms):
@@ -367,15 +389,13 @@ class LatticePolytope:
         basis, anchor = span.basis, span.anchor
         if anchor is None:
             return [], []
-        if not basis:
-            return [anchor], []
         ineqs, lo, hi, span_ineqs = self._scan_box(strict)
         tight = [] if strict else [i for i, (_, c) in enumerate(span_ineqs)
                                    if type(c) is int]
         # x = anchor + sum_j t_j b_j, one form per ambient coordinate
         forms = [(tuple(b[i] for b in basis), anchor[i]) for i in range(self.ambient_dim)]
         forms += [(span_ineqs[i][0], -span_ineqs[i][1]) for i in tight]
-        return _enumerate_integer_points(ineqs, lo, hi, forms), tight
+        return _enumerate_integer_points(*_widest_last(ineqs, lo, hi, forms)), tight
 
     def _points(self, strict: bool):
         """The integer points of P (of its relative interior when strict),
@@ -408,7 +428,7 @@ class LatticePolytope:
             return len(self._lattice_points)
         if self.is_empty or self._span_data().anchor is None:
             return 0
-        runs, _ = _integer_runs(*self._scan_box(strict=False)[:3], [])
+        runs, _ = _integer_runs(*_widest_last(*self._scan_box(strict=False)[:3], []))
         return sum(hi_t - lo_t + 1 for _, lo_t, hi_t in runs)
 
     def relative_interior_points(self):

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .fan import ConeRef, Fan
-from .linalg import SparseEchelon, solve_unique
+from .linalg import SparseEchelon
 from .residue import CupProduct, PairingValue, cup_constant
 
 
@@ -84,11 +84,11 @@ def two_cone_charts(fine: Fan, coarse: Fan):
         interior = inside.get(sigma.ray_indices, [])
 
         def arc_position(i):
-            coords = solve_unique([[gens[0][k], gens[1][k]] for k in range(4)],
-                                  list(fine.rays[i]))
-            if coords is None or any(c < 0 for c in coords):
+            sol = lattice.rational_solution([[gens[0][k], gens[1][k]] for k in range(4)],
+                                            fine.rays[i])
+            if sol is None or min(sol[0]) < 0:
                 raise InconsistencyError("interior ray outside its 2-cone")
-            return Fraction(coords[1]) / (coords[0] + coords[1])
+            return Fraction(sol[0][1], sum(sol[0]))
 
         interior.sort(key=arc_position)
         chain = [boundary[0]] + interior + [boundary[1]]

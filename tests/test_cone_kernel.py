@@ -455,6 +455,12 @@ def test_one_membership_kernel_in_package():
     assert places_naming("cone_contains") == places_naming("cone_is_pointed") == []
 
 
+def test_one_integer_solve_in_package():
+    """Every unique solve of the package is lattice.rational_solution:
+    solve_unique is named in linalg.py alone, where it is defined."""
+    assert {module for module, _ in places_naming("solve_unique")} == {"linalg.py"}
+
+
 # -- point location ----------------------------------------------------------------
 
 

@@ -1,12 +1,13 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from math import comb
 from operator import add, ge
 
 import pytest
 
-from semitoric import catalog, lattice, linalg
+from semitoric import catalog, coxring, lattice, linalg
 from semitoric.coxring import (
     CERTIFIED_NONDEGENERATE,
     INCONCLUSIVE,
@@ -21,7 +22,7 @@ from semitoric.coxring import (
     r1_dim,
     reduce_modulo,
 )
-from semitoric.errors import PreconditionError, ValidationError
+from semitoric.errors import InconsistencyError, PreconditionError, ValidationError
 from semitoric.fan import Fan
 from semitoric.linalg import SparseEchelon
 from semitoric.polytope import HPolytope, vertices_from_inequalities
@@ -209,6 +210,8 @@ def test_point_of_monomial_roundtrip():
     _, exponents, points = basis_by_section_polytope(P2, P2.beta0)
     for exps, point in zip(exponents, points):
         assert P2.point_of_monomial(exps, P2.beta0) == point
+    with pytest.raises(InconsistencyError, match="does not match"):
+        P2.point_of_monomial((1, 0, 0), P2.beta0)   # a linear monomial, not a cubic
 
 
 # -- the Koszul skip against the unskipped builder ------------------------------
@@ -376,14 +379,55 @@ def test_monomial_basis_matches_section_polytope_points(fan):
 
 
 def test_monomial_basis_when_the_code_stands_still_along_a_run():
-    """With the ray (-1, -2^32) the code form has last coefficient
-    2^32 - 2^32 = 0, so every run of the scan is one point, and the pieces
-    whose exponents stay in the code slots still match the section polytope."""
+    """With the ray (-1, -2^32) the code form has coefficient 2^32 - 2^32 = 0
+    at the second coordinate, so a run along it is one point: the scan runs
+    along it for the single point of degree 0 (the wider pieces run along
+    the first coordinate), and the pieces whose exponents stay in the code
+    slots still match the section polytope."""
     ring = CoxRing(Fan([(1, 0), (0, 1), (-1, -2**32)], [(0, 1), (1, 2), (0, 2)]))
     for vec in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (5, 0, 0), (2, 0, 3)):
         beta = ring.degree_class(vec)
         _, exponents, _ = basis_by_section_polytope(ring, beta)
         assert exponents and ring.monomial_basis(beta).exponents == exponents
+
+
+def test_monomial_basis_codes_match_a_tuple_enumeration(monkeypatch):
+    """On crepant P(1,1,2,2,2) the first four rays are the unit vectors, so
+    the first four exponents of a monomial of degree [a] fix its point
+    m = e[:4] - a[:4] and the last two follow from m; the relation with
+    weights (1, 2, 2, 2, 1, 0) bounds each of the first four by
+    a_0 + 2 a_1 + 2 a_2 + 2 a_3 + a_4.  The sorted codes of the tuples with
+    no negative exponent are the basis, which the scan lists along the
+    widest coordinate of its box (the first, for beta_0)."""
+    fan = catalog.p11222_crepant_fan()
+    assert list(fan.rays[:4]) == [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    ring = CoxRing(fan)
+    extents = []
+    scan = coxring._integer_runs
+
+    def spy(ineqs, lo, hi, forms):
+        extents.append([h - l for l, h in zip(lo, hi)])
+        return scan(ineqs, lo, hi, forms)
+
+    monkeypatch.setattr(coxring, "_integer_runs", spy)
+    rng = random.Random(23)
+    degrees = [ring.zero_degree(), ring.beta0, 2 * ring.beta0]
+    degrees += [ring.variable_degree(i) for i in range(ring.n)]
+    degrees += [ring.degree_class([rng.randint(-1, 2) for _ in range(ring.n)]) for _ in range(6)]
+    sizes = set()
+    for beta in degrees:
+        a = beta.rep
+        bound = a[0] + 2 * (a[1] + a[2] + a[3]) + a[4]
+        codes = []
+        for head in product(range(bound + 1), repeat=4):
+            m = [e - ai for e, ai in zip(head, a)]
+            tail = tuple(ai + lattice.pairing(m, r) for ai, r in zip(a[4:], fan.rays[4:]))
+            if min(tail) >= 0:
+                codes.append(ring.code(head + tail))
+        assert ring.monomial_basis(beta).codes == sorted(codes)
+        sizes.add(len(codes))
+    assert extents[1] == [4, 4, 4, 8] and all(e == sorted(e) for e in extents)
+    assert 0 in sizes and len(sizes) > 5
 
 
 # -- monomial codes against the tuple-keyed kernel ---------------------------------

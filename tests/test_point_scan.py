@@ -170,6 +170,89 @@ def test_scan_counts_its_steps_against_the_limit(monkeypatch):
         next(scan)
 
 
+def ref_steps(ineqs, lo, hi):
+    """The steps of a scan of the box: every prefix (t_0, ..., t_j), j < k,
+    of a point of the box after which each inequality can still be met by
+    the largest contribution of the remaining coordinates.  What is left to
+    meet only grows with the prefix, so the prefixes of a step are steps,
+    and the count stops at the first prefix that is not one."""
+    k = len(lo)
+    if k == 0 or any(l > h for l, h in zip(lo, hi)):
+        return 0
+    best = [[sum(max(a[j] * lo[j], a[j] * hi[j]) for j in range(i, k)) for i in range(k + 1)]
+            for a, _ in ineqs]
+
+    def count(j, partials):
+        n = 0
+        for t in range(lo[j], hi[j] + 1):
+            sums = [p + a[j] * t for p, (a, _) in zip(partials, ineqs)]
+            if all(c - s - b[j + 1] <= 0 for s, (_, c), b in zip(sums, ineqs, best)):
+                n += 1 + (count(j + 1, sums) if j + 1 < k else 0)
+        return n
+
+    return count(0, [0] * len(ineqs))
+
+
+def sparse_rows(rng, k, count):
+    """Rows (a, c) in Z^k whose coefficients are zero three times in four."""
+    return [(tuple(rng.randint(-3, 3) if rng.random() < 0.25 else 0 for _ in range(k)),
+             rng.randint(-4, 3)) for _ in range(count)]
+
+
+def test_sparse_levels_match_the_reference(monkeypatch):
+    """A level of the scan reads only the inequalities and forms with a
+    nonzero coefficient there, and one check at the root stands in for the
+    levels where a coefficient is zero.  Points, form values and step
+    counts equal the references on an all-zero inequality with c > 0 (no
+    point, no step) and with c <= 0 (no effect), on an inequality that the
+    box cannot meet, whose only nonzero coefficient is at the last level
+    (no point, no step), and on seeded rows that are mostly zero, k up to 6."""
+    box = ([-1, 0, -2], [2, 3, 1])
+    cut = [((1, -1, 0), -1), ((0, 0, 1), -1)]
+    cases = [([((0, 0, 0), 1)] + cut, *box), ([((0, 0, 0), 0), ((0, 0, 0), -3)] + cut, *box),
+             ([((1, 0, 0), 0), ((0, 0, 2), 3)], *box)]   # 2 t_2 <= 2 < 3
+    rng = random.Random(SEED + 7)
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        lo, hi = [rng.randint(-2, 0) for _ in range(k)], [rng.randint(0, 2) for _ in range(k)]
+        cases.append((sparse_rows(rng, k, rng.randint(0, 6)), lo, hi))
+    empty, steps_seen = 0, set()
+    for ineqs, lo, hi in cases:
+        k = len(lo)
+        forms = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
+        forms += sparse_rows(rng, k, 3)
+        points, steps = ref_scan(ineqs, lo, hi), ref_steps(ineqs, lo, hi)
+        want = [t + tuple(lattice.pairing(f, t) + f0 for f, f0 in forms[k:]) for t in points]
+        monkeypatch.setattr(polytope, "SCAN_LIMIT", steps)
+        assert list(_enumerate_integer_points(ineqs, lo, hi, forms)) == want
+        runs, _ = _integer_runs(ineqs, lo, hi, [])
+        assert sum(hi_t - lo_t + 1 for _, lo_t, hi_t in runs) == len(points)
+        if steps:
+            monkeypatch.setattr(polytope, "SCAN_LIMIT", steps - 1)
+            with pytest.raises(PreconditionError, match="too large to enumerate"):
+                _integer_runs(ineqs, lo, hi, [])
+        empty += not points
+        steps_seen.add(steps)
+    assert [ref_steps(*case) for case in cases[:3]] == [0, 44, 0]
+    assert ref_scan(*cases[1]) == ref_scan(cut, *box)
+    assert 50 < empty < len(cases) - 50 and len(steps_seen) > 50
+
+
+@pytest.mark.parametrize("rect", [[(0, 0), (39, 0), (0, 2), (39, 2)],
+                                  [(0, 0), (2, 0), (0, 39), (2, 39)]], ids=["40x3", "3x40"])
+def test_runs_go_along_the_widest_coordinate(monkeypatch, rect):
+    """A 40 x 3 lattice rectangle, either way round, takes 3 steps for its
+    short side and 120 for its points (runs along the short side would take
+    40 + 120), so a limit of 123 lists and counts it and 122 refuses it."""
+    monkeypatch.setattr(polytope, "SCAN_LIMIT", 123)
+    assert len(LatticePolytope(rect).lattice_points()) == 120
+    assert LatticePolytope(rect).count_lattice_points() == 120
+    monkeypatch.setattr(polytope, "SCAN_LIMIT", 122)
+    for read in (LatticePolytope.lattice_points, LatticePolytope.count_lattice_points):
+        with pytest.raises(PreconditionError, match="too large to enumerate"):
+            read(LatticePolytope(rect))
+
+
 def test_points_and_labels_match_reference_on_random_polytopes():
     rng = random.Random(SEED + 1)
     seen = set()
@@ -185,6 +268,58 @@ def test_points_and_labels_match_reference_on_random_polytopes():
     assert {d for _, d, _ in seen} == {0, 1, 2, 3, 4}
     assert {n for n, _, _ in seen} == {1, 2, 3, 4}
     assert {lat for _, _, lat in seen} == {False, True}
+
+
+def elongated_polytope(rng):
+    """A polytope in Z^2-Z^4 stretched 3-6 times along one coordinate
+    other than the last, with rational vertices in a third of the draws."""
+    n = rng.randint(2, 4)
+    axis, stretch, den = rng.randrange(n - 1), rng.randint(3, 6), rng.choice((1, 1, 2))
+    return LatticePolytope([tuple(Fraction(rng.randint(-2, 2) * (stretch if i == axis else 1),
+                                           rng.choice((1, den))) for i in range(n))
+                            for _ in range(rng.randint(2, n + 4))])
+
+
+def test_points_and_labels_match_reference_along_the_widest_coordinate():
+    """The scans of a polytope run along the widest coordinate of their box,
+    and the lists and tables come out as the reference's in lexicographic
+    order: sec6's Delta (its box spans 10, 10, 10, 10, 7, 7, 7 values of
+    the span coordinates; 2 Delta, with 165,218 points, is checked face by
+    face in test_hodge.py), its dual, and seeded polytopes whose box is
+    widest at a coordinate other than the last."""
+    delta = catalog.sec6_polytope()
+    rng = random.Random(SEED + 8)
+    polys = [(delta, (1,)), (delta.dual_polytope(), (1, 2))]
+    polys += [(elongated_polytope(rng), (1, 2)) for _ in range(80)]
+    reordered = 0
+    for poly, ks in polys:
+        assert poly.lattice_points() == ref_points(poly, strict=False)
+        assert poly.relative_interior_points() == ref_points(poly, strict=True)
+        for k in ks:
+            assert poly.labelled_points(k) == ref_labelled(poly, k)
+        if poly.dim > 0 and poly._span_data().anchor is not None:
+            _, lo, hi, _ = poly._scan_box(strict=False)
+            extents = [h - l for l, h in zip(lo, hi)]
+            reordered += max(extents) > extents[-1]
+    assert reordered > 40
+
+
+def test_sec6_delta_is_listed_in_1846_runs(monkeypatch):
+    """Work guard: runs along the last span coordinate of sec6's Delta, one
+    of the narrow ones, list its 4,323 points in 2,497 runs; along a widest
+    one, in 1,846.  The list and the count make the same scan."""
+    runs = []
+    scan = polytope._integer_runs
+
+    def counted(*args):
+        out = scan(*args)
+        runs.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(polytope, "_integer_runs", counted)
+    assert catalog.sec6_polytope().count_lattice_points() == 4323
+    assert len(catalog.sec6_polytope().lattice_points()) == 4323
+    assert runs == [1846, 1846]
 
 
 def test_count_matches_the_listed_points():

@@ -28,6 +28,20 @@ for edge in square.faces(1)[:2]:
     print("edge", sorted(edge.vertex_indices), "pairs with dual face of dim",
           dual_vertex.dim)
 
+# The K3 identity on the cube: over the 12 edges e of [-1, 1]^3 and their dual
+# edges e* of the octahedron, the lattice lengths multiply to 2 * 1, and
+# sum l(e) l(e*) = 24.  Each edge polytope reads its points off the one scan of
+# its parent, not a scan of its own.
+cube = catalog.cube(3)
+
+
+def length(face):
+    return len(face.as_polytope().lattice_points()) - 1
+
+
+products = [length(e) * length(cube.dual_face(e)) for e in cube.faces(1)]
+print("\nl(e) l(e*) over the cube's edges:", products, "sum", sum(products))
+
 # The 7-dimensional reflexive polytope behind the mirror comparison.
 big = catalog.sec6_polytope()
 print("\n7-dimensional polytope: reflexive =", big.is_reflexive())

@@ -35,8 +35,8 @@ on which a direction is least is looked up there by its vertex set.  Face
 counts come from the same scan, once per polytope and dilation factor k:
 every lattice point of kP is labelled by the facets whose slack is zero at
 it, and a point lies in the relative interior of k*theta exactly when its
-label is the facet set of theta, so ``Face.interior_points(k)`` is a
-lookup, not a new polytope.
+label is the facet set of theta, so ``Face.interior_points(k)`` is a lookup,
+not a new polytope; ``Face.as_polytope()`` lists its points there too.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ class LatticePolytope:
     relative-interior points of lower-dimensional faces come out right.
     """
 
-    def __init__(self, vertices, hrep=None, _trusted=False):
+    def __init__(self, vertices, hrep=None, _trusted=False, _face=None):
         pts = [tuple(map(_exact, v)) for v in vertices]
         if pts and len({len(p) for p in pts}) != 1:
             raise ValidationError("vertices of mixed dimensions")
@@ -227,6 +227,7 @@ class LatticePolytope:
         self._polar = None
         self._lattice_points = None
         self._table = None  # {facet index set: lex-sorted lattice points}, set by _points
+        self._face = _face  # the Face this polytope is made from, until _read_face reads it
         self._reflexive = None
         self._labels = {}  # k -> the table of kP, for each k asked for
 
@@ -417,19 +418,31 @@ class LatticePolytope:
     def lattice_points(self):
         """All integer points, in lexicographic order (a fresh list; the
         enumeration runs once per polytope, and labels the points)."""
+        self._read_face()
         if self._lattice_points is None:
             self._lattice_points = self._points(strict=False)
         return list(self._lattice_points)
 
     def count_lattice_points(self) -> int:
         """The number of integer points: the length of their list once it is
-        made, else the run lengths of the same scan, with no point listed."""
-        if self._lattice_points is not None:
-            return len(self._lattice_points)
+        made or read off a parent, else the run lengths of one scan, listing none."""
+        if self._lattice_points is not None or self._face is not None:
+            return len(self.lattice_points())
         if self.is_empty or self._span_data().anchor is None:
             return 0
         runs, _ = _integer_runs(*_widest_last(*self._scan_box(strict=False)[:3], []))
         return sum(hi_t - lo_t + 1 for _, lo_t, hi_t in runs)
+
+    def _read_face(self):
+        """List the points of a face polytope off its parent's table, once."""
+        face, self._face = self._face, None
+        if face is not None and self._lattice_points is None:
+            try:
+                table = face.polytope.labelled_points(1)
+            except PreconditionError:   # the parent is too large to list: scan the face
+                return
+            self._lattice_points = sorted(x for label, xs in table.items()
+                                          if face.facets <= label for x in xs)
 
     def relative_interior_points(self):
         """Integer points strictly inside every facet of the affine span."""
@@ -445,7 +458,7 @@ class LatticePolytope:
         table = self._labels.get(k)
         if table is None:
             kp = self if k == 1 else self.dilate(k)
-            if kp._lattice_points is None:
+            if kp._table is None:
                 kp._lattice_points = kp._points(strict=False)
             table = self._labels[k] = kp._table
         return table
@@ -603,7 +616,9 @@ class Face:
         return list(self.polytope.labelled_points(k).get(self.facets, ()))
 
     def as_polytope(self) -> LatticePolytope:
-        return LatticePolytope(self.vertices(), _trusted=True)
+        """The face as its own polytope.  Its lattice points are read off the
+        polytope's labelled table, or scanned once that is refused (SCAN_LIMIT)."""
+        return LatticePolytope(self.vertices(), _trusted=True, _face=self)
 
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={sorted(self.vertex_indices)})"

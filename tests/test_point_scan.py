@@ -7,7 +7,8 @@ values of affine forms (ambient coordinates, and slacks, which are the
 monomial exponents of ``CoxRing.monomial_basis``) as dot products per point,
 and facet labels as one pairing per point and facet.  Face dimensions are checked
 against a rank per face, start rays and wall normals against one Smith
-normal form per kernel.
+normal form per kernel.  The points a face polytope reads off its parent's
+labelled table are checked against a scan of the face's vertices alone.
 """
 
 import gc
@@ -17,12 +18,13 @@ from math import ceil, floor
 
 import pytest
 
-from semitoric import catalog, lattice, polytope
+from semitoric import catalog, cli, lattice, polytope
 from semitoric.errors import PreconditionError
 from semitoric.fan import Fan
 from semitoric.polytope import LatticePolytope, _enumerate_integer_points, _integer_runs, cone_rays
 
 from .test_double_description import ref_affine_dim
+from .test_hodge import anticanonical
 
 SEED = 20261018
 
@@ -372,6 +374,121 @@ def test_lattice_points_leave_no_reference_cycle():
         finally:
             gc.enable()
         assert garbage == 0
+
+
+# -- face polytopes ----------------------------------------------------------------
+
+
+def read_off_the_parent(face):
+    """The face as a polytope, with its points listed (and counted, in
+    either order) off its parent's table: the face makes no scan."""
+    listed, counted = face.as_polytope(), face.as_polytope()
+    count = counted.count_lattice_points()
+    assert counted.lattice_points() == listed.lattice_points()
+    assert listed.count_lattice_points() == count
+    assert listed._table is None and counted._table is None
+    return listed
+
+
+def test_face_polytopes_list_the_points_of_a_fresh_scan():
+    """Every face polytope, the improper face included, lists and counts
+    the points of a scan of its vertices alone: faces of seeded polytopes
+    with integral and rational vertices, full-dimensional or not, of their
+    2-dilations, and of reflexive polytopes and their duals."""
+    rng = random.Random(SEED + 9)
+    parents = []
+    for _ in range(60):
+        poly = random_polytope(rng)
+        if not poly.is_empty:
+            parents += [poly, poly.dilate(2)]
+    k3 = anticanonical((1, 2, 3))   # rational vertices; the hull of its points is reflexive
+    parents.append(k3)
+    for reflexive in (catalog.cube(3), catalog.cross_polytope(4),
+                      LatticePolytope(k3.lattice_points())):
+        parents += [reflexive, reflexive.dual_polytope()]
+    seen = set()
+    for parent in parents:
+        for face in parent.all_faces():
+            fresh = LatticePolytope(face.vertices(), _trusted=True)
+            points = read_off_the_parent(face).lattice_points()
+            assert points == fresh.lattice_points()
+            assert face.as_polytope().count_lattice_points() == fresh.count_lattice_points()
+            seen.add((parent.dim == parent.ambient_dim, parent.is_lattice, bool(points),
+                      face.dim == parent.dim))
+    assert seen >= {(full, lat, True, improper) for full in (False, True)
+                    for lat in (False, True) for improper in (False, True)}
+    assert (False, False, False, False) in seen   # a face with no lattice point
+
+
+def test_face_polytopes_read_off_the_parent_keep_their_own_tables():
+    """A face polytope whose points came from its parent builds its own
+    labelled table, and the faces of that polytope read their interior
+    points from it, as those of a fresh polytope on the same vertices."""
+    rng = random.Random(SEED + 10)
+    parents = [random_polytope(rng) for _ in range(40)] + [catalog.cube(3).dilate(2)]
+    for parent in parents:
+        if parent.is_empty:
+            continue
+        for face in parent.all_faces():
+            poly = read_off_the_parent(face)
+            fresh = LatticePolytope(face.vertices())
+            for k in (1, 2):
+                assert poly.labelled_points(k) == fresh.labelled_points(k)
+            for g, h in zip(poly.all_faces(), fresh.all_faces()):
+                assert g.vertices() == h.vertices()
+                assert g.interior_points() == h.interior_points()
+                assert g.interior_points(2) == h.interior_points(2)
+
+
+def test_face_polytope_scans_itself_when_its_parent_is_refused(monkeypatch):
+    """The cube [-5, 5]^3 takes 11 + 121 + 1,331 steps to list, a square
+    face 11 + 121 and an edge 11: under a limit of 200 the cube is refused
+    and its edges and square faces are still listed and counted."""
+    cube = catalog.cube(3).dilate(5)
+    monkeypatch.setattr(polytope, "SCAN_LIMIT", 200)
+    with pytest.raises(PreconditionError, match="too large to enumerate"):
+        cube.count_lattice_points()
+    for face in cube.faces(1) + cube.faces(2):
+        assert face.as_polytope().count_lattice_points() == 11 ** face.dim
+        points = face.as_polytope().lattice_points()
+        assert points == LatticePolytope(face.vertices()).lattice_points()
+        assert len(points) == 11 ** face.dim
+    assert cube.labelled_dilations() == set()
+
+
+def test_the_face_count_oracle_scans_each_face_afresh():
+    """`--verify` recounts each face count as its own dilated polytope: its
+    dilations and interior points do not read the parent's table, so one
+    corrupted entry of the table is caught."""
+    poly = catalog.cube(3)
+    for k in (1, 2):
+        poly.labelled_points(k)
+    check = "face_counts_match_per_face_enumeration"
+    assert cli._face_counts_verification(poly) == {check: True}
+    face = poly.faces(1)[0]
+    assert face.as_polytope().dilate(2)._face is None
+    table = poly.labelled_points(1)
+    table[face.facets] = table[face.facets] + ((9, 9, 9),)
+    assert cli._face_counts_verification(poly) == {check: False}
+
+
+def test_k3_edge_lengths_take_three_scans(monkeypatch):
+    """Work guard: on the anticanonical polytope of P(1,1,1,1), the points,
+    then the lengths l(e) and l(e*) of every edge of their hull and of its
+    dual edge (sum l(e) l(e*) = 24) take one scan each of the polytope, the
+    hull and the dual: 3 calls to `_integer_runs`, where a scan per edge
+    polytope took 13."""
+    calls = []
+    scan = polytope._integer_runs
+    monkeypatch.setattr(polytope, "_integer_runs", lambda *args: calls.append(1) or scan(*args))
+    hull = LatticePolytope(anticanonical((1, 1, 1)).lattice_points())
+    assert hull.is_reflexive()
+
+    def length(face):
+        return len(face.as_polytope().lattice_points()) - 1
+
+    assert sum(length(e) * length(hull.dual_face(e)) for e in hull.faces(1)) == 24
+    assert len(calls) == 3
 
 
 # -- face dimensions ---------------------------------------------------------------

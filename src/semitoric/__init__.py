@@ -27,10 +27,7 @@ from .coxring import (
     GradedPolynomial,
     R1Piece,
     ideal_graded_piece,
-    j1_graded_piece,
     nondegeneracy_certificate,
-    r1_dim,
-    reduce_modulo,
 )
 from .residue import (
     CupProduct,
@@ -39,9 +36,8 @@ from .residue import (
     c_I_beta,
     cup_jacobian,
     toric_jacobian,
-    toric_residue,
 )
-from .threefold import ThreefoldAnalysis, face_polynomial, two_cone_charts
+from .threefold import ThreefoldAnalysis, two_cone_charts
 from .hodge import (
     e_face_values,
     h21_batyrev,
@@ -77,22 +73,17 @@ __all__ = [
     "cone_multiplicity",
     "cup_jacobian",
     "e_face_values",
-    "face_polynomial",
     "find_ample",
     "h21_batyrev",
     "h_p2",
     "ideal_graded_piece",
-    "j1_graded_piece",
     "mirror_check",
     "nondegeneracy_certificate",
     "pairing",
     "primitivize",
     "pullback",
-    "r1_dim",
-    "reduce_modulo",
     "subdivision_counts",
     "toric_jacobian",
-    "toric_residue",
     "triangulation_helper",
     "two_cone_charts",
     "vertices_from_inequalities",

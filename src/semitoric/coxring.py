@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from . import lattice
-from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
+from .errors import InconsistencyError, PreconditionError, ValidationError
 from .fan import Fan
 from .linalg import _ONE, SparseEchelon
 from .polytope import HPolytope, _integer_runs, _widest_last, vertices_from_inequalities
@@ -128,10 +128,10 @@ class GradedPolynomial:
         if degree is None:
             if not clean:
                 raise ValidationError("cannot infer the degree of the zero polynomial")
-            degree = ring.degree_of_monomial(next(iter(clean)))
+            degree = ring.degree_class(next(iter(clean)))
         if not _trusted:
             for exps in clean:
-                if ring.degree_of_monomial(exps) != degree:
+                if ring.degree_class(exps) != degree:
                     raise ValidationError(
                         f"monomial {exps} is not of the declared degree")
         self.degree = degree
@@ -209,7 +209,7 @@ class GradedPolynomial:
             terms[q] = c
         return GradedPolynomial(
             self.ring, terms,
-            self.degree - self.ring.degree_of_monomial(exps), _trusted=True)
+            self.degree - self.ring.degree_class(exps), _trusted=True)
 
     def __repr__(self):
         parts = [f"{c}*x^{e}" for e, c in sorted(self.terms.items())]
@@ -251,9 +251,6 @@ class GradedSubspace:
 
     def insert(self, poly: GradedPolynomial):
         self.echelon.insert(self._vectorize(poly))
-
-    def insert_row(self, row):
-        self.echelon.insert(row)
 
     def reduce(self, poly: GradedPolynomial) -> GradedPolynomial:
         """Canonical representative of the coset of poly."""
@@ -323,17 +320,11 @@ class CoxRing:
     def degree_class(self, vec) -> DegreeClass:
         return DegreeClass(self, self._normal_form(vec))
 
-    def degree_of_monomial(self, exps) -> DegreeClass:
-        return self.degree_class(exps)
-
     def variable_degree(self, i: int) -> DegreeClass:
         return self.degree_class(tuple(int(j == i) for j in range(self.n)))
 
     def zero_degree(self) -> DegreeClass:
         return self.degree_class((0,) * self.n)
-
-    def degrees_equal(self, a, b) -> bool:
-        return self.degree_class(a) == self.degree_class(b)
 
     # -- polynomials -----------------------------------------------------------
 
@@ -501,25 +492,12 @@ class R1Piece:
         """J_1(f)_gamma, echelonized from the kernel rows on first access."""
         j1 = GradedSubspace(self.ring, self.gamma)
         for row in self._kernel_rows:
-            j1.insert_row(row)
+            j1.echelon.insert(row)
         return j1
 
     @property
     def dim(self) -> int:
         return len(self.coset_codes)
-
-
-def j1_graded_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
-    return R1Piece(f, gamma).j1
-
-
-def r1_dim(f: GradedPolynomial, gamma: DegreeClass) -> int:
-    return R1Piece(f, gamma).dim
-
-
-def reduce_modulo(subspace: GradedSubspace, h: GradedPolynomial) -> GradedPolynomial:
-    """Canonical coset representative of h modulo the echelonized subspace."""
-    return subspace.reduce(h)
 
 
 class NondegeneracyCertificate:

@@ -46,7 +46,7 @@ class SupportFunction:
         ci = self.fan.max_cone_index(n)
         if ci is None:
             raise PreconditionError("support function evaluated outside a complete fan")
-        return lattice.pairing_q(n, self.per_max_cone[ci])
+        return lattice.pairing(n, self.per_max_cone[ci])
 
 
 class StratumRecord:
@@ -349,8 +349,6 @@ def find_ample(fan: Fan) -> TorusInvariantDivisor:
     that cone is in its relative interior: it is positive on every wall
     exactly when some class is ample.
     """
-    if fan._ample is not None:
-        return fan._ample
     if not fan.is_complete:
         raise PreconditionError("ample divisors are sought on complete fans")
     n, d = len(fan.rays), fan.dim
@@ -394,5 +392,4 @@ def find_ample(fan: Fan) -> TorusInvariantDivisor:
     div = TorusInvariantDivisor(fan, [scale * x for x in coeffs])
     if not div.is_strictly_convex():
         raise InconsistencyError("ample search produced a non-ample divisor")
-    fan._ample = div
     return div

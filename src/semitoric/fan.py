@@ -118,7 +118,6 @@ class Fan:
         self._face_memo = {}
         self._complete = None
         self._ranks = {}  # cone_dim by ray index set
-        self._ample = None  # memo of divisor.find_ample
 
     # -- identity ------------------------------------------------------------
 

@@ -95,10 +95,6 @@ def e_face_values(face, d: int, p: int):
 # -- the h^{d-1-p,2} formula -------------------------------------------------------
 
 
-def _face_of_cone(delta: LatticePolytope, gamma: ConeRef) -> Face:
-    return delta.face_at_direction(gamma.relint_point())
-
-
 def h_p2(delta: LatticePolytope, fine: Fan, coarse: Fan, p: int) -> int:
     """h^{d-1-p,2} of a regular semiample hypersurface with section polytope
     delta, computed from subdivision counts and face lattice-point counts.
@@ -118,9 +114,9 @@ def h_p2(delta: LatticePolytope, fine: Fan, coarse: Fan, p: int) -> int:
         a1 = counts.a(gamma, 1)
         if a1 == 0:
             continue
-        total += a1 * _bracket(_face_of_cone(delta, gamma), d, p)
+        total += a1 * _bracket(delta.face_at_direction(gamma.relint_point()), d, p)
     for gamma in coarse.cones(p + 2):
-        lstar = _l_star(_face_of_cone(delta, gamma))
+        lstar = _l_star(delta.face_at_direction(gamma.relint_point()))
         if lstar == 0:
             continue
         coeff = counts.a(gamma, 2) - (p + 1) * counts.a(gamma, 1)

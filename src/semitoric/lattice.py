@@ -33,9 +33,6 @@ def pairing(m, n):
     return sum(a * b for a, b in zip(m, n))
 
 
-pairing_q = pairing   # the name kept for pairings with rational entries
-
-
 def gcd_list(xs) -> int:
     g = 0
     for x in xs:

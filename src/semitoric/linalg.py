@@ -29,8 +29,9 @@ class SparseEchelon:
 
     Columns >= ncols are bookkeeping tags: they are carried through row
     operations but never chosen as pivots (used to track combinations).
-    Only input values that are not ``Fraction``s are converted.  Pivot rows
-    have lead 1; a residual whose lead is 1 already is stored undivided.
+    Every row but an adopted one goes through `reduce`, which converts only
+    the values that are not ``Fraction``s.  Pivot rows have lead 1; a
+    residual whose lead is 1 already is stored undivided.
     """
 
     def __init__(self, ncols: int):
@@ -67,18 +68,13 @@ class SparseEchelon:
 
     def insert(self, row):
         """Adjoin a row; returns (pivot column, or None if dependent, residual).
-        A row that meets no pivot column is adopted without a reduction; a
-        residual of lead 1 is stored as it is returned: do not change it."""
-        pivots = self.pivots
-        if pivots.keys().isdisjoint(row):
-            r = {c: v if isinstance(v, Fraction) else Fraction(v) for c, v in row.items() if v}
-        else:
-            r = self.reduce(row)
+        A residual of lead 1 is stored as it is returned: do not change it."""
+        r = self.reduce(row)
         c = min(r, default=self.ncols)
         if c >= self.ncols:
             return None, r
         lead = r[c]
-        pivots[c] = r if lead == 1 else {k: v / lead for k, v in r.items()}
+        self.pivots[c] = r if lead == 1 else {k: v / lead for k, v in r.items()}
         return c, r
 
     def adopt(self, lead: int, row):

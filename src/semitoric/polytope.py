@@ -36,7 +36,9 @@ counts come from the same scan, once per polytope and dilation factor k:
 every lattice point of kP is labelled by the facets whose slack is zero at
 it, and a point lies in the relative interior of k*theta exactly when its
 label is the facet set of theta, so ``Face.interior_points(k)`` is a lookup,
-not a new polytope; ``Face.as_polytope()`` lists its points there too.
+not a new polytope; ``Face.as_polytope()`` builds its polytope with the
+points of the k = 1 table whose label holds its facets, or without points
+when that scan is refused.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ class LatticePolytope:
     relative-interior points of lower-dimensional faces come out right.
     """
 
-    def __init__(self, vertices, hrep=None, _trusted=False, _face=None):
+    def __init__(self, vertices, _trusted=False):
         pts = [tuple(map(_exact, v)) for v in vertices]
         if pts and len({len(p) for p in pts}) != 1:
             raise ValidationError("vertices of mixed dimensions")
@@ -212,8 +214,7 @@ class LatticePolytope:
             pts, hull = _extreme_points(pts)
         self.vertices = tuple(sorted(set(pts)))
         self._index = {v: i for i, v in enumerate(self.vertices)}   # vertex -> index
-        self.ambient_dim = len(self.vertices[0]) if self.vertices else (
-            hrep.dim if isinstance(hrep, HPolytope) else 0)
+        self.ambient_dim = len(self.vertices[0]) if self.vertices else 0
         self._span = None
         self._facets = None
         if hull is not None:   # the hull of all the points has the same span and facets
@@ -227,7 +228,6 @@ class LatticePolytope:
         self._polar = None
         self._lattice_points = None
         self._table = None  # {facet index set: lex-sorted lattice points}, set by _points
-        self._face = _face  # the Face this polytope is made from, until _read_face reads it
         self._reflexive = None
         self._labels = {}  # k -> the table of kP, for each k asked for
 
@@ -418,7 +418,6 @@ class LatticePolytope:
     def lattice_points(self):
         """All integer points, in lexicographic order (a fresh list; the
         enumeration runs once per polytope, and labels the points)."""
-        self._read_face()
         if self._lattice_points is None:
             self._lattice_points = self._points(strict=False)
         return list(self._lattice_points)
@@ -426,23 +425,12 @@ class LatticePolytope:
     def count_lattice_points(self) -> int:
         """The number of integer points: the length of their list once it is
         made or read off a parent, else the run lengths of one scan, listing none."""
-        if self._lattice_points is not None or self._face is not None:
-            return len(self.lattice_points())
+        if self._lattice_points is not None:
+            return len(self._lattice_points)
         if self.is_empty or self._span_data().anchor is None:
             return 0
         runs, _ = _integer_runs(*_widest_last(*self._scan_box(strict=False)[:3], []))
         return sum(hi_t - lo_t + 1 for _, lo_t, hi_t in runs)
-
-    def _read_face(self):
-        """List the points of a face polytope off its parent's table, once."""
-        face, self._face = self._face, None
-        if face is not None and self._lattice_points is None:
-            try:
-                table = face.polytope.labelled_points(1)
-            except PreconditionError:   # the parent is too large to list: scan the face
-                return
-            self._lattice_points = sorted(x for label, xs in table.items()
-                                          if face.facets <= label for x in xs)
 
     def relative_interior_points(self):
         """Integer points strictly inside every facet of the affine span."""
@@ -470,7 +458,7 @@ class LatticePolytope:
     def contains(self, x) -> bool:
         if self.is_empty or self._to_span_coords(x) is None:
             return False
-        return self.dim == 0 or all(lattice.pairing_q(x, n) >= r for n, r, _ in self.facets())
+        return self.dim == 0 or all(lattice.pairing(x, n) >= r for n, r, _ in self.facets())
 
     # -- metric and algebraic operations ------------------------------------
 
@@ -616,9 +604,19 @@ class Face:
         return list(self.polytope.labelled_points(k).get(self.facets, ()))
 
     def as_polytope(self) -> LatticePolytope:
-        """The face as its own polytope.  Its lattice points are read off the
-        polytope's labelled table, or scanned once that is refused (SCAN_LIMIT)."""
-        return LatticePolytope(self.vertices(), _trusted=True, _face=self)
+        """The face as its own polytope, built with its lattice points: those
+        of the polytope's labelled table whose label holds the facets of the
+        face (a facet with a fractional right-hand side is in no label and
+        holds no lattice point).  When that scan is refused (SCAN_LIMIT),
+        the face polytope is built without points and scans itself."""
+        poly = LatticePolytope(self.vertices(), _trusted=True)
+        try:
+            table = self.polytope.labelled_points(1)
+        except PreconditionError:
+            return poly
+        poly._lattice_points = sorted(x for label, xs in table.items()
+                                      if self.facets <= label for x in xs)
+        return poly
 
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={sorted(self.vertex_indices)})"
@@ -779,4 +777,6 @@ def vertices_from_inequalities(h: HPolytope) -> LatticePolytope:
     verts = [tuple(_ratio(x, y[-1]) for x in y[:-1]) for y, _ in rays if y[-1] > 0]
     if verts and len(verts) < len(rays):
         raise PreconditionError("inequality system is unbounded, not a polytope")
-    return LatticePolytope(verts, hrep=h, _trusted=True)
+    out = LatticePolytope(verts, _trusted=True)
+    out.ambient_dim = d   # the rank of an empty polytope comes from its inequalities
+    return out

@@ -223,10 +223,6 @@ class ResidueMap:
         return c * self.volume
 
 
-def toric_residue(ring: CoxRing, F, H: GradedPolynomial) -> Fraction:
-    return ResidueMap(ring, F).residue(H)
-
-
 def cup_constant(a: int, b: int, d: int) -> Fraction:
     """c_ab = (-1)^(a(a+1)/2 + b(b+1)/2 + a^2 + d - 1) / (a! b!)."""
     sign = (-1) ** (a * (a + 1) // 2 + b * (b + 1) // 2 + a * a + d - 1)

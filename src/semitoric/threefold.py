@@ -118,7 +118,9 @@ def two_cone_charts(fine: Fan, coarse: Fan):
 
 
 class SurfaceSlice:
-    """The orbit-closure surface of a 2-cone with the restricted hypersurface."""
+    """The orbit-closure surface of a 2-cone with the restricted hypersurface:
+    `polynomial` holds the terms of f on the matching face of the section
+    polytope, rewritten in quotient-lattice coordinates."""
 
     def __init__(self, analysis: "ThreefoldAnalysis", sigma: ConeRef):
         fine_ring = analysis.ring
@@ -193,16 +195,6 @@ def _same_cone_in(fan: Fan, cone: ConeRef) -> ConeRef:
     except ValueError as exc:
         raise ValidationError("cone rays are not rays of this fan") from exc
     return fan.cone_ref(idx)
-
-
-def face_polynomial(f: GradedPolynomial, sigma: ConeRef,
-                    coarse: Fan | None = None) -> GradedPolynomial:
-    """The polynomial cutting the hypersurface out of the orbit-closure
-    surface of a 2-cone: the terms of f on the matching face of the section
-    polytope, rewritten in quotient-lattice coordinates."""
-    analysis = ThreefoldAnalysis(f, coarse)
-    slice_ = SurfaceSlice(analysis, _same_cone_in(analysis.coarse, sigma))
-    return slice_.polynomial
 
 
 class H3Block:
@@ -294,7 +286,7 @@ def gram_skew_between_levels(grams) -> bool:
 class ThreefoldAnalysis:
     """Middle-cohomology data of a regular semiample hypersurface, d = 4."""
 
-    def __init__(self, f: GradedPolynomial, coarse: Fan | None = None):
+    def __init__(self, f: GradedPolynomial):
         ring = f.ring
         if ring.d != 4:
             raise PreconditionError("threefold analysis requires a rank-4 fan")
@@ -305,9 +297,7 @@ class ThreefoldAnalysis:
         self.divisor = TorusInvariantDivisor(ring.fan, f.degree.rep)
         if not self.divisor.is_semiample():
             raise PreconditionError("the hypersurface class must be semiample")
-        self.coarse = coarse if coarse is not None else self.divisor.sigma_d()
-        if not ring.fan.is_refinement(self.coarse):
-            raise PreconditionError("the given coarse fan is not refined by the fan of f")
+        self.coarse = self.divisor.sigma_d()
         self.delta = self.divisor.section_polytope()
         self._certificate = None
         self.charts = two_cone_charts(ring.fan, self.coarse)
@@ -327,6 +317,8 @@ class ThreefoldAnalysis:
     # -- pieces -----------------------------------------------------------------
 
     def surface(self, sigma: ConeRef) -> SurfaceSlice:
+        """The slice of a 2-cone of the coarse fan, or of an equal fan (matched
+        by its rays), built once."""
         sigma = _same_cone_in(self.coarse, sigma)
         key = sigma.ray_indices
         if key not in self._slices:
@@ -369,9 +361,6 @@ class ThreefoldAnalysis:
 
     def hodge_number(self, a: int) -> int:
         return sum(b.dim for b in self.blocks(a))
-
-    def decomposition(self):
-        return {a: self.blocks(a) for a in range(4)}
 
     # -- the cup product -----------------------------------------------------------
 

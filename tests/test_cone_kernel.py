@@ -338,11 +338,6 @@ def test_twisted_prism_is_complete_but_not_projective():
         find_ample(TWISTED_PRISM)
 
 
-def test_ample_class_is_kept_on_the_fan():
-    fan = catalog.hirzebruch(2)
-    assert find_ample(fan) is find_ample(fan)
-
-
 # -- the completeness certificate --------------------------------------------------
 
 

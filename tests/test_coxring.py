@@ -17,10 +17,7 @@ from semitoric.coxring import (
     R1Piece,
     ideal_graded_piece,
     j0_piece,
-    j1_graded_piece,
     nondegeneracy_certificate,
-    r1_dim,
-    reduce_modulo,
 )
 from semitoric.errors import InconsistencyError, PreconditionError, ValidationError
 from semitoric.fan import Fan
@@ -48,8 +45,8 @@ def test_variable_degrees_equal_on_p2():
 
 def test_blowup_degrees_distinct():
     ring = CoxRing(catalog.blowup_p2())
-    d_x1x2 = ring.degree_of_monomial((1, 1, 0, 0))
-    d_x3sq = ring.degree_of_monomial((0, 0, 2, 0))
+    d_x1x2 = ring.degree_class((1, 1, 0, 0))
+    d_x3sq = ring.degree_class((0, 0, 2, 0))
     assert d_x1x2 != d_x3sq
 
 
@@ -57,9 +54,9 @@ def test_beta0_on_p2_is_three_h():
     assert P2.beta0 == 3 * P2.variable_degree(0)
 
 
-def test_degrees_equal_api():
-    assert P2.degrees_equal((1, 0, 0), (0, 0, 1))
-    assert not P2.degrees_equal((1, 0, 0), (0, 0, 2))
+def test_degree_classes_of_equal_degree_are_equal():
+    assert P2.degree_class((1, 0, 0)) == P2.degree_class((0, 0, 1))
+    assert P2.degree_class((1, 0, 0)) != P2.degree_class((0, 0, 2))
 
 
 def test_degree_classes_of_different_rings_differ():
@@ -116,9 +113,9 @@ def test_ideal_piece_empty_generators():
 
 
 def test_r1_dims_fermat_cubic():
-    assert r1_dim(CUBIC, P2.zero_degree()) == 1
-    assert r1_dim(CUBIC, P2.beta0) == 1  # only xyz survives
+    assert R1Piece(CUBIC, P2.zero_degree()).dim == 1
     piece = R1Piece(CUBIC, P2.beta0)
+    assert piece.dim == 1  # only xyz survives
     assert piece.coset_exponents == [(1, 1, 1)]
 
 
@@ -129,12 +126,12 @@ def test_r1_dim_fermat_quintic_level1():
     # oracle: degree-5 exponent vectors with all entries <= 3
     bounded = sum(1 for e in ring.monomial_basis(gamma).exponents if max(e) <= 3)
     assert bounded == comb(9, 4) - 25
-    assert r1_dim(quintic, gamma) == 101
+    assert R1Piece(quintic, gamma).dim == 101
 
 
 def test_j0_contained_in_j1():
     gens = [CUBIC.weighted_partial(i) for i in range(3)]
-    j1 = j1_graded_piece(CUBIC, P2.beta0)
+    j1 = R1Piece(CUBIC, P2.beta0).j1
     for g in gens:
         assert j1.contains(g)
 
@@ -154,7 +151,7 @@ def test_j1_rows_match_a_pinned_copy():
             ((1, 2, 0), "-3"), ((2, 0, 1), "-9477/379"), ((2, 1, 0), "-730/1137")]],
     }
     for f, rows in pinned.items():
-        basis = j1_graded_piece(f, P2.beta0).reduced_row_basis()
+        basis = R1Piece(f, P2.beta0).j1.reduced_row_basis()
         assert [r.terms for r in basis] == rows
 
 
@@ -162,21 +159,21 @@ def test_reduce_modulo():
     x3 = P2.monomial((3, 0, 0))
     span = GradedSubspace(P2, x3.degree)
     span.insert(x3)
-    assert reduce_modulo(span, x3).is_zero()
+    assert span.reduce(x3).is_zero()
 
     j0_3 = j0_piece(CUBIC, P2.beta0)
     xyz = P2.monomial((1, 1, 1))
-    assert reduce_modulo(j0_3, xyz) == xyz
+    assert j0_3.reduce(xyz) == xyz
 
     j0_5 = j0_piece(CUBIC, P2.degree_class((4, 1, 0)))
     x4y = P2.monomial((4, 1, 0))
-    assert reduce_modulo(j0_5, x4y).is_zero()
+    assert j0_5.reduce(x4y).is_zero()
 
 
 def test_reduce_modulo_degree_mismatch():
     span = GradedSubspace(P2, P2.beta0)
     with pytest.raises(ValidationError):
-        reduce_modulo(span, P2.monomial((1, 0, 0)))
+        span.reduce(P2.monomial((1, 0, 0)))
 
 
 def test_r1_dim_equals_interior_points_at_level0():
@@ -185,7 +182,7 @@ def test_r1_dim_equals_interior_points_at_level0():
     gamma = quartic.degree - ring.beta0
     from semitoric.divisor import TorusInvariantDivisor
     delta = TorusInvariantDivisor(ring.fan, quartic.degree.rep).section_polytope()
-    assert r1_dim(quartic, gamma) == len(delta.relative_interior_points())
+    assert R1Piece(quartic, gamma).dim == len(delta.relative_interior_points())
 
 
 def test_certificate_fermat_cubic():
@@ -449,7 +446,7 @@ def tuple_ideal_graded_piece(generators, gamma):
         for mono in ring.monomial_basis(gamma - g.degree).exponents:
             if any(all(map(ge, mono, lt)) for lt in leads):
                 continue
-            space.insert_row({index[tuple(map(add, e, mono))]: c for e, c in terms})
+            space.echelon.insert({index[tuple(map(add, e, mono))]: c for e, c in terms})
         leads.append(max(g.terms))
     return space
 
@@ -477,7 +474,7 @@ def tuple_r1_loop(ring, gamma, j0):
 
 def tuple_eta_monomial(cup, exps):
     """eta(x^exps) as the tuple-keyed memo computed it."""
-    if cup.ring.degree_of_monomial(exps) != cup.eta_degree:
+    if cup.ring.degree_class(exps) != cup.eta_degree:
         return Fraction(0)
     j = cup.res.span.basis.index[tuple(e + 1 for e in exps)]
     return cup.c_I * cup.res._residue_of_row({j: 1})

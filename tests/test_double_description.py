@@ -58,7 +58,7 @@ def ref_vertices(h):
     verts = set()
     for idx in combinations(range(len(ineqs)), d):
         x = solve_unique([normals[i] for i in idx], [ineqs[i][1] for i in idx])
-        if x is not None and all(lattice.pairing_q(x, n) >= r for n, r in ineqs):
+        if x is not None and all(lattice.pairing(x, n) >= r for n, r in ineqs):
             verts.add(tuple(x))
     if not verts:
         if lattice.matrix_rank(normals) < d and lp_feasible(
@@ -89,8 +89,8 @@ def ref_facet_candidates(vertices):
         if len(kern) != 1:
             continue
         n = kern[0]
-        c = lattice.pairing_q(pts[0], n)
-        vals = [lattice.pairing_q(v, n) for v in vertices]
+        c = lattice.pairing(pts[0], n)
+        vals = [lattice.pairing(v, n) for v in vertices]
         if all(v >= c for v in vals) and any(v > c for v in vals):
             cands.append((n, c))
         elif all(v <= c for v in vals) and any(v < c for v in vals):
@@ -103,7 +103,7 @@ def ref_facets(vertices, cands):
     k = ref_affine_dim(vertices)
     out = {}
     for n, r in cands:
-        tight = frozenset(i for i, v in enumerate(vertices) if lattice.pairing_q(v, n) == r)
+        tight = frozenset(i for i, v in enumerate(vertices) if lattice.pairing(v, n) == r)
         if tight and tight not in out and \
                 ref_affine_dim([vertices[i] for i in sorted(tight)]) == k - 1:
             g = lattice.gcd_list(n)
@@ -166,7 +166,7 @@ def assert_facets_match(poly, ref):
         assert new == ref
     for t, (n, r) in new.items():
         assert lattice.matrix_rank(dirs + [list(n)]) == poly.dim
-        vals = [lattice.pairing_q(v, n) for v in poly.vertices]
+        vals = [lattice.pairing(v, n) for v in poly.vertices]
         assert {i for i, x in enumerate(vals) if x == r} == t
         assert min(vals) == r
 

@@ -14,7 +14,7 @@ from semitoric.hodge import (
     subdivision_counts,
     triangulation_helper,
 )
-from semitoric.lattice import pairing_q
+from semitoric.lattice import pairing
 from semitoric.polytope import HPolytope, LatticePolytope, vertices_from_inequalities
 
 
@@ -238,7 +238,7 @@ def dual_face_by_pairing(poly, face):
     dual = poly.dual_polytope()
     fverts = [poly.vertices[i] for i in face.vertex_indices]
     idx = frozenset(i for i, w in enumerate(dual.vertices)
-                    if all(pairing_q(v, w) == -1 for v in fverts))
+                    if all(pairing(v, w) == -1 for v in fverts))
     pts = [dual.vertices[i] for i in sorted(idx)]
     return idx, LatticePolytope(pts, _trusted=True).dim
 

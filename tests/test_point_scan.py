@@ -443,7 +443,10 @@ def test_face_polytopes_read_off_the_parent_keep_their_own_tables():
 def test_face_polytope_scans_itself_when_its_parent_is_refused(monkeypatch):
     """The cube [-5, 5]^3 takes 11 + 121 + 1,331 steps to list, a square
     face 11 + 121 and an edge 11: under a limit of 200 the cube is refused
-    and its edges and square faces are still listed and counted."""
+    and its edges and square faces are still listed and counted.  The
+    refused scans leave no points and no table, empty or partial, behind:
+    once the limit is restored the cube labels all 1,331 points, and each
+    face polytope lists the points of a fresh scan of its vertices."""
     cube = catalog.cube(3).dilate(5)
     monkeypatch.setattr(polytope, "SCAN_LIMIT", 200)
     with pytest.raises(PreconditionError, match="too large to enumerate"):
@@ -454,22 +457,31 @@ def test_face_polytope_scans_itself_when_its_parent_is_refused(monkeypatch):
         assert points == LatticePolytope(face.vertices()).lattice_points()
         assert len(points) == 11 ** face.dim
     assert cube.labelled_dilations() == set()
+    monkeypatch.undo()
+    assert cube.labelled_points(1) == catalog.cube(3).dilate(5).labelled_points(1)
+    assert sum(map(len, cube.labelled_points(1).values())) == 11 ** 3
+    for face in cube.all_faces():
+        fresh = LatticePolytope(face.vertices(), _trusted=True)
+        assert face.as_polytope().lattice_points() == fresh.lattice_points()
 
 
 def test_the_face_count_oracle_scans_each_face_afresh():
     """`--verify` recounts each face count as its own dilated polytope: its
-    dilations and interior points do not read the parent's table, so one
-    corrupted entry of the table is caught."""
+    dilations and interior points do not read the parent's tables, so one
+    corrupted entry of either table is caught."""
     poly = catalog.cube(3)
     for k in (1, 2):
         poly.labelled_points(k)
     check = "face_counts_match_per_face_enumeration"
     assert cli._face_counts_verification(poly) == {check: True}
     face = poly.faces(1)[0]
-    assert face.as_polytope().dilate(2)._face is None
-    table = poly.labelled_points(1)
-    table[face.facets] = table[face.facets] + ((9, 9, 9),)
-    assert cli._face_counts_verification(poly) == {check: False}
+    for k in (1, 2):
+        table = poly.labelled_points(k)
+        kept = table[face.facets]
+        table[face.facets] = kept + ((9, 9, 9),)
+        assert cli._face_counts_verification(poly) == {check: False}
+        table[face.facets] = kept
+    assert cli._face_counts_verification(poly) == {check: True}
 
 
 def test_k3_edge_lengths_take_three_scans(monkeypatch):
@@ -529,7 +541,7 @@ def test_face_at_direction_matches_pairings_and_ranks(monkeypatch):
         tights = [t for _, _, t in poly.facets()] if poly.dim > 0 else []
         for _ in range(8):
             n = tuple(rng.randint(-2, 2) for _ in range(poly.ambient_dim))
-            vals = [lattice.pairing_q(v, n) for v in poly.vertices]
+            vals = [lattice.pairing(v, n) for v in poly.vertices]
             want = frozenset(i for i, x in enumerate(vals) if x == min(vals))
             ranks.clear()
             face = poly.face_at_direction(n)

@@ -422,18 +422,18 @@ def test_int_and_fraction_input_build_equal_polytopes():
         assert ints.vertices == as_fractions and hash(ints.vertices) == hash(as_fractions)
 
 
-def test_pairing_q_is_exact_on_ints_and_fractions():
+def test_pairing_is_exact_on_ints_and_fractions():
     import random
 
     rng = random.Random(20)
-    assert lattice.pairing_q((1, -2, 3), (4, 5, -6)) == -24
-    assert type(lattice.pairing_q((1, -2, 3), (4, 5, -6))) is int
+    assert lattice.pairing((1, -2, 3), (4, 5, -6)) == -24
+    assert type(lattice.pairing((1, -2, 3), (4, 5, -6))) is int
     for _ in range(200):
         n = rng.randint(1, 6)
         m = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
              for _ in range(n)]
         w = [rng.randint(-9, 9) for _ in range(n)]
-        assert lattice.pairing_q(m, w) == sum(Fraction(a) * b for a, b in zip(m, w))
+        assert lattice.pairing(m, w) == sum(Fraction(a) * b for a, b in zip(m, w))
 
 
 def test_a_reflexive_lattice_polytope_builds_no_fraction(fraction_count):

@@ -39,7 +39,7 @@ def random_rings():
 def random_polynomial(ring, rng, max_entry=3, max_terms=4):
     for _ in range(50):
         exps = tuple(rng.randint(0, max_entry) for _ in range(ring.n))
-        beta = ring.degree_of_monomial(exps)
+        beta = ring.degree_class(exps)
         basis = ring.monomial_basis(beta)
         if len(basis) == 0:
             continue

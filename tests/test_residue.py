@@ -15,7 +15,6 @@ from semitoric.residue import (
     cup_constant,
     cup_jacobian,
     toric_jacobian,
-    toric_residue,
 )
 
 from .test_coxring import dwork
@@ -85,7 +84,7 @@ def test_residue_normalization_projective_line():
 def test_residue_of_span_element_is_zero():
     x2 = P1.monomial((2, 0))
     y2 = P1.monomial((0, 2))
-    assert toric_residue(P1, [x2, y2], P1.monomial((2, 0))) == 0
+    assert ResidueMap(P1, [x2, y2]).residue(P1.monomial((2, 0))) == 0
 
 
 def test_residue_requires_no_common_zeros():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from semitoric import catalog, cli, coxring, lattice, residue, threefold
-from semitoric.coxring import CoxRing, R1Piece, r1_dim
+from semitoric.coxring import CoxRing, R1Piece
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import CertificateError, PreconditionError
 from semitoric.hodge import h21_batyrev
@@ -16,7 +16,6 @@ from semitoric.threefold import (
     GramBlock,
     H3Block,
     ThreefoldAnalysis,
-    face_polynomial,
     gram_skew_between_levels,
     two_cone_charts,
 )
@@ -98,7 +97,7 @@ def test_face_polynomial_is_fermat_quartic(crepant_analysis):
 
 def test_face_polynomial_defined_on_unsubdivided_cone(crepant_analysis):
     chart = next(c for c in crepant_analysis.charts if c.n_interior == 0)
-    poly = face_polynomial(crepant_analysis.f, chart.sigma, crepant_analysis.coarse)
+    poly = crepant_analysis.surface(chart.sigma).polynomial
     assert not poly.is_zero()
 
 
@@ -146,7 +145,7 @@ def test_every_coset_monomial_has_its_level_degree(name, request):
                 degree = a * slice_.degree - ring.beta0
             assert block.piece.ring is ring
             exps = block.piece.coset_exponents
-            assert all(ring.degree_of_monomial(e) == degree for e in exps)
+            assert all(ring.degree_class(e) == degree for e in exps)
             seen += len(exps)
     assert seen == sum(analysis.hodge_number(a) for a in range(4))
 
@@ -411,7 +410,8 @@ def test_crepant_level3_ring_piece_reuses_the_certificate_span(monkeypatch):
     monkeypatch.setattr(residue, "ideal_graded_piece", counting_piece)
     monkeypatch.setattr(coxring, "ideal_graded_piece", counting_piece)
     analysis = ThreefoldAnalysis(f)
-    analysis.decomposition()
+    for a in range(4):
+        analysis.blocks(a)
     assert len(analysis.certificate.index_set) < ring.n
     assert len(rho_pieces) == 1
     monkeypatch.undo()
@@ -472,7 +472,7 @@ def test_r1_dim_matches_lattice_count_at_level1(crepant_analysis):
 
 def test_face_polynomial_on_ample_hypersurface(quintic_analysis):
     sigma = quintic_analysis.coarse.cones(2)[0]
-    poly = face_polynomial(quintic_analysis.f, sigma, quintic_analysis.coarse)
+    poly = quintic_analysis.surface(sigma).polynomial
     assert not poly.is_zero()
     assert poly.ring.fan.dim == 2
     # the quintic restricted to a 2-cone orbit closure is again Fermat-like
@@ -559,5 +559,5 @@ def test_face_polynomial_accepts_foreign_cone_ref():
     independent = TorusInvariantDivisor(ring.fan, f.degree.rep).sigma_d()
     sigma = next(c for c in independent.cones(2)
                  if set(c.generators()) == {(1, 0, 0, 0), (-1, -2, -2, -2)})
-    poly = face_polynomial(f, sigma)
+    poly = ThreefoldAnalysis(f).surface(sigma).polynomial
     assert sorted(poly.terms) == [(0, 0, 4), (0, 4, 0), (4, 0, 0)]

@@ -42,8 +42,9 @@ print("\ncoarsened fan equals the plane fan:", coarse == plane)
 print("push-forward is ample again:",
       lifted.pushforward(coarse).is_strictly_convex())
 
-# The stratification records, for each cone, the smallest containing cone
-# downstairs and the rank of the torus factor of the stratum.
+# The stratification records, for each cone, the face of the section
+# polytope dual to its smallest containing cone downstairs, and the rank of
+# the torus factor of the stratum.
 print("\nstrata of a regular member of the class:")
 for rec in lifted.stratify():
     rays = [blowup.rays[i] for i in sorted(rec.cone.ray_indices)]

@@ -28,11 +28,11 @@ print("\nmaximal resolution of the square's face fan:",
 delta = catalog.sec6_polytope()
 report = mirror_check(delta)
 print("\n7-dimensional mirror comparison:")
-print("  h^{3,2} of the hypersurface side:", report.side.value(3, 2))
-print("  h^{3,2} of the dual side:       ", report.mirror_side.value(3, 2))
+print("  h^{3,2} of the hypersurface side:", report.side.value)
+print("  h^{3,2} of the dual side:       ", report.mirror_side.value)
 print("  symmetric:", report.symmetric)
 
-witness = report.mirror_side.values[0].witnesses[0]
+witness = report.mirror_side.witnesses[0]
 print("\nwitness 4-face of the dual polytope:")
 for v in witness["face"]:
     print("   ", v)

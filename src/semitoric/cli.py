@@ -372,15 +372,14 @@ def cmd_hodge_h_p2(doc, verify):
     delta = parse_polytope(_need(doc, "polytope", dict, "input"))
     p = _need(doc, "p", int, "input")
     refinement = doc.get("refinement", "none")
-    coarse = delta.normal_fan()
     if refinement == "mpcp":
         fine = triangulation_helper(delta.dual_polytope())
     elif refinement == "none":
-        fine = coarse
+        fine = delta.normal_fan()
     else:
         raise ValidationError("input.refinement: expected 'none' or 'mpcp'")
     out = {"criterion": "subdivision-count formula for h^{d-1-p,2}",
-           "p": p, "value": h_p2(delta, fine, coarse, p)}
+           "p": p, "value": h_p2(delta, fine, p)}
     if verify:  # every face count h_p2 read comes from the tables of delta
         out["verification"] = _face_counts_verification(delta)
     return out
@@ -410,10 +409,10 @@ def cmd_mirror_check(doc, verify):
     rep = mirror_check(delta)
     out = {
         "criterion": "Hodge-number comparison across a 7-dimensional mirror pair",
-        "h32": rep.side.value(3, 2),
-        "h32_dual": rep.mirror_side.value(3, 2),
+        "h32": rep.side.value,
+        "h32_dual": rep.mirror_side.value,
         "symmetric": rep.symmetric,
-        "witnesses": rep.mirror_side.values[0].witnesses,
+        "witnesses": rep.mirror_side.witnesses,
     }
     if verify:
         out["verification"] = _face_counts_verification(delta, delta.dual_polytope())

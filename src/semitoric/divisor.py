@@ -6,7 +6,8 @@ divisor (the normal fan of its section polytope; two gluing routes over the
 fine fan rebuild it for tests and `--verify`), push-forward and pull-back
 along the associated birational morphism, the Nakai-type criteria from curve
 numbers read off the walls of the support function, and the orbit
-stratification of a regular semiample hypersurface.
+stratification of a regular semiample hypersurface, each stratum named by
+the face of the section polytope dual to its cone of the coarsened fan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import and_
 from . import lattice
 from .errors import InconsistencyError, NotCartierError, PreconditionError, ValidationError
 from .fan import ConeRef, Fan, extreme_rays_of_dual
-from .polytope import HPolytope, LatticePolytope, cone_rays, vertices_from_inequalities
+from .polytope import Face, HPolytope, LatticePolytope, cone_rays, vertices_from_inequalities
 
 
 class SupportFunction:
@@ -31,10 +32,11 @@ class SupportFunction:
         self.per_max_cone = per_max_cone
 
     def m_of_cone(self, cone: ConeRef):
-        for ci, c in enumerate(self.fan.max_cones):
-            if cone.ray_indices <= c:
-                return self.per_max_cone[ci]
-        # a cone of a refinement lies in every maximal cone that holds the
+        if cone.fan is self.fan or cone.fan.rays == self.fan.rays:
+            for ci, c in enumerate(self.fan.max_cones):
+                if cone.ray_indices <= c:
+                    return self.per_max_cone[ci]
+        # a cone of another fan lies in every maximal cone that holds the
         # sum of its rays, if it lies in any
         ci = self.fan.max_cone_index(cone.relint_point())
         if ci is None or not all(self.fan._holds(ci, g) for g in cone.generators()):
@@ -50,14 +52,16 @@ class SupportFunction:
 
 
 class StratumRecord:
-    """One stratum of a regular semiample hypersurface: a cone of the fine
-    fan, its smallest container in the coarse fan, and the rank of the torus
-    factor (C*)^k of the stratum."""
+    """One stratum X ∩ O(sigma) = Z_Gamma x (C*)^k of a regular semiample
+    hypersurface: the cone sigma of the fine fan, the face Gamma of the
+    section polytope, the cone of the coarse fan dual to Gamma (the smallest
+    one holding sigma), and the rank k of the torus factor."""
 
-    def __init__(self, cone: ConeRef, container: ConeRef, torus_factor_dim: int):
+    def __init__(self, cone: ConeRef, face: Face, container: ConeRef):
         self.cone = cone
+        self.face = face
         self.container = container
-        self.torus_factor_dim = torus_factor_dim
+        self.torus_factor_dim = container.dim - cone.dim
 
 
 class TorusInvariantDivisor:
@@ -283,12 +287,15 @@ class TorusInvariantDivisor:
     # -- stratification ---------------------------------------------------------------
 
     def stratify(self):
-        """Smallest containing cone and torus-factor rank for every cone."""
-        coarse = self.sigma_d()
+        """One StratumRecord per cone sigma of the fan, read off Delta_D: Gamma
+        is the face on which the sum of the rays of sigma is least, and its
+        container the cone of Sigma_D whose rays are the facets holding Gamma
+        (ray j of the normal fan is facet j)."""
+        coarse, delta = self.sigma_d(), self.section_polytope()
         out = []
         for cone in self.fan.all_cones():
-            container = coarse.smallest_containing_cone(cone)
-            out.append(StratumRecord(cone, container, container.dim - cone.dim))
+            face = delta.face_at_direction(cone.relint_point())
+            out.append(StratumRecord(cone, face, coarse.cone_ref(face.facets)))
         return out
 
     # -- intersection-number criteria ----------------------------------------------------

@@ -3,12 +3,14 @@
 Fans are stored as primitive rays plus maximal cones (ray index sets);
 non-simplicial maximal cones are allowed.  The faces of a maximal cone come
 from ``polytope.face_closure`` on its facet ray sets.  Every "which cone
-holds x" question (membership, smallest containing cones, refinement) goes
+holds x" question (membership, refinement, subdivision counts) goes
 through ``Fan.locate``, a sign test against the memoized rows of the
 maximal cones from the double-description kernel ``cone_rays``, one call per
-maximal cone that spans N_R.  Completeness comes with a certificate that
-rejects inputs whose cones close up without forming a fan; it reads the
-walls, and the side of each wall a cone lies on, off those facet rows.
+maximal cone that spans N_R.  A cone of another fan is read by its
+generators (``Fan.same_cone``), never by its ray indices.  Completeness
+comes with a certificate that rejects inputs whose cones close up without
+forming a fan; it reads the walls, and the side of each wall a cone lies on,
+off those facet rows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations, count
 
 from . import lattice
-from .errors import InconsistencyError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .polytope import _facets_in_span, cone_rays, face_closure
 
 
@@ -350,28 +352,27 @@ class Fan:
                 return False
         return True
 
-    def smallest_containing_cone(self, cone: ConeRef) -> ConeRef:
-        """Minimal cone of this fan containing the given cone of a refinement:
-        the cone whose relative interior holds the sum of its rays."""
-        held = self.locate(cone.relint_point())
-        if held is None:
-            raise InconsistencyError("complete fan does not cover a point")
-        if not all(held.contains(g) for g in cone.generators()):
-            raise InconsistencyError(
-                "cone is not contained in any cone of the coarser fan; "
-                "refinement precondition violated")
-        return held
+    def same_cone(self, cone: ConeRef) -> ConeRef:
+        """The cone of this fan spanned by the rays of `cone`, which may be a
+        cone of another fan with the same rays in another order: a cone is
+        read by its generators, never by another fan's ray indices."""
+        if cone.fan is self:
+            return cone
+        try:
+            idx = frozenset(self.rays.index(g) for g in cone.generators())
+        except ValueError as exc:
+            raise ValidationError("cone rays are not rays of this fan") from exc
+        return self.cone_ref(idx)
 
     def star_projection(self, cone: ConeRef):
         """Quotient data (P, Q) for N -> N/N_cone; P is surjective with
         kernel the saturated span of the cone, Q a right inverse."""
         return lattice.quotient_projection(
-            [list(self.rays[i]) for i in sorted(cone.ray_indices)], self.dim)
+            [list(g) for g in self.same_cone(cone).generators()], self.dim)
 
     def star_fan(self, cone: ConeRef) -> "Fan":
         """Fan of the orbit closure V(cone) in the quotient lattice N/N_cone."""
-        if cone.fan is not self:
-            cone = self.cone_ref(cone.ray_indices)
+        cone = self.same_cone(cone)
         s = cone.dim
         if s == 0:
             return self

@@ -7,42 +7,35 @@ duality for singular 7-dimensional mirror pairs.
 
 Every count l*(k theta) is read from the labelled lattice points of the
 parent polytope (``Face.interior_points``); no face is rebuilt as a polytope.
+The cones of the coarse fan, the normal fan of the section polytope, are
+named by the faces dual to them: ray j of the normal fan is facet j, so a
+cone's ray set is the ``facets`` of its face.
 """
 
 from __future__ import annotations
 
 from . import lattice
-from .errors import InconsistencyError, PreconditionError, ValidationError
-from .fan import ConeRef, Fan
+from .errors import InconsistencyError, PreconditionError
+from .fan import Fan
 from .polytope import Face, LatticePolytope
 
 
 # -- subdivision counts ------------------------------------------------------
 
 
-class SubdivisionCounts:
-    """a_k(gamma) = number of k-cones of the fine fan whose smallest
-    containing cone in the coarse fan is gamma, for k = 1, 2."""
-
-    def __init__(self, coarse: Fan, a1: dict, a2: dict):
-        self.coarse = coarse
-        self.a1 = a1
-        self.a2 = a2
-
-    def a(self, gamma: ConeRef, k: int) -> int:
-        table = {1: self.a1, 2: self.a2}[k]
-        return table.get(gamma.ray_indices, 0)
-
-
-def subdivision_counts(fine: Fan, coarse: Fan) -> SubdivisionCounts:
+def subdivision_counts(fine: Fan, coarse: Fan) -> dict:
+    """{(k, gamma): a_k(gamma)} for k = 1, 2: the number of k-cones of the
+    fine fan whose smallest containing cone in the coarse fan has the ray
+    set gamma, the cone whose relative interior holds the sum of their rays
+    once the refinement is certified."""
     if not fine.is_refinement(coarse):
         raise PreconditionError("subdivision counts require a refinement")
-    a1, a2 = {}, {}
-    for k, table in ((1, a1), (2, a2)):
+    counts = {}
+    for k in (1, 2):
         for sigma in fine.cones(k):
-            gamma = coarse.smallest_containing_cone(sigma)
-            table[gamma.ray_indices] = table.get(gamma.ray_indices, 0) + 1
-    return SubdivisionCounts(coarse, a1, a2)
+            key = (k, coarse.locate(sigma.relint_point()).ray_indices)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 # -- face-level e-numbers -------------------------------------------------------
@@ -95,9 +88,11 @@ def e_face_values(face, d: int, p: int):
 # -- the h^{d-1-p,2} formula -------------------------------------------------------
 
 
-def h_p2(delta: LatticePolytope, fine: Fan, coarse: Fan, p: int) -> int:
+def h_p2(delta: LatticePolytope, fine: Fan, p: int) -> int:
     """h^{d-1-p,2} of a regular semiample hypersurface with section polytope
     delta, computed from subdivision counts and face lattice-point counts.
+    The sums run over the faces of delta; the cone of its normal fan dual to
+    a face has the face's facets as its rays, so a_k is read by facet set.
 
     Valid for 2 < p <= d-2 with p != d-3: beyond d-2 the stratum behind the
     first closed form degenerates to points and the displays no longer apply.
@@ -106,24 +101,20 @@ def h_p2(delta: LatticePolytope, fine: Fan, coarse: Fan, p: int) -> int:
     if not (2 < p <= d - 2 and p != d - 3):
         raise PreconditionError(
             f"the formula applies for 2 < p <= d-2, p != d-3; got p={p}, d={d}")
-    if delta.normal_fan() != coarse:
-        raise PreconditionError("the coarse fan must be the normal fan of delta")
-    counts = subdivision_counts(fine, coarse)
-    total = 0
-    for gamma in coarse.cones(p):
-        a1 = counts.a(gamma, 1)
-        if a1 == 0:
-            continue
-        total += a1 * _bracket(delta.face_at_direction(gamma.relint_point()), d, p)
-    for gamma in coarse.cones(p + 2):
-        lstar = _l_star(delta.face_at_direction(gamma.relint_point()))
+    counts = subdivision_counts(fine, delta.normal_fan())
+
+    def a(k, face):
+        return counts.get((k, face.facets), 0)
+
+    total = sum(a(1, gamma) * _bracket(gamma, d, p)
+                for gamma in delta.faces(d - p) if a(1, gamma))
+    taus = delta.faces(d - p - 1)
+    for gamma in delta.faces(d - p - 2):
+        lstar = _l_star(gamma)
         if lstar == 0:
             continue
-        coeff = counts.a(gamma, 2) - (p + 1) * counts.a(gamma, 1)
-        for tau in coarse.cones(p + 1):
-            if tau.ray_indices <= gamma.ray_indices:
-                coeff -= counts.a(tau, 1)
-        total += lstar * coeff
+        total += lstar * (a(2, gamma) - (p + 1) * a(1, gamma) - sum(
+            a(1, tau) for tau in taus if tau.facets <= gamma.facets))
     return total
 
 
@@ -192,26 +183,9 @@ def triangulation_helper(q: LatticePolytope, reverse: bool = False) -> Fan:
 
 
 class HodgeValue:
-    def __init__(self, p: int, q: int, value: int, formula: str, witnesses: list | None = None):
-        self.p = p
-        self.q = q
+    def __init__(self, value: int, witnesses: list | None = None):
         self.value = value
-        self.formula = formula
         self.witnesses = [] if witnesses is None else witnesses
-
-
-class HodgeReport:
-    """Named Hodge numbers of one side of a mirror pair, with witnesses."""
-
-    def __init__(self, label: str, values: list):
-        self.label = label
-        self.values = values
-
-    def value(self, p: int, q: int) -> int:
-        for v in self.values:
-            if (v.p, v.q) == (p, q):
-                return v.value
-        raise ValidationError(f"no recorded value h^{p},{q}")
 
 
 def _h32_of_side(section: LatticePolytope) -> HodgeValue:
@@ -232,10 +206,7 @@ def _h32_of_side(section: LatticePolytope) -> HodgeValue:
     second_sum_weights = [
         _l_star(dual.dual_face(f)) for f in dual.faces(p + 1)]
     if only_vertices or any(second_sum_weights):
-        fine = triangulation_helper(dual)
-        coarse = section.normal_fan()
-        value = h_p2(section, fine, coarse, p)
-        return HodgeValue(3, 2, value, "subdivision-count formula", [])
+        return HodgeValue(h_p2(section, triangulation_helper(dual), p))
 
     total = 0
     witnesses = []
@@ -255,17 +226,19 @@ def _h32_of_side(section: LatticePolytope) -> HodgeValue:
             "dual_face": [list(v) for v in f.vertices()],
             "subdividing_points": [list(pt) for pt in pts],
         })
-    return HodgeValue(3, 2, total, "carrier-face classification", witnesses)
+    return HodgeValue(total, witnesses)
 
 
 class MirrorReport:
-    def __init__(self, side: HodgeReport, mirror_side: HodgeReport):
+    """h^{3,2} of the two sides of a mirror pair, with witnesses."""
+
+    def __init__(self, side: HodgeValue, mirror_side: HodgeValue):
         self.side = side
         self.mirror_side = mirror_side
 
     @property
     def symmetric(self) -> bool:
-        return self.side.value(3, 2) == self.mirror_side.value(3, 2)
+        return self.side.value == self.mirror_side.value
 
 
 def mirror_check(delta: LatticePolytope) -> MirrorReport:
@@ -275,11 +248,7 @@ def mirror_check(delta: LatticePolytope) -> MirrorReport:
         raise PreconditionError("the mirror comparison is run in dimension 7")
     if not delta.is_reflexive():
         raise PreconditionError("mirror comparison requires a reflexive polytope")
-    dual = delta.dual_polytope()
-    side = HodgeReport("section polytope", [_h32_of_side(delta)])
-    mirror_side = HodgeReport("dual section polytope", [_h32_of_side(dual)])
-    for report in (side, mirror_side):
-        for v in report.values:
-            if v.value < 0:
-                raise InconsistencyError("negative Hodge number computed")
-    return MirrorReport(side, mirror_side)
+    report = MirrorReport(_h32_of_side(delta), _h32_of_side(delta.dual_polytope()))
+    if report.side.value < 0 or report.mirror_side.value < 0:
+        raise InconsistencyError("negative Hodge number computed")
+    return report

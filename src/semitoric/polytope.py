@@ -545,7 +545,9 @@ class LatticePolytope:
     # -- normal fan ----------------------------------------------------------
 
     def normal_fan(self):
-        """Complete fan whose maximal cones are the vertex normal cones."""
+        """Complete fan whose maximal cones are the vertex normal cones.
+        Ray j is the normal of facet j, so the cone dual to a face has the
+        face's `facets` as its rays, and its dimension is d - dim(face)."""
         from .fan import Fan
 
         if self.is_empty or self.dim != self.ambient_dim:

@@ -185,18 +185,6 @@ class SurfaceSlice:
         return R1Piece(self.polynomial, a * self.degree - self.ring.beta0)
 
 
-def _same_cone_in(fan: Fan, cone: ConeRef) -> ConeRef:
-    """The cone of `fan` spanned by the same rays as `cone` (which may come
-    from a different but equal fan with another ray order)."""
-    if cone.fan is fan:
-        return cone
-    try:
-        idx = frozenset(fan.rays.index(g) for g in cone.generators())
-    except ValueError as exc:
-        raise ValidationError("cone rays are not rays of this fan") from exc
-    return fan.cone_ref(idx)
-
-
 class H3Block:
     """One summand of a Hodge piece of H^3, on the coset basis of its R_1 piece."""
 
@@ -233,11 +221,11 @@ class GramBlock:
     def entry(self, i: int, j: int) -> PairingValue:
         """Cell (i, j): a listed cell, else zero times (2 pi i)^2 between two
         link blocks and (2 pi i)^4 otherwise, as `_block_factor` assigns."""
+        rb, _ = _locate(self.row_blocks, i)
+        cb, _ = _locate(self.col_blocks, j)
         v = self.rows[i].get(j)
         if v is not None:
             return v
-        rb, _ = _locate(self.row_blocks, i)
-        cb, _ = _locate(self.col_blocks, j)
         return PairingValue(Fraction(0), 2 if rb.kind == cb.kind == "link" else 4)
 
     def rank(self) -> int:
@@ -319,7 +307,7 @@ class ThreefoldAnalysis:
     def surface(self, sigma: ConeRef) -> SurfaceSlice:
         """The slice of a 2-cone of the coarse fan, or of an equal fan (matched
         by its rays), built once."""
-        sigma = _same_cone_in(self.coarse, sigma)
+        sigma = self.coarse.same_cone(sigma)
         key = sigma.ray_indices
         if key not in self._slices:
             self._slices[key] = SurfaceSlice(self, sigma)
@@ -433,8 +421,9 @@ class ThreefoldAnalysis:
 def _locate(blocks, index: int):
     """The block holding a row (or column) of the concatenated bases, and the
     position inside it."""
-    for block in blocks:
-        if index < block.dim:
-            return block, index
-        index -= block.dim
+    if index >= 0:
+        for block in blocks:
+            if index < block.dim:
+                return block, index
+            index -= block.dim
     raise ValidationError("Gram index out of range")

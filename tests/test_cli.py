@@ -211,7 +211,7 @@ def test_divisor_stratify_verify(tmp_path, capsys, monkeypatch):
     """--verify checks each torus factor against the slice volume
     (D^(d-k) . V(sigma)); the rest of the report is unchanged.  Containers
     that are maximal rather than smallest fail the check."""
-    from semitoric.fan import Fan
+    from semitoric.polytope import LatticePolytope
 
     path = write(tmp_path, "div.json", BLOWUP_PULLBACK)
     code, plain, _ = run(capsys, "divisor", "stratify", "--input", path)
@@ -221,8 +221,9 @@ def test_divisor_stratify_verify(tmp_path, capsys, monkeypatch):
     assert report.pop("verification") == {"slice_volumes_match_torus_factors": True}
     assert report == json.loads(plain)
 
-    monkeypatch.setattr(Fan, "smallest_containing_cone", lambda self, cone: self.cone_ref(
-        self.max_cones[self.max_cone_index(cone.relint_point())]))
+    face_at_direction = LatticePolytope.face_at_direction
+    monkeypatch.setattr(LatticePolytope, "face_at_direction", lambda self, n: next(
+        v for v in self.faces(0) if v.vertex_indices <= face_at_direction(self, n).vertex_indices))
     code, out, _ = run(capsys, "divisor", "stratify", "--input", path, "--verify")
     assert code == 0
     assert json.loads(out)["verification"] == {"slice_volumes_match_torus_factors": False}

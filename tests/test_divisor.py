@@ -11,6 +11,7 @@ from semitoric.fan import ConeRef, Fan
 from semitoric.polytope import vertices_from_inequalities
 
 from .test_acceptance import criterion_2_divisors, semiample_corpus
+from .test_cone_kernel import smallest_containing_cone
 
 P2 = catalog.projective_plane()
 BLOWUP = catalog.blowup_p2()
@@ -173,13 +174,46 @@ def test_stratify():
     assert records[()].container.ray_indices == frozenset()
 
 
+def test_strata_read_off_faces_match_the_locate_route():
+    """Every stratum's face Gamma of Delta_D names its container: the cone of
+    Sigma_D that Fan.locate finds for the sum of the cone's rays has the
+    facets holding Gamma as its rays, and dimension d - dim Gamma."""
+    divisors = [div for div in criterion_2_divisors() if div.is_semiample()]
+    divisors += semiample_corpus()
+    strata = 0
+    for div in divisors:
+        coarse, delta, d = div.sigma_d(), div.section_polytope(), div.fan.dim
+        records = div.stratify()
+        assert [r.cone for r in records] == div.fan.all_cones()
+        for record in records:
+            assert record.face.polytope is delta
+            assert record.container == smallest_containing_cone(coarse, record.cone)
+            assert record.face.facets == record.container.ray_indices
+            assert record.face.dim == d - record.container.dim
+            assert record.torus_factor_dim == record.container.dim - record.cone.dim
+            strata += 1
+    assert strata > 300
+
+
+def test_intersection_number_reads_a_cone_of_another_fan_by_its_rays():
+    """Bl P^2 with its rays 0 and 1 swapped refines P^2; the support function
+    of a line is looked up by where the cone lies, not by its indices."""
+    fine = Fan([(0, 1), (1, 0), (-1, -1), (1, 1)], [[1, 3], [3, 0], [0, 2], [2, 1]])
+    assert fine.is_refinement(P2)
+    line = TorusInvariantDivisor(P2, (0, 0, 1))
+    for r in ((0, 1), (1, 0)):
+        assert line.intersection_number(1, ray(fine, r)) == 1 == line.intersection_number(
+            1, ray(P2, r))
+    assert line.intersection_number(1, ray(fine, (1, 1))) == 0
+
+
 def test_lemma_int_dichotomy_on_blowup():
     coarse = PULLBACK_D3.sigma_d()
     d = BLOWUP.dim
     for cone in BLOWUP.all_cones():
         k = d - cone.dim
         val = PULLBACK_D3.intersection_number(k, cone)
-        container = coarse.smallest_containing_cone(cone)
+        container = smallest_containing_cone(coarse, cone)
         if container.dim == cone.dim:
             assert val > 0
         else:

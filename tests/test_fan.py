@@ -10,7 +10,7 @@ from semitoric.errors import ValidationError
 from semitoric.fan import ConeRef, Fan
 from semitoric.polytope import HPolytope, vertices_from_inequalities
 
-from .test_cone_kernel import cone_contains
+from .test_cone_kernel import cone_contains, smallest_containing_cone
 
 
 def p2_fan():
@@ -122,12 +122,12 @@ def test_refinement_antisymmetry_forces_equality():
 def test_smallest_containing_cone():
     fine, coarse = blowup_fan(), p2_fan()
     exceptional = fine.cone_ref([3])  # the ray (1,1)
-    target = coarse.smallest_containing_cone(exceptional)
+    target = smallest_containing_cone(coarse, exceptional)
     assert target.generators() == ((1, 0), (0, 1))
     shared = fine.cone_ref([0])
-    assert coarse.smallest_containing_cone(shared).generators() == ((1, 0),)
+    assert smallest_containing_cone(coarse, shared).generators() == ((1, 0),)
     zero = fine.cone_ref([])
-    assert coarse.smallest_containing_cone(zero).ray_indices == frozenset()
+    assert smallest_containing_cone(coarse, zero).ray_indices == frozenset()
 
 
 def test_star_fan_of_ray():
@@ -136,6 +136,23 @@ def test_star_fan_of_ray():
     assert star.dim == 1
     assert set(star.rays) == {(1,), (-1,)}
     assert star.is_complete
+
+
+def test_star_of_a_cone_of_an_equal_fan_is_read_by_its_rays():
+    """Another fan's cone is mapped by its generators, not its indices: the
+    ray (0, 1) of a reordered copy of P^2 has the quotient by (0, 1)."""
+    p2 = catalog.projective_plane()
+    p2b = Fan([(0, 1), (1, 0), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+    assert p2b == p2
+    ray = p2b.cone_ref([0])
+    assert p2.same_cone(ray) == p2.cone_ref([1])
+    assert p2.star_projection(ray) == p2.star_projection(p2.cone_ref([1]))
+    assert p2.star_projection(ray)[0] == [(1, 0)]
+    assert p2.star_fan(ray) == p2.star_fan(p2.cone_ref([1]))
+    own = p2.cone_ref([0])
+    assert p2.same_cone(own) is own
+    with pytest.raises(ValidationError):
+        p2.same_cone(blowup_fan().cone_ref([3]))  # the ray (1, 1) is not one of P^2
 
 
 def test_star_fan_of_zero_cone_is_self():

@@ -7,6 +7,8 @@ from semitoric.errors import PreconditionError
 from semitoric.fan import Fan
 from semitoric.hodge import (
     HodgeValue,
+    _bracket,
+    _l_star,
     e_face_values,
     h21_batyrev,
     h_p2,
@@ -18,25 +20,31 @@ from semitoric.lattice import pairing
 from semitoric.polytope import HPolytope, LatticePolytope, vertices_from_inequalities
 
 
+def a_k(counts, gamma, k):
+    """a_k(gamma) read from the counts by the ray set of gamma."""
+    return counts.get((k, gamma.ray_indices), 0)
+
+
 def test_subdivision_counts_trivial():
     fan = catalog.projective_plane()
     counts = subdivision_counts(fan, fan)
     for k in (1, 2):
         for gamma in fan.cones(k):
-            assert counts.a(gamma, k) == 1
+            assert a_k(counts, gamma, k) == 1
         for gamma in fan.cones(k % 2 + 1):
             if gamma.dim != k:
-                assert counts.a(gamma, k) == 0
+                assert a_k(counts, gamma, k) == 0
 
 
 def test_subdivision_counts_blowup():
     fine, coarse = catalog.blowup_p2(), catalog.projective_plane()
     counts = subdivision_counts(fine, coarse)
     target = coarse.cone_ref([0, 1])  # cone(e1, e2) swallowed the new ray
-    assert counts.a(target, 1) == 1
-    assert counts.a(target, 2) == 2
+    assert a_k(counts, target, 1) == 1
+    assert a_k(counts, target, 2) == 2
     for ray in coarse.cones(1):
-        assert counts.a(ray, 1) == 1
+        assert a_k(counts, ray, 1) == 1
+    assert sum(counts.values()) == len(fine.rays) + len(fine.cones(2))
 
 
 def test_mpcp_identity_on_sec6():
@@ -50,7 +58,7 @@ def test_mpcp_identity_on_sec6():
             face = delta.face_at_direction(gamma.relint_point())
             dual_face = delta.dual_face(face)
             expected = len(dual_face.as_polytope().relative_interior_points())
-            assert counts.a(gamma, 1) == expected
+            assert a_k(counts, gamma, 1) == expected
 
 
 def test_mpcp_identity_on_square():
@@ -61,7 +69,7 @@ def test_mpcp_identity_on_square():
     for gamma in coarse.cones(1):
         face = square.face_at_direction(gamma.relint_point())
         dual_face = square.dual_face(face)
-        assert counts.a(gamma, 1) == len(
+        assert a_k(counts, gamma, 1) == len(
             dual_face.as_polytope().relative_interior_points())
 
 
@@ -70,7 +78,7 @@ def test_a1_additivity():
     fine = triangulation_helper(delta.dual_polytope())
     coarse = delta.normal_fan()
     counts = subdivision_counts(fine, coarse)
-    assert sum(counts.a1.values()) == len(fine.rays)
+    assert sum(n for (k, _), n in counts.items() if k == 1) == len(fine.rays)
 
 
 def test_e_face_values_zero_face():
@@ -108,18 +116,56 @@ def test_h_p2_sec6_trivial_subdivision_vanishes():
     coarse = delta.normal_fan()
     fine = triangulation_helper(delta.dual_polytope())
     assert fine == coarse  # no extra points, no subdivision
-    assert h_p2(delta, fine, coarse, 3) == 0
+    assert h_p2(delta, fine, 3) == 0
 
 
 def test_h_p2_range_validation():
     delta = catalog.sec6_polytope()
     coarse = delta.normal_fan()
     with pytest.raises(PreconditionError):
-        h_p2(delta, coarse, coarse, 2)
+        h_p2(delta, coarse, 2)
     with pytest.raises(PreconditionError):
-        h_p2(delta, coarse, coarse, 4)  # p = d - 3
+        h_p2(delta, coarse, 4)  # p = d - 3
     with pytest.raises(PreconditionError):
-        h_p2(delta, coarse, coarse, 6)  # p = d - 1: the strata degenerate
+        h_p2(delta, coarse, 6)  # p = d - 1: the strata degenerate
+
+
+def h_p2_over_cones(delta, fine, p):
+    """The oracle for h_p2: both sums over the cones of the normal fan, each
+    face found by its direction, a_k by the cone of the normal fan that
+    `Fan.locate` finds for the sum of the rays of each fine cone."""
+    coarse, d = delta.normal_fan(), fine.dim
+    counts = {}
+    for k in (1, 2):
+        for sigma in fine.cones(k):
+            key = (k, coarse.locate(sigma.relint_point()).ray_indices)
+            counts[key] = counts.get(key, 0) + 1
+    total = 0
+    for gamma in coarse.cones(p):
+        if a_k(counts, gamma, 1):
+            total += a_k(counts, gamma, 1) * _bracket(
+                delta.face_at_direction(gamma.relint_point()), d, p)
+    for gamma in coarse.cones(p + 2):
+        coeff = a_k(counts, gamma, 2) - (p + 1) * a_k(counts, gamma, 1) - sum(
+            a_k(counts, tau, 1) for tau in coarse.cones(p + 1)
+            if tau.ray_indices <= gamma.ray_indices)
+        total += _l_star(delta.face_at_direction(gamma.relint_point())) * coeff
+    return total
+
+
+def test_h_p2_over_faces_matches_the_sums_over_cones():
+    """Octahedron x diamond (d = 5, p = 3): its dual has 22 lattice points
+    off the vertices and the origin, so the refinement subdivides and the
+    value is not 0."""
+    octahedron, diamond = catalog.cross_polytope(3), catalog.cross_polytope(2)
+    delta = LatticePolytope([a + b for a in octahedron.vertices for b in diamond.vertices])
+    fine = triangulation_helper(delta.dual_polytope())
+    assert h_p2(delta, fine, 3) == h_p2_over_cones(delta, fine, 3) == 36
+    for delta in (catalog.sec6_polytope(), anticanonical((1, 1, 1, 1, 1, 3))):
+        fine = triangulation_helper(delta.dual_polytope())
+        for p in (3, delta.dim - 2):
+            if p != delta.dim - 3:
+                assert h_p2(delta, fine, p) == h_p2_over_cones(delta, fine, p)
 
 
 def test_h21_batyrev_quintic():
@@ -170,10 +216,10 @@ def test_triangulation_helper_3d_cube():
 
 def test_mirror_check_sec6():
     rep = mirror_check(catalog.sec6_polytope())
-    assert rep.side.value(3, 2) == 0
-    assert rep.mirror_side.value(3, 2) >= 1
+    assert rep.side.value == 0
+    assert rep.mirror_side.value >= 1
     assert not rep.symmetric
-    witness = rep.mirror_side.values[0].witnesses[0]
+    witness = rep.mirror_side.witnesses[0]
     n0 = [-2, -2, -2, -2, -3, -3, -3]
     assert n0 in witness["face"]
     assert [-1, -1, -1, -1, -2, -2, -2] in witness["double_face_interior_points"]
@@ -203,7 +249,9 @@ def test_triangulation_helper_two_orders_same_rays():
     assert fine_b.is_refinement(dual_fan)
     counts_a = subdivision_counts(fine_a, dual_fan)
     counts_b = subdivision_counts(fine_b, dual_fan)
-    assert counts_a.a1 == counts_b.a1  # ray classification is order-independent
+    rays_a = {key: n for key, n in counts_a.items() if key[0] == 1}
+    rays_b = {key: n for key, n in counts_b.items() if key[0] == 1}
+    assert rays_a == rays_b  # ray classification is order-independent
 
 
 # -- the labelled table against per-face enumeration ------------------------------
@@ -352,8 +400,8 @@ def test_mirror_check_sec6_enumerates_delta_once(monkeypatch):
     rep = mirror_check(delta)
     assert [n for p, n in enumerated if p == delta] == [4323]
     assert delta not in dilated
-    assert (rep.side.value(3, 2), rep.mirror_side.value(3, 2)) == (0, 10)
-    witnesses = rep.mirror_side.values[0].witnesses
+    assert (rep.side.value, rep.mirror_side.value) == (0, 10)
+    witnesses = rep.mirror_side.witnesses
     for w in witnesses:
         for key in ("double_face_interior_points", "subdividing_points"):
             assert w[key] == sorted(w[key])
@@ -361,6 +409,6 @@ def test_mirror_check_sec6_enumerates_delta_once(monkeypatch):
 
 
 def test_hodge_values_do_not_share_default_witnesses():
-    a, b = HodgeValue(3, 2, 0, "formula"), HodgeValue(3, 2, 0, "formula")
+    a, b = HodgeValue(0), HodgeValue(0)
     a.witnesses.append({"face": []})
-    assert b.witnesses == [] and HodgeValue(3, 2, 0, "formula").witnesses == []
+    assert b.witnesses == [] and HodgeValue(0).witnesses == []

@@ -31,6 +31,10 @@ REMOVED = (
     "_read_face",           # Face.as_polytope sets the points
     "hrep",                 # vertices_from_inequalities sets ambient_dim
     "_ample",               # find_ample keeps no memo on the fan
+    "smallest_containing_cone",  # StratumRecord.container, read off Delta_D's faces
+    "SubdivisionCounts",    # subdivision_counts returns {(k, ray set): a_k}
+    "HodgeReport",          # MirrorReport holds one HodgeValue per side
+    "_same_cone_in",        # Fan.same_cone
 )
 
 

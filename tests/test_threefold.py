@@ -9,7 +9,7 @@ import pytest
 from semitoric import catalog, cli, coxring, lattice, residue, threefold
 from semitoric.coxring import CoxRing, R1Piece
 from semitoric.divisor import TorusInvariantDivisor
-from semitoric.errors import CertificateError, PreconditionError
+from semitoric.errors import CertificateError, PreconditionError, ValidationError
 from semitoric.hodge import h21_batyrev
 from semitoric.residue import PairingValue
 from semitoric.threefold import (
@@ -188,6 +188,18 @@ def test_gram_crepant_full_rank_and_vanishing(crepant_analysis):
                         assert g.entry(offset_r + i, offset_c + j).is_zero()
             offset_c += cb.dim
         offset_r += rb.dim
+
+
+def test_gram_indices_are_bounds_checked(crepant_analysis):
+    """A negative index or one past the end is refused by both routes; -1
+    is not read as the last monomial of the first block."""
+    g = crepant_analysis.gram(1, 2)
+    assert len(g.rows) == g.columns == 86
+    for call in (lambda: crepant_analysis.entry_by_polynomials(1, -1, 0),
+                 lambda: crepant_analysis.entry_by_polynomials(1, 0, 86),
+                 lambda: g.entry(86, 0), lambda: g.entry(-1, 0), lambda: g.entry(0, -1)):
+        with pytest.raises(ValidationError, match="Gram index out of range"):
+            call()
 
 
 def test_gram_skew_symmetry_between_levels(quintic_analysis, crepant_analysis,

@@ -386,12 +386,13 @@ def cmd_hodge_h_p2(doc, verify):
 
 
 def _face_counts_verification(*polys):
-    """Recount every face count of each labelled table the polytopes built,
-    one face at a time as its own (dilated) polytope."""
+    """Recount and relist the interior points of every face of each labelled
+    table the polytopes built, one face at a time as its own (dilated) polytope."""
     return {"face_counts_match_per_face_enumeration": all(
-        face.interior_points(k) == face.as_polytope().dilate(k).relative_interior_points()
+        (face.count_interior_points(k), face.interior_points(k)) == (len(pts), pts)
         for poly in polys for k in sorted(poly.labelled_dilations())
-        for face in poly.all_faces())}
+        for face in poly.all_faces()
+        for pts in [face.as_polytope().dilate(k).relative_interior_points()])}
 
 
 def cmd_hodge_h21(doc, verify):

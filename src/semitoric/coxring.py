@@ -371,11 +371,12 @@ class CoxRing:
                                         f"{top}, past the 2^{SLOT - 1} that monomial codes hold")
             form = ([sum(e[j] << s for e, s in zip(rays, self._shifts)) for j in range(self.d)],
                     sum(ai << s for ai, s in zip(a, self._shifts)))
-            # along a run of the scan the code steps by the form's last
+            # the code is the first of a run's sums and steps by the form's last
             # coefficient, so each run is one range of codes; codes are
             # injective, so a run with step 0 (rays past 2^SLOT) is one point
             runs, (step,) = _integer_runs(*_widest_last(ineqs, lo, hi, [form]))
-            for (v,), lo_t, hi_t in runs:
+            for sums, lo_t, hi_t in runs:
+                v = sums[0]
                 codes.extend(range(v + step * lo_t, v + step * (hi_t + 1), step) if step else (v,))
             codes.sort()
         basis = GradedPieceBasis(beta, codes, {c: i for i, c in enumerate(codes)})

@@ -45,23 +45,24 @@ def cone_rows(generators, dim):
 
 
 class ConeRef:
-    """A cone of a fan, identified by its set of ray indices."""
+    """A cone of a fan, named by its ray indices, compared by its rays."""
 
-    __slots__ = ("fan", "ray_indices", "dim")
+    __slots__ = ("fan", "ray_indices", "dim", "_rays")
 
     def __init__(self, fan: Fan, ray_indices: frozenset, dim: int):
         self.fan = fan
         self.ray_indices = ray_indices
         self.dim = dim
+        self._rays = frozenset(fan.rays[i] for i in ray_indices)
 
     def __eq__(self, other):
         if other.__class__ is not ConeRef:
             return NotImplemented
-        return (self.fan, self.ray_indices, self.dim) == (
-            other.fan, other.ray_indices, other.dim)
+        return (self._rays == other._rays and self.dim == other.dim
+                and (self.fan is other.fan or self.fan == other.fan))
 
     def __hash__(self):
-        return hash((self.fan, self.ray_indices, self.dim))
+        return hash((self._rays, self.dim))
 
     def generators(self):
         return tuple(self.fan.rays[i] for i in sorted(self.ray_indices))

@@ -5,8 +5,9 @@ the reflexive-polytope formula for h^{2,1} of crepant Calabi-Yau threefolds,
 and the end-to-end mirror comparison that exhibits the failure of Hodge-number
 duality for singular 7-dimensional mirror pairs.
 
-Every count l*(k theta) is read from the labelled lattice points of the
-parent polytope (``Face.interior_points``); no face is rebuilt as a polytope.
+Every count l*(k theta) adds up run lengths in the labelled scan of the
+parent polytope (``Face.count_interior_points``); no face is rebuilt as a
+polytope, and points are listed only for the mirror comparison's witnesses.
 The cones of the coarse fan, the normal fan of the section polytope, are
 named by the faces dual to them: ray j of the normal fan is facet j, so a
 cone's ray set is the ``facets`` of its face.
@@ -49,8 +50,8 @@ def _as_face(face) -> Face:
 
 
 def _l_star(face: Face, k: int = 1) -> int:
-    """l*(k face), read from the polytope's labelled table."""
-    return len(face.interior_points(k))
+    """l*(k face), counted off the polytope's labelled table."""
+    return face.count_interior_points(k)
 
 
 def _facet_interior_sum(face: Face) -> int:
@@ -126,12 +127,12 @@ def h21_batyrev(delta: LatticePolytope) -> int:
     l*(face) l*(dual face), for a 4-dimensional reflexive polytope."""
     if delta.ambient_dim != 4 or not delta.is_reflexive():
         raise PreconditionError("the formula is for 4-dimensional reflexive polytopes")
-    total = len(delta.lattice_points()) - 5
+    total = -5
     for theta in delta.faces(3):
         total -= _l_star(theta)
     for theta in delta.faces(2):
         total += _l_star(theta) * _l_star(delta.dual_face(theta))
-    return total
+    return total + delta.count_lattice_points()   # read off the table the counts built
 
 
 # -- triangulations with all boundary points as rays -----------------------------------
@@ -201,23 +202,21 @@ def _h32_of_side(section: LatticePolytope) -> HodgeValue:
     d = section.ambient_dim
     p = d - 4  # h^{d-1-p,2} = h^{3,2}
     dual = section.dual_polytope()
+    carriers = [f for f in dual.faces(2) if _l_star(f)]   # builds the dual's table for the count
     # the origin is the only lattice point of a reflexive polytope off its boundary
-    only_vertices = len(dual.lattice_points()) == len(dual.vertices) + 1
-    second_sum_weights = [
-        _l_star(dual.dual_face(f)) for f in dual.faces(p + 1)]
+    only_vertices = dual.count_lattice_points() == len(dual.vertices) + 1
+    second_sum_weights = [_l_star(dual.dual_face(f)) for f in dual.faces(p + 1)]
     if only_vertices or any(second_sum_weights):
         return HodgeValue(h_p2(section, triangulation_helper(dual), p))
 
     total = 0
     witnesses = []
-    for f in dual.faces(2):
-        pts = f.interior_points()
-        if not pts:
-            continue
+    for f in carriers:
         gamma_face = dual.dual_face(f)
         bracket = _bracket(gamma_face, d, p)
         if bracket == 0:
             continue
+        pts = f.interior_points()
         total += len(pts) * bracket
         witnesses.append({
             "face": [list(v) for v in gamma_face.vertices()],

@@ -20,34 +20,32 @@ facet cones of the MPCP helper in ``hodge.py``.
 
 Every lattice point comes from one scan, ``_integer_runs``, which carries
 the values of affine forms and inequalities down its levels, updating at
-each level only those that move there, instead of recomputing them per
-point.  It returns the points as runs along the last coordinate, which its
-callers make the widest (``_widest_last``); along a run each form steps by
-its last coefficient.  ``_enumerate_integer_points`` lists the values at
-every point (ambient coordinates and slacks here); ``coxring.py`` reads one
-range of monomial codes off each run, and
+each level only those that move there.  It returns the points as runs
+along the last coordinate, which its callers make the widest
+(``_widest_last``); along a run each form steps by its last coefficient.
+``coxring.py`` reads one range of monomial codes off each run, and
 ``LatticePolytope.count_lattice_points`` adds up the run lengths.  The scan
 counts its intervals before it visits them and raises ``PreconditionError``
 once the count passes ``SCAN_LIMIT``, so a polytope too large to list is
-refused at once instead of running with no end.  Each face records the
-facets that contain it, and its dimension comes from the closure; the face
-on which a direction is least is looked up there by its vertex set.  Face
-counts come from the same scan, once per polytope and dilation factor k:
-every lattice point of kP is labelled by the facets whose slack is zero at
-it, and a point lies in the relative interior of k*theta exactly when its
-label is the facet set of theta, so ``Face.interior_points(k)`` is a lookup,
-not a new polytope; ``Face.as_polytope()`` builds its polytope with the
-points of the k = 1 table whose label holds its facets, or without points
-when that scan is refused.
+refused at once.  Each face records the facets that contain it, and its
+dimension comes from the closure; the face on which a direction is least
+is looked up there by its vertex set.  Face counts come from one scan per
+polytope and dilation factor k, kept as runs (``RunTable``): a slack is
+linear and >= 0 along a run, so it is zero along the run, at one end or
+nowhere, and each run is cut into at most three segments, labelled by the
+facets tight along them.  The points labelled with the facet set of a face
+theta are the relative interior of k*theta: ``Face.count_interior_points``
+adds up lengths, and points are listed only when asked, label by label
+(``Face.interior_points``; ``Face.as_polytope``, from the k = 1 table, or
+without points when that scan is refused; ``lattice_points``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import lcm
-from operator import not_
 
 from . import lattice
 from .errors import PreconditionError, RationalVertexError, ValidationError
@@ -106,42 +104,43 @@ SCAN_LIMIT = 10**6
 
 def _integer_runs(ineqs, lo, hi, forms):
     """(runs, last): the integer points t of the box with a·t >= c for each
-    inequality (a, c), as runs (values, lo_t, hi_t) in lexicographic order
+    inequality (a, c), as runs (sums, lo_t, hi_t) in lexicographic order
     of t, and `last`, the last coefficient of each affine form (f, f0).
-    Along a run the last coordinate of t goes from lo_t to hi_t, and the
-    values f·t + f0 of the forms start at `values` and step by `last`.  The
-    slack of an inequality is the form (a, -c).  With no form the runs still
+    Along a run the last coordinate of t goes from lo_t to hi_t; `sums`
+    holds the forms f·t + f0 at t_last = 0, which step by `last`, then a·t
+    less its last term for each inequality.  With no form the runs still
     count the points; with no coordinate, the one run has lo_t = hi_t = 0.
 
-    Depth-first scan with per-level interval tightening.  The partial sums
-    a·t and the forms go down the levels in one list, and a level reads and
+    Depth-first scan with per-level interval tightening.  The forms and the
+    partial sums a·t go down the levels in one list, and a level reads and
     updates only those with a nonzero coefficient there: what an inequality
     still needs, c - a·t - (the most the coordinates >= j can add), is <= 0
     after a level where its coefficient is nonzero and does not move where
     it is zero, so one check at the root stands in for those levels.  The
     caller picks the run coordinate by the order it gives (``_widest_last``).
-    The stack is explicit, so no reference cycle is left behind.  Each
-    tightened interval is counted when it is found, before any of it is
-    visited, so an input past `SCAN_LIMIT` raises `PreconditionError` after
-    a few levels, not after the work.
+    The stack is explicit, so no reference cycle is left behind, and runs
+    share lists of sums, which never change once made.  Each tightened
+    interval is counted when it is found, before any of it is visited, so
+    an input past `SCAN_LIMIT` raises `PreconditionError` after a few
+    levels, not after the work.
     """
-    k, m = len(lo), len(ineqs)
-    last = [f[-1] for f, _ in forms] if k else [0] * len(forms)
+    k, m, n = len(lo), len(ineqs), len(forms)
+    last = [f[-1] for f, _ in forms] if k else [0] * n
     # rest[j][i]: largest possible contribution of coordinates >= j to inequality i
     rest = [[0] * m for _ in range(k + 1)]
     for j in range(k - 1, -1, -1):
         rest[j] = [r + max(a[j] * lo[j], a[j] * hi[j]) for r, (a, _) in zip(rest[j + 1], ineqs)]
     if any(l > h for l, h in zip(lo, hi)) or any(c > r for (_, c), r in zip(ineqs, rest[0])):
         return [], last
-    sums = [0] * m + [f0 for _, f0 in forms]   # the partial sums a·t, then the forms
+    sums = [f0 for _, f0 in forms] + [0] * m   # the forms, then the partial sums a·t
     if k == 0:
-        return [(sums[m:], 0, 0)], last
-    # levels[j]: the (i, a_ij, c_i - rest[j + 1][i]) with a_ij != 0
-    levels = [[(i, a[j], c - r) for i, ((a, c), r) in enumerate(zip(ineqs, rest[j + 1])) if a[j]]
-              for j in range(k)]
+        return [(sums, 0, 0)], last
+    # levels[j]: the (index into sums, a_ij, c_i - rest[j + 1][i]) with a_ij != 0
+    levels = [[(n + i, a[j], c - r) for i, ((a, c), r) in enumerate(zip(ineqs, rest[j + 1]))
+               if a[j]] for j in range(k)]
     # moved[j]: the (index into sums, coefficient) of what moves at level j
-    moved = [[(i, a) for i, a, _ in level] + [(m + i, f[j]) for i, (f, _) in enumerate(forms)
-                                               if f[j]] for j, level in enumerate(levels)]
+    moved = [[(i, a) for i, a, _ in level] + [(i, f[j]) for i, (f, _) in enumerate(forms)
+                                              if f[j]] for j, level in enumerate(levels)]
     # a frame (j, sums, t, hi_j) is the rest t..hi_j of the interval of
     # coordinate j; the child at t is visited before the rest
     frames, runs, steps, j = [], [], 0, 0
@@ -162,7 +161,7 @@ def _integer_runs(ineqs, lo, hi, forms):
                 raise PreconditionError(f"more than {SCAN_LIMIT:,} steps to list the integer "
                                         f"points of a polytope; it is too large to enumerate")
             if j == k - 1:   # the tightened interval is exact at the last coordinate
-                runs.append((sums[m:], lo_j, hi_j))
+                runs.append((sums, lo_j, hi_j))
             else:
                 frames.append((j, sums, lo_j, hi_j))
         if not frames:
@@ -188,14 +187,30 @@ def _widest_last(ineqs, lo, hi, forms):
     return ineqs, [lo[j] for j in order], [hi[j] for j in order], forms
 
 
-def _enumerate_integer_points(ineqs, lo, hi, forms):
-    """Yield the values of the affine forms at every point of
-    `_integer_runs`, in its order: along a run each form is one range."""
-    runs, last = _integer_runs(ineqs, lo, hi, forms)
+def _expand(runs, last):
+    """The values of the forms at every point of the runs, run by run:
+    along a run each form is one range."""
     for values, lo_t, hi_t in runs:
         n = hi_t - lo_t + 1
         yield from zip(*[range(v + s * lo_t, v + s * (hi_t + 1), s) if s else repeat(v, n)
                          for v, s in zip(values, last)])
+
+
+class RunTable(namedtuple("RunTable", ["segments", "last"])):
+    """The lattice points of one scan by label: `segments` maps a facet index
+    set to the pieces (sums, lo_t, hi_t) of ``_integer_runs`` tight at
+    exactly those facets, along which the coordinates step by `last`."""
+
+    __slots__ = ()
+
+    def count(self, labels) -> int:
+        """The number of points with one of the labels."""
+        return sum(hi - lo + 1 for label in labels for _, lo, hi in self.segments.get(label, ()))
+
+    def points(self, labels):
+        """The points with one of the labels, in lexicographic order."""
+        return sorted(_expand([s for label in labels for s in self.segments.get(label, ())],
+                              self.last))
 
 
 class LatticePolytope:
@@ -227,9 +242,8 @@ class LatticePolytope:
         self._pulls = {}  # (vertex index set, reverse) -> pulling triangulation
         self._polar = None
         self._lattice_points = None
-        self._table = None  # {facet index set: lex-sorted lattice points}, set by _points
         self._reflexive = None
-        self._labels = {}  # k -> the table of kP, for each k asked for
+        self._labels = {}  # k -> the RunTable of kP, for each k asked for
 
     # -- basic structure ---------------------------------------------------
 
@@ -367,88 +381,85 @@ class LatticePolytope:
             out.append((a, r - lattice.pairing(span.anchor, n)))
         return out
 
-    def _scan_box(self, strict: bool):
-        """(ineqs, lo, hi, span_ineqs): the scan of the integer points of P
-        (of its relative interior when strict) in span coordinates t, which
-        read relative to the anchor, and the facet inequalities unrounded."""
-        k = len(self._span_data().basis)
+    def _scan(self, strict: bool, listed: bool = True):
+        """(runs, last, ineqs, span_ineqs): `_integer_runs` over the integer
+        points of P (of its relative interior when strict) in span
+        coordinates t, which read relative to the anchor, the ambient
+        coordinates its forms when listed; its inequalities (coordinates
+        reordered) and the facet inequalities unrounded."""
+        span = None if self.is_empty else self._span_data()
+        if span is None or span.anchor is None:
+            return [], [], [], []
         tcoords = [self._to_span_coords(v) for v in self.vertices]
-        lo = [_ceil(min(t[j] for t in tcoords)) for j in range(k)]
-        hi = [_floor(max(t[j] for t in tcoords)) for j in range(k)]
+        lo = [_ceil(min(t)) for t in zip(*tcoords)]
+        hi = [_floor(max(t)) for t in zip(*tcoords)]
         span_ineqs = self._span_inequalities()
         ineqs = [(a, _floor(c) + 1 if strict else _ceil(c)) for a, c in span_ineqs]
-        return ineqs, lo, hi, span_ineqs
-
-    def _scan(self, strict: bool):
-        """(rows, tight): one unsorted row per integer point x of P (of its
-        relative interior when strict), x followed by its slacks at the
-        facets in tight, those with an integer rhs unless strict (no other
-        facet is tight at a lattice point)."""
-        if self.is_empty:
-            return [], []
-        span = self._span_data()
-        basis, anchor = span.basis, span.anchor
-        if anchor is None:
-            return [], []
-        ineqs, lo, hi, span_ineqs = self._scan_box(strict)
-        tight = [] if strict else [i for i, (_, c) in enumerate(span_ineqs)
-                                   if type(c) is int]
         # x = anchor + sum_j t_j b_j, one form per ambient coordinate
-        forms = [(tuple(b[i] for b in basis), anchor[i]) for i in range(self.ambient_dim)]
-        forms += [(span_ineqs[i][0], -span_ineqs[i][1]) for i in tight]
-        return _enumerate_integer_points(*_widest_last(ineqs, lo, hi, forms)), tight
+        forms = [(tuple(b[i] for b in span.basis), span.anchor[i])
+                 for i in range(self.ambient_dim if listed else 0)]
+        ineqs, lo, hi, forms = _widest_last(ineqs, lo, hi, forms)
+        return *_integer_runs(ineqs, lo, hi, forms), ineqs, span_ineqs
 
-    def _points(self, strict: bool):
-        """The integer points of P (of its relative interior when strict),
-        in lexicographic order.  Unless strict, the same scan labels each
-        point by its zero slacks into the table of ``labelled_points``."""
-        rows, tight = self._scan(strict)
-        if strict:
-            return sorted(rows)
-        d = self.ambient_dim
-        points, groups = [], {}
-        for row in rows:
-            x = row[:d]
-            points.append(x)
-            groups.setdefault(tuple(compress(tight, map(not_, row[d:]))), []).append(x)
-        self._table = {frozenset(label): tuple(sorted(pts)) for label, pts in groups.items()}
-        points.sort()
-        return points
+    def _run_table(self) -> RunTable:
+        """One scan of P, each run cut where its label changes.  A slack is
+        zero along a run (its last coefficient 0), at the end where it is
+        least, or nowhere, as the scan's sums at that end tell; only a facet
+        with an integer rhs is tight at a lattice point."""
+        runs, last, ineqs, span_ineqs = self._scan(strict=False)
+        flat, up, down = [], [], []   # (facet, index into sums, last coefficient, rhs)
+        for f, ((a, c), (_, r)) in enumerate(zip(ineqs, span_ineqs)):
+            if type(r) is int:
+                (flat if not a[-1] else up if a[-1] > 0 else down).append(
+                    (f, len(last) + f, a[-1], c))
+        groups = {}
+        for run in runs:
+            sums, lo, hi = run
+            inner = tuple([f for f, i, _, c in flat if sums[i] == c])
+            at_lo = tuple([f for f, i, a, c in up if sums[i] + a * lo == c])
+            at_hi = tuple([f for f, i, a, c in down if sums[i] + a * hi == c])
+            if lo == hi or not (at_lo or at_hi):
+                pieces = ((inner + at_lo + at_hi, run),)
+            else:   # the ends tight at more facets, then the rest
+                lo_in, hi_in = lo + bool(at_lo), hi - bool(at_hi)
+                pieces = ((inner + at_lo, (sums, lo, lo_in - 1)), (inner, (sums, lo_in, hi_in)),
+                          (inner + at_hi, (sums, hi_in + 1, hi)))
+            for label, piece in pieces:
+                if piece[1] <= piece[2]:
+                    groups.setdefault(label, []).append(piece)
+        return RunTable({frozenset(label): segs for label, segs in groups.items()}, last)
 
     def lattice_points(self):
         """All integer points, in lexicographic order (a fresh list; the
-        enumeration runs once per polytope, and labels the points)."""
+        points are listed off the labelled table once per polytope)."""
         if self._lattice_points is None:
-            self._lattice_points = self._points(strict=False)
+            table = self.labelled_points(1)
+            self._lattice_points = table.points(table.segments)
         return list(self._lattice_points)
 
     def count_lattice_points(self) -> int:
-        """The number of integer points: the length of their list once it is
-        made or read off a parent, else the run lengths of one scan, listing none."""
+        """The number of integer points, read off their list or labelled table
+        once either is made, else the run lengths of a scan with no form."""
         if self._lattice_points is not None:
             return len(self._lattice_points)
-        if self.is_empty or self._span_data().anchor is None:
-            return 0
-        runs, _ = _integer_runs(*_widest_last(*self._scan_box(strict=False)[:3], []))
-        return sum(hi_t - lo_t + 1 for _, lo_t, hi_t in runs)
+        if 1 in self._labels:
+            return self._labels[1].count(self._labels[1].segments)
+        return sum(hi_t - lo_t + 1 for _, lo_t, hi_t in self._scan(strict=False, listed=False)[0])
 
     def relative_interior_points(self):
         """Integer points strictly inside every facet of the affine span."""
-        return self._points(strict=True)
+        return sorted(_expand(*self._scan(strict=True)[:2]))
 
-    def labelled_points(self, k: int = 1):
-        """{facet index set: lex-sorted tuple of the lattice points of kP
-        tight at exactly those facets}, from the one scan of kP.
+    def labelled_points(self, k: int = 1) -> RunTable:
+        """The lattice points of kP by the facets tight at them, from one
+        scan of kP, as runs (``RunTable``).
 
         The points labelled with the facet set of a face theta are those in
         the relative interior of k*theta.  The table is shared: read only.
         """
         table = self._labels.get(k)
         if table is None:
-            kp = self if k == 1 else self.dilate(k)
-            if kp._table is None:
-                kp._lattice_points = kp._points(strict=False)
-            table = self._labels[k] = kp._table
+            table = self._labels[k] = (self if k == 1 else self.dilate(k))._run_table()
         return table
 
     def labelled_dilations(self):
@@ -601,9 +612,12 @@ class Face:
         return tuple(self.polytope.vertices[i] for i in sorted(self.vertex_indices))
 
     def interior_points(self, k: int = 1):
-        """Lattice points in the relative interior of k * face, in
-        lexicographic order, read from the polytope's labelled table."""
-        return list(self.polytope.labelled_points(k).get(self.facets, ()))
+        """Lattice points in the relative interior of k * face, lex-sorted."""
+        return self.polytope.labelled_points(k).points((self.facets,))
+
+    def count_interior_points(self, k: int = 1) -> int:
+        """l*(k * face): the lengths of its segments in the labelled table."""
+        return self.polytope.labelled_points(k).count((self.facets,))
 
     def as_polytope(self) -> LatticePolytope:
         """The face as its own polytope, built with its lattice points: those
@@ -616,8 +630,8 @@ class Face:
             table = self.polytope.labelled_points(1)
         except PreconditionError:
             return poly
-        poly._lattice_points = sorted(x for label, xs in table.items()
-                                      if self.facets <= label for x in xs)
+        poly._lattice_points = table.points([label for label in table.segments
+                                             if self.facets <= label])
         return poly
 
     def __repr__(self):

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import semitoric
-from semitoric import catalog, cli, linalg, residue
+from semitoric import catalog, cli, linalg, polytope, residue
 from semitoric.cli import main
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import InconsistencyError
-from semitoric.polytope import LatticePolytope
+from semitoric.polytope import LatticePolytope, RunTable
 from semitoric.residue import CupProduct, PairingValue, ResidueMap, admissible_index_sets
 from semitoric.threefold import GramBlock, ThreefoldAnalysis
 
@@ -618,7 +618,7 @@ def test_ring_dims_builds_each_piece_once(tmp_path, capsys, monkeypatch):
                                            (("mirror", "check"), "sec6_polytope.json")])
 def test_face_counts_verify(tmp_path, capsys, monkeypatch, command, name):
     """--verify recounts the labelled table face by face and changes nothing
-    else; a wrong table shows as a failed check."""
+    else; a table missing a point shows as a failed check."""
     path = write(tmp_path, name, fixture(name))
     code, plain, _ = run(capsys, *command, "--input", path)
     assert code == 0
@@ -631,10 +631,13 @@ def test_face_counts_verify(tmp_path, capsys, monkeypatch, command, name):
     labelled = LatticePolytope.labelled_points
 
     def dropping(self, k=1):
-        table = dict(labelled(self, k))
-        label = max(table, key=lambda facets: (len(table[facets]), sorted(facets)))
-        table[label] = table[label][1:]
-        return table
+        table = labelled(self, k)
+        segments = dict(table.segments)
+        # the most points, then the fewest facets
+        label = max(segments, key=lambda facets: (table.count([facets]), -len(facets)))
+        (values, lo, hi), *rest = segments[label]
+        segments[label] = [(values, lo + 1, hi)] + rest   # one point fewer
+        return RunTable(segments, table.last)
 
     monkeypatch.setattr(LatticePolytope, "labelled_points", dropping)
     code, out, _ = run(capsys, *command, "--input", path, "--verify")
@@ -676,7 +679,8 @@ def test_ring_dims_verify(tmp_path, capsys, monkeypatch, doc):
 
 def test_h_p2_verify(tmp_path, capsys, monkeypatch):
     """--verify recounts the tables of the section polytope that h-p2 read;
-    a wrong table shows as a failed check."""
+    a table with an extra point shows as a failed check, and so does one
+    whose counts are off by one while its lists are right."""
     doc = fixture("sec6_polytope.json")
     doc["p"] = 3
     doc["refinement"] = "mpcp"
@@ -692,15 +696,42 @@ def test_h_p2_verify(tmp_path, capsys, monkeypatch):
     labelled = LatticePolytope.labelled_points
 
     def adding(self, k=1):
-        table = dict(labelled(self, k))
-        label = min(table, key=lambda facets: (len(table[facets]), sorted(facets)))
-        table[label] += ((0,) * self.ambient_dim,)
-        return table
+        table = labelled(self, k)
+        segments = dict(table.segments)
+        label = min(segments, key=lambda facets: (table.count([facets]), sorted(facets)))
+        segments[label] = segments[label] + [((0,) * self.ambient_dim, 0, 0)]   # the origin
+        return RunTable(segments, table.last)
 
     monkeypatch.setattr(LatticePolytope, "labelled_points", adding)
     code, out, _ = run(capsys, "hodge", "h-p2", "--input", path, "--verify")
     assert code == 0
     assert json.loads(out)["verification"] == {"face_counts_match_per_face_enumeration": False}
+
+    monkeypatch.undo()
+    count = RunTable.count
+    monkeypatch.setattr(RunTable, "count", lambda self, labels: count(self, labels) + 1)
+    code, out, _ = run(capsys, "hodge", "h-p2", "--input", path, "--verify")
+    assert code == 0
+    assert json.loads(out)["verification"] == {"face_counts_match_per_face_enumeration": False}
+
+
+def test_divisor_reports_count_lattice_points_without_listing_them(monkeypatch):
+    """Work guard: `divisor analyze --verify`, and `divisor sigma-d` on the
+    semiample ones, over the divisors of criterion 2 make 21 scans, each
+    with no form: a count adds up run lengths, with no labelled table."""
+    from .test_acceptance import criterion_2_divisors
+
+    calls = []
+    scan = polytope._integer_runs
+    monkeypatch.setattr(polytope, "_integer_runs",
+                        lambda *args: calls.append(args[3]) or scan(*args))
+    for div in criterion_2_divisors():
+        doc = {"fan": {"rays": [list(r) for r in div.fan.rays],
+                       "max_cones": [sorted(c) for c in div.fan.max_cones]},
+               "coeffs": list(div.coeffs)}
+        if cli.cmd_divisor_analyze(doc, True).get("semiample"):
+            cli.cmd_divisor_sigma_d(doc, False)
+    assert len(calls) == 21 and all(forms == [] for forms in calls)
 
 
 def test_output_to_file_and_determinism(tmp_path, capsys):

@@ -87,6 +87,22 @@ def test_cone_refs_are_equal_by_fan_rays_and_dimension():
     assert ray != frozenset({0})
 
 
+def test_cones_of_equal_fans_compare_by_their_rays():
+    """Equal fans may number their rays differently: a cone is equal to the
+    cone of an equal fan with the same rays, whatever their indices, and to
+    no other, in comparisons and in sets."""
+    p2 = catalog.projective_plane()
+    p2b = Fan([(0, 1), (1, 0), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+    assert p2b == p2 and p2b.rays[0] != p2.rays[0]
+    assert p2b.cone_ref([0]) != p2.cone_ref([0])
+    assert len({p2b.cone_ref([0]), p2.cone_ref([0])}) == 2
+    assert p2b.cone_ref([0]) == p2.cone_ref([1])
+    assert hash(p2b.cone_ref([0])) == hash(p2.cone_ref([1]))
+    walls = {p2b.cone_ref(c) for c in ([0, 2], [1, 2])}
+    assert walls == {p2.cone_ref(c) for c in ([1, 2], [0, 2])}
+    assert set(p2b.cones(1)) == set(p2.cones(1)) and set(p2b.cones(2)) == set(p2.cones(2))
+
+
 def test_cones_of_nonsimplicial_fan():
     # fan over the faces of the square: one non-simplicial check via normal fan
     diamond = vertices_from_inequalities(HPolytope(

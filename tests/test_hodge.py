@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from semitoric import catalog
+from semitoric import catalog, polytope
 from semitoric.errors import PreconditionError
 from semitoric.fan import Fan
 from semitoric.hodge import (
@@ -17,7 +17,7 @@ from semitoric.hodge import (
     triangulation_helper,
 )
 from semitoric.lattice import pairing
-from semitoric.polytope import HPolytope, LatticePolytope, vertices_from_inequalities
+from semitoric.polytope import HPolytope, LatticePolytope, RunTable, vertices_from_inequalities
 
 
 def a_k(counts, gamma, k):
@@ -380,32 +380,67 @@ SEC6_WITNESSES = [{
 
 
 def test_mirror_check_sec6_enumerates_delta_once(monkeypatch):
-    """Delta's 4,323 points are enumerated once and Delta is never dilated;
-    the witnesses are those the per-face route reported."""
+    """Delta is scanned once and never dilated, and of its 4,323 points only
+    the 10 subdividing points of the witness are listed: every other count
+    adds up segment lengths of its table.  The witnesses are those the
+    per-face route reported."""
     delta = catalog.sec6_polytope()
-    enumerated, dilated = [], []
-    points, dilate = LatticePolytope._points, LatticePolytope.dilate
+    scanned, dilated, listed = [], [], []
+    scan, dilate, points = LatticePolytope._scan, LatticePolytope.dilate, RunTable.points
 
-    def counting_points(self, strict):
-        out = points(self, strict)
-        enumerated.append((self, len(out)))
-        return out
+    def counting_scan(self, strict, listed=True):
+        scanned.append(self)
+        return scan(self, strict, listed)
 
     def counting_dilate(self, factor):
         dilated.append(self)
         return dilate(self, factor)
 
-    monkeypatch.setattr(LatticePolytope, "_points", counting_points)
+    def counting_points(self, labels):
+        out = points(self, labels)
+        listed.append((self, len(out)))
+        return out
+
+    monkeypatch.setattr(LatticePolytope, "_scan", counting_scan)
     monkeypatch.setattr(LatticePolytope, "dilate", counting_dilate)
+    monkeypatch.setattr(RunTable, "points", counting_points)
     rep = mirror_check(delta)
-    assert [n for p, n in enumerated if p == delta] == [4323]
+    assert [p for p in scanned if p is delta] == [delta]
     assert delta not in dilated
+    table = delta.labelled_points(1)
+    assert [n for t, n in listed if t is table] == [10]
+    assert delta._lattice_points is None and table.count(table.segments) == 4323
     assert (rep.side.value, rep.mirror_side.value) == (0, 10)
     witnesses = rep.mirror_side.witnesses
     for w in witnesses:
         for key in ("double_face_interior_points", "subdividing_points"):
             assert w[key] == sorted(w[key])
     assert witnesses == SEC6_WITNESSES
+
+
+def test_a_pass_of_the_hodge_benchmark_takes_at_most_60_scans(monkeypatch):
+    """Work guard: the library calls of one pass of the benchmark's hodge
+    tasks (the 11 K3 hulls with their edge identity, the 6 weighted-P4
+    h21 pairs and the sec6 mirror check) make 60 calls to `_integer_runs`.
+    Every point count reads a table that the pass builds anyway: `h21_batyrev`
+    counts the points of its polytope after its face counts built the table,
+    and the mirror check counts the points of the dual after its 2-faces."""
+    calls = []
+    scan = polytope._integer_runs
+    monkeypatch.setattr(polytope, "_integer_runs", lambda *args: calls.append(1) or scan(*args))
+
+    def length(face):
+        return len(face.as_polytope().lattice_points()) - 1
+
+    for w in K3_WEIGHTS:
+        hull = k3_hull(w)
+        assert hull.is_reflexive()
+        assert sum(length(e) * length(hull.dual_face(e)) for e in hull.faces(1)) == 24
+    for w in P4_WEIGHTS:
+        rays = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [tuple(-x for x in w)]
+        assert h21_batyrev(anticanonical(w)) > h21_batyrev(LatticePolytope(rays)) > 0
+    assert mirror_check(catalog.sec6_polytope()).mirror_side.value == 10
+    assert len(calls) <= 60
 
 
 def test_hodge_values_do_not_share_default_witnesses():

@@ -5,10 +5,12 @@ The references below are the routes the package used before the scan
 carried its slacks: a recursive scan that returns the points alone, the
 values of affine forms (ambient coordinates, and slacks, which are the
 monomial exponents of ``CoxRing.monomial_basis``) as dot products per point,
-and facet labels as one pairing per point and facet.  Face dimensions are checked
-against a rank per face, start rays and wall normals against one Smith
-normal form per kernel.  The points a face polytope reads off its parent's
-labelled table are checked against a scan of the face's vertices alone.
+and facet labels as one pairing per point and facet: each label of a run
+table is read both ways, its points listed and its segments counted.  Face
+dimensions are checked against a rank per face, start rays and wall normals
+against one Smith normal form per kernel.  The points a face polytope reads
+off its parent's labelled table are checked against a scan of the face's
+vertices alone.
 """
 
 import gc
@@ -21,7 +23,7 @@ import pytest
 from semitoric import catalog, cli, lattice, polytope
 from semitoric.errors import PreconditionError
 from semitoric.fan import Fan
-from semitoric.polytope import LatticePolytope, _enumerate_integer_points, _integer_runs, cone_rays
+from semitoric.polytope import LatticePolytope, _expand, _integer_runs, cone_rays
 
 from .test_double_description import ref_affine_dim
 from .test_hodge import anticanonical
@@ -104,6 +106,15 @@ def ref_labelled(poly, k):
     return {label: tuple(pts) for label, pts in table.items()}
 
 
+def listed(table):
+    """A run table as {label: (count, points)}, read by both of its readers."""
+    return {label: (table.count([label]), table.points([label])) for label in table.segments}
+
+
+def ref_listed(poly, k):
+    return {label: (len(pts), list(pts)) for label, pts in ref_labelled(poly, k).items()}
+
+
 def random_polytope(rng):
     """A polytope of dimension 0-4 in Z^1-Z^4, with rational vertices in a
     third of the draws."""
@@ -121,6 +132,11 @@ def random_polytope(rng):
 # -- the scan ----------------------------------------------------------------------
 
 
+def enumerate_points(ineqs, lo, hi, forms):
+    """The values of the forms at every point of the scan, in its order."""
+    return list(_expand(*_integer_runs(ineqs, lo, hi, forms)))
+
+
 def test_scan_values_match_the_forms_at_the_reference_points():
     rng = random.Random(SEED)
     for _ in range(300):
@@ -133,10 +149,10 @@ def test_scan_values_match_the_forms_at_the_reference_points():
                  for _ in range(rng.randint(1, 4))]
         want = [tuple(lattice.pairing(f, t) + f0 for f, f0 in forms)
                 for t in ref_scan(ineqs, lo, hi)]
-        assert list(_enumerate_integer_points(ineqs, lo, hi, forms)) == want
+        assert enumerate_points(ineqs, lo, hi, forms) == want
         coords = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
         if k:
-            assert list(_enumerate_integer_points(ineqs, lo, hi, coords)) == ref_scan(ineqs, lo, hi)
+            assert enumerate_points(ineqs, lo, hi, coords) == ref_scan(ineqs, lo, hi)
 
 
 def test_runs_expand_by_ranges_to_the_listed_scan():
@@ -157,7 +173,7 @@ def test_runs_expand_by_ranges_to_the_listed_scan():
         columns = [[x for values, lo_t, hi_t in runs
                     for x in range(values[i] + s * lo_t, values[i] + s * (hi_t + 1), s)]
                    for i, s in enumerate(last)]
-        assert list(zip(*columns)) == list(_enumerate_integer_points(ineqs, lo, hi, forms))
+        assert list(zip(*columns)) == enumerate_points(ineqs, lo, hi, forms)
 
 
 def test_scan_counts_its_steps_against_the_limit(monkeypatch):
@@ -165,11 +181,10 @@ def test_scan_counts_its_steps_against_the_limit(monkeypatch):
     its points; one step fewer is refused before any point is listed."""
     box = ([], [0, 0], [9, 9], [((1, 0), 0), ((0, 1), 0)])
     monkeypatch.setattr(polytope, "SCAN_LIMIT", 110)
-    assert len(list(_enumerate_integer_points(*box))) == 100
+    assert len(enumerate_points(*box)) == 100
     monkeypatch.setattr(polytope, "SCAN_LIMIT", 109)
-    scan = _enumerate_integer_points(*box)
     with pytest.raises(PreconditionError, match="too large to enumerate"):
-        next(scan)
+        _integer_runs(*box)
 
 
 def ref_steps(ineqs, lo, hi):
@@ -226,7 +241,7 @@ def test_sparse_levels_match_the_reference(monkeypatch):
         points, steps = ref_scan(ineqs, lo, hi), ref_steps(ineqs, lo, hi)
         want = [t + tuple(lattice.pairing(f, t) + f0 for f, f0 in forms[k:]) for t in points]
         monkeypatch.setattr(polytope, "SCAN_LIMIT", steps)
-        assert list(_enumerate_integer_points(ineqs, lo, hi, forms)) == want
+        assert enumerate_points(ineqs, lo, hi, forms) == want
         runs, _ = _integer_runs(ineqs, lo, hi, [])
         assert sum(hi_t - lo_t + 1 for _, lo_t, hi_t in runs) == len(points)
         if steps:
@@ -256,6 +271,9 @@ def test_runs_go_along_the_widest_coordinate(monkeypatch, rect):
 
 
 def test_points_and_labels_match_reference_on_random_polytopes():
+    """Each label of the run table lists and counts the reference's points
+    of kP tight at exactly those facets, k = 1..3, on seeded polytopes of
+    every dimension up to 4, with integral and with rational vertices."""
     rng = random.Random(SEED + 1)
     seen = set()
     for _ in range(150):
@@ -263,13 +281,57 @@ def test_points_and_labels_match_reference_on_random_polytopes():
         seen.add((poly.ambient_dim, poly.dim, poly.is_lattice))
         assert poly.lattice_points() == ref_points(poly, strict=False)
         assert poly.relative_interior_points() == ref_points(poly, strict=True)
-        assert poly.labelled_dilations() == set()
+        assert poly.labelled_dilations() == {1}   # the list is read off the table of P
         for k in (1, 2, 3):
-            assert poly.labelled_points(k) == ref_labelled(poly, k)
+            assert listed(poly.labelled_points(k)) == ref_listed(poly, k)
         assert poly.labelled_dilations() == {1, 2, 3}
     assert {d for _, d, _ in seen} == {0, 1, 2, 3, 4}
     assert {n for n, _, _ in seen} == {1, 2, 3, 4}
     assert {lat for _, _, lat in seen} == {False, True}
+
+
+def segment_points(table):
+    """{label: the points of each of its segments, segment by segment}."""
+    return {label: [list(_expand([segment], table.last)) for segment in segments]
+            for label, segments in table.segments.items()}
+
+
+def test_runs_are_cut_where_their_label_changes():
+    """Along a run each slack is linear and >= 0, so it is zero along the
+    run, at one end or nowhere, and a run is at most three segments.  On the
+    2 x 3 rectangle the runs go along y: the facet x >= 0 is tight along the
+    run at x = 0, whose two ends are tight at different facets, y >= 0 and
+    y <= 3.  On a triangle the run at x = 2 is one point, tight at y >= 0
+    and at x + y <= 2, which bound it from its two sides.  A facet with a
+    rational right-hand side, x + y <= 5/2, is in no label, so the ends it
+    misses stay with the rest of their run.  A 0-dimensional polytope is one
+    run with no run coordinate, or none at a rational point."""
+    def facet(poly, normal):
+        return next(i for i, (n, _, _) in enumerate(poly.facets()) if n == normal)
+
+    rect = LatticePolytope([(0, 0), (2, 0), (0, 3), (2, 3)])
+    x0, x2, y0, y3 = (facet(rect, n) for n in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    assert segment_points(rect.labelled_points(1)) == {
+        frozenset(label): [points] for label, points in [
+            ({x0, y0}, [(0, 0)]), ({x0}, [(0, 1), (0, 2)]), ({x0, y3}, [(0, 3)]),
+            ({y0}, [(1, 0)]), ((), [(1, 1), (1, 2)]), ({y3}, [(1, 3)]),
+            ({x2, y0}, [(2, 0)]), ({x2}, [(2, 1), (2, 2)]), ({x2, y3}, [(2, 3)])]}
+    tri = LatticePolytope([(0, 0), (2, 0), (0, 2)])
+    x0, y0, top = (facet(tri, n) for n in ((1, 0), (0, 1), (-1, -1)))
+    assert segment_points(tri.labelled_points(1))[frozenset({y0, top})] == [[(2, 0)]]
+    frac = LatticePolytope([(0, 0), (Fraction(5, 2), 0), (0, Fraction(5, 2))])
+    x0, y0 = facet(frac, (1, 0)), facet(frac, (0, 1))
+    assert segment_points(frac.labelled_points(1)) == {
+        frozenset(label): points for label, points in [
+            ({x0, y0}, [[(0, 0)]]), ({x0}, [[(0, 1), (0, 2)]]), ({y0}, [[(1, 0)], [(2, 0)]]),
+            ((), [[(1, 1)]])]}
+    assert segment_points(LatticePolytope([(1, 2)]).labelled_points(1)) == {
+        frozenset(): [[(1, 2)]]}
+    assert segment_points(LatticePolytope([(Fraction(1, 3), 2)]).labelled_points(1)) == {}
+    points = [LatticePolytope([(1, 2)]), LatticePolytope([(Fraction(1, 3), 2)])]
+    for poly in [rect, tri, frac] + points:
+        for k in (1, 2, 3):
+            assert listed(poly.labelled_points(k)) == ref_listed(poly, k)
 
 
 def elongated_polytope(rng):
@@ -298,10 +360,10 @@ def test_points_and_labels_match_reference_along_the_widest_coordinate():
         assert poly.lattice_points() == ref_points(poly, strict=False)
         assert poly.relative_interior_points() == ref_points(poly, strict=True)
         for k in ks:
-            assert poly.labelled_points(k) == ref_labelled(poly, k)
+            assert listed(poly.labelled_points(k)) == ref_listed(poly, k)
         if poly.dim > 0 and poly._span_data().anchor is not None:
-            _, lo, hi, _ = poly._scan_box(strict=False)
-            extents = [h - l for l, h in zip(lo, hi)]
+            tcoords = [poly._to_span_coords(v) for v in poly.vertices]
+            extents = [floor(max(t)) - ceil(min(t)) for t in zip(*tcoords)]
             reordered += max(extents) > extents[-1]
     assert reordered > 40
 
@@ -349,15 +411,15 @@ def test_count_matches_the_listed_points():
 def test_one_scan_serves_points_and_labels(monkeypatch):
     p = LatticePolytope([(0, 0, 0), (2, 1, 0), (0, 1, 2), (2, 2, 2), (1, 3, 1)])
     scans = []
-    scan = polytope._enumerate_integer_points
-    monkeypatch.setattr(polytope, "_enumerate_integer_points",
-                        lambda *args: scans.append(args) or scan(*args))
+    scan = polytope._integer_runs
+    monkeypatch.setattr(polytope, "_integer_runs", lambda *args: scans.append(args) or scan(*args))
     points = p.lattice_points()
     table = p.labelled_points(1)
-    assert p.lattice_points() == points
+    assert p.lattice_points() == points and p.count_lattice_points() == len(points)
     assert len(scans) == 1
     q = LatticePolytope(p.vertices)
-    assert q.labelled_points(1) == table and q.lattice_points() == points
+    assert q.labelled_points(1).count(table.segments) == len(points)
+    assert listed(q.labelled_points(1)) == listed(table) and q.lattice_points() == points
     assert len(scans) == 2
 
 
@@ -386,7 +448,7 @@ def read_off_the_parent(face):
     count = counted.count_lattice_points()
     assert counted.lattice_points() == listed.lattice_points()
     assert listed.count_lattice_points() == count
-    assert listed._table is None and counted._table is None
+    assert listed.labelled_dilations() == counted.labelled_dilations() == set()
     return listed
 
 
@@ -433,7 +495,7 @@ def test_face_polytopes_read_off_the_parent_keep_their_own_tables():
             poly = read_off_the_parent(face)
             fresh = LatticePolytope(face.vertices())
             for k in (1, 2):
-                assert poly.labelled_points(k) == fresh.labelled_points(k)
+                assert listed(poly.labelled_points(k)) == listed(fresh.labelled_points(k))
             for g, h in zip(poly.all_faces(), fresh.all_faces()):
                 assert g.vertices() == h.vertices()
                 assert g.interior_points() == h.interior_points()
@@ -458,17 +520,19 @@ def test_face_polytope_scans_itself_when_its_parent_is_refused(monkeypatch):
         assert len(points) == 11 ** face.dim
     assert cube.labelled_dilations() == set()
     monkeypatch.undo()
-    assert cube.labelled_points(1) == catalog.cube(3).dilate(5).labelled_points(1)
-    assert sum(map(len, cube.labelled_points(1).values())) == 11 ** 3
+    table = cube.labelled_points(1)
+    assert listed(table) == listed(catalog.cube(3).dilate(5).labelled_points(1))
+    assert table.count(table.segments) == len(table.points(table.segments)) == 11 ** 3
     for face in cube.all_faces():
         fresh = LatticePolytope(face.vertices(), _trusted=True)
         assert face.as_polytope().lattice_points() == fresh.lattice_points()
 
 
-def test_the_face_count_oracle_scans_each_face_afresh():
-    """`--verify` recounts each face count as its own dilated polytope: its
-    dilations and interior points do not read the parent's tables, so one
-    corrupted entry of either table is caught."""
+def test_the_face_count_oracle_scans_each_face_afresh(monkeypatch):
+    """`--verify` recounts each face count, and relists its points, as its
+    own dilated polytope: its dilations and interior points do not read the
+    parent's tables, so one corrupted segment of either table is caught, and
+    so is a count that its list does not match."""
     poly = catalog.cube(3)
     for k in (1, 2):
         poly.labelled_points(k)
@@ -476,12 +540,17 @@ def test_the_face_count_oracle_scans_each_face_afresh():
     assert cli._face_counts_verification(poly) == {check: True}
     face = poly.faces(1)[0]
     for k in (1, 2):
-        table = poly.labelled_points(k)
-        kept = table[face.facets]
-        table[face.facets] = kept + ((9, 9, 9),)
+        segments = poly.labelled_points(k).segments
+        kept = segments[face.facets]
+        segments[face.facets] = kept + [((9, 9, 9), 0, 0)]
         assert cli._face_counts_verification(poly) == {check: False}
-        table[face.facets] = kept
+        segments[face.facets] = kept
     assert cli._face_counts_verification(poly) == {check: True}
+    count = polytope.RunTable.count
+    monkeypatch.setattr(polytope.RunTable, "count", lambda self, labels: count(self, labels) + 1)
+    assert poly.labelled_points(1).points([face.facets]) == face.as_polytope(
+        ).relative_interior_points()
+    assert cli._face_counts_verification(poly) == {check: False}
 
 
 def test_k3_edge_lengths_take_three_scans(monkeypatch):

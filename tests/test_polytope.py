@@ -176,7 +176,9 @@ def test_interior_points_partition_the_dilates():
     for k in (1, 2, 3):
         by_face = sorted(x for f in p.all_faces() for x in f.interior_points(k))
         assert by_face == p.dilate(k).lattice_points()
-        assert sum(map(len, p.labelled_points(k).values())) == len(by_face)
+        table = p.labelled_points(k)
+        assert table.count(table.segments) == len(by_face)
+        assert sum(f.count_interior_points(k) for f in p.all_faces()) == len(by_face)
 
 
 def test_span_basis_of_a_skew_triangle_is_size_reduced():

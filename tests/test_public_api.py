@@ -35,6 +35,9 @@ REMOVED = (
     "SubdivisionCounts",    # subdivision_counts returns {(k, ray set): a_k}
     "HodgeReport",          # MirrorReport holds one HodgeValue per side
     "_same_cone_in",        # Fan.same_cone
+    "_points",              # LatticePolytope._run_table; relative_interior_points scans
+    "_enumerate_integer_points",  # _expand over the runs of _integer_runs
+    "_scan_box",            # LatticePolytope._scan
 )
 
 

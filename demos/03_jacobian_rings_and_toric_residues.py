@@ -8,8 +8,14 @@ pieces into numbers.
 """
 
 from semitoric import catalog
-from semitoric.coxring import CoxRing, R1Piece, nondegeneracy_certificate
-from semitoric.residue import CupProduct, ResidueMap, toric_jacobian
+from semitoric.coxring import CoxRing, R1Piece
+from semitoric.residue import (
+    CupProduct,
+    NondegeneracyCertificate,
+    ResidueMap,
+    nondegeneracy_certificate,
+    toric_jacobian,
+)
 
 # The coordinate ring of the projective plane; x, y, z all have degree H.
 ring = CoxRing(catalog.projective_plane())
@@ -21,7 +27,7 @@ print("dim of the cubics:", ring.piece_dim(ring.beta0))
 # the toric Jacobian lies outside it.
 cubic = ring.polynomial({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
 cert = nondegeneracy_certificate(cubic)
-print("\nFermat cubic certificate:", cert.verdict)
+print("\nFermat cubic certified nondegenerate:", cert.certified)
 
 # R_1(f) in its two interesting degrees: both one-dimensional for a cubic
 # (the elliptic curve has h^{1,0} = h^{0,1} = 1).
@@ -33,7 +39,7 @@ for a in (0, 1):
 # The residue map on the projective line, normalized on the toric Jacobian.
 p1 = CoxRing(catalog.projective_line())
 x2, y2 = p1.monomial((2, 0)), p1.monomial((0, 2))
-res = ResidueMap(p1, [x2, y2])
+res = ResidueMap(NondegeneracyCertificate(p1, [x2, y2]))
 jac = toric_jacobian(p1, [x2, y2])
 print("\non P^1 with sections (x^2, y^2):")
 print("  toric Jacobian:", jac)

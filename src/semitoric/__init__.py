@@ -27,7 +27,6 @@ from .coxring import (
     GradedPolynomial,
     R1Piece,
     ideal_graded_piece,
-    nondegeneracy_certificate,
 )
 from .residue import (
     CupProduct,
@@ -35,6 +34,7 @@ from .residue import (
     ResidueMap,
     c_I_beta,
     cup_jacobian,
+    nondegeneracy_certificate,
     toric_jacobian,
 )
 from .threefold import ThreefoldAnalysis, two_cone_charts

@@ -23,7 +23,15 @@ from .fan import Fan
 from .hodge import h21_batyrev, h_p2, mirror_check, triangulation_helper
 from .linalg import SparseEchelon
 from .polytope import HPolytope, LatticePolytope, vertices_from_inequalities
-from .residue import CupProduct, ResidueMap, admissible_index_sets, cup_constant, toric_jacobian
+from .residue import (
+    CupProduct,
+    NondegeneracyCertificate,
+    ResidueMap,
+    _semiample_divisor,
+    admissible_index_sets,
+    cup_constant,
+    toric_jacobian,
+)
 from .threefold import ThreefoldAnalysis, gram_skew_between_levels
 
 
@@ -286,7 +294,8 @@ def cmd_residue_eval(doc, verify):
     sections = [parse_polynomial(s, ring, f"input.sections[{i}]")
                 for i, s in enumerate(_need(doc, "sections", list, "input"))]
     argument = parse_polynomial(_need(doc, "argument", dict, "input"), ring)
-    res = ResidueMap(ring, sections)
+    _semiample_divisor(ring, sections)  # a degree that is not semiample: refused before any span
+    res = ResidueMap(NondegeneracyCertificate(ring, sections))
     value = res.residue(argument)
     out = {"criterion": "toric residue normalized to the section-polytope volume",
            "residue": q_str(value),
@@ -294,10 +303,10 @@ def cmd_residue_eval(doc, verify):
     if verify:  # the toric Jacobian is taken on the first admissible index set
         out["verification"] = checks = {"residue_matches_monomial_sum": value == sum(
             c * res.residue_of_monomial(ring.code(e)) for e, c in argument.terms.items())}
-        picks = admissible_index_sets(ring, res.beta)
+        picks = admissible_index_sets(ring, res.certificate.beta)
         if len(picks) > 1:
             checks["jacobian_matches_second_index_set"] = _agrees(
-                lambda: toric_jacobian(ring, sections, picks[1]), res.jacobian)
+                lambda: toric_jacobian(ring, sections, picks[1]), res.certificate.jacobian)
     return out
 
 

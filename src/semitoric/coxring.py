@@ -30,6 +30,9 @@ induction on j and on the multiplier both lie in the span of the kept rows.
 The span is unchanged, so are its pivot columns and every reduction.
 Each kept row has lead 1 at a column known in advance, and is adopted by
 the echelon as it stands when it meets no pivot column.
+
+J_0(f) is built on one generator list, the weighted partials over
+`euler_basis(f.degree)`; `residue` certifies f on the same list.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from .linalg import _ONE, SparseEchelon
 from .polytope import HPolytope, _integer_runs, _widest_last, vertices_from_inequalities
 
 SLOT = 32  # bits per exponent in a monomial code
-CERTIFIED_NONDEGENERATE = "CERTIFIED_NONDEGENERATE"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class DegreeClass:
@@ -256,9 +257,6 @@ class GradedSubspace:
         """Canonical representative of the coset of poly."""
         return self._devectorize(self.echelon.reduce(self._vectorize(poly)))
 
-    def contains(self, poly: GradedPolynomial) -> bool:
-        return self.reduce(poly).is_zero()
-
     def reduced_row_basis(self):
         return [self._devectorize(r) for r in self.echelon.rref_rows()]
 
@@ -290,7 +288,9 @@ class CoxRing:
 
     def code(self, exps) -> int:
         """The code sum_i e_i 2^(SLOT (n-1-i)) of x^exps (module docstring);
-        exponents must stay below 2^(SLOT-1)."""
+        the n exponents must lie in 0..2^(SLOT-1) - 1."""
+        if len(exps) != self.n or min(exps) < 0:
+            raise ValidationError(f"bad exponent vector {tuple(exps)}")
         if max(exps) >> (SLOT - 1):
             raise PreconditionError(
                 f"exponent vector {tuple(exps)} past the 2^{SLOT - 1} that monomial codes hold")
@@ -438,9 +438,20 @@ def jacobian_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
     return ideal_graded_piece([f.partial(i) for i in range(f.ring.n)], gamma)
 
 
+def euler_basis(beta: DegreeClass) -> tuple:
+    """The lex-first row basis of the n x (d+1) matrix with rows (a_i, e_i),
+    a = beta.rep: the pivot columns of one elimination of its transpose.
+    With d+1 rows it is the first admissible index set (c_I^beta != 0), as
+    the greedy basis of a matroid is its lex-first one."""
+    ring = beta.ring
+    return tuple(lattice._eliminate([list(beta.rep), *map(list, zip(*ring.fan.rays))], ring.n)[1])
+
+
 def j0_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
-    """J_0(f)_gamma: the piece of the ideal of weighted partials x_i df/dx_i."""
-    return ideal_graded_piece(f.ring.weighted_partials(f), gamma)
+    """J_0(f)_gamma, on the weighted partials over `euler_basis(f.degree)`:
+    they span all x_i df/dx_i = a_i f + sum_k e_ik D_k f (D_k multiplies a
+    term by the k-th coordinate of its lattice point) with the rows (a_i, e_i)."""
+    return ideal_graded_piece([f.weighted_partial(i) for i in euler_basis(f.degree)], gamma)
 
 
 class R1Piece:
@@ -451,8 +462,8 @@ class R1Piece:
     `CoxRing.ones` to each monomial code), tracked with tag columns; a
     monomial whose shift reduces to zero is a kernel row by itself, with no
     tracker step.  `j1` echelonizes the kernel rows on first access only.
-    J_0(f)_{gamma + beta_0} is built here unless already at hand (`_j0`, as a
-    nondegeneracy certificate of f holds it in its critical degree).
+    J_0(f)_{gamma + beta_0} is built here unless already at hand (`_j0`: the
+    span of the nondegeneracy certificate of f is J_0 in its critical degree).
     """
 
     def __init__(self, f: GradedPolynomial, gamma: DegreeClass, _j0=None):
@@ -499,48 +510,3 @@ class R1Piece:
     @property
     def dim(self) -> int:
         return len(self.coset_codes)
-
-
-class NondegeneracyCertificate:
-    """The verdict, with the echelonized span of the weighted partials F_I in
-    the critical degree and their toric Jacobian (None when the codimension
-    test already failed), kept so the residue map need not rebuild them."""
-
-    def __init__(self, verdict: str, index_set: tuple, codim: int, jacobian_in_span: bool,
-                 span: GradedSubspace | None = None, jacobian: GradedPolynomial | None = None):
-        self.verdict = verdict
-        self.index_set = index_set
-        self.codim = codim
-        self.jacobian_in_span = jacobian_in_span
-        self.span = span
-        self.jacobian = jacobian
-
-    @property
-    def certified(self) -> bool:
-        return self.verdict == CERTIFIED_NONDEGENERATE
-
-
-def nondegeneracy_certificate(f: GradedPolynomial) -> NondegeneracyCertificate:
-    """Certify that the weighted partials have no common zero.
-
-    Certified when, for an admissible index set I, the span of the weighted
-    partials in degree (d+1)beta - beta_0 has codimension exactly one and
-    the toric Jacobian lies outside it.  Sufficient, not necessary.
-    """
-    from .residue import _first_admissible, toric_jacobian
-
-    ring = f.ring
-    beta = f.degree
-    if beta == ring.zero_degree():
-        raise PreconditionError("nondegeneracy is about hypersurfaces of nonzero degree")
-    I = _first_admissible(ring, beta)
-    F = [f.weighted_partial(i) for i in I]
-    rho = (ring.d + 1) * beta - ring.beta0
-    span = ideal_graded_piece(F, rho)
-    codim = span.codim()
-    if codim != 1:
-        return NondegeneracyCertificate(INCONCLUSIVE, I, codim, False, span)
-    jf = toric_jacobian(ring, F, I)
-    inside = span.contains(jf)
-    verdict = INCONCLUSIVE if inside else CERTIFIED_NONDEGENERATE
-    return NondegeneracyCertificate(verdict, I, codim, inside, span, jf)

@@ -1,11 +1,11 @@
 """Toric residues and the algebraic cup-product pairing.
 
-The residue map is realized by exact linear algebra in the critical degree
-rho = (d+1)beta - beta_0: the span of the input sections has codimension one
-there, the toric Jacobian spans the complement, and the residue of the toric
-Jacobian is normalized to d! vol(Delta).  The toric Jacobian does not depend
-on the admissible index set; it is taken on the first one, and `residue eval
---verify` compares a second.  On top of this sit the trace functional eta and
+Everything is exact linear algebra in the critical degree rho = (d+1)beta -
+beta_0.  A `NondegeneracyCertificate` of d+1 sections holds their span there,
+its codimension, the toric Jacobian (on the first admissible index set;
+`residue eval --verify` compares a second) and its one reduction modulo the
+span; the residue map is read off a certified one, normalized on the
+Jacobian to d! vol(Delta).  On top of this sit the trace functional eta and
 the pairing procedure for regular semiample hypersurfaces.
 """
 
@@ -16,12 +16,7 @@ from itertools import combinations
 from math import factorial
 
 from . import lattice
-from .coxring import (
-    CoxRing,
-    GradedPolynomial,
-    ideal_graded_piece,
-    nondegeneracy_certificate,
-)
+from .coxring import CoxRing, GradedPolynomial, euler_basis, ideal_graded_piece
 from .divisor import TorusInvariantDivisor
 from .errors import CertificateError, InconsistencyError, PreconditionError, ValidationError
 from .linalg import _ONE, _ZERO
@@ -65,12 +60,18 @@ class PairingValue:
                 "two_pi_i_exponent": self.two_pi_i_exponent}
 
 
+def _index_set(ring: CoxRing, I, size: int) -> tuple:
+    """I as a tuple of `size` distinct variable indices."""
+    I = tuple(int(i) for i in I)
+    if len(I) != size or len(set(I)) != size or not all(0 <= i < ring.n for i in I):
+        raise ValidationError(f"index set {I}: not {size} distinct indices in 0..{ring.n - 1}")
+    return I
+
+
 def c_I_beta(ring: CoxRing, beta, I) -> int:
     """Determinant attaching the degree data b to an ordered index set I:
     first row (b_i)_{i in I}, then the coordinate rows of the rays e_i."""
-    I = tuple(int(i) for i in I)
-    if len(I) != ring.d + 1:
-        raise ValidationError(f"index set of size {len(I)}, expected {ring.d + 1}")
+    I = _index_set(ring, I, ring.d + 1)
     b = beta.rep
     rows = [[b[i] for i in I]]
     for j in range(ring.d):
@@ -80,19 +81,13 @@ def c_I_beta(ring: CoxRing, beta, I) -> int:
 
 def det_e(ring: CoxRing, I) -> int:
     """det(<m_j, e_{i_k}>) for a d-element index set I."""
-    I = tuple(I)
-    if len(I) != ring.d:
-        raise ValidationError(f"index set of size {len(I)}, expected {ring.d}")
+    I = _index_set(ring, I, ring.d)
     return lattice.det([[ring.fan.rays[i][j] for i in I] for j in range(ring.d)])
 
 
 def admissible_index_sets(ring: CoxRing, beta):
     """All (d+1)-subsets I, in lexicographic order, with c_I^beta != 0."""
-    out = []
-    for I in combinations(range(ring.n), ring.d + 1):
-        if c_I_beta(ring, beta, I) != 0:
-            out.append(I)
-    return out
+    return [I for I in combinations(range(ring.n), ring.d + 1) if c_I_beta(ring, beta, I) != 0]
 
 
 def _poly_det(ring: CoxRing, M):
@@ -135,12 +130,12 @@ def _sections(ring: CoxRing, F):
     return F, F[0].degree
 
 
-def _first_admissible(ring: CoxRing, beta):
-    """The first (d+1)-subset I, in lexicographic order, with c_I^beta != 0."""
-    for I in combinations(range(ring.n), ring.d + 1):
-        if c_I_beta(ring, beta, I) != 0:
-            return I
-    raise PreconditionError("no admissible index set: degree determinant vanishes")
+def _first_admissible(beta):
+    """The lex-first (d+1)-subset I with c_I^beta != 0: `euler_basis(beta)`."""
+    I = euler_basis(beta)
+    if len(I) <= beta.ring.d:
+        raise PreconditionError("no admissible index set: degree determinant vanishes")
+    return I
 
 
 def toric_jacobian(ring: CoxRing, F, I=None) -> GradedPolynomial:
@@ -148,7 +143,7 @@ def toric_jacobian(ring: CoxRing, F, I=None) -> GradedPolynomial:
     sections of one degree, in S_{(d+1)beta - beta_0}; independent of the
     admissible I, by default the first (`residue eval --verify` takes a second)."""
     F, beta = _sections(ring, F)
-    I = tuple(I) if I is not None else _first_admissible(ring, beta)
+    I = tuple(I) if I is not None else _first_admissible(beta)
     c = c_I_beta(ring, beta, I)
     if c == 0:
         raise ValidationError(f"index set {I} is not admissible")
@@ -168,42 +163,73 @@ def cup_jacobian(ring: CoxRing, f: GradedPolynomial) -> GradedPolynomial:
     """det(dF_j/dx_i)_{i,j in I} / ((c_I^beta)^2 xhat_I) for the weighted
     partials F_j = x_j df/dx_j; independent of the admissible I, taken on
     the first one."""
-    I = _first_admissible(ring, f.degree)
+    I = _first_admissible(f.degree)
     jacobian = toric_jacobian(ring, [f.weighted_partial(i) for i in I], I)
     return Fraction(1, c_I_beta(ring, f.degree, I)) * jacobian
 
 
-class ResidueMap:
-    """Res_F for fixed sections F_0..F_d of a semiample degree without common
-    zeros; normalized by Res_F(toric Jacobian) = d! vol(Delta).
+class NondegeneracyCertificate:
+    """d+1 sections F of one degree have no common zero when their span in
+    rho has codimension one and the toric Jacobian (on `index_set`, the
+    first admissible one) does not reduce to zero modulo it (sufficient,
+    not necessary).  The index set, the Jacobian and its reduction are None
+    at any other codimension."""
 
-    The span of F in the critical degree and the toric Jacobian are built
-    here unless already at hand (`_span`, `_jacobian`, as a nondegeneracy
-    certificate of the same F holds them); either way both are checked."""
-
-    def __init__(self, ring: CoxRing, F, _span=None, _jacobian=None):
+    def __init__(self, ring: CoxRing, F):
         self.ring = ring
-        self.F, beta = _sections(ring, F)
-        div = TorusInvariantDivisor(ring.fan, beta.rep)
-        if not div.is_semiample():
-            raise PreconditionError("the residue map is defined for semiample degrees")
-        self.beta = beta
-        self.rho = (ring.d + 1) * beta - ring.beta0
-        self.span = _span if _span is not None else ideal_graded_piece(self.F, self.rho)
-        if self.span.codim() != 1:
+        self.F, self.beta = _sections(ring, F)
+        self.span = ideal_graded_piece(self.F, (ring.d + 1) * self.beta - ring.beta0)
+        self.codim = self.span.codim()
+        self.index_set = self.jacobian = self.reduced_jacobian = None
+        if self.codim == 1:
+            self.index_set = _first_admissible(self.beta)
+            self.jacobian = toric_jacobian(ring, self.F, self.index_set)
+            self.reduced_jacobian = self.span.echelon.reduce(self.span._vectorize(self.jacobian))
+
+    @property
+    def certified(self) -> bool:
+        return bool(self.reduced_jacobian)
+
+
+def nondegeneracy_certificate(f: GradedPolynomial) -> NondegeneracyCertificate:
+    """The certificate of the weighted partials F_I of f, I the first
+    admissible index set; their span is `j0_piece(f, rho)`."""
+    ring = f.ring
+    if f.degree == ring.zero_degree():
+        raise PreconditionError("nondegeneracy is about hypersurfaces of nonzero degree")
+    I = _first_admissible(f.degree)
+    return NondegeneracyCertificate(ring, [f.weighted_partial(i) for i in I])
+
+
+def _semiample_divisor(ring: CoxRing, F) -> TorusInvariantDivisor:
+    """The divisor of the degree of the sections F; refused unless semiample."""
+    div = TorusInvariantDivisor(ring.fan, _sections(ring, F)[1].rep)
+    if not div.is_semiample():
+        raise PreconditionError("the residue map is defined for semiample degrees")
+    return div
+
+
+class ResidueMap:
+    """Res_F for the sections F of a certified certificate, of a semiample
+    degree, normalized by Res_F(toric Jacobian) = d! vol(Delta): read off the
+    one column that the Jacobian reduces to."""
+
+    def __init__(self, certificate: NondegeneracyCertificate):
+        div = _semiample_divisor(certificate.ring, certificate.F)
+        if certificate.codim != 1:
             raise CertificateError(
-                f"sections span codimension {self.span.codim()} in the critical "
+                f"sections span codimension {certificate.codim} in the critical "
                 f"degree: common zeros or certificate failure")
-        self.jacobian = _jacobian if _jacobian is not None else toric_jacobian(ring, self.F)
-        rj = self.span.echelon.reduce(self.span._vectorize(self.jacobian))
-        if len(rj) != 1:
+        if not certificate.certified:
             raise CertificateError("toric Jacobian lies in the span of the sections")
-        (self._col, self._jcoeff), = rj.items()
+        self.certificate = certificate
+        self.span = certificate.span
+        (self._col, self._jcoeff), = certificate.reduced_jacobian.items()
         self.volume = div.section_polytope().normalized_volume()
 
     def residue(self, H: GradedPolynomial) -> Fraction:
         """The unique c with H - c * Jacobian in the span, times d! vol(Delta)."""
-        if H.degree != self.rho:
+        if H.degree != self.span.degree:
             raise ValidationError("residue argument of the wrong degree")
         return self._residue_of_row(self.span._vectorize(H))
 
@@ -248,12 +274,10 @@ class CupProduct:
         if not certificate.certified:
             raise CertificateError(
                 "cup products require a certified nondegenerate section")
-        self.certificate = certificate
-        I = certificate.index_set
-        self.index_set = I
-        self.c_I = c_I_beta(ring, f.degree, I)
-        self.res = ResidueMap(ring, [f.weighted_partial(i) for i in I],
-                              _span=certificate.span, _jacobian=certificate.jacobian)
+        if certificate.F != [f.weighted_partial(i) for i in certificate.index_set]:
+            raise ValidationError("certificate is not of the weighted partials F_I of f")
+        self.c_I = c_I_beta(ring, f.degree, certificate.index_set)
+        self.res = ResidueMap(certificate)
         self.eta_degree = (ring.d + 1) * f.degree - 2 * ring.beta0
         self._xprod = ring.variables_product()
         self._eta_memo = {}  # monomial code -> eta
@@ -268,8 +292,6 @@ class CupProduct:
 
     def eta_monomial(self, exps) -> Fraction:
         """eta(x^exps), through `eta_of_code`; `eta` is the independent route."""
-        if min(exps) < 0:
-            raise ValidationError(f"bad exponent vector {exps}")
         return self.eta_of_code(self.ring.code(exps))
 
     def eta_of_code(self, code: int) -> Fraction:

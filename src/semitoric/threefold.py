@@ -17,9 +17,10 @@ cells.  The route through products of basis polynomials and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import lattice
-from .coxring import CoxRing, GradedPolynomial, R1Piece, nondegeneracy_certificate
+from .coxring import CoxRing, GradedPolynomial, R1Piece
 from .divisor import TorusInvariantDivisor
 from .errors import (
     CertificateError,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fan import ConeRef, Fan
 from .linalg import SparseEchelon
-from .residue import CupProduct, PairingValue, cup_constant
+from .residue import CupProduct, PairingValue, cup_constant, nondegeneracy_certificate
 
 
 class TwoConeChart:
@@ -162,24 +163,18 @@ class SurfaceSlice:
                                for a, ray in zip(coeffs, star.rays))
             terms[exps_sigma] = terms.get(exps_sigma, Fraction(0)) + coeff
         self.polynomial = GradedPolynomial(self.ring, terms, self.degree)
-        self._certificate = None
-        self._cup = None
 
-    @property
+    @cached_property
     def certificate(self):
-        if self._certificate is None:
-            self._certificate = nondegeneracy_certificate(self.polynomial)
-        return self._certificate
+        return nondegeneracy_certificate(self.polynomial)
 
-    @property
+    @cached_property
     def cup(self) -> CupProduct:
-        if self._cup is None:
-            if not self.certificate.certified:
-                raise CertificateError(
-                    f"restricted polynomial on the 2-cone "
-                    f"{sorted(self.sigma.ray_indices)} is not certified nondegenerate")
-            self._cup = CupProduct(self.ring, self.polynomial, self.certificate)
-        return self._cup
+        if not self.certificate.certified:
+            raise CertificateError(
+                f"restricted polynomial on the 2-cone "
+                f"{sorted(self.sigma.ray_indices)} is not certified nondegenerate")
+        return CupProduct(self.ring, self.polynomial, self.certificate)
 
     def level_piece(self, a: int) -> R1Piece:
         return R1Piece(self.polynomial, a * self.degree - self.ring.beta0)
@@ -291,7 +286,6 @@ class ThreefoldAnalysis:
         self.charts = two_cone_charts(ring.fan, self.coarse)
         self._slices = {}
         self._blocks = {}
-        self._cup = None
 
     @property
     def certificate(self):
@@ -315,20 +309,14 @@ class ThreefoldAnalysis:
 
     def bulk_piece(self, a: int) -> R1Piece:
         gamma = (a + 1) * self.f.degree - self.ring.beta0
-        # The certificate's span is J_0(f) in its degree: with u(x^E) the
-        # lattice point of a term, x_i df/dx_i = a_i f + sum_k e_ik D_k f
-        # where D_k multiplies each term by u_k, and the rows (a_i, e_i),
-        # i in I, have determinant +-c_I != 0, so the weighted partials
-        # of I span those of every variable and generate J_0.
+        # the certificate's span is j0_piece(f, rho): the same generators
         span = self.certificate.span
         j0 = span if span.degree == gamma + self.ring.beta0 else None
         return R1Piece(self.f, gamma, _j0=j0)
 
-    @property
+    @cached_property
     def cup(self) -> CupProduct:
-        if self._cup is None:
-            self._cup = CupProduct(self.ring, self.f, self.certificate)
-        return self._cup
+        return CupProduct(self.ring, self.f, self.certificate)
 
     def blocks(self, a: int):
         """The summands of H^{3-a,a}: the ring piece, then one link piece per

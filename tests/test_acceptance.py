@@ -13,13 +13,19 @@ from math import comb
 import pytest
 
 from semitoric import catalog
-from semitoric.coxring import CoxRing, R1Piece, nondegeneracy_certificate
+from semitoric.coxring import CoxRing, R1Piece
 from semitoric.divisor import TorusInvariantDivisor, pullback
 from semitoric.errors import CertificateError
 from semitoric.fan import ConeRef
 from semitoric.hodge import h21_batyrev, mirror_check
 from semitoric.polytope import LatticePolytope
-from semitoric.residue import CupProduct, ResidueMap, toric_jacobian
+from semitoric.residue import (
+    CupProduct,
+    NondegeneracyCertificate,
+    ResidueMap,
+    nondegeneracy_certificate,
+    toric_jacobian,
+)
 from semitoric.threefold import ThreefoldAnalysis
 
 from .test_cone_kernel import smallest_containing_cone
@@ -146,7 +152,7 @@ def test_criterion_4_residue_normalization():
         def check(ring, sections):
             nonlocal cases
             try:
-                res = ResidueMap(ring, sections)
+                res = ResidueMap(NondegeneracyCertificate(ring, sections))
             except CertificateError:
                 return False
             jf = toric_jacobian(ring, sections)
@@ -158,7 +164,7 @@ def test_criterion_4_residue_normalization():
 
         p1 = CoxRing(catalog.projective_line())
         x2, y2 = p1.monomial((2, 0)), p1.monomial((0, 2))
-        res = ResidueMap(p1, [x2, y2])
+        res = ResidueMap(NondegeneracyCertificate(p1, [x2, y2]))
         assert res.residue(toric_jacobian(p1, [x2, y2])) == 2
         cases += 1
         for k in (1, 2, 3, 4):

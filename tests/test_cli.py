@@ -427,6 +427,22 @@ def test_residue_eval(tmp_path, capsys):
     assert doc["jacobian_residue"] == "2"
 
 
+def test_residue_eval_refuses_a_degree_that_is_not_semiample(tmp_path, capsys, monkeypatch):
+    """Sections pulled back from one factor of P^1 x P^1 are refused on
+    their degree, before any certificate (a span in the critical degree)
+    is built."""
+    def forbidden(ring, F):
+        raise AssertionError("a certificate was built for a degree that is not semiample")
+
+    monkeypatch.setattr(cli, "NondegeneracyCertificate", forbidden)
+    x0, x1 = {"exps": [1, 0, 0, 0], "num": 1}, {"exps": [0, 1, 0, 0], "num": 1}
+    doc = dict(P1XP1_RESIDUE, sections=[{"terms": [x0]}, {"terms": [x1]}, {"terms": [x0, x1]}])
+    path = write(tmp_path, "segment.json", doc)
+    code, _, err = run(capsys, "residue", "eval", "--input", path)
+    assert code == 2
+    assert "the residue map is defined for semiample degrees" in err
+
+
 def test_residue_eval_verify(tmp_path, capsys, monkeypatch):
     """--verify checks the residue against the sum of `residue_of_monomial`
     over the terms of the argument, and the toric Jacobian against a second

@@ -9,21 +9,19 @@ import pytest
 
 from semitoric import catalog, coxring, lattice, linalg
 from semitoric.coxring import (
-    CERTIFIED_NONDEGENERATE,
-    INCONCLUSIVE,
     SLOT,
     CoxRing,
     GradedSubspace,
     R1Piece,
+    euler_basis,
     ideal_graded_piece,
     j0_piece,
-    nondegeneracy_certificate,
 )
 from semitoric.errors import InconsistencyError, PreconditionError, ValidationError
 from semitoric.fan import Fan
 from semitoric.linalg import SparseEchelon
 from semitoric.polytope import HPolytope, vertices_from_inequalities
-from semitoric.residue import CupProduct
+from semitoric.residue import CupProduct, admissible_index_sets, nondegeneracy_certificate
 
 from .test_linalg import ReferenceEchelon
 
@@ -133,7 +131,7 @@ def test_j0_contained_in_j1():
     gens = [CUBIC.weighted_partial(i) for i in range(3)]
     j1 = R1Piece(CUBIC, P2.beta0).j1
     for g in gens:
-        assert j1.contains(g)
+        assert j1.reduce(g).is_zero()
 
 
 def test_j1_rows_match_a_pinned_copy():
@@ -187,20 +185,20 @@ def test_r1_dim_equals_interior_points_at_level0():
 
 def test_certificate_fermat_cubic():
     cert = nondegeneracy_certificate(CUBIC)
-    assert cert.verdict == CERTIFIED_NONDEGENERATE
+    assert cert.certified
     assert cert.codim == 1
 
 
 def test_certificate_degenerate_triple_line():
     f = P2.monomial((3, 0, 0))
     cert = nondegeneracy_certificate(f)
-    assert cert.verdict == INCONCLUSIVE
+    assert not cert.certified
 
 
 def test_certificate_fermat_quartic_p3():
     ring = CoxRing(catalog.projective_space(3))
     cert = nondegeneracy_certificate(fermat(ring, 4))
-    assert cert.verdict == CERTIFIED_NONDEGENERATE
+    assert cert.certified
 
 
 def test_point_of_monomial_roundtrip():
@@ -297,7 +295,7 @@ def test_koszul_skip_keeps_the_span_on_the_dwork_pencil():
 def test_dwork_pencil_at_the_conifold_point_is_inconclusive():
     ring = CoxRing(catalog.projective_space(4))
     cert = nondegeneracy_certificate(dwork(ring, 1))
-    assert cert.verdict == INCONCLUSIVE
+    assert not cert.certified
     assert cert.codim == 125
 
 
@@ -578,3 +576,91 @@ def test_carry_guard_names_the_degree():
     beta = ring.degree_class((0, 0, 0, k))
     with pytest.raises(PreconditionError, match=re.escape(str(list(beta.rep)))):
         ring.monomial_basis(beta)
+
+
+def test_code_refuses_exponent_vectors_of_the_wrong_length_or_sign():
+    """An extra entry would be dropped and a negative one would borrow from
+    the next slot: (1, 1, 1, 7) coded as xyz, and eta of x^(1, 1, 1, 5)
+    read as the trace of xyz."""
+    for exps in ((1, 1, 1, 7), (1, 1), (2, -1, 2)):
+        with pytest.raises(ValidationError, match="bad exponent vector"):
+            P2.code(exps)
+    cup = CupProduct(P2, CUBIC)
+    assert cup.eta_monomial((1, 1, 1)) == Fraction(1, 9)
+    with pytest.raises(ValidationError, match="bad exponent vector"):
+        cup.eta_monomial((1, 1, 1, 5))
+
+
+CATALOG_FANS = {
+    "P1": catalog.projective_line, "P2": catalog.projective_plane,
+    "P3": lambda: catalog.projective_space(3), "P4": lambda: catalog.projective_space(4),
+    "BlP2": catalog.blowup_p2, "F2": lambda: catalog.hirzebruch(2),
+    "P1xP1": lambda: catalog.product_fan(catalog.projective_line(), catalog.projective_line()),
+    "BlP3": catalog.blowup_p3, "P11222": catalog.p11222_fan,
+    "P11222_crepant": catalog.p11222_crepant_fan, "P11222_triple": catalog.p11222_triple_fan,
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_FANS)
+def test_euler_basis_is_the_first_admissible_index_set(name):
+    """The lex-first row basis of the rows (a_i, e_i) is the first (d+1)-set
+    with c_I^beta != 0, and falls short of d+1 rows exactly when no set is
+    admissible (the zero degree among the draws)."""
+    ring = CoxRing(CATALOG_FANS[name]())
+    rng = random.Random(name)
+    vecs = [(0,) * ring.n] + [tuple(rng.randint(-3, 3) for _ in range(ring.n))
+                              for _ in range(30)]
+    for vec in vecs:
+        beta = ring.degree_class(vec)
+        basis, sets = euler_basis(beta), admissible_index_sets(ring, beta)
+        assert (len(basis) < ring.d + 1) == (not sets), vec
+        if sets:
+            assert basis == sets[0], vec
+
+
+def assert_j0_on_all_weighted_partials(f, gamma):
+    """j0_piece(f, gamma), on the weighted partials over the Euler basis, has
+    the pivots and the reductions of the piece on all n of them."""
+    fast = j0_piece(f, gamma)
+    full = ideal_graded_piece(f.ring.weighted_partials(f), gamma)
+    assert fast.echelon.pivots.keys() == full.echelon.pivots.keys()
+    probes = [{j: 1} for j in range(len(full.basis))]
+    rng = random.Random(len(full.basis))
+    probes += [{j: rng.randint(-5, 5) for j in rng.sample(range(len(full.basis)),
+                                                           min(4, len(full.basis)))}
+               for _ in range(10)]
+    for row in probes:
+        assert fast.echelon.reduce(row) == full.echelon.reduce(row)
+
+
+@pytest.mark.parametrize("fine", [catalog.p11222_crepant_fan, catalog.p11222_triple_fan])
+def test_j0_piece_matches_all_weighted_partials_on_the_pullbacks(fine):
+    ring, f = catalog.p11222_pullback_fermat(fine())
+    assert len(euler_basis(f.degree)) == ring.d + 1 < ring.n
+    for k in (1, 2):
+        assert_j0_on_all_weighted_partials(f, k * f.degree)
+
+
+def test_j0_piece_matches_all_weighted_partials_on_the_dwork_pencil():
+    ring = CoxRing(catalog.projective_space(4))
+    f = dwork(ring, Fraction(1, 2))
+    for k in (5, 10):
+        assert_j0_on_all_weighted_partials(f, k * ring.variable_degree(0))
+
+
+def test_j0_piece_matches_all_weighted_partials_on_a_dense_section():
+    ring = CoxRing(catalog.blowup_p2())
+    f = dense_section(ring, ring.beta0, 5)
+    assert len(euler_basis(f.degree)) == ring.d + 1 < ring.n
+    for k in (1, 2):
+        assert_j0_on_all_weighted_partials(f, k * f.degree)
+
+
+def test_j0_piece_of_a_constant_is_zero():
+    """A constant has degree zero: its Euler basis has d rows, and J_0 is 0."""
+    ring = CoxRing(catalog.blowup_p2())
+    f = ring.polynomial({(0,) * ring.n: 3}, ring.zero_degree())
+    assert len(euler_basis(f.degree)) == ring.d
+    for gamma in (ring.zero_degree(), ring.beta0):
+        assert j0_piece(f, gamma).dim == 0
+        assert_j0_on_all_weighted_partials(f, gamma)

@@ -98,7 +98,8 @@ def test_second_euler_row_identity(rng):
             total = c_I_beta(ring, beta, I) * b[j]
             for k, ik in enumerate(I):
                 J = (j,) + tuple(i for i in I if i != ik)
-                total += (-1) ** (k + 1) * c_I_beta(ring, beta, J) * b[ik]
+                if len(set(J)) == len(J):   # a repeated column makes c vanish
+                    total += (-1) ** (k + 1) * c_I_beta(ring, beta, J) * b[ik]
             assert total == 0
 
 

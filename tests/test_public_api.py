@@ -24,7 +24,7 @@ REMOVED = (
     "j1_graded_piece",      # R1Piece(f, gamma).j1
     "r1_dim",               # R1Piece(f, gamma).dim
     "reduce_modulo",        # GradedSubspace.reduce
-    "toric_residue",        # ResidueMap(ring, F).residue(H)
+    "toric_residue",        # ResidueMap(certificate).residue(H)
     "face_polynomial",      # ThreefoldAnalysis(f).surface(sigma).polynomial
     "decomposition",        # ThreefoldAnalysis.blocks(a)
     "_face_of_cone",        # LatticePolytope.face_at_direction
@@ -38,6 +38,11 @@ REMOVED = (
     "_points",              # LatticePolytope._run_table; relative_interior_points scans
     "_enumerate_integer_points",  # _expand over the runs of _integer_runs
     "_scan_box",            # LatticePolytope._scan
+    "CERTIFIED_NONDEGENERATE",  # NondegeneracyCertificate.certified
+    "INCONCLUSIVE",         # not NondegeneracyCertificate.certified
+    "verdict",              # NondegeneracyCertificate.certified
+    "jacobian_in_span",     # NondegeneracyCertificate.reduced_jacobian is empty
+    "_jacobian",            # ResidueMap(certificate) reads the certificate's Jacobian
 )
 
 
@@ -98,3 +103,11 @@ def test_no_module_imports_a_name_it_never_reads():
                 bound = [(a.asname or a.name).split(".")[0] for a in node.names]
                 unused += [(path.name, name) for name in bound if name not in read]
     assert unused == []
+
+
+def test_coxring_imports_nothing_from_residue():
+    """The ring layer sits below the residue layer: J_0 is built in
+    `coxring`, and the certificate and the residue map on it in `residue`."""
+    tree = ast.parse((PACKAGE / "coxring.py").read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "residue" not in modules

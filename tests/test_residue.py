@@ -1,19 +1,21 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from semitoric import catalog, residue
-from semitoric.coxring import CoxRing, R1Piece, nondegeneracy_certificate
-from semitoric.errors import CertificateError, ValidationError
+from semitoric.coxring import CoxRing, R1Piece
+from semitoric.errors import CertificateError, PreconditionError, ValidationError
 from semitoric.residue import (
     CupProduct,
     PairingValue,
+    NondegeneracyCertificate,
     ResidueMap,
     admissible_index_sets,
     c_I_beta,
     cup_constant,
     cup_jacobian,
+    det_e,
+    nondegeneracy_certificate,
     toric_jacobian,
 )
 
@@ -53,6 +55,22 @@ def test_c_I_beta_wrong_size():
         c_I_beta(P2, P2.beta0, (0, 1))
 
 
+def test_index_sets_are_range_checked():
+    """An index past n - 1 or below 0, or a repeated one, is refused: -1 no
+    longer wraps to the last variable (the Jacobian 243 x^(2,2,1), outside
+    S_rho), and 7 no longer raises IndexError."""
+    F = [CUBIC.weighted_partial(i) for i in range(3)]
+    assert toric_jacobian(P2, F, (0, 1, 2)).terms == {(2, 2, 2): Fraction(243)}
+    for I in ((0, 1, -1), (0, 1, 7), (0, 1, 1)):
+        with pytest.raises(ValidationError, match="distinct indices"):
+            toric_jacobian(P2, F, I)
+        with pytest.raises(ValidationError, match="distinct indices"):
+            c_I_beta(P2, P2.beta0, I)
+    for I in ((0, -1), (0, 3), (2, 2)):
+        with pytest.raises(ValidationError, match="distinct indices"):
+            det_e(P2, I)
+
+
 def test_toric_jacobian_projective_line():
     x2 = P1.monomial((2, 0))
     y2 = P1.monomial((0, 2))
@@ -75,23 +93,58 @@ def test_toric_jacobian_fermat_cubic_weighted_partials():
 def test_residue_normalization_projective_line():
     x2 = P1.monomial((2, 0))
     y2 = P1.monomial((0, 2))
-    res = ResidueMap(P1, [x2, y2])
+    res = ResidueMap(NondegeneracyCertificate(P1, [x2, y2]))
     assert res.volume == 2
-    assert res.residue(res.jacobian) == 2
+    assert res.residue(res.certificate.jacobian) == 2
     assert res.residue(P1.monomial((1, 1))) == -1
 
 
 def test_residue_of_span_element_is_zero():
     x2 = P1.monomial((2, 0))
     y2 = P1.monomial((0, 2))
-    assert ResidueMap(P1, [x2, y2]).residue(P1.monomial((2, 0))) == 0
+    assert ResidueMap(NondegeneracyCertificate(P1, [x2, y2])).residue(P1.monomial((2, 0))) == 0
 
 
 def test_residue_requires_no_common_zeros():
     x2 = P1.monomial((2, 0))
     xy = P1.monomial((1, 1))
     with pytest.raises(CertificateError):
-        ResidueMap(P1, [x2, xy])  # common zero x = 0
+        ResidueMap(NondegeneracyCertificate(P1, [x2, xy]))  # common zero x = 0
+
+
+def test_residue_refuses_a_degree_that_is_not_semiample():
+    """x0, x1, x0 + x1 on P^1 x P^1 pull back from one factor: their degree
+    is nef, but its section polytope is a segment."""
+    ring = CoxRing(catalog.product_fan(catalog.projective_line(), catalog.projective_line()))
+    x0, x1 = ring.monomial((1, 0, 0, 0)), ring.monomial((0, 1, 0, 0))
+    with pytest.raises(PreconditionError, match="defined for semiample degrees"):
+        ResidueMap(NondegeneracyCertificate(ring, [x0, x1, x0 + x1]))
+
+
+def test_certificate_index_set_is_the_first_admissible_one_when_codim_is_one():
+    F = [CUBIC.weighted_partial(i) for i in range(3)]
+    certificate = NondegeneracyCertificate(P2, F)
+    assert certificate.certified
+    assert certificate.index_set == admissible_index_sets(P2, CUBIC.degree)[0]
+    x2 = P1.monomial((2, 0))
+    degenerate = NondegeneracyCertificate(P1, [x2, x2])
+    assert degenerate.codim == 2 and not degenerate.certified
+    assert degenerate.index_set is None and degenerate.jacobian is None
+
+
+def test_cup_product_takes_a_certificate_only_of_the_weighted_partials_of_f():
+    """A certificate built by hand on F_I of f gives the same trace as the
+    default one; a certified certificate of other sections is refused."""
+    I = admissible_index_sets(P2, CUBIC.degree)[0]
+    F_I = [CUBIC.weighted_partial(i) for i in I]
+    own = CupProduct(P2, CUBIC, NondegeneracyCertificate(P2, F_I))
+    xyz = P2.monomial((1, 1, 1))
+    assert own.eta(xyz) == CupProduct(P2, CUBIC).eta(xyz) == Fraction(1, 9)
+    cubes = [P2.monomial(tuple(3 * int(i == j) for j in range(3))) for i in range(3)]
+    other = NondegeneracyCertificate(P2, cubes)
+    assert other.certified
+    with pytest.raises(ValidationError, match="not of the weighted partials"):
+        CupProduct(P2, CUBIC, other)
 
 
 def test_cup_jacobian_fermat_cubic():
@@ -131,11 +184,10 @@ def test_toric_jacobian_takes_one_determinant(monkeypatch):
 
 
 def test_certificate_takes_determinants_up_to_the_first_admissible_set(monkeypatch):
-    """On the crepant P(1,1,2,2,2) fixture the certificate takes c_I^beta on
-    the index sets in lexicographic order up to the first admissible one,
-    then once more inside the toric Jacobian, and no further."""
+    """On the crepant P(1,1,2,2,2) fixture the certificate finds the first
+    admissible index set with no determinant (`euler_basis`, one
+    elimination) and takes c_I^beta once, inside the toric Jacobian."""
     ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
-    subsets = list(combinations(range(ring.n), ring.d + 1))
     first = admissible_index_sets(ring, f.degree)[0]
     calls = []
     original = residue.c_I_beta
@@ -143,8 +195,7 @@ def test_certificate_takes_determinants_up_to_the_first_admissible_set(monkeypat
                         lambda ring, beta, I: calls.append(tuple(I)) or original(ring, beta, I))
     certificate = nondegeneracy_certificate(f)
     assert certificate.index_set == first
-    assert calls == subsets[:subsets.index(first) + 1] + [first]
-    assert len(calls) < len(subsets) + 1
+    assert calls == [first]
 
 
 def test_eta_on_fermat_cubic():

@@ -50,7 +50,7 @@ def test_certificate_is_computed_on_first_use(monkeypatch):
     the first ring piece asks for it and fails."""
     calls = []
     monkeypatch.setattr(threefold, "nondegeneracy_certificate",
-                        lambda f: calls.append(f) or coxring.nondegeneracy_certificate(f))
+                        lambda f: calls.append(f) or residue.nondegeneracy_certificate(f))
     ring = CoxRing(catalog.projective_space(4))
     f = ring.polynomial({tuple(3 * int(i == j) for j in range(5)): 1 for i in range(4)})
     analysis = ThreefoldAnalysis(f)
@@ -401,7 +401,7 @@ def test_gram_evaluates_eta_once_per_monomial_product(monkeypatch):
     assert 0 < len(residues) <= 1281
     assert len(rho_pieces) == 1
     assert analysis.cup.res.span is analysis.certificate.span
-    assert analysis.cup.res.jacobian is analysis.certificate.jacobian
+    assert analysis.cup.res.certificate is analysis.certificate
 
 
 def test_crepant_level3_ring_piece_reuses_the_certificate_span(monkeypatch):
@@ -429,6 +429,42 @@ def test_crepant_level3_ring_piece_reuses_the_certificate_span(monkeypatch):
     monkeypatch.undo()
     gamma = 4 * f.degree - ring.beta0
     assert analysis.bulk_piece(3).coset_exponents == R1Piece(f, gamma).coset_exponents
+
+
+def test_crepant_h3_builds_bulk_j0_on_five_generators(monkeypatch, capsys):
+    """One `threefold h3` report on the crepant fixture (n = 6, d + 1 = 5)
+    builds every ideal piece of the ambient ring on the 5 weighted partials
+    over the Euler basis, and one of them in rho: the certificate's span,
+    which the residue map and the cup product read."""
+    pieces, cups = [], []
+    true_piece = coxring.ideal_graded_piece
+    true_cup_init = residue.CupProduct.__init__
+
+    def recorded_piece(generators, gamma):
+        pieces.append((len(generators), true_piece(generators, gamma)))
+        return pieces[-1][1]
+
+    def recorded_cup_init(self, *args):
+        true_cup_init(self, *args)
+        cups.append(self)
+
+    monkeypatch.setattr(coxring, "ideal_graded_piece", recorded_piece)
+    monkeypatch.setattr(residue, "ideal_graded_piece", recorded_piece)
+    monkeypatch.setattr(residue.CupProduct, "__init__", recorded_cup_init)
+    fixture = resources.files("semitoric") / "fixtures" / "p11222_crepant.json"
+    with resources.as_file(fixture) as path:
+        assert cli.main(["threefold", "h3", "--input", str(path)]) == 0
+    capsys.readouterr()
+    bulk = [(k, space) for k, space in pieces if space.ring.d == 4]
+    ring = bulk[0][1].ring
+    assert ring.n == 6 and all(k == 5 for k, _ in bulk)
+    beta = ring.beta0  # the crepant pullback is anticanonical
+    assert sorted(space.degree.rep for _, space in bulk) == sorted(
+        (k * beta).rep for k in (1, 2, 3, 4))
+    rho = [space for _, space in bulk if space.degree == 5 * beta - ring.beta0]
+    assert len(rho) == 1
+    (cup,) = [c for c in cups if c.ring is ring]
+    assert cup.res.span is cup.res.certificate.span is rho[0]
 
 
 def test_triple_subdivision_nonadjacent_links_vanish(triple_analysis):

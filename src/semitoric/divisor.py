@@ -32,12 +32,9 @@ class SupportFunction:
         self.per_max_cone = per_max_cone
 
     def m_of_cone(self, cone: ConeRef):
-        if cone.fan is self.fan or cone.fan.rays == self.fan.rays:
-            for ci, c in enumerate(self.fan.max_cones):
-                if cone.ray_indices <= c:
-                    return self.per_max_cone[ci]
-        # a cone of another fan lies in every maximal cone that holds the
-        # sum of its rays, if it lies in any
+        """m of a maximal cone holding the cone, which may be a cone of
+        another fan: a cone lies in every maximal cone that holds the sum of
+        its rays, if it lies in any."""
         ci = self.fan.max_cone_index(cone.relint_point())
         if ci is None or not all(self.fan._holds(ci, g) for g in cone.generators()):
             raise ValidationError("cone does not belong to the fan of this divisor")
@@ -198,9 +195,13 @@ class TorusInvariantDivisor:
         return face.normalized_volume()
 
     def degree(self) -> Fraction:
-        """(D^d) = d! vol(Delta_D)."""
-        return self.intersection_number(self.fan.dim,
-                                        ConeRef(self.fan, frozenset(), 0))
+        """(D^d) = d! vol(Delta_D), 0 when Delta_D is not full-dimensional:
+        `intersection_number` at the zero cone, read off the section polytope."""
+        if not self.is_globally_generated():
+            raise PreconditionError("the degree via the volume requires a globally "
+                                    "generated divisor")
+        delta = self.section_polytope()
+        return delta.normalized_volume() if delta.dim == self.fan.dim else Fraction(0)
 
     # -- the coarsened fan -------------------------------------------------------
 
@@ -335,13 +336,7 @@ def pullback(divisor: TorusInvariantDivisor, fine: Fan) -> TorusInvariantDivisor
     if not fine.is_refinement(divisor.fan):
         raise PreconditionError("pull-back requires a refinement of the divisor's fan")
     sf = divisor.support_function()
-    coeffs = []
-    for e in fine.rays:
-        v = sf.value(e)
-        if v.denominator != 1:
-            raise InconsistencyError("support function non-integral at a lattice ray")
-        coeffs.append(-int(v))
-    return TorusInvariantDivisor(fine, coeffs)
+    return TorusInvariantDivisor(fine, [-sf.value(e) for e in fine.rays])
 
 
 def find_ample(fan: Fan) -> TorusInvariantDivisor:

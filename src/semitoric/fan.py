@@ -365,38 +365,3 @@ class Fan:
             raise ValidationError("cone rays are not rays of this fan") from exc
         return self.cone_ref(idx)
 
-    def star_projection(self, cone: ConeRef):
-        """Quotient data (P, Q) for N -> N/N_cone; P is surjective with
-        kernel the saturated span of the cone, Q a right inverse."""
-        return lattice.quotient_projection(
-            [list(g) for g in self.same_cone(cone).generators()], self.dim)
-
-    def star_fan(self, cone: ConeRef) -> "Fan":
-        """Fan of the orbit closure V(cone) in the quotient lattice N/N_cone."""
-        cone = self.same_cone(cone)
-        s = cone.dim
-        if s == 0:
-            return self
-        P, _ = self.star_projection(cone)
-        qdim = self.dim - s
-        ray_map = {}
-        new_rays = []
-        new_cones = []
-        for c in self.max_cones:
-            if not cone.ray_indices <= c:  # a face of c is spanned by rays of c
-                continue
-            proj = set()
-            for i in c:
-                img = tuple(lattice.pairing(p, self.rays[i]) for p in P)
-                if not any(img):
-                    continue
-                img = lattice.primitivize(img)
-                if img not in ray_map:
-                    ray_map[img] = len(new_rays)
-                    new_rays.append(img)
-                proj.add(ray_map[img])
-            new_cones.append(frozenset(proj))
-        maximal = [c for c in new_cones
-                   if not any(c < other for other in new_cones)]
-        return Fan(new_rays, sorted(set(maximal), key=sorted), dim=qdim)
-

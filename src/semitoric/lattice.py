@@ -9,8 +9,8 @@ normal form U A V = D of the rows A and the inverse W of V (a span of rank 0
 or of full rank gets the unit frame from one elimination).  The rows of W
 split into a basis of the saturated span of A and a complement, the dual
 columns of V into coordinates on that span and its equations (the integer
-kernel of A).  Saturated bases, integer kernels, star quotients and the
-lattice anchors of polytope spans in ``polytope.py`` each cost one frame.
+kernel of A).  Saturated bases, integer kernels and the lattice anchors
+of polytope spans in ``polytope.py`` each cost one frame.
 """
 
 from __future__ import annotations
@@ -276,16 +276,3 @@ def inverse_unimodular(A):
     if len(pivots) < n or d not in (1, -1):
         raise ValidationError("matrix is not unimodular")
     return [tuple(d * x for x in row[n:]) for row in a]
-
-
-def quotient_projection(span_rows, ambient_dim):
-    """Projection data for N -> N / (span ∩ N).
-
-    Returns (P, Q): P is a (d-s) x d integer matrix that is surjective onto
-    Z^(d-s) with kernel the saturation of the span; Q is a d x (d-s) integer
-    right inverse (P Q = I), used to transport pairings to the quotient.
-    From the frame (s, W, C) of the span: P = C[s:], and Q has the columns
-    W[s:].
-    """
-    s, W, C = frame(span_rows, ambient_dim)
-    return C[s:], [tuple(w[i] for w in W[s:]) for i in range(ambient_dim)]

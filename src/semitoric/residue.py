@@ -225,7 +225,7 @@ class ResidueMap:
         self.certificate = certificate
         self.span = certificate.span
         (self._col, self._jcoeff), = certificate.reduced_jacobian.items()
-        self.volume = div.section_polytope().normalized_volume()
+        self.volume = div.degree()
 
     def residue(self, H: GradedPolynomial) -> Fraction:
         """The unique c with H - c * Jacobian in the span, times d! vol(Delta)."""

@@ -3,7 +3,8 @@
 The middle cohomology splits into a part coming from the graded ring of the
 ambient variety and, for every 2-cone of the coarse fan subdivided by
 interior rays, copies of the analogous ring of a regular ample curve in the
-orbit-closure surface.  The cup product is block anti-diagonal across
+orbit-closure surface, the toric surface of the face of the section
+polytope dual to the 2-cone.  The cup product is block anti-diagonal across
 complementary levels; ring-by-surface blocks vanish, surface blocks are
 scaled by lattice multiplicities of the flanking 2-cones.
 
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .fan import ConeRef, Fan
 from .linalg import SparseEchelon
+from .polytope import LatticePolytope
 from .residue import CupProduct, PairingValue, cup_constant, nondegeneracy_certificate
 
 
@@ -119,50 +121,47 @@ def two_cone_charts(fine: Fan, coarse: Fan):
 
 
 class SurfaceSlice:
-    """The orbit-closure surface of a 2-cone with the restricted hypersurface:
-    `polynomial` holds the terms of f on the matching face of the section
-    polytope, rewritten in quotient-lattice coordinates."""
+    """The orbit-closure surface V(sigma) of a 2-cone of the coarse fan, read
+    off the face Gamma of the section polytope dual to sigma, with the terms
+    of f on Gamma (f modulo the variables of the rays of sigma).
+
+    The surface is the toric surface of Gamma in the span lattice of Gamma,
+    basis (b1, b2): one variable per edge E of Gamma, with ray the inward
+    edge normal n_E.  A facet j of Delta_D through E but not through Gamma
+    has a ray e_j of the fine fan as its normal, and (<b1, e_j>, <b2, e_j>)
+    = g_E n_E with n_E primitive; a term of f on Gamma has the lattice
+    distance of its point to E, its exponent of x_j over g_E, as its
+    exponent of the variable of E, and the degree is the class of the
+    exponents of a vertex of Gamma.  A maximal cone is the pair of edges
+    through a vertex of Gamma (Cox-Little-Schenck, Toric Varieties, 3.2)."""
 
     def __init__(self, analysis: "ThreefoldAnalysis", sigma: ConeRef):
-        fine_ring = analysis.ring
-        coarse = analysis.coarse
         self.sigma = sigma
-        star = coarse.star_fan(sigma)
-        if not star.is_simplicial:
-            raise PreconditionError("orbit-closure surface fan is not simplicial")
-        self.ring = CoxRing(star)
-        P, Q = coarse.star_projection(sigma)
         delta = analysis.delta
         face = delta.face_at_direction(sigma.relint_point())
         verts = face.vertices()
         if any(type(x) is not int for v in verts for x in v):
             raise PreconditionError("face of the section polytope is not a lattice polytope")
-        base = min(verts)
-
-        def mbar(point):
-            rel = [a - b for a, b in zip(point, base)]
-            return tuple(sum(Q[j][k] * rel[j] for j in range(len(rel)))
-                         for k in range(len(Q[0])))
-
-        vert_coords = [mbar(v) for v in verts]
-        coeffs = []
-        for ray in star.rays:
-            coeffs.append(-min(lattice.pairing(s, ray) for s in vert_coords))
-        self.degree = self.ring.degree_class(coeffs)
-        # a term's point lies in delta; it lies on the face when it is tight
-        # at every facet containing the face
-        facets = delta.facets()
-        tight = [facets[i][:2] for i in face.facets]
-        terms = {}
-        for exps, coeff in analysis.f.terms.items():
-            m = fine_ring.point_of_monomial(exps, analysis.f.degree)
-            if any(lattice.pairing(m, n) != r for n, r in tight):
-                continue
-            s = mbar(m)
-            exps_sigma = tuple(a + lattice.pairing(s, ray)
-                               for a, ray in zip(coeffs, star.rays))
-            terms[exps_sigma] = terms.get(exps_sigma, Fraction(0)) + coeff
-        self.polynomial = GradedPolynomial(self.ring, terms, self.degree)
+        basis = LatticePolytope(verts, _trusted=True)._span_data().basis
+        facets, fine_rays = delta.facets(), analysis.ring.fan.rays
+        edges = delta.subfaces(face)
+        rays, slots, at_vertex = [], [], []
+        for edge in edges:
+            normal, rhs, _ = facets[min(edge.facets - face.facets)]
+            form = [lattice.pairing(b, normal) for b in basis]
+            g = lattice.gcd_list(form)
+            rays.append(tuple(x // g for x in form))
+            slots.append((fine_rays.index(normal), g))
+            at_vertex.append((lattice.pairing(verts[0], normal) - rhs) // g)
+        cones = [[k for k, edge in enumerate(edges) if v in edge.vertex_indices]
+                 for v in sorted(face.vertex_indices)]
+        self.ring = CoxRing(Fan(rays, cones, dim=2))
+        self.degree = self.ring.degree_class(at_vertex)
+        on_face = [fine_rays.index(facets[j][0]) for j in face.facets]
+        self.polynomial = GradedPolynomial(self.ring, {
+            tuple(exps[i] // g for i, g in slots): coeff
+            for exps, coeff in analysis.f.terms.items()
+            if not any(exps[i] for i in on_face)}, self.degree)
 
     @cached_property
     def certificate(self):

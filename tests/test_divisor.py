@@ -108,6 +108,31 @@ def test_degree_vs_volume():
     assert (3 * D3).degree() == 9
 
 
+def test_degree_reads_the_section_polytope(monkeypatch):
+    """Once the section polytope is built, (D^d) takes no further H-to-V
+    conversion, and agrees with the slice at the zero cone; 0 on a segment
+    of P^1 x P^1, which is not full-dimensional."""
+    from semitoric import divisor as divisor_module
+
+    fibre = TorusInvariantDivisor(catalog.product_fan(catalog.projective_line(),
+                                                      catalog.projective_line()), (1, 0, 0, 0))
+    for div, expected in ((D3, 1), (3 * D3, 9), (PULLBACK_D3, 1), (fibre, 0)):
+        zero = ConeRef(div.fan, frozenset(), 0)
+        assert div.intersection_number(div.fan.dim, zero) == expected
+        div.section_polytope()
+        with monkeypatch.context() as m:
+            m.setattr(divisor_module, "vertices_from_inequalities", None)
+            assert div.degree() == expected
+
+
+def test_support_function_refuses_a_cone_outside_its_fan():
+    """On P^2 the cone spanned by (1, 0) and (-1, 1) lies in no maximal
+    cone: its slice has no linear function to read."""
+    tau = Fan([(1, 0), (-1, 1), (0, -1)], [[0, 1], [1, 2], [0, 2]]).cone_ref([0, 1])
+    with pytest.raises(ValidationError, match="cone does not belong to the fan of this divisor"):
+        D3.intersection_number(0, tau)
+
+
 def test_sigma_d_blowdown():
     coarse = PULLBACK_D3.sigma_d()
     assert coarse == P2

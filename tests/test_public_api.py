@@ -43,6 +43,9 @@ REMOVED = (
     "verdict",              # NondegeneracyCertificate.certified
     "jacobian_in_span",     # NondegeneracyCertificate.reduced_jacobian is empty
     "_jacobian",            # ResidueMap(certificate) reads the certificate's Jacobian
+    "star_fan",             # SurfaceSlice reads V(sigma) off its face of Delta_D
+    "star_projection",      # SurfaceSlice: the span basis of the face of Delta_D
+    "quotient_projection",  # lattice.frame; the face's span basis in SurfaceSlice
 )
 
 

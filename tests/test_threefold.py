@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
 from operator import add
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from semitoric import catalog, cli, coxring, lattice, residue, threefold
 from semitoric.coxring import CoxRing, R1Piece
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import CertificateError, PreconditionError, ValidationError
-from semitoric.hodge import h21_batyrev
+from semitoric.hodge import h21_batyrev, triangulation_helper
 from semitoric.residue import PairingValue
 from semitoric.threefold import (
     GramBlock,
@@ -19,6 +20,9 @@ from semitoric.threefold import (
     gram_skew_between_levels,
     two_cone_charts,
 )
+
+from .test_fan import ref_star_fan
+from .test_lattice import ref_quotient_projection
 
 
 def fermat(ring, degree):
@@ -544,22 +548,109 @@ def test_face_terms_match_the_face_polytope_route(crepant_analysis):
             assert sorted(analysis.surface(sigma).polynomial.terms.values()) == expected
 
 
-def test_surface_slice_pairing_consistency(crepant_analysis):
-    """The quotient projection used for the star fan and for monomial
-    transport must agree: pairings of transported points against star rays
-    must match the ambient pairings."""
-    from semitoric import lattice
+def ref_star_slice(analysis, sigma):
+    """The polynomial of the slice of a 2-cone through the quotient lattice
+    N/N_sigma: the ring of `ref_star_fan`, and each term of f whose point is
+    tight at every facet through the face, moved to the quotient by a right
+    inverse Q of the projection.  It holds only on a simplicial Sigma_D,
+    where `ref_star_fan` is the star fan."""
+    coarse, delta, f = analysis.coarse, analysis.delta, analysis.f
+    ring = CoxRing(ref_star_fan(coarse, sigma))
+    _, Q = ref_quotient_projection([list(g) for g in sigma.generators()], 4)
+    face = delta.face_at_direction(sigma.relint_point())
+    base = min(face.vertices())
 
-    chart = next(c for c in crepant_analysis.charts if c.n_interior == 1)
-    coarse = crepant_analysis.coarse
-    sigma = coarse.cone_ref(chart.sigma.ray_indices)
-    P, Q = coarse.star_projection(sigma)
-    star = coarse.star_fan(sigma)
-    for i, ray in enumerate(coarse.rays):
-        img = tuple(lattice.pairing(p, ray) for p in P)
-        if not any(img):
-            continue
-        assert lattice.primitivize(img) in star.rays
+    def mbar(point):
+        rel = [a - b for a, b in zip(point, base)]
+        return [sum(Q[j][k] * rel[j] for j in range(4)) for k in range(2)]
+
+    coeffs = [-min(lattice.pairing(mbar(v), ray) for v in face.vertices())
+              for ray in ring.fan.rays]
+    tight = [delta.facets()[i][:2] for i in face.facets]
+    terms = {}
+    for exps, coeff in f.terms.items():
+        m = f.ring.point_of_monomial(exps, f.degree)
+        if all(lattice.pairing(m, n) == r for n, r in tight):
+            terms[tuple(a + lattice.pairing(mbar(m), ray)
+                        for a, ray in zip(coeffs, ring.fan.rays))] = coeff
+    return ring.polynomial(terms, ring.degree_class(coeffs))
+
+
+def test_slice_solves_no_linear_system(monkeypatch):
+    """A slice reads its terms off the exponents of f: no point of a
+    monomial and no rational solve."""
+    analysis = ThreefoldAnalysis(catalog.p11222_pullback_fermat(
+        catalog.p11222_triple_fan())[1])
+    monkeypatch.setattr(CoxRing, "point_of_monomial", None)
+    monkeypatch.setattr(lattice, "rational_solution", None)
+    assert all(analysis.surface(sigma).polynomial.terms for sigma in analysis.coarse.cones(2))
+
+
+def wp_fermat(weights):
+    """The anticanonical Fermat section sum x_i^(L / w_i), L = sum w_i, on
+    P(weights)."""
+    ring = CoxRing(catalog.weighted_projective(weights))
+    total = sum(weights)
+    return ring.polynomial({tuple(total // w * int(i == j) for j in range(ring.n)): 1
+                            for i, w in enumerate(weights)})
+
+
+@pytest.mark.parametrize("name", ["crepant_analysis", "triple_analysis", "quintic_analysis",
+                                  "P11114", "P11226"])
+def test_face_slice_matches_the_star_route(name, request):
+    """On every 2-cone of a simplicial Sigma_D, the slice read off its face
+    of Delta_D and the quotient-lattice route agree: the same number of
+    variables, f_Gamma up to a permutation of them, the certificate verdict
+    and the R_1 dimensions at levels 1 and 2."""
+    analysis = (ThreefoldAnalysis(wp_fermat(tuple(map(int, name[1:]))))
+                if name.startswith("P") else request.getfixturevalue(name))
+    for sigma in analysis.coarse.cones(2):
+        poly, ref = analysis.surface(sigma).polynomial, ref_star_slice(analysis, sigma)
+        n = ref.ring.n
+        assert poly.ring.n == n
+        assert any({tuple(e[i] for i in perm): c for e, c in ref.terms.items()} == poly.terms
+                   for perm in permutations(range(n)))
+        assert analysis.surface(sigma).certificate.certified == \
+            residue.nondegeneracy_certificate(ref).certified
+        assert [analysis.surface(sigma).level_piece(a).dim for a in (1, 2)] == \
+            [R1Piece(ref, a * ref.degree - ref.ring.beta0).dim for a in (1, 2)]
+
+
+def cube_fan_section(k, points):
+    """The section of k * sum D_i on the fine fan over the 4-cube (80 rays)
+    with the terms at the given points of k Delta_D, Delta_D the
+    cross-polytope, and distinct coefficients.  Sigma_D is the face fan of
+    the cube, with 8 rays in each maximal cone."""
+    fine = triangulation_helper(catalog.cube(4))
+    ring = CoxRing(fine)
+    return ring.polynomial({tuple(k + lattice.pairing(m, r) for r in fine.rays): c
+                            for c, m in enumerate(points, start=1)})
+
+
+def test_h3_on_a_non_simplicial_sigma_d():
+    """f on the 9 lattice points of the cross-polytope: H^3 has dimensions
+    [1, h21, h21, 1] with h21 = 4 from the reflexive formula, and the
+    level-(1, 2) pairing has full rank."""
+    delta = catalog.cross_polytope(4)
+    analysis = ThreefoldAnalysis(cube_fan_section(1, delta.lattice_points()))
+    assert h21_batyrev(delta) == 4
+    assert [analysis.hodge_number(a) for a in range(4)] == [1, 4, 4, 1]
+    assert analysis.gram(1, 2).rank() == 4
+
+
+def test_slice_of_a_subdivided_cone_of_a_non_simplicial_sigma_d():
+    """D = 3 sum D_i, f on the 8 vertices of 3 Delta_D and the origin: the
+    slice of a subdivided 2-cone is the Fermat cubic on a fan of three
+    rays, certified, with R_1 dimensions [0, 1, 1, 0]."""
+    points = [(0,) * 4] + [tuple(3 * s * int(i == j) for j in range(4))
+                           for i in range(4) for s in (1, -1)]
+    analysis = ThreefoldAnalysis(cube_fan_section(3, points))
+    chart = next(c for c in analysis.charts if c.n_interior)
+    surface = analysis.surface(chart.sigma)
+    assert len(surface.ring.fan.rays) == 3
+    assert sorted(surface.polynomial.terms) == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
+    assert surface.certificate.certified
+    assert [surface.level_piece(a).dim for a in range(4)] == [0, 1, 1, 0]
 
 
 def test_gram_quintic_closed_form(quintic_analysis):

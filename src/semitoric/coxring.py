@@ -1,10 +1,11 @@
 """The homogeneous coordinate ring of a complete toric variety.
 
 One variable per ray, graded by the divisor class group Z^n / im(M).
-Degree classes carry a canonical normal form (via the Smith normal form of
-the ray matrix), graded pieces get explicit monomial bases through lattice
-points of section polytopes, and ideal pieces are handled degree by degree
-with sparse exact row reduction.  No Groebner bases anywhere.
+Degree classes carry a canonical normal form (`lattice.QuotientForm` of
+the ray matrix, lifted back to Z^n), graded pieces get explicit monomial
+bases through lattice points of section polytopes, and ideal pieces are
+handled degree by degree with sparse exact row reduction.  No Groebner
+bases anywhere.
 
 Inside the graded-piece kernel a monomial x^e is one integer, its code
 sum_i e_i 2^(SLOT (n-1-i)): exponent e_i fills slot i, the first variable
@@ -270,13 +271,12 @@ class CoxRing:
         self.fan = fan
         self.n = len(fan.rays)
         self.d = fan.dim
-        E = [list(r) for r in fan.rays]
-        U, D, _ = lattice.smith_normal_form(E)
-        if any(D[i][i] == 0 for i in range(self.d)):
+        # the columns of the ray matrix span im(M), the principal divisors
+        self._classes = lattice.QuotientForm(fan.rays, self.n)
+        if self._classes.rank < self.d:
             raise PreconditionError("rays do not span the ambient lattice")
-        self._U = U
-        self._Uinv = lattice.inverse_unimodular(U)
-        self._diag = [D[i][i] for i in range(self.d)]
+        Uinv = lattice.inverse_unimodular(self._classes.U)
+        self._lift = [[Uinv[i][k] for k in self._classes.kept] for i in range(self.n)]
         self._nf_cache: dict = {}
         self._basis_cache: dict = {}
         self._shifts = tuple(SLOT * (self.n - 1 - i) for i in range(self.n))
@@ -309,11 +309,8 @@ class CoxRing:
             return hit
         if len(key) != self.n:
             raise ValidationError(f"degree vector of length {len(key)}, expected {self.n}")
-        u = [sum(self._U[i][k] * key[k] for k in range(self.n)) for i in range(self.n)]
-        for i in range(self.d):
-            u[i] %= self._diag[i]
-        nf = tuple(sum(self._Uinv[i][k] * u[k] for k in range(self.n))
-                   for i in range(self.n))
+        u = self._classes(key)
+        nf = tuple(sum(a * b for a, b in zip(row, u)) for row in self._lift)
         self._nf_cache[key] = nf
         return nf
 

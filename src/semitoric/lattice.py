@@ -10,7 +10,9 @@ or of full rank gets the unit frame from one elimination).  The rows of W
 split into a basis of the saturated span of A and a complement, the dual
 columns of V into coordinates on that span and its equations (the integer
 kernel of A).  Saturated bases, integer kernels and the lattice anchors
-of polytope spans in ``polytope.py`` each cost one frame.
+of polytope spans in ``polytope.py`` each cost one frame.  Normal forms in
+a quotient Z^dim / L cost one Smith normal form of the generators of L
+(``QuotientForm``).
 """
 
 from __future__ import annotations
@@ -212,6 +214,41 @@ def frame(rows, dim):
         return k, ident, ident
     _, _, V = smith_normal_form([list(r) for r in rows])
     return k, inverse_unimodular(V), [tuple(r[j] for r in V) for j in range(dim)]
+
+
+class QuotientForm:
+    """Normal forms of Z^dim modulo the span L of the columns of G (dim rows).
+
+    From one Smith normal form U G V = D of rank r, the form of v is U v with
+    its first r coordinates reduced mod d_i and the rest as they are; the
+    coordinates with d_i = 1, always 0, are left out (`kept` lists the
+    others).  Two vectors have the same form exactly when their difference
+    lies in L, and the form is additive up to `reduce`.  The class group of
+    a toric variety and the grading of a section by its exponents both read
+    their normal forms off this kernel."""
+
+    def __init__(self, G, dim):
+        U, D, _ = smith_normal_form([list(r) for r in G])
+        diag = [D[i][i] for i in range(min(dim, len(D[0]) if D else 0))]
+        self.U = U
+        self.rank = sum(1 for x in diag if x)
+        self.kept = [i for i in range(dim) if i >= self.rank or diag[i] != 1]
+        self._moduli = [diag[i] if i < self.rank else 0 for i in self.kept]
+        self._rows = [([(k, x) for k, x in enumerate(U[i]) if x], m)
+                      for i, m in zip(self.kept, self._moduli)]
+
+    def __call__(self, v) -> tuple:
+        out = []
+        for row, m in self._rows:
+            s = 0
+            for k, x in row:
+                s += x * v[k]
+            out.append(s % m if m else s)
+        return tuple(out)
+
+    def reduce(self, u) -> tuple:
+        """The normal form of a vector of kept coordinates."""
+        return tuple([x % m if m else x for x, m in zip(u, self._moduli)])
 
 
 def cone_multiplicity(generators) -> int:

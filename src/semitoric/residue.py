@@ -12,6 +12,7 @@ the pairing procedure for regular semiample hypersurfaces.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -144,19 +145,25 @@ def toric_jacobian(ring: CoxRing, F, I=None) -> GradedPolynomial:
     admissible I, by default the first (`residue eval --verify` takes a second)."""
     F, beta = _sections(ring, F)
     I = tuple(I) if I is not None else _first_admissible(beta)
+    return _c_and_jacobian(ring, F, beta, I)[1]
+
+
+def _c_and_jacobian(ring: CoxRing, F, beta, I):
+    """(c_I^beta, toric Jacobian) of the sections F of degree beta on I: the
+    one place either is computed for a set of sections."""
     c = c_I_beta(ring, beta, I)
     if c == 0:
         raise ValidationError(f"index set {I} is not admissible")
     det = _poly_det(ring, [[g.partial(i) for i in I] for g in F])
     if det is None or det.is_zero():
-        return GradedPolynomial(ring, {}, (ring.d + 1) * beta - ring.beta0, _trusted=True)
+        return c, GradedPolynomial(ring, {}, (ring.d + 1) * beta - ring.beta0, _trusted=True)
     try:
         quot = det.divide_by_monomial(tuple(0 if i in I else 1 for i in range(ring.n)))
     except ValidationError as exc:
         raise InconsistencyError(
             f"Jacobian determinant not divisible by the complementary "
             f"monomial for I={I}") from exc
-    return Fraction(1, c) * quot
+    return c, Fraction(1, c) * quot
 
 
 def cup_jacobian(ring: CoxRing, f: GradedPolynomial) -> GradedPolynomial:
@@ -164,26 +171,26 @@ def cup_jacobian(ring: CoxRing, f: GradedPolynomial) -> GradedPolynomial:
     partials F_j = x_j df/dx_j; independent of the admissible I, taken on
     the first one."""
     I = _first_admissible(f.degree)
-    jacobian = toric_jacobian(ring, [f.weighted_partial(i) for i in I], I)
-    return Fraction(1, c_I_beta(ring, f.degree, I)) * jacobian
+    c, jacobian = _c_and_jacobian(ring, [f.weighted_partial(i) for i in I], f.degree, I)
+    return Fraction(1, c) * jacobian
 
 
 class NondegeneracyCertificate:
     """d+1 sections F of one degree have no common zero when their span in
     rho has codimension one and the toric Jacobian (on `index_set`, the
     first admissible one) does not reduce to zero modulo it (sufficient,
-    not necessary).  The index set, the Jacobian and its reduction are None
-    at any other codimension."""
+    not necessary).  The index set, its c_I^beta, the Jacobian and its
+    reduction are None at any other codimension."""
 
     def __init__(self, ring: CoxRing, F):
         self.ring = ring
         self.F, self.beta = _sections(ring, F)
         self.span = ideal_graded_piece(self.F, (ring.d + 1) * self.beta - ring.beta0)
         self.codim = self.span.codim()
-        self.index_set = self.jacobian = self.reduced_jacobian = None
+        self.index_set = self.c_I = self.jacobian = self.reduced_jacobian = None
         if self.codim == 1:
             self.index_set = _first_admissible(self.beta)
-            self.jacobian = toric_jacobian(ring, self.F, self.index_set)
+            self.c_I, self.jacobian = _c_and_jacobian(ring, self.F, self.beta, self.index_set)
             self.reduced_jacobian = self.span.echelon.reduce(self.span._vectorize(self.jacobian))
 
     @property
@@ -255,6 +262,14 @@ def cup_constant(a: int, b: int, d: int) -> Fraction:
     return Fraction(sign, factorial(a) * factorial(b))
 
 
+def exponent_cosets(f: GradedPolynomial) -> lattice.QuotientForm:
+    """Normal forms of Z^n / L_f, L_f spanned by the differences of the
+    exponent vectors of f: one Smith normal form."""
+    n = f.ring.n
+    first, *rest = f.terms
+    return lattice.QuotientForm([[e[i] - first[i] for e in rest] for i in range(n)], n)
+
+
 class CupProduct:
     """Cup-product machinery for a fixed nondegenerate hypersurface section f.
 
@@ -262,6 +277,12 @@ class CupProduct:
     graded piece of degree (d+1)beta - 2beta_0 and zero elsewhere; pairings
     of classes A, B of complementary levels come out as exact rationals times
     a symbolic power of 2 pi i.
+
+    The pairing is graded by Z^n / L_f, L_f spanned by the differences of
+    the exponent vectors of f (`coset_key`): the span in rho is homogeneous
+    for it, and so is every reduction modulo the span, which has one
+    non-pivot column c*; so eta vanishes off one class, the socle coset
+    (`socle`).
     """
 
     def __init__(self, ring: CoxRing, f: GradedPolynomial, certificate=None):
@@ -276,11 +297,34 @@ class CupProduct:
                 "cup products require a certified nondegenerate section")
         if certificate.F != [f.weighted_partial(i) for i in certificate.index_set]:
             raise ValidationError("certificate is not of the weighted partials F_I of f")
-        self.c_I = c_I_beta(ring, f.degree, certificate.index_set)
+        self.c_I = certificate.c_I
         self.res = ResidueMap(certificate)
         self.eta_degree = (ring.d + 1) * f.degree - 2 * ring.beta0
         self._xprod = ring.variables_product()
         self._eta_memo = {}  # monomial code -> eta
+
+    @cached_property
+    def _cosets(self) -> lattice.QuotientForm:
+        return exponent_cosets(self.f)
+
+    def coset_key(self, code: int) -> tuple:
+        """The class in Z^n / L_f of the monomial with this code."""
+        return self._cosets(self.ring.decode(code))
+
+    @cached_property
+    def socle(self) -> tuple:
+        """The one class of Z^n / L_f where eta can be nonzero: that of
+        exps(c*) - (1, ..., 1), c* the column the residue map reads.  It is
+        a difference in the group; c* need not be divisible by x_1...x_n, so
+        a difference of codes would borrow across slots."""
+        cosets = self._cosets
+        star = cosets(self.ring.decode(self.res.span.basis.codes[self.res._col]))
+        return cosets.reduce([a - b for a, b in zip(star, cosets((1,) * self.ring.n))])
+
+    def socle_partner(self, code: int) -> tuple:
+        """The class that x^e' must lie in for eta(x^(e + e')) to be nonzero,
+        x^e the monomial with this code."""
+        return self._cosets.reduce([a - b for a, b in zip(self.socle, self.coset_key(code))])
 
     def eta(self, H: GradedPolynomial) -> Fraction:
         """Trace functional on R_1(f); vanishes outside its critical degree."""

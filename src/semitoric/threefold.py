@@ -11,8 +11,13 @@ scaled by lattice multiplicities of the flanking 2-cones.
 Every basis element is a monomial, held as its code in the block's R_1
 piece, so a Gram entry is a block factor times the trace eta of a sum of two
 codes, evaluated once per distinct sum; a Gram block keeps only its nonzero
-cells.  The route through products of basis polynomials and
-`CupProduct.pair` is kept as the oracle (`entry_by_polynomials`).
+cells.  Eta is looked up only on the pairs whose product lies in the socle
+coset of Z^n / L_f, L_f spanned by the differences of the exponent vectors
+of f (of the slice's polynomial on link blocks), so a block costs its
+nonzero cells, not the product of its sizes; `_block_rows` says why the
+trace vanishes on every other class.  The route through products of basis
+polynomials and `CupProduct.pair` is kept as the oracle
+(`entry_by_polynomials`), and `eta_of_code` itself is not pruned.
 """
 
 from __future__ import annotations
@@ -345,7 +350,8 @@ class ThreefoldAnalysis:
         Every basis element is a monomial, so each entry is a factor fixed by
         its pair of blocks times eta of one monomial product x^(e_A + e_B);
         eta is evaluated once per distinct product, a sum of two monomial
-        codes (`CupProduct.eta_of_code`).
+        codes (`CupProduct.eta_of_code`), and only on the products in the
+        socle coset (`_block_rows`).
         `entry_by_polynomials` is the route through products of polynomials.
         """
         if a + b != 3:
@@ -374,17 +380,32 @@ class ThreefoldAnalysis:
         return (0 if seg is None else Fraction(sign, seg)), cup, 2
 
     def _block_rows(self, rb: H3Block, col_blocks, a: int):
-        """The rows of gram(a, 3 - a) through block rb, by their nonzero cells."""
+        """The rows of gram(a, 3 - a) through block rb, by their nonzero cells.
+
+        The pairing is graded by Z^n / L_f (`CupProduct.coset_key`): every
+        weighted partial x_i df/dx_i has its exponents in the support of f,
+        so every row m * g of the J_0 piece in rho is homogeneous for it; a
+        reduction subtracts only pivot rows that hold the column being
+        cleared, so by induction every pivot row and every residual stays in
+        the class of the row it came from; the span in rho has one non-pivot
+        column c*, so the reduction of x^(e+1) is zero or supported on c*.
+        Hence eta(x^e) != 0 implies e = exps(c*) - (1, ..., 1) mod L_f, the
+        socle coset s, and the same holds for each slice's own cup product
+        on its link blocks.  The column codes are bucketed by class, and a
+        row code x^e meets only the bucket of s - [e]: exact, and at the
+        cost of the cells in that coset."""
         rows = [{} for _ in range(rb.dim)]
         c0 = 0
         for cb in col_blocks:
             scale, cup, k = self._block_factor(rb, cb, a)
             if scale:
-                eta = cup.eta_of_code
-                cols = list(enumerate(cb.piece.coset_codes, c0))
+                eta, key = cup.eta_of_code, cup.coset_key
+                buckets = {}
+                for j, cc in enumerate(cb.piece.coset_codes, c0):
+                    buckets.setdefault(key(cc), []).append((j, cc))
                 for row, ca in zip(rows, rb.piece.coset_codes):
-                    for j, cc in cols:
-                        if v := eta(ca + cc):   # most traces vanish
+                    for j, cc in buckets.get(cup.socle_partner(ca), ()):
+                        if v := eta(ca + cc):
                             row[j] = PairingValue(scale * v, k)
             c0 += cb.dim
         return rows

@@ -483,15 +483,13 @@ def test_second_routes_run_only_under_verify(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_gluing", forbidden)
     monkeypatch.setattr(TorusInvariantDivisor, "_sigma_d_by_zero_facets", forbidden)
     first_only = []
-    original = residue.toric_jacobian
+    original = residue._c_and_jacobian
 
-    def recorded(ring, F, I=None):
-        first = admissible_index_sets(ring, F[0].degree)[0]
-        first_only.append(I is None or tuple(I) == first)
-        return original(ring, F, I)
+    def recorded(ring, F, beta, I):   # every toric Jacobian is taken here
+        first_only.append(tuple(I) == admissible_index_sets(ring, beta)[0])
+        return original(ring, F, beta, I)
 
-    monkeypatch.setattr(residue, "toric_jacobian", recorded)
-    monkeypatch.setattr(cli, "toric_jacobian", recorded)
+    monkeypatch.setattr(residue, "_c_and_jacobian", recorded)
     code, out, _ = run(capsys, "corpus", "run")
     assert code == 0 and json.loads(out)["all_passed"]
     for command, doc in ((("divisor", "stratify"), BLOWUP_PULLBACK),

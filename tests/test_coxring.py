@@ -37,6 +37,32 @@ P1 = CoxRing(catalog.projective_line())
 CUBIC = fermat(P2, 3)
 
 
+def ref_class_normal_form(ring, vec):
+    """The canonical class representative from the Smith normal form of the
+    ray matrix: U v reduced mod the first d diagonal entries, mapped back
+    by U^-1."""
+    U, D, _ = lattice.smith_normal_form([list(r) for r in ring.fan.rays])
+    u = [lattice.pairing(row, vec) for row in U]
+    for i in range(ring.d):
+        u[i] %= D[i][i]
+    return tuple(lattice.pairing(row, u) for row in lattice.inverse_unimodular(U))
+
+
+@pytest.mark.parametrize("fan", [catalog.projective_plane(), catalog.blowup_p2(),
+                                 catalog.hirzebruch(2), catalog.projective_space(4),
+                                 catalog.p11222_crepant_fan(),
+                                 Fan([(2, -1), (-1, 2), (-1, -1)], [[0, 1], [1, 2], [2, 0]], dim=2)])
+def test_class_normal_form_matches_the_smith_oracle(fan):
+    """Degree classes read off `lattice.QuotientForm` of the ray matrix are
+    the representatives of the full Smith computation, on class groups
+    with torsion (P^2 / (Z/3), the last fan) and without."""
+    ring = CoxRing(fan)
+    rng = random.Random(2)
+    for _ in range(30):
+        vec = tuple(rng.randint(-9, 9) for _ in range(ring.n))
+        assert ring.degree_class(vec).rep == ref_class_normal_form(ring, vec)
+
+
 def test_variable_degrees_equal_on_p2():
     assert P2.variable_degree(0) == P2.variable_degree(1) == P2.variable_degree(2)
 

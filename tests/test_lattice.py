@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 import pytest
 
@@ -68,6 +70,30 @@ def test_smith_normal_form_roundtrip():
             assert diag[i + 1] % diag[i] == 0
     assert abs(lattice.det(U)) == 1
     assert abs(lattice.det(V)) == 1
+
+
+def test_quotient_form_of_a_full_rank_lattice_has_its_index_many_classes():
+    """L spanned by the columns of G with det G = 25: the forms on the box
+    [0, 25)^3, which meets every class, take 25 values; they are additive
+    and constant under translation by each column."""
+    G = [[2, 1, 0], [0, 3, 1], [1, 0, 4]]
+    assert lattice.det(G) == 25
+    q = lattice.QuotientForm(G, 3)
+    assert q.rank == 3
+    assert len({q(v) for v in product(range(25), repeat=3)}) == 25
+    rng = random.Random(4)
+    for _ in range(30):
+        v, w = (tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(2))
+        assert q(tuple(map(add, v, w))) == q.reduce(list(map(add, q(v), q(w))))
+        for col in zip(*G):
+            assert q(tuple(map(add, v, col))) == q(v)
+
+
+def test_quotient_form_of_the_zero_lattice_is_injective():
+    q = lattice.QuotientForm([[] for _ in range(3)], 3)
+    assert q.rank == 0
+    box = list(product(range(-3, 4), repeat=3))
+    assert len({q(v) for v in box}) == len(box)
 
 
 def test_cone_multiplicity_unimodular():

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 import pytest
 
@@ -196,6 +199,74 @@ def test_certificate_takes_determinants_up_to_the_first_admissible_set(monkeypat
     certificate = nondegeneracy_certificate(f)
     assert certificate.index_set == first
     assert calls == [first]
+
+
+def test_certificate_and_cup_product_take_c_I_beta_once(monkeypatch):
+    """On the crepant P(1,1,2,2,2) fixture, the certificate of f and the
+    cup product on it take c_I^beta once: the cup product reads it off the
+    certificate, next to its Jacobian."""
+    ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
+    calls = []
+    original = residue.c_I_beta
+    monkeypatch.setattr(residue, "c_I_beta",
+                        lambda ring, beta, I: calls.append(tuple(I)) or original(ring, beta, I))
+    certificate = nondegeneracy_certificate(f)
+    cup = CupProduct(ring, f, certificate)
+    assert calls == [certificate.index_set]
+    assert cup.c_I == certificate.c_I == original(ring, f.degree, certificate.index_set)
+
+
+P4 = CoxRing(catalog.projective_space(4))
+QUINTIC = fermat(P4, 5)
+DWORK = dwork(P4, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("f", [QUINTIC, DWORK], ids=["quintic", "dwork"])
+def test_coset_key_grades_monomials_by_the_exponent_lattice(f):
+    """The key of a monomial is additive, and does not move under
+    translation by a difference of two exponent vectors of f."""
+    cup = CupProduct(P4, f)
+    key, reduce, code = cup.coset_key, cup._cosets.reduce, P4.code
+    exps = list(f.terms)
+    rng = random.Random(8)
+    for _ in range(40):
+        a, b = (tuple(rng.randint(0, 9) for _ in range(5)) for _ in range(2))
+        assert key(code(tuple(map(add, a, b)))) == reduce(list(map(add, key(code(a)),
+                                                                   key(code(b)))))
+        for e in exps[1:]:
+            assert key(code(tuple(map(add, a, e)))) == key(code(tuple(map(add, a, exps[0]))))
+
+
+def test_coset_key_sees_the_torsion_of_the_quintic():
+    """x_0 and x_1 have one degree but lie in different classes of Z^5 / L_f
+    (its torsion (Z/5)^4), and x_0^5, x_1^5 in one."""
+    cup = CupProduct(P4, QUINTIC)
+    x = [tuple(int(i == j) for j in range(5)) for i in range(2)]
+    assert P4.degree_class(x[0]) == P4.degree_class(x[1])
+    assert cup.coset_key(P4.code(x[0])) != cup.coset_key(P4.code(x[1]))
+    assert cup.coset_key(P4.code((5, 0, 0, 0, 0))) == cup.coset_key(P4.code((0, 5, 0, 0, 0)))
+    assert cup._cosets._moduli == [5, 5, 5, 5, 0]
+
+
+def test_exponent_cosets_of_a_one_term_section_separate_every_monomial():
+    """L_f of rank 0: the form is injective on monomials."""
+    cosets = residue.exponent_cosets(P4.monomial((5, 0, 0, 0, 0)))
+    assert cosets.rank == 0
+    box = list(product(range(3), repeat=5))
+    assert len({cosets(e) for e in box}) == len(box)
+
+
+@pytest.mark.parametrize("f", [QUINTIC, DWORK], ids=["quintic", "dwork"])
+def test_eta_vanishes_outside_the_socle_coset(f):
+    """Every one of the 3,876 monomials of eta's degree outside the socle
+    coset has eta = 0 by the unpruned `eta_of_code`, and some inside it
+    does not."""
+    cup = CupProduct(P4, f)
+    codes = P4.monomial_basis(cup.eta_degree).codes
+    assert len(codes) == 3876
+    inside = [c for c in codes if cup.coset_key(c) == cup.socle]
+    assert any(cup.eta_of_code(c) for c in inside)
+    assert not any(cup.eta_of_code(c) for c in codes if cup.coset_key(c) != cup.socle)
 
 
 def test_eta_on_fermat_cubic():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from importlib import resources
@@ -21,6 +22,7 @@ from semitoric.threefold import (
     two_cone_charts,
 )
 
+from .test_coxring import dwork
 from .test_fan import ref_star_fan
 from .test_lattice import ref_quotient_projection
 
@@ -172,6 +174,71 @@ def test_h3_report_builds_each_block_once(flag, monkeypatch, capsys):
     capsys.readouterr()
     assert sorted((b.level, b.kind) for b in built) == [
         (a, kind) for a in range(4) for kind in ("link", "ring")]
+
+
+def ref_block_rows(analysis, a):
+    """The rows of gram(a, 3 - a) from eta on every pair of codes of every
+    pair of blocks with a nonzero factor: the full pair loop, with no
+    grading."""
+    rows = []
+    for rb in analysis.blocks(a):
+        block_rows = [{} for _ in range(rb.dim)]
+        c0 = 0
+        for cb in analysis.blocks(3 - a):
+            scale, cup, k = analysis._block_factor(rb, cb, a)
+            if scale:
+                for row, ca in zip(block_rows, rb.piece.coset_codes):
+                    for j, cc in enumerate(cb.piece.coset_codes, c0):
+                        if v := cup.eta_of_code(ca + cc):
+                            row[j] = PairingValue(scale * v, k)
+            c0 += cb.dim
+        rows += block_rows
+    return rows
+
+
+def _seeded_fermat_quintic():
+    rng = random.Random(31)
+    ring = CoxRing(catalog.projective_space(4))
+    return ring.polynomial({tuple(5 * int(i == j) for j in range(5)): rng.randint(1, 9)
+                            for i in range(5)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fermat(CoxRing(catalog.projective_space(4)), 5),
+    lambda: catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())[1],
+    lambda: dwork(CoxRing(catalog.projective_space(4)), Fraction(1, 2)),
+    lambda: cube_fan_section(1, catalog.cross_polytope(4).lattice_points()),
+    _seeded_fermat_quintic,
+], ids=["quintic", "crepant", "dwork", "cube", "seeded_fermat"])
+def test_socle_coset_gram_matches_the_full_pair_loop(make):
+    """Pairing only the codes in the socle coset of Z^n / L_f gives the same
+    rows as eta on every pair: on the fixtures, on the Dwork section at
+    psi = 1/2, on the cross-polytope section over the cube fan (L_f is all
+    of the degree-zero lattice there, so nothing is pruned) and on a seeded
+    Fermat draw."""
+    analysis = ThreefoldAnalysis(make())
+    grams = [analysis.gram(a, 3 - a) for a in range(4)]
+    assert any(row for g in grams for row in g.rows)
+    for a, g in enumerate(grams):
+        assert g.rows == ref_block_rows(analysis, a), a
+
+
+@pytest.mark.parametrize("fixture, cells", [("fermat_quintic.json", 204),
+                                            ("p11222_crepant.json", 174)])
+def test_h3_looks_up_eta_once_per_listed_cell(fixture, cells, monkeypatch, capsys):
+    """`threefold h3` evaluates eta on no pair outside the socle coset: as
+    many `eta_of_code` calls as listed cells (the full pair loop made 20,404
+    and 13,798)."""
+    calls = []
+    true_eta = residue.CupProduct.eta_of_code
+    monkeypatch.setattr(residue.CupProduct, "eta_of_code",
+                        lambda self, code: calls.append(code) or true_eta(self, code))
+    path = resources.files("semitoric") / "fixtures" / fixture
+    with resources.as_file(path) as path:
+        assert cli.main(["threefold", "h3", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    listed = sum(len(row) for g in report["gram"] for row in g["entries"])
+    assert len(calls) == listed == cells
 
 
 def test_gram_quintic_rank(quintic_analysis):
@@ -636,6 +703,17 @@ def test_h3_on_a_non_simplicial_sigma_d():
     assert h21_batyrev(delta) == 4
     assert [analysis.hodge_number(a) for a in range(4)] == [1, 4, 4, 1]
     assert analysis.gram(1, 2).rank() == 4
+
+
+def test_exponent_cosets_of_the_cross_polytope_section_are_its_degrees():
+    """f on the 9 lattice points of the cross-polytope: L_f is the whole
+    lattice of degree-zero exponent vectors, so each degree is one class of
+    Z^n / L_f and the socle coset prunes nothing."""
+    f = cube_fan_section(1, catalog.cross_polytope(4).lattice_points())
+    ring, cosets = f.ring, residue.exponent_cosets(f)
+    assert cosets.rank == 4
+    keys = [{cosets(e) for e in ring.monomial_basis(k * f.degree).exponents} for k in (1, 2)]
+    assert [len(k) for k in keys] == [1, 1] and keys[0] != keys[1]
 
 
 def test_slice_of_a_subdivided_cone_of_a_non_simplicial_sigma_d():

@@ -129,10 +129,20 @@ def cmd_fan_check(doc, verify):
         "n_max_cones": len(fan.max_cones),
     }
     if verify and out["complete"]:  # a complete fan locates every point of a grid
-        side = range(-1, 2) if fan.dim > 4 else range(-2, 3)
         out["verification"] = {"locate_covers_grid": all(
-            fan.locate(x) is not None for x in product(side, repeat=fan.dim))}
+            fan.locate(x) is not None for x in _grid(fan.dim))}
     return out
+
+
+def _grid(dim):
+    """The points `fan check --verify` locates: {-2..2}^d up to d = 4 and
+    {-1, 0, 1}^d up to d = 7; past that 3^7 of them, drawn by a generator
+    seeded with d."""
+    if dim > 7:
+        from random import Random   # used past d = 7 only
+        rng = Random(dim)
+        return (rng.choices((-1, 0, 1), k=dim) for _ in range(3 ** 7))
+    return product(range(-2, 3) if dim <= 4 else range(-1, 2), repeat=dim)
 
 
 def _parse_divisor(doc):

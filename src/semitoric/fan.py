@@ -2,15 +2,15 @@
 
 Fans are stored as primitive rays plus maximal cones (ray index sets);
 non-simplicial maximal cones are allowed.  The faces of a maximal cone come
-from ``polytope.face_closure`` on its facet ray sets.  Every "which cone
-holds x" question (membership, refinement, subdivision counts) goes
-through ``Fan.locate``, a sign test against the memoized rows of the
-maximal cones from the double-description kernel ``cone_rays``, one call per
-maximal cone that spans N_R.  A cone of another fan is read by its
-generators (``Fan.same_cone``), never by its ray indices.  Completeness
-comes with a certificate that rejects inputs whose cones close up without
-forming a fan; it reads the walls, and the side of each wall a cone lies on,
-off those facet rows.
+from ``polytope.face_closure`` on its facet ray sets, listed only when all
+cones are asked for; one face is tested and measured without them.  Every
+"which cone holds x" question (membership, refinement, support-function
+values) goes through ``Fan.locate``, a sign test against the memoized rows
+of the maximal cones from the double-description kernel ``cone_rays``, one
+call per maximal cone that spans N_R.  Sigma_D is not asked: its cones are
+the faces of Delta_D.  Completeness comes with a certificate that rejects
+inputs whose cones close up without forming a fan; it reads the walls, and
+the side of each wall a cone lies on, off those facet rows.
 """
 
 from __future__ import annotations
@@ -176,10 +176,11 @@ class Fan:
         ci = self.max_cone_index(x)
         if ci is None:
             return None
-        s = self.max_cones[ci].intersection(*(
+        c = self.max_cones[ci]
+        s = c.intersection(*(
             on for h, on in zip(self._max_cone_rows(ci), self._rays_on_rows(ci))
             if lattice.pairing(h, x) == 0))
-        return ConeRef(self, s, self._faces_of_max_cone(ci)[s])
+        return ConeRef(self, s, len(s) if self.cone_dim(c) == len(c) else self.cone_dim(s))
 
     def _faces_of_max_cone(self, ci):
         """Map {ray index frozenset -> dim} of all faces of max cone ci, the
@@ -315,11 +316,12 @@ class Fan:
         ca, cb = self.max_cones[a], self.max_cones[b]
         rows_a = self._max_cone_rows(a)
         rows = rows_a + self._max_cone_rows(b)
-        shared = {i for i in ca | cb
-                  if all(lattice.pairing(h, self.rays[i]) >= 0 for h in rows)}
+        shared = frozenset(i for i in ca | cb
+                           if all(lattice.pairing(h, self.rays[i]) >= 0 for h in rows))
+        # a face is empty or the rays tight on every row that vanishes on it
         for ci, cone_set in ((a, ca), (b, cb)):
-            if not shared <= cone_set or \
-                    frozenset(shared) not in self._faces_of_max_cone(ci):
+            if not shared <= cone_set or shared and shared != cone_set.intersection(
+                    *(on for on in self._rays_on_rows(ci) if shared <= on)):
                 return (f"intersection of cones {sorted(ca)} and {sorted(cb)} "
                         f"is not a common face")
         # the cones meet in that face exactly when every ray of their
@@ -352,16 +354,3 @@ class Fan:
             if held is None or not all(held.contains(g) for g in gens):
                 return False
         return True
-
-    def same_cone(self, cone: ConeRef) -> ConeRef:
-        """The cone of this fan spanned by the rays of `cone`, which may be a
-        cone of another fan with the same rays in another order: a cone is
-        read by its generators, never by another fan's ray indices."""
-        if cone.fan is self:
-            return cone
-        try:
-            idx = frozenset(self.rays.index(g) for g in cone.generators())
-        except ValueError as exc:
-            raise ValidationError("cone rays are not rays of this fan") from exc
-        return self.cone_ref(idx)
-

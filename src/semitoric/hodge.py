@@ -9,8 +9,8 @@ Every count l*(k theta) adds up run lengths in the labelled scan of the
 parent polytope (``Face.count_interior_points``); no face is rebuilt as a
 polytope, and points are listed only for the mirror comparison's witnesses.
 The cones of the coarse fan, the normal fan of the section polytope, are
-named by the faces dual to them: ray j of the normal fan is facet j, so a
-cone's ray set is the ``facets`` of its face.
+read off the faces dual to them, never located in the fan: ray j of the
+normal fan is facet j, so a cone's ray set is the ``facets`` of its face.
 """
 
 from __future__ import annotations
@@ -24,17 +24,17 @@ from .polytope import Face, LatticePolytope
 # -- subdivision counts ------------------------------------------------------
 
 
-def subdivision_counts(fine: Fan, coarse: Fan) -> dict:
+def subdivision_counts(fine: Fan, delta: LatticePolytope) -> dict:
     """{(k, gamma): a_k(gamma)} for k = 1, 2: the number of k-cones of the
-    fine fan whose smallest containing cone in the coarse fan has the ray
-    set gamma, the cone whose relative interior holds the sum of their rays
-    once the refinement is certified."""
-    if not fine.is_refinement(coarse):
+    fine fan whose smallest containing cone in the normal fan of delta has
+    the ray set gamma, the facets of the face least at the sum of their
+    rays once the refinement is certified."""
+    if not fine.is_refinement(delta.normal_fan()):
         raise PreconditionError("subdivision counts require a refinement")
     counts = {}
     for k in (1, 2):
         for sigma in fine.cones(k):
-            key = (k, coarse.locate(sigma.relint_point()).ray_indices)
+            key = (k, delta.face_at_direction(sigma.relint_point()).facets)
             counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -102,7 +102,7 @@ def h_p2(delta: LatticePolytope, fine: Fan, p: int) -> int:
     if not (2 < p <= d - 2 and p != d - 3):
         raise PreconditionError(
             f"the formula applies for 2 < p <= d-2, p != d-3; got p={p}, d={d}")
-    counts = subdivision_counts(fine, delta.normal_fan())
+    counts = subdivision_counts(fine, delta)
 
     def a(k, face):
         return counts.get((k, face.facets), 0)

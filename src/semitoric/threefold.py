@@ -1,12 +1,13 @@
 """Middle cohomology of regular semiample hypersurfaces in rank-4 fans.
 
 The middle cohomology splits into a part coming from the graded ring of the
-ambient variety and, for every 2-cone of the coarse fan subdivided by
-interior rays, copies of the analogous ring of a regular ample curve in the
-orbit-closure surface, the toric surface of the face of the section
-polytope dual to the 2-cone.  The cup product is block anti-diagonal across
-complementary levels; ring-by-surface blocks vanish, surface blocks are
-scaled by lattice multiplicities of the flanking 2-cones.
+ambient variety and, for every 2-cone of Sigma_D subdivided by interior
+rays, copies of the analogous ring of a regular ample curve in the
+orbit-closure surface, the toric surface of the 2-face of the section
+polytope dual to the 2-cone, which the 2-cone's chart holds.  The cup
+product is block anti-diagonal across complementary levels; ring-by-surface
+blocks vanish, surface blocks are scaled by lattice multiplicities of the
+flanking 2-cones.
 
 Every basis element is a monomial, held as its code in the block's R_1
 piece, so a Gram entry is a block factor times the trace eta of a sum of two
@@ -34,22 +35,23 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .fan import ConeRef, Fan
+from .fan import Fan
 from .linalg import SparseEchelon
-from .polytope import LatticePolytope
+from .polytope import Face, LatticePolytope
 from .residue import CupProduct, PairingValue, cup_constant, nondegeneracy_certificate
 
 
 class TwoConeChart:
-    """A 2-cone of the coarse fan with the fine-fan rays subdividing it.
+    """A 2-cone of Sigma_D, held as its face Gamma of Delta_D, with the
+    fine-fan rays subdividing it.
 
     chain lists fine-fan ray indices from one boundary ray to the other, in
     angular order; the interior entries are exactly the subdividing rays.
     Each consecutive pair spans a 2-cone of the fine fan.
     """
 
-    def __init__(self, sigma: ConeRef, chain: list, seg_mults: list, sum_mults: dict):
-        self.sigma = sigma
+    def __init__(self, face: Face, chain: list, seg_mults: list, sum_mults: dict):
+        self.face = face
         self.chain = chain
         self.seg_mults = seg_mults    # multiplicity of each consecutive-pair 2-cone
         self.sum_mults = sum_mults    # interior ray index -> mult of the flanking sum cone
@@ -75,25 +77,30 @@ class TwoConeChart:
         return self.seg_mults[min(pi, pj)]
 
 
-def two_cone_charts(fine: Fan, coarse: Fan):
-    """All 2-cones of the coarse fan with their interior-ray data."""
+def two_cone_charts(divisor: TorusInvariantDivisor):
+    """The 2-cones of Sigma_D with their interior-ray data, for a semiample D
+    on a rank-4 fan, in the order of their ray sets.  The fan of D refines
+    Sigma_D, the normal fan of Delta_D (Cox-Little-Schenck, Toric Varieties,
+    6.2), so a 2-cone is a 2-face Gamma: its boundary rays are the normals of
+    the facets through Gamma, its interior rays the fine rays least on it."""
+    fine = divisor.fan
     if fine.dim != 4:
         raise PreconditionError("charts are defined for rank-4 fans")
-    if not fine.is_refinement(coarse):
-        raise PreconditionError("the fine fan must refine the coarse fan")
+    if not divisor.is_semiample():
+        raise PreconditionError("charts are defined for semiample divisors")
+    delta = divisor.section_polytope()
     fine_two_cones = {c.ray_indices for c in fine.cones(2)}
     inside = {}  # the interior rays of a 2-cone are the fine rays it holds in its interior
     for i, r in enumerate(fine.rays):
-        inside.setdefault(coarse.locate(r).ray_indices, []).append(i)
+        inside.setdefault(delta.face_at_direction(r).vertex_indices, []).append(i)
     charts = []
-    for sigma in coarse.cones(2):
-        gens = sigma.generators()
+    for face in sorted(delta.faces(2), key=lambda g: sorted(g.facets)):
+        gens = [delta.facets()[j][0] for j in sorted(face.facets)]
         boundary = [fine.rays.index(g) for g in gens]
-        interior = inside.get(sigma.ray_indices, [])
+        interior = inside.get(face.vertex_indices, [])
 
         def arc_position(i):
-            sol = lattice.rational_solution([[gens[0][k], gens[1][k]] for k in range(4)],
-                                            fine.rays[i])
+            sol = lattice.rational_solution([list(col) for col in zip(*gens)], fine.rays[i])
             if sol is None or min(sol[0]) < 0:
                 raise InconsistencyError("interior ray outside its 2-cone")
             return Fraction(sol[0][1], sum(sol[0]))
@@ -105,30 +112,23 @@ def two_cone_charts(fine: Fan, coarse: Fan):
             if frozenset({a, b}) not in fine_two_cones:
                 raise InconsistencyError(
                     f"consecutive rays {a},{b} do not span a 2-cone of the fine fan")
-            seg_mults.append(lattice.cone_multiplicity(
-                [fine.rays[a], fine.rays[b]]))
+            seg_mults.append(lattice.cone_multiplicity([fine.rays[a], fine.rays[b]]))
         sum_mults = {}
         for pos in range(1, len(chain) - 1):
-            prev_r = fine.rays[chain[pos - 1]]
-            mid_r = fine.rays[chain[pos]]
-            next_r = fine.rays[chain[pos + 1]]
+            prev_r, mid_r, next_r = (fine.rays[i] for i in chain[pos - 1:pos + 2])
             msum = lattice.cone_multiplicity([prev_r, next_r])
-            m1 = seg_mults[pos - 1]
-            m2 = seg_mults[pos]
-            lhs = tuple(msum * x for x in mid_r)
-            rhs = tuple(m1 * a + m2 * b for a, b in zip(next_r, prev_r))
-            if lhs != rhs:
-                raise InconsistencyError(
-                    "multiplicity identity fails on a subdivided 2-cone")
+            m1, m2 = seg_mults[pos - 1:pos + 1]
+            if any(msum * x != m1 * a + m2 * b for x, a, b in zip(mid_r, next_r, prev_r)):
+                raise InconsistencyError("multiplicity identity fails on a subdivided 2-cone")
             sum_mults[chain[pos]] = msum
-        charts.append(TwoConeChart(sigma, chain, seg_mults, sum_mults))
+        charts.append(TwoConeChart(face, chain, seg_mults, sum_mults))
     return charts
 
 
 class SurfaceSlice:
-    """The orbit-closure surface V(sigma) of a 2-cone of the coarse fan, read
-    off the face Gamma of the section polytope dual to sigma, with the terms
-    of f on Gamma (f modulo the variables of the rays of sigma).
+    """The orbit-closure surface V(sigma) of a 2-cone sigma of Sigma_D, read
+    off its face Gamma of the section polytope, with the terms of f on Gamma
+    (f modulo the variables of the rays of sigma).
 
     The surface is the toric surface of Gamma in the span lattice of Gamma,
     basis (b1, b2): one variable per edge E of Gamma, with ray the inward
@@ -140,10 +140,9 @@ class SurfaceSlice:
     exponents of a vertex of Gamma.  A maximal cone is the pair of edges
     through a vertex of Gamma (Cox-Little-Schenck, Toric Varieties, 3.2)."""
 
-    def __init__(self, analysis: "ThreefoldAnalysis", sigma: ConeRef):
-        self.sigma = sigma
+    def __init__(self, analysis: "ThreefoldAnalysis", face: Face):
+        self.face = face
         delta = analysis.delta
-        face = delta.face_at_direction(sigma.relint_point())
         verts = face.vertices()
         if any(type(x) is not int for v in verts for x in v):
             raise PreconditionError("face of the section polytope is not a lattice polytope")
@@ -177,7 +176,7 @@ class SurfaceSlice:
         if not self.certificate.certified:
             raise CertificateError(
                 f"restricted polynomial on the 2-cone "
-                f"{sorted(self.sigma.ray_indices)} is not certified nondegenerate")
+                f"{sorted(self.face.facets)} is not certified nondegenerate")
         return CupProduct(self.ring, self.polynomial, self.certificate)
 
     def level_piece(self, a: int) -> R1Piece:
@@ -187,13 +186,19 @@ class SurfaceSlice:
 class H3Block:
     """One summand of a Hodge piece of H^3, on the coset basis of its R_1 piece."""
 
-    def __init__(self, level: int, kind: str, piece: R1Piece, sigma: tuple | None = None,
-                 interior_ray: int | None = None):
+    def __init__(self, level: int, kind: str, piece: R1Piece,
+                 chart: TwoConeChart | None = None, interior_ray: int | None = None):
         self.level = level
         self.kind = kind                    # "ring" or "link"
         self.piece = piece
-        self.sigma = sigma                  # coarse-fan ray indices of the 2-cone
+        self.chart = chart                  # the subdivided 2-cone of a link block
         self.interior_ray = interior_ray
+
+    @property
+    def sigma(self) -> tuple | None:
+        """The rays of a link block's 2-cone in Sigma_D: the facets through
+        its face, since ray j of the normal fan is facet j."""
+        return tuple(sorted(self.chart.face.facets)) if self.chart else None
 
     @property
     def dim(self) -> int:
@@ -284,10 +289,9 @@ class ThreefoldAnalysis:
         self.divisor = TorusInvariantDivisor(ring.fan, f.degree.rep)
         if not self.divisor.is_semiample():
             raise PreconditionError("the hypersurface class must be semiample")
-        self.coarse = self.divisor.sigma_d()
         self.delta = self.divisor.section_polytope()
         self._certificate = None
-        self.charts = two_cone_charts(ring.fan, self.coarse)
+        self.charts = two_cone_charts(self.divisor)
         self._slices = {}
         self._blocks = {}
 
@@ -302,14 +306,12 @@ class ThreefoldAnalysis:
 
     # -- pieces -----------------------------------------------------------------
 
-    def surface(self, sigma: ConeRef) -> SurfaceSlice:
-        """The slice of a 2-cone of the coarse fan, or of an equal fan (matched
-        by its rays), built once."""
-        sigma = self.coarse.same_cone(sigma)
-        key = sigma.ray_indices
-        if key not in self._slices:
-            self._slices[key] = SurfaceSlice(self, sigma)
-        return self._slices[key]
+    def surface(self, face: Face) -> SurfaceSlice:
+        """The slice of the 2-cone of Sigma_D dual to a 2-face of the section
+        polytope, built once."""
+        if face not in self._slices:
+            self._slices[face] = SurfaceSlice(self, face)
+        return self._slices[face]
 
     def bulk_piece(self, a: int) -> R1Piece:
         gamma = (a + 1) * self.f.degree - self.ring.beta0
@@ -330,12 +332,9 @@ class ThreefoldAnalysis:
             raise ValidationError("level out of range 0..3")
         if a not in self._blocks:
             out = [H3Block(a, "ring", self.bulk_piece(a))]
-            for chart in self.charts:
-                if chart.n_interior == 0:
-                    continue
-                piece = self.surface(chart.sigma).level_piece(a)
-                sigma = tuple(sorted(chart.sigma.ray_indices))
-                out += [H3Block(a, "link", piece, sigma, i) for i in chart.interior_rays]
+            for chart in (c for c in self.charts if c.n_interior):
+                piece = self.surface(chart.face).level_piece(a)
+                out += [H3Block(a, "link", piece, chart, i) for i in chart.interior_rays]
             self._blocks[a] = out
         return self._blocks[a]
 
@@ -367,11 +366,10 @@ class ThreefoldAnalysis:
             return cup_constant(a, 3 - a, 4), self.cup, 4      # (-1)^d = 1
         if rb.kind != cb.kind:
             return 0, None, 4
-        if rb.sigma != cb.sigma:
+        chart = rb.chart
+        if chart is not cb.chart:
             return 0, None, 2
-        chart = next(c for c in self.charts
-                     if tuple(sorted(c.sigma.ray_indices)) == rb.sigma)
-        cup = self.surface(chart.sigma).cup
+        cup = self.surface(chart.face).cup
         sign = -1 if a % 2 == 0 else 1                       # (-1)^(a - 1)
         if rb.interior_ray == cb.interior_ray:
             m1, m2 = chart.flanking_segments(rb.interior_ray)

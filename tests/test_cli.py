@@ -7,8 +7,10 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import metadata, resources
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -83,10 +85,12 @@ def test_fan_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fan", [catalog.blowup_p2(), catalog.projective_space(4),
-                                 catalog.p11222_crepant_fan(), catalog.projective_space(5)])
+                                 catalog.p11222_crepant_fan(), catalog.projective_space(5),
+                                 catalog.projective_space(14)])
 def test_fan_check_verify(tmp_path, capsys, fan):
     """--verify locates every point of a grid in a complete fan ({-2..2}^d
-    up to d = 4, {-1, 0, 1}^d past it) and changes nothing else."""
+    up to d = 4, {-1, 0, 1}^d up to d = 7, a fixed sample of 3^7 of its
+    points past that) and changes nothing else."""
     path = write(tmp_path, "fan.json", {"fan": cli.fan_to_json(fan)})
     code, plain, _ = run(capsys, "fan", "check", "--input", path)
     assert code == 0
@@ -95,6 +99,25 @@ def test_fan_check_verify(tmp_path, capsys, fan):
     report = json.loads(out)
     assert report.pop("verification") == {"locate_covers_grid": True}
     assert report == json.loads(plain)
+
+
+def test_verify_grid_is_the_full_grid_up_to_rank_7_and_a_fixed_sample_past_it():
+    assert list(cli._grid(2)) == list(product(range(-2, 3), repeat=2))
+    assert list(cli._grid(7)) == list(product(range(-1, 2), repeat=7))
+    sample = [tuple(x) for x in cli._grid(14)]
+    assert len(sample) == 3 ** 7 and sample == [tuple(x) for x in cli._grid(14)]
+    assert {len(x) for x in sample} == {14} and {v for x in sample for v in x} == {-1, 0, 1}
+
+
+def test_fan_check_of_projective_16_space_is_not_exponential(tmp_path, capsys):
+    """One face test is one closure, not the 2^d faces of a simplicial cone:
+    `fan check` on P^16 (17 rays) finishes in well under 3 s (about 29 s
+    when every face lattice was listed)."""
+    path = write(tmp_path, "fan.json", {"fan": cli.fan_to_json(catalog.projective_space(16))})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "fan", "check", "--input", path)
+    assert time.perf_counter() - start < 3
+    assert code == 0 and json.loads(out)["issues"] == []
 
 
 def test_fan_check_verify_sees_a_missing_cone(tmp_path, capsys, monkeypatch):

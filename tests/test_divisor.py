@@ -284,7 +284,7 @@ def test_default_paths_build_no_gluing_route(monkeypatch):
     assert {r.torus_factor_dim for r in PULLBACK_D3.stratify()} == {0, 1}
     ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
     analysis = ThreefoldAnalysis(f)
-    assert analysis.coarse == catalog.p11222_fan()
+    assert analysis.divisor.sigma_d() == catalog.p11222_fan()
     assert sum(c.n_interior for c in analysis.charts) == 1
 
 

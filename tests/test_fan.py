@@ -158,7 +158,7 @@ def ref_star_fan(fan, cone):
     extra rays and overlapping cones: on the face fan of the 4-cube, with
     8 rays in each maximal cone, a 2-cone gets 6 rays and three cones of
     3 rays each in rank 2."""
-    cone = fan.same_cone(cone)
+    cone = fan.cone_ref(fan.rays.index(g) for g in cone.generators())  # read by its rays
     P, _ = ref_quotient_projection([list(g) for g in cone.generators()], fan.dim)
     rays, cones = [], []
     for c in fan.max_cones:
@@ -187,13 +187,11 @@ def test_star_of_a_cone_of_an_equal_fan_is_read_by_its_rays():
     p2b = Fan([(0, 1), (1, 0), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
     assert p2b == p2
     ray = p2b.cone_ref([0])
-    assert p2.same_cone(ray) == p2.cone_ref([1])
+    assert ray == p2.cone_ref([1])
     assert ref_star_fan(p2, ray) == ref_star_fan(p2, p2.cone_ref([1]))
     assert set(ref_star_fan(p2, ray).rays) == {(1,), (-1,)}
-    own = p2.cone_ref([0])
-    assert p2.same_cone(own) is own
-    with pytest.raises(ValidationError):
-        p2.same_cone(blowup_fan().cone_ref([3]))  # the ray (1, 1) is not one of P^2
+    with pytest.raises(ValueError):
+        ref_star_fan(p2, blowup_fan().cone_ref([3]))  # the ray (1, 1) is not one of P^2
 
 
 def test_star_fan_of_zero_cone_is_self():

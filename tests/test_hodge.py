@@ -20,14 +20,49 @@ from semitoric.lattice import pairing
 from semitoric.polytope import HPolytope, LatticePolytope, RunTable, vertices_from_inequalities
 
 
+TRIANGLE = LatticePolytope([(0, 0), (1, 0), (0, 1)])   # its normal fan is P^2
+
+
 def a_k(counts, gamma, k):
     """a_k(gamma) read from the counts by the ray set of gamma."""
     return counts.get((k, gamma.ray_indices), 0)
 
 
+def ref_subdivision_counts(fine, coarse):
+    """The oracle for `subdivision_counts`: a_k keyed by the cone of the
+    coarse fan that `Fan.locate` finds for the sum of the rays of each fine
+    k-cone."""
+    counts = {}
+    for k in (1, 2):
+        for sigma in fine.cones(k):
+            key = (k, coarse.locate(sigma.relint_point()).ray_indices)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (triangulation_helper(catalog.sec6_polytope().dual_polytope()),
+             catalog.sec6_polytope()),
+    lambda: (triangulation_helper(catalog.cube(2).dual_polytope()), catalog.cube(2)),
+    lambda: (catalog.blowup_p2(), TRIANGLE),
+], ids=["sec6-mpcp", "square", "blowup"])
+def test_subdivision_counts_match_the_point_location_route(make):
+    """The counts keyed by the faces of delta are those that `Fan.locate`
+    finds in its normal fan, and at the relative-interior point of every
+    cone of the fine fan the face of delta is dual to the cone of the normal
+    fan that holds the point."""
+    fine, delta = make()
+    coarse = delta.normal_fan()
+    assert subdivision_counts(fine, delta) == ref_subdivision_counts(fine, coarse)
+    for sigma in fine.all_cones():
+        x = sigma.relint_point()
+        assert delta.face_at_direction(x).facets == coarse.locate(x).ray_indices
+
+
 def test_subdivision_counts_trivial():
-    fan = catalog.projective_plane()
-    counts = subdivision_counts(fan, fan)
+    fan = TRIANGLE.normal_fan()
+    assert fan == catalog.projective_plane()
+    counts = subdivision_counts(fan, TRIANGLE)
     for k in (1, 2):
         for gamma in fan.cones(k):
             assert a_k(counts, gamma, k) == 1
@@ -37,9 +72,10 @@ def test_subdivision_counts_trivial():
 
 
 def test_subdivision_counts_blowup():
-    fine, coarse = catalog.blowup_p2(), catalog.projective_plane()
-    counts = subdivision_counts(fine, coarse)
-    target = coarse.cone_ref([0, 1])  # cone(e1, e2) swallowed the new ray
+    fine, coarse = catalog.blowup_p2(), TRIANGLE.normal_fan()
+    counts = subdivision_counts(fine, TRIANGLE)
+    # cone(e1, e2) swallowed the new ray
+    target = next(c for c in coarse.cones(2) if set(c.generators()) == {(1, 0), (0, 1)})
     assert a_k(counts, target, 1) == 1
     assert a_k(counts, target, 2) == 2
     for ray in coarse.cones(1):
@@ -52,7 +88,7 @@ def test_mpcp_identity_on_sec6():
     dual = delta.dual_polytope()
     fine = triangulation_helper(dual)
     coarse = delta.normal_fan()
-    counts = subdivision_counts(fine, coarse)
+    counts = subdivision_counts(fine, delta)
     for k in range(1, 4):
         for gamma in coarse.cones(k):
             face = delta.face_at_direction(gamma.relint_point())
@@ -65,7 +101,7 @@ def test_mpcp_identity_on_square():
     square = catalog.cube(2)
     fine = triangulation_helper(square.dual_polytope())
     coarse = square.normal_fan()
-    counts = subdivision_counts(fine, coarse)
+    counts = subdivision_counts(fine, square)
     for gamma in coarse.cones(1):
         face = square.face_at_direction(gamma.relint_point())
         dual_face = square.dual_face(face)
@@ -76,8 +112,7 @@ def test_mpcp_identity_on_square():
 def test_a1_additivity():
     delta = catalog.sec6_polytope()
     fine = triangulation_helper(delta.dual_polytope())
-    coarse = delta.normal_fan()
-    counts = subdivision_counts(fine, coarse)
+    counts = subdivision_counts(fine, delta)
     assert sum(n for (k, _), n in counts.items() if k == 1) == len(fine.rays)
 
 
@@ -135,11 +170,7 @@ def h_p2_over_cones(delta, fine, p):
     face found by its direction, a_k by the cone of the normal fan that
     `Fan.locate` finds for the sum of the rays of each fine cone."""
     coarse, d = delta.normal_fan(), fine.dim
-    counts = {}
-    for k in (1, 2):
-        for sigma in fine.cones(k):
-            key = (k, coarse.locate(sigma.relint_point()).ray_indices)
-            counts[key] = counts.get(key, 0) + 1
+    counts = ref_subdivision_counts(fine, coarse)
     total = 0
     for gamma in coarse.cones(p):
         if a_k(counts, gamma, 1):
@@ -247,8 +278,8 @@ def test_triangulation_helper_two_orders_same_rays():
     dual_fan = catalog.cross_polytope(3).normal_fan()
     assert fine_a.is_refinement(dual_fan)
     assert fine_b.is_refinement(dual_fan)
-    counts_a = subdivision_counts(fine_a, dual_fan)
-    counts_b = subdivision_counts(fine_b, dual_fan)
+    counts_a = subdivision_counts(fine_a, catalog.cross_polytope(3))
+    counts_b = subdivision_counts(fine_b, catalog.cross_polytope(3))
     rays_a = {key: n for key, n in counts_a.items() if key[0] == 1}
     rays_b = {key: n for key, n in counts_b.items() if key[0] == 1}
     assert rays_a == rays_b  # ray classification is order-independent

@@ -34,7 +34,8 @@ REMOVED = (
     "smallest_containing_cone",  # StratumRecord.container, read off Delta_D's faces
     "SubdivisionCounts",    # subdivision_counts returns {(k, ray set): a_k}
     "HodgeReport",          # MirrorReport holds one HodgeValue per side
-    "_same_cone_in",        # Fan.same_cone
+    "_same_cone_in",        # a 2-face of Delta_D names its 2-cone of Sigma_D
+    "same_cone",            # TwoConeChart.face; ThreefoldAnalysis.surface(face)
     "_points",              # LatticePolytope._run_table; relative_interior_points scans
     "_enumerate_integer_points",  # _expand over the runs of _integer_runs
     "_scan_box",            # LatticePolytope._scan

@@ -12,6 +12,7 @@ from semitoric import catalog, cli, coxring, lattice, residue, threefold
 from semitoric.coxring import CoxRing, R1Piece
 from semitoric.divisor import TorusInvariantDivisor
 from semitoric.errors import CertificateError, PreconditionError, ValidationError
+from semitoric.fan import Fan
 from semitoric.hodge import h21_batyrev, triangulation_helper
 from semitoric.residue import PairingValue
 from semitoric.threefold import (
@@ -84,16 +85,88 @@ def test_charts_crepant_example(crepant_analysis):
     assert chart.sum_mults[i] == 2
 
 
-def test_charts_require_refinement():
-    fine = catalog.p11222_crepant_fan()
-    other = catalog.projective_space(4)
-    with pytest.raises(PreconditionError):
-        two_cone_charts(fine, other)
+def test_charts_require_a_semiample_divisor_on_a_rank_4_fan():
+    with pytest.raises(PreconditionError, match="semiample"):
+        two_cone_charts(TorusInvariantDivisor(catalog.p11222_crepant_fan(), (-1,) + (0,) * 5))
+    with pytest.raises(PreconditionError, match="rank-4"):
+        two_cone_charts(TorusInvariantDivisor(catalog.projective_space(3), (1, 0, 0, 0)))
+
+
+def ref_two_cone_charts(fine, coarse):
+    """The oracle for `two_cone_charts`: every 2-cone of the coarse fan in
+    `cones(2)` order as (ray indices, chain, seg_mults, sum_mults), its
+    interior rays the fine rays that `Fan.locate` puts in its relative
+    interior, ordered along the arc, once the refinement is certified."""
+    assert fine.is_refinement(coarse)
+    inside = {}
+    for i, r in enumerate(fine.rays):
+        inside.setdefault(coarse.locate(r).ray_indices, []).append(i)
+    out = []
+    for sigma in coarse.cones(2):
+        gens = sigma.generators()
+
+        def arc_position(i):
+            (s, t), _ = lattice.rational_solution([list(col) for col in zip(*gens)],
+                                                  fine.rays[i])
+            return Fraction(t, s + t)
+
+        chain = [fine.rays.index(gens[0]),
+                 *sorted(inside.get(sigma.ray_indices, []), key=arc_position),
+                 fine.rays.index(gens[1])]
+        mults = [lattice.cone_multiplicity([fine.rays[a], fine.rays[b]])
+                 for a, b in zip(chain, chain[1:])]
+        sums = {chain[p]: lattice.cone_multiplicity([fine.rays[chain[p - 1]],
+                                                     fine.rays[chain[p + 1]]])
+                for p in range(1, len(chain) - 1)}
+        out.append((tuple(sorted(sigma.ray_indices)), chain, mults, sums))
+    return out
+
+
+def cube_analysis():
+    return ThreefoldAnalysis(cube_fan_section(1, catalog.cross_polytope(4).lattice_points()))
+
+
+@pytest.mark.parametrize("name", ["quintic_analysis", "crepant_analysis", "triple_analysis",
+                                  "cube"])
+def test_charts_match_the_point_location_route(name, request):
+    """The charts read off the 2-faces of Delta_D are the charts that
+    `Fan.locate` finds in Sigma_D, and at the relative-interior point of
+    every cone of the fine fan the face of Delta_D is dual to the cone of
+    Sigma_D that holds the point.  "cube" is the non-simplicial Sigma_D of
+    `test_h3_on_a_non_simplicial_sigma_d`, with one interior ray a chart."""
+    analysis = cube_analysis() if name == "cube" else request.getfixturevalue(name)
+    fine, coarse, delta = analysis.ring.fan, analysis.divisor.sigma_d(), analysis.delta
+    charts = [(tuple(sorted(c.face.facets)), c.chain, c.seg_mults, c.sum_mults)
+              for c in analysis.charts]
+    assert charts == ref_two_cone_charts(fine, coarse)
+    assert [c.face for c in analysis.charts] == [
+        delta.face_at_direction(sigma.relint_point()) for sigma in coarse.cones(2)]
+    for sigma in fine.all_cones():
+        x = sigma.relint_point()
+        assert delta.face_at_direction(x).facets == coarse.locate(x).ray_indices
+
+
+@pytest.mark.parametrize("fixture, args", [
+    ("fermat_quintic.json", ["threefold", "h3"]),
+    ("p11222_crepant.json", ["threefold", "h3"]),
+    ("sec6_polytope.json", ["mirror", "check"])])
+def test_reports_on_sigma_d_locate_no_point(fixture, args, monkeypatch, capsys):
+    """Sigma_D is read off the faces of Delta_D: `threefold h3` on the
+    quintic and crepant fixtures and `mirror check` on sec6 make no
+    `Fan.locate` call (5, 46 and 36 through the point-location route)."""
+    calls = []
+    true_locate = Fan.locate
+    monkeypatch.setattr(Fan, "locate", lambda self, x: calls.append(x) or true_locate(self, x))
+    path = resources.files("semitoric") / "fixtures" / fixture
+    with resources.as_file(path) as path:
+        assert cli.main([*args, "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_face_polynomial_is_fermat_quartic(crepant_analysis):
     chart = next(c for c in crepant_analysis.charts if c.n_interior == 1)
-    slice_ = crepant_analysis.surface(chart.sigma)
+    slice_ = crepant_analysis.surface(chart.face)
     star = slice_.ring
     assert set(star.fan.rays) == {(1, 0), (0, 1), (-1, -1)}
     exps = sorted(slice_.polynomial.terms)
@@ -103,7 +176,7 @@ def test_face_polynomial_is_fermat_quartic(crepant_analysis):
 
 def test_face_polynomial_defined_on_unsubdivided_cone(crepant_analysis):
     chart = next(c for c in crepant_analysis.charts if c.n_interior == 0)
-    poly = crepant_analysis.surface(chart.sigma).polynomial
+    poly = crepant_analysis.surface(chart.face).polynomial
     assert not poly.is_zero()
 
 
@@ -146,7 +219,7 @@ def test_every_coset_monomial_has_its_level_degree(name, request):
                 ring = analysis.ring
                 degree = (a + 1) * analysis.f.degree - ring.beta0
             else:
-                slice_ = analysis.surface(analysis.coarse.cone_ref(block.sigma))
+                slice_ = analysis.surface(block.chart.face)
                 ring = slice_.ring
                 degree = a * slice_.degree - ring.beta0
             assert block.piece.ring is ring
@@ -590,8 +663,7 @@ def test_r1_dim_matches_lattice_count_at_level1(crepant_analysis):
 
 
 def test_face_polynomial_on_ample_hypersurface(quintic_analysis):
-    sigma = quintic_analysis.coarse.cones(2)[0]
-    poly = quintic_analysis.surface(sigma).polynomial
+    poly = quintic_analysis.surface(quintic_analysis.delta.faces(2)[0]).polynomial
     assert not poly.is_zero()
     assert poly.ring.fan.dim == 2
     # the quintic restricted to a 2-cone orbit closure is again Fermat-like
@@ -608,11 +680,11 @@ def test_face_terms_match_the_face_polytope_route(crepant_analysis):
     random_analysis = ThreefoldAnalysis(f)
     for analysis in (random_analysis, crepant_analysis):
         f = analysis.f
-        for sigma in analysis.coarse.cones(2):
-            face = analysis.delta.face_at_direction(sigma.relint_point()).as_polytope()
+        for face in analysis.delta.faces(2):
+            poly = face.as_polytope()
             expected = sorted(c for e, c in f.terms.items()
-                              if face.contains(f.ring.point_of_monomial(e, f.degree)))
-            assert sorted(analysis.surface(sigma).polynomial.terms.values()) == expected
+                              if poly.contains(f.ring.point_of_monomial(e, f.degree)))
+            assert sorted(analysis.surface(face).polynomial.terms.values()) == expected
 
 
 def ref_star_slice(analysis, sigma):
@@ -621,7 +693,7 @@ def ref_star_slice(analysis, sigma):
     tight at every facet through the face, moved to the quotient by a right
     inverse Q of the projection.  It holds only on a simplicial Sigma_D,
     where `ref_star_fan` is the star fan."""
-    coarse, delta, f = analysis.coarse, analysis.delta, analysis.f
+    coarse, delta, f = sigma.fan, analysis.delta, analysis.f
     ring = CoxRing(ref_star_fan(coarse, sigma))
     _, Q = ref_quotient_projection([list(g) for g in sigma.generators()], 4)
     face = delta.face_at_direction(sigma.relint_point())
@@ -650,7 +722,7 @@ def test_slice_solves_no_linear_system(monkeypatch):
         catalog.p11222_triple_fan())[1])
     monkeypatch.setattr(CoxRing, "point_of_monomial", None)
     monkeypatch.setattr(lattice, "rational_solution", None)
-    assert all(analysis.surface(sigma).polynomial.terms for sigma in analysis.coarse.cones(2))
+    assert all(analysis.surface(face).polynomial.terms for face in analysis.delta.faces(2))
 
 
 def wp_fermat(weights):
@@ -671,15 +743,15 @@ def test_face_slice_matches_the_star_route(name, request):
     and the R_1 dimensions at levels 1 and 2."""
     analysis = (ThreefoldAnalysis(wp_fermat(tuple(map(int, name[1:]))))
                 if name.startswith("P") else request.getfixturevalue(name))
-    for sigma in analysis.coarse.cones(2):
-        poly, ref = analysis.surface(sigma).polynomial, ref_star_slice(analysis, sigma)
-        n = ref.ring.n
+    coarse = analysis.divisor.sigma_d()
+    for face in analysis.delta.faces(2):
+        surface, ref = analysis.surface(face), ref_star_slice(analysis, coarse.cone_ref(face.facets))
+        poly, n = surface.polynomial, ref.ring.n
         assert poly.ring.n == n
         assert any({tuple(e[i] for i in perm): c for e, c in ref.terms.items()} == poly.terms
                    for perm in permutations(range(n)))
-        assert analysis.surface(sigma).certificate.certified == \
-            residue.nondegeneracy_certificate(ref).certified
-        assert [analysis.surface(sigma).level_piece(a).dim for a in (1, 2)] == \
+        assert surface.certificate.certified == residue.nondegeneracy_certificate(ref).certified
+        assert [surface.level_piece(a).dim for a in (1, 2)] == \
             [R1Piece(ref, a * ref.degree - ref.ring.beta0).dim for a in (1, 2)]
 
 
@@ -699,7 +771,7 @@ def test_h3_on_a_non_simplicial_sigma_d():
     [1, h21, h21, 1] with h21 = 4 from the reflexive formula, and the
     level-(1, 2) pairing has full rank."""
     delta = catalog.cross_polytope(4)
-    analysis = ThreefoldAnalysis(cube_fan_section(1, delta.lattice_points()))
+    analysis = cube_analysis()
     assert h21_batyrev(delta) == 4
     assert [analysis.hodge_number(a) for a in range(4)] == [1, 4, 4, 1]
     assert analysis.gram(1, 2).rank() == 4
@@ -724,7 +796,7 @@ def test_slice_of_a_subdivided_cone_of_a_non_simplicial_sigma_d():
                            for i in range(4) for s in (1, -1)]
     analysis = ThreefoldAnalysis(cube_fan_section(3, points))
     chart = next(c for c in analysis.charts if c.n_interior)
-    surface = analysis.surface(chart.sigma)
+    surface = analysis.surface(chart.face)
     assert len(surface.ring.fan.rays) == 3
     assert sorted(surface.polynomial.terms) == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
     assert surface.certificate.certified
@@ -768,13 +840,15 @@ def test_gram_crepant_link_closed_form(crepant_analysis):
             assert g.entry(off_r + i, off_c + j).rational == expected
 
 
-def test_face_polynomial_accepts_foreign_cone_ref():
-    """A 2-cone taken from an independently computed (equal) coarse fan is
-    matched by its rays, not by raw indices."""
+def test_surface_accepts_the_face_of_an_equal_section_polytope():
+    """A 2-face of an independently computed (equal) section polytope is
+    matched by its vertices: it gives the slice of the chart's face, built
+    once."""
     ring, f = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
-    from semitoric.divisor import TorusInvariantDivisor
-    independent = TorusInvariantDivisor(ring.fan, f.degree.rep).sigma_d()
-    sigma = next(c for c in independent.cones(2)
-                 if set(c.generators()) == {(1, 0, 0, 0), (-1, -2, -2, -2)})
-    poly = ThreefoldAnalysis(f).surface(sigma).polynomial
-    assert sorted(poly.terms) == [(0, 0, 4), (0, 4, 0), (4, 0, 0)]
+    analysis = ThreefoldAnalysis(f)
+    independent = TorusInvariantDivisor(ring.fan, f.degree.rep).section_polytope()
+    assert independent is not analysis.delta
+    chart = next(c for c in analysis.charts if c.n_interior)
+    face = next(g for g in independent.faces(2) if g.facets == chart.face.facets)
+    assert analysis.surface(face) is analysis.surface(chart.face)
+    assert sorted(analysis.surface(face).polynomial.terms) == [(0, 0, 4), (0, 4, 0), (4, 0, 0)]

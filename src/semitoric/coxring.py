@@ -29,11 +29,11 @@ term is a combination of rows t * g_i with i < j, the second of rows
 t * g_j with t below m in the lex order, which is multiplicative; by
 induction on j and on the multiplier both lie in the span of the kept rows.
 The span is unchanged, so are its pivot columns and every reduction.
-Each kept row has lead 1 at a column known in advance, and is adopted by
-the echelon as it stands when it meets no pivot column.
+Each kept row has lead 1 at a column known in advance and is adopted by
+reference, a `_ShiftedRow` whose dict is built when a reduction reads it.
 
-J_0(f) is built on one generator list, the weighted partials over
-`euler_basis(f.degree)`; `residue` certifies f on the same list.
+J_0(f) and R_1(f) are built on one generator list, `j0_generators(f)`;
+`residue` certifies f on the same list.
 """
 
 from __future__ import annotations
@@ -416,18 +416,32 @@ def ideal_graded_piece(generators, gamma: DegreeClass) -> GradedSubspace:
         if g.is_zero():
             continue
         first = min(g.terms)
-        c0 = g.terms[first]
+        c0, lead = g.terms[first], code(first)
         terms = [(code(e), c if c0 == 1 else c / c0) for e, c in g.terms.items()]
-        lead = code(first)
-        for m in ring.monomial_basis(gamma - g.degree).codes:
-            mh = m | high
-            for lt in leads:
-                if (mh - lt) & high == high:   # LT(g_i) divides m
-                    break
-            else:
-                adopt(column[lead + m], {column[e + m]: c for e, c in terms})
+        multipliers = ring.monomial_basis(gamma - g.degree).codes
+        for done in leads:   # drop the m that LT(g_i) divides
+            multipliers = [m for m in multipliers if (m | high) - done & high != high]
+        for m in multipliers:
+            adopt(column[lead + m], _ShiftedRow(column, terms, m))
         leads.append(code(max(g.terms)))
     return space
+
+
+class _ShiftedRow:
+    """The row of m * g over `column`, g by its coded terms, built when read."""
+
+    __slots__ = ("column", "terms", "m", "row")
+
+    def __init__(self, column, terms, m):
+        self.column = column
+        self.terms = terms
+        self.m = m
+        self.row = None
+
+    def items(self):
+        if self.row is None:
+            self.row = {self.column[e + self.m]: c for e, c in self.terms}
+        return self.row.items()
 
 
 def jacobian_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
@@ -444,23 +458,32 @@ def euler_basis(beta: DegreeClass) -> tuple:
     return tuple(lattice._eliminate([list(beta.rep), *map(list, zip(*ring.fan.rays))], ring.n)[1])
 
 
+def j0_generators(f: GradedPolynomial) -> list:
+    """The weighted partials over `euler_basis(f.degree)`: they span all
+    x_i df/dx_i = a_i f + sum_k e_ik D_k f (D_k multiplies a term by the
+    k-th coordinate of its lattice point) with the rows (a_i, e_i)."""
+    return [f.weighted_partial(i) for i in euler_basis(f.degree)]
+
+
 def j0_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
-    """J_0(f)_gamma, on the weighted partials over `euler_basis(f.degree)`:
-    they span all x_i df/dx_i = a_i f + sum_k e_ik D_k f (D_k multiplies a
-    term by the k-th coordinate of its lattice point) with the rows (a_i, e_i)."""
-    return ideal_graded_piece([f.weighted_partial(i) for i in euler_basis(f.degree)], gamma)
+    """J_0(f)_gamma, on `j0_generators(f)`."""
+    return ideal_graded_piece(j0_generators(f), gamma)
 
 
 class R1Piece:
     """R_1(f)_gamma = (S / J_1(f))_gamma together with a monomial coset basis.
 
-    J_1(f)_gamma = {h : h * x_1...x_n in J_0(f)_{gamma + beta_0}} is computed
-    as the kernel of the shifted reduction map (the shift by x_1...x_n adds
-    `CoxRing.ones` to each monomial code), tracked with tag columns; a
-    monomial whose shift reduces to zero is a kernel row by itself, with no
-    tracker step.  `j1` echelonizes the kernel rows on first access only.
-    J_0(f)_{gamma + beta_0} is built here unless already at hand (`_j0`: the
-    span of the nondegeneracy certificate of f is J_0 in its critical degree).
+    J_1(f)_gamma = {h : h * x_1...x_n in J_0(f)_{gamma + beta_0}} is the
+    kernel of the shifted reduction map (the shift adds `CoxRing.ones` to a
+    code), tracked with tag columns in lex order: m is a coset monomial when
+    its shift is independent of those below it.  When LT(g) divides m, g in
+    `j0_generators(f)`, m is the lex-largest term of m' g in J_0, inside J_1
+    (m' = m / LT(g)), so its shift lies in the span of those below it, of the
+    kept ones by induction: m takes no reduction and no tracker step, and
+    m' g is its kernel row.  No regularity of f is assumed.  A monomial whose
+    shift reduces to zero takes no tracker step either.  `j1` echelonizes the
+    kernel rows on first access only.  J_0(f)_{gamma + beta_0} is built here
+    unless at hand (`_j0`: the certificate's span is J_0 in its degree).
     """
 
     def __init__(self, f: GradedPolynomial, gamma: DegreeClass, _j0=None):
@@ -469,25 +492,34 @@ class R1Piece:
         self.gamma = gamma
         self.ambient = ring.monomial_basis(gamma)
         shifted_degree = gamma + ring.beta0
-        j0 = _j0 if _j0 is not None else j0_piece(f, shifted_degree)
+        generators = [g for g in j0_generators(f) if not g.is_zero()]
+        j0 = _j0 if _j0 is not None else ideal_graded_piece(generators, shifted_degree)
         if j0.degree != shifted_degree:
             raise InconsistencyError("the J_0 piece is not in the shifted degree")
-        column, ones = j0.basis.column, ring.ones
+        column, ones, high, code = j0.basis.column, ring.ones, ring.high, ring.code
+        leads = [([(code(e), c) for e, c in g.terms.items()], code(max(g.terms)))
+                 for g in generators]
         ncols = len(column)
         tracker = SparseEchelon(ncols)
         coset_codes = []
         kernel_rows = []
         for i, m in enumerate(self.ambient.codes):
-            residual = j0.echelon.reduce({column[m + ones]: _ONE})
-            if not residual:   # m x_1...x_n is in J_0; tag columns are never pivots
-                kernel_rows.append({i: _ONE})
-                continue
-            residual[ncols + i] = _ONE
-            piv, resid = tracker.insert(residual)
-            if piv is None:
-                kernel_rows.append({k - ncols: v for k, v in resid.items()})
+            mh = m | high
+            for terms, lt in leads:
+                if (mh - lt) & high == high:   # LT(g) divides m
+                    kernel_rows.append(_ShiftedRow(self.ambient.column, terms, m - lt))
+                    break
             else:
-                coset_codes.append(m)
+                residual = j0.echelon.reduce({column[m + ones]: _ONE})
+                if not residual:   # m x_1...x_n is in J_0; tag columns are never pivots
+                    kernel_rows.append({i: _ONE})
+                    continue
+                residual[ncols + i] = _ONE
+                piv, resid = tracker.insert(residual)
+                if piv is None:
+                    kernel_rows.append({k - ncols: v for k, v in resid.items()})
+                else:
+                    coset_codes.append(m)
         self._kernel_rows = kernel_rows
         self.coset_codes = coset_codes
 

@@ -4,8 +4,9 @@ Sparse rows are dicts {column index: Fraction}.  The echelon structure keeps
 rows with distinct pivot columns; reducing a vector against it yields the
 canonical coset representative supported on non-pivot columns.  A reduction
 visits the pivot columns of the residual in increasing order, through a heap.
-A row whose lead is known to be 1 is adopted: when it meets no pivot column
-it becomes a pivot row as it stands (`SparseEchelon.adopt`).
+A row whose lead is known to be 1 is adopted: when no pivot sits at its lead
+it becomes the pivot row there by reference (`SparseEchelon.adopt`), so a
+stored tail may hold pivot columns, which a reduction clears as it reads it.
 
 ``lp_feasible``, an exact phase-1 simplex, has no caller in the package:
 cone questions go through the double-description kernel
@@ -78,25 +79,21 @@ class SparseEchelon:
         return c, r
 
     def adopt(self, lead: int, row):
-        """`insert` for a row whose values are nonzero Fractions and whose
-        least column, below ncols, is `lead`, with value 1: a row that meets
-        no pivot column is stored as it is, the pivot row at `lead`, with no
-        conversion, scan or division; any other row is inserted."""
-        pivots = self.pivots
-        if pivots.keys().isdisjoint(row):
-            pivots[lead] = row
-            return lead, row
-        return self.insert(row)
-
-    def contains(self, row) -> bool:
-        return min(self.reduce(row), default=self.ncols) >= self.ncols
+        """`insert` for a row, any object with `items()`, of nonzero Fractions
+        whose least column, below ncols, is `lead`, with value 1: when `lead`
+        is no pivot yet the row is stored as it is, the pivot row at `lead`,
+        unread; its other columns may be pivots.  Any other row is inserted."""
+        if lead in self.pivots:
+            return self.insert(row)
+        self.pivots[lead] = row
+        return lead, row
 
     def rref_rows(self):
         """Fully inter-reduced rows, sorted by pivot column."""
         cols = sorted(self.pivots)
         out = {}
         for c in reversed(cols):
-            row = dict(self.pivots[c])
+            row = dict(self.pivots[c].items())
             for k in [k for k in row if k != c and k in out]:
                 coef = row.pop(k)
                 for kk, vv in out[k].items():

@@ -782,29 +782,46 @@ def test_output_to_file_and_determinism(tmp_path, capsys):
 
 
 def test_threefold_h3_quintic_echelon_counts(capsys, monkeypatch):
-    """On the quintic fixture every J/J_0 row is adopted at its known lead
-    without a reduction, and R_1 shifts that reduce to zero inside J_0 take
-    no tracker step: 15,005 rows adopted, none handed on to `insert`, and at
-    most 408 `insert` calls in all."""
-    calls = {"adopt": 0, "fallback": 0, "insert": 0}
+    """On the quintic fixture every J/J_0 row is adopted at a lead that is no
+    pivot yet and kept by reference, unread until a reduction meets it, and
+    the R_1 monomials that a lead term of J_0 divides take no reduction:
+    15,005 rows kept, none handed on to `insert`, at most 420 of them read,
+    1,034 `reduce` calls (5,414 without the R_1 skip) and at most 408
+    `insert` calls in all."""
+    import semitoric.coxring as coxring
+
+    adopted, read, calls = [], set(), {"insert": 0, "reduce": 0, "by_reference": 0}
     true_insert, true_adopt = linalg.SparseEchelon.insert, linalg.SparseEchelon.adopt
+    true_reduce, true_items = linalg.SparseEchelon.reduce, coxring._ShiftedRow.items
 
     def counting_insert(self, row):
         calls["insert"] += 1
         return true_insert(self, row)
 
+    def counting_reduce(self, row):
+        calls["reduce"] += 1
+        return true_reduce(self, row)
+
     def counting_adopt(self, lead, row):
-        calls["adopt"] += 1
-        calls["fallback"] += not self.pivots.keys().isdisjoint(row)
-        return true_adopt(self, lead, row)
+        adopted.append(row)   # kept alive, so their ids stay distinct
+        got = true_adopt(self, lead, row)
+        calls["by_reference"] += self.pivots[lead] is row and got == (lead, row)
+        return got
+
+    def counting_items(self):
+        read.add(id(self))
+        return true_items(self)
 
     monkeypatch.setattr(linalg.SparseEchelon, "insert", counting_insert)
+    monkeypatch.setattr(linalg.SparseEchelon, "reduce", counting_reduce)
     monkeypatch.setattr(linalg.SparseEchelon, "adopt", counting_adopt)
+    monkeypatch.setattr(coxring._ShiftedRow, "items", counting_items)
     with resources.as_file(FIXTURES / "fermat_quintic.json") as path:
         code, _, _ = run(capsys, "threefold", "h3", "--input", str(path))
     assert code == 0
-    assert calls["adopt"] == 15005 and calls["fallback"] == 0
-    assert calls["insert"] <= 408
+    assert len(adopted) == calls["by_reference"] == 15005
+    assert len(read & {id(row) for row in adopted}) <= 420
+    assert calls["reduce"] == 1034 and calls["insert"] <= 408
 
 
 def test_threefold_h3_quintic_no_gram(tmp_path, capsys):

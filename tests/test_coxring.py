@@ -325,32 +325,32 @@ def test_dwork_pencil_at_the_conifold_point_is_inconclusive():
     assert cert.codim == 125
 
 
-def test_fermat_quintic_j0_inserts_its_rank(monkeypatch):
-    """On the Fermat quintic every kept J_0 row is independent: the pieces
-    in degrees 10, 15 and 20 take in exactly their rank, by `adopt` or
-    `insert` (the unskipped builder takes in 630, 5,005 and 19,380 rows).
-    A row that `adopt` hands on to `insert` is the same object, and counts
-    once."""
+def test_fermat_quintic_j0_keeps_its_rank_by_reference(monkeypatch):
+    """On the Fermat quintic every kept J_0 row is independent, and its lead
+    is no pivot yet: the pieces in degrees 10, 15 and 20 adopt exactly their
+    rank and store each row as the object handed in, with no `insert` (the
+    unskipped builder takes in 630, 5,005 and 19,380 rows)."""
     ring = CoxRing(catalog.projective_space(4))
     quintic = fermat(ring, 5)
-    rows_in = []   # kept alive, so their ids stay distinct
+    adopted, inserts = [], []
     true_insert, true_adopt = linalg.SparseEchelon.insert, linalg.SparseEchelon.adopt
 
     def counting_insert(self, row):
-        rows_in.append(row)
+        inserts.append(row)
         return true_insert(self, row)
 
     def counting_adopt(self, lead, row):
-        rows_in.append(row)
+        adopted.append((lead, row))
         return true_adopt(self, lead, row)
 
     monkeypatch.setattr(linalg.SparseEchelon, "insert", counting_insert)
     monkeypatch.setattr(linalg.SparseEchelon, "adopt", counting_adopt)
     h = ring.variable_degree(0)
     for k, rows in ((10, 620), (15, 3755), (20, 10625)):
-        rows_in.clear()
+        adopted.clear()
         piece = j0_piece(quintic, k * h)
-        assert len({id(row) for row in rows_in}) == rows == piece.dim
+        assert len(adopted) == rows == piece.dim and not inserts
+        assert all(piece.echelon.pivots[lead] is row for lead, row in adopted)
 
 
 # -- monomial bases against the section polytope's lattice points ------------------
@@ -496,6 +496,31 @@ def tuple_r1_loop(ring, gamma, j0):
     return coset_exponents, kernel_rows
 
 
+def ref_r1_loop(ring, gamma, j0):
+    """The code-keyed loop of `R1Piece` before it skipped the monomials that
+    a lead term of J_0 divides, kept unchanged as the reference: every
+    monomial is reduced, and tracked unless its shift reduces to zero.
+    Returns (coset codes, kernel rows)."""
+    ambient = ring.monomial_basis(gamma)
+    column = j0.basis.column
+    ncols = len(column)
+    tracker = SparseEchelon(ncols)
+    coset_codes = []
+    kernel_rows = []
+    for i, m in enumerate(ambient.codes):
+        residual = j0.echelon.reduce({column[m + ring.ones]: Fraction(1)})
+        if not residual:
+            kernel_rows.append({i: Fraction(1)})
+            continue
+        residual[ncols + i] = Fraction(1)
+        piv, resid = tracker.insert(residual)
+        if piv is None:
+            kernel_rows.append({k - ncols: v for k, v in resid.items()})
+        else:
+            coset_codes.append(m)
+    return coset_codes, kernel_rows
+
+
 def tuple_eta_monomial(cup, exps):
     """eta(x^exps) as the tuple-keyed memo computed it."""
     if cup.ring.degree_class(exps) != cup.eta_degree:
@@ -510,9 +535,19 @@ def dense_section(ring, beta, seed):
                             for e in ring.monomial_basis(beta).exponents}, beta)
 
 
+def rref_of(rows, ncols):
+    """The rref rows of the span of the given rows (`ReferenceEchelon`)."""
+    echelon = ReferenceEchelon(ncols)
+    for row in rows:
+        echelon.insert(dict(row.items()))
+    return echelon.rref_rows()
+
+
 def assert_pieces_match_tuples(f, levels):
-    """J and J_0 pieces, R_1 cosets and kernel rows at the given levels
-    gamma = (a + 1) beta - beta_0 agree with the tuple-keyed references."""
+    """J and J_0 pieces, R_1 cosets and J_1 at the given levels
+    gamma = (a + 1) beta - beta_0 agree with the tuple-keyed references:
+    the same pivot columns and rref rows, the same coset exponents, and a
+    J_1 that echelonizes to the span of the reference kernel rows."""
     ring = f.ring
     partials = [f.partial(i) for i in range(ring.n)]
     for a in levels:
@@ -520,9 +555,11 @@ def assert_pieces_match_tuples(f, levels):
         for gens, degree in ((partials, gamma), (ring.weighted_partials(f), gamma + ring.beta0)):
             fast, ref = ideal_graded_piece(gens, degree), tuple_ideal_graded_piece(gens, degree)
             assert fast.echelon.pivots.keys() == ref.echelon.pivots.keys()
-            assert fast.echelon.pivots == ref.echelon.pivots
+            assert fast.echelon.rref_rows() == ref.echelon.rref_rows()
         piece = R1Piece(f, gamma, _j0=fast)
-        assert (piece.coset_exponents, piece._kernel_rows) == tuple_r1_loop(ring, gamma, ref)
+        cosets, kernel_rows = tuple_r1_loop(ring, gamma, ref)
+        assert piece.coset_exponents == cosets
+        assert piece.j1.echelon.rref_rows() == rref_of(kernel_rows, len(piece.ambient))
 
 
 def assert_eta_matches_tuples(f):
@@ -575,6 +612,75 @@ def test_packed_kernel_matches_tuples_on_crepant_p11222():
     f = ring.polynomial({**fermat.terms, **extra.terms}, beta)
     assert max(len(g.terms) for g in ring.weighted_partials(f)) > 1
     assert_pieces_match_tuples(f, (0, 1))
+
+
+def assert_r1_skip_matches_the_unskipped_loop(f, gammas):
+    """R_1 pieces in the given degrees have the coset codes of `ref_r1_loop`
+    and a J_1 that echelonizes to the span of its kernel rows; some of their
+    monomials are skipped, each with the kernel row m' g it is the top of."""
+    ring, skipped = f.ring, 0
+    for gamma in gammas:
+        piece = R1Piece(f, gamma)
+        cosets, kernel_rows = ref_r1_loop(ring, gamma, j0_piece(f, gamma + ring.beta0))
+        assert piece.coset_codes == cosets
+        assert piece.j1.echelon.rref_rows() == rref_of(kernel_rows, len(piece.ambient))
+        skipped += sum(isinstance(row, coxring._ShiftedRow) for row in piece._kernel_rows)
+    assert skipped
+
+
+def test_r1_skip_matches_the_unskipped_loop_on_the_dwork_pencil():
+    """Two-term weighted partials whose lead terms are x_1...x_5, not x_i^5,
+    from the second on: a skip on the lex-least term fails here."""
+    ring = CoxRing(catalog.projective_space(4))
+    f = dwork(ring, Fraction(1, 2))
+    assert_r1_skip_matches_the_unskipped_loop(f, [(a + 1) * f.degree - ring.beta0
+                                                  for a in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("dim, k, seed", [(2, 3, 1), (2, 3, 2), (3, 2, 3)])
+def test_r1_skip_matches_the_unskipped_loop_on_dense_sections(dim, k, seed):
+    ring = CoxRing(catalog.projective_space(dim))
+    f = dense_section(ring, k * ring.variable_degree(0), seed)
+    assert_r1_skip_matches_the_unskipped_loop(f, [(a + 1) * f.degree - ring.beta0
+                                                  for a in range(dim)])
+
+
+def test_r1_skip_matches_the_unskipped_loop_on_crepant_p11222():
+    ring = CoxRing(catalog.p11222_crepant_fan())
+    _, fermat = catalog.p11222_pullback_fermat(catalog.p11222_crepant_fan())
+    beta = ring.degree_class(fermat.degree.rep)
+    extra = random_section(ring, beta, random.Random(0), 3)
+    f = ring.polynomial({**fermat.terms, **extra.terms}, beta)
+    assert_r1_skip_matches_the_unskipped_loop(f, [beta - ring.beta0, 2 * beta - ring.beta0])
+
+
+@pytest.mark.parametrize("weights, terms, r1_dim", [
+    ((1, 1, 1, 1, 3), [(7, 0, 0, 0, 0), (0, 7, 0, 0, 0), (0, 0, 7, 0, 0), (0, 0, 0, 7, 0),
+                       (1, 0, 0, 0, 2)], 104),
+    ((1, 1, 1, 2, 2), [(7, 0, 0, 0, 0), (0, 7, 0, 0, 0), (0, 0, 7, 0, 0), (0, 1, 0, 3, 0),
+                       (0, 0, 1, 0, 3)], 79),
+])
+def test_r1_skip_matches_the_unskipped_loop_on_the_inconclusive_chain_sections(
+        weights, terms, r1_dim):
+    """The chain sections x_0^7 + x_1^7 + x_2^7 + x_3^7 + x_4^2 x_0 on
+    P(1,1,1,1,3) and x_0^7 + x_1^7 + x_2^7 + x_1 x_3^3 + x_2 x_4^3 on
+    P(1,1,1,2,2) contain a torus orbit, so their certificates do not
+    certify: the skip assumes no regularity."""
+    ring = CoxRing(catalog.weighted_projective(weights))
+    f = ring.polynomial({e: 1 for e in terms})
+    assert not nondegeneracy_certificate(f).certified
+    assert R1Piece(f, f.degree).dim == r1_dim
+    assert_r1_skip_matches_the_unskipped_loop(f, [ring.zero_degree(), f.degree])
+
+
+def test_r1_skip_matches_the_unskipped_loop_off_the_levels():
+    """A seeded cubic on P^4, of degree 3h against beta_0 = 5h, in R_1
+    degrees 2h and 4h, which are no level (a + 1) beta - beta_0."""
+    ring = CoxRing(catalog.projective_space(4))
+    h = ring.variable_degree(0)
+    f = random_section(ring, 3 * h, random.Random(4), 8)
+    assert f.degree != ring.beta0
+    assert_r1_skip_matches_the_unskipped_loop(f, [2 * h, 4 * h])
 
 
 def test_codes_add_without_carry_below_the_bound():

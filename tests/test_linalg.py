@@ -104,8 +104,8 @@ def test_sparse_echelon_rank_and_membership():
     ech.insert({0: Fraction(1), 1: Fraction(2)})
     ech.insert({1: Fraction(1), 3: Fraction(1)})
     assert ech.rank == 2
-    assert ech.contains({0: Fraction(2), 1: Fraction(5), 3: Fraction(1)})
-    assert not ech.contains({2: Fraction(1)})
+    assert ech.reduce({0: Fraction(2), 1: Fraction(5), 3: Fraction(1)}) == {}
+    assert ech.reduce({2: Fraction(1)}) == {2: Fraction(1)}
     dep_pivot, _ = ech.insert({0: Fraction(1), 1: Fraction(1), 3: Fraction(-1)})
     assert dep_pivot is None
     assert ech.rank == 2
@@ -191,8 +191,9 @@ def test_sparse_echelon_matches_reference(seed, ncols, ntags, count):
         assert fast.pivots.keys() == slow.pivots.keys()
         assert fast.pivots == slow.pivots
         for probe in probes + rows:
-            assert fast.reduce(probe) == slow.reduce(probe)
-            assert fast.contains(probe) == slow.contains(probe)
+            residual = fast.reduce(probe)
+            assert residual == slow.reduce(probe)
+            assert (min(residual, default=ncols) >= ncols) == slow.contains(probe)
         assert fast.rref_rows() == slow.rref_rows()
     assert dependent and multi_step
 
@@ -232,21 +233,39 @@ def unit_lead_rows(rng, ncols, count):
     return out
 
 
+class ItemsOnly:
+    """A row that only has `items()`, as the rows an ideal piece adopts."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def items(self):
+        return self.row.items()
+
+
 @pytest.mark.parametrize("seed, ncols, count", [(1, 6, 20), (2, 12, 50), (3, 25, 80)])
 def test_adopt_matches_reference(seed, ncols, count):
-    """`adopt` agrees with the reference's `insert` after every row: rows
-    that meet no pivot are stored as they stand, rows that meet one, at
-    their lead or only past it, are reduced."""
+    """`adopt` agrees with the reference's `insert` after every row on the
+    pivot columns, the rref rows and every reduction: a row whose lead is no
+    pivot is stored by reference, also when it meets pivot columns past its
+    lead, and a row at a pivot lead is inserted."""
     rng = random.Random(seed)
     fast, slow = SparseEchelon(ncols), ReferenceEchelon(ncols)
-    kinds = {"kept": 0, "at lead": 0, "past lead": 0}
-    for lead, row in unit_lead_rows(rng, ncols, count):
-        kind = ("kept" if fast.pivots.keys().isdisjoint(row)
-                else "at lead" if lead in fast.pivots else "past lead")
+    probes = random_rows(rng, ncols, 0, 10)
+    kinds = {"kept": 0, "kept past pivots": 0, "at lead": 0}
+    for k, (lead, row) in enumerate(unit_lead_rows(rng, ncols, count)):
+        kind = ("at lead" if lead in fast.pivots else "kept"
+                if fast.pivots.keys().isdisjoint(row) else "kept past pivots")
         kinds[kind] += 1
-        got, want = fast.adopt(lead, row), slow.insert(dict(row))
-        assert got == want
-        assert (fast.pivots.get(lead) is row) == (kind == "kept")
-        assert fast.pivots == slow.pivots
+        if k % 2:
+            row = ItemsOnly(row)
+        got, want = fast.adopt(lead, row), slow.insert(dict(row.items()))
+        if kind == "at lead":
+            assert got == want
+        else:
+            assert got == (lead, row) and want[0] == lead and fast.pivots[lead] is row
+        assert fast.pivots.keys() == slow.pivots.keys()
         assert fast.rref_rows() == slow.rref_rows()
+        for probe in probes:
+            assert fast.reduce(probe) == slow.reduce(probe)
     assert all(kinds.values())

@@ -57,29 +57,32 @@ def weighted_projective(weights) -> Fan:
     return Fan(rays, cones)
 
 
-def p11222_fan() -> Fan:
-    """P(1,1,2,2,2) presented with rays v1..v4 = e_i and v0 = (-1,-2,-2,-2)."""
-    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-            (-1, -2, -2, -2)]
-    cones = [set(c) for c in combinations(range(5), 4)]
-    return Fan(rays, cones)
+_P11222_RAYS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -2, -2, -2)]
 
 
-def p11222_crepant_fan() -> Fan:
-    """The fan above with cone(v1, v0) subdivided at its interior lattice
-    ray (0,-1,-1,-1) (the crepant partial resolution)."""
-    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-            (-1, -2, -2, -2), (0, -1, -1, -1)]
+def _p11222_subdivided(extra_rays, chain) -> Fan:
+    """The cones of P(1,1,2,2,2), each one through cone(v1, v0) cut into
+    one cone per step of `chain`, the rays from v1 (ray 0) to v0 (ray 4)."""
     cones = []
     for c in combinations(range(5), 4):
         s = set(c)
         if {0, 4} <= s:
             rest = s - {0, 4}
-            cones.append({0, 5} | rest)
-            cones.append({5, 4} | rest)
+            cones.extend({a, b} | rest for a, b in zip(chain, chain[1:]))
         else:
             cones.append(s)
-    return Fan(rays, cones)
+    return Fan(_P11222_RAYS + extra_rays, cones)
+
+
+def p11222_fan() -> Fan:
+    """P(1,1,2,2,2) presented with rays v1..v4 = e_i and v0 = (-1,-2,-2,-2)."""
+    return _p11222_subdivided([], [0, 4])   # the one step v1 -> v0 cuts nothing
+
+
+def p11222_crepant_fan() -> Fan:
+    """The fan above with cone(v1, v0) subdivided at its interior lattice
+    ray (0,-1,-1,-1) (the crepant partial resolution)."""
+    return _p11222_subdivided([(0, -1, -1, -1)], [0, 5, 4])
 
 
 def blowup_p3() -> Fan:
@@ -92,19 +95,9 @@ def blowup_p3() -> Fan:
 def p11222_triple_fan() -> Fan:
     """P(1,1,2,2,2) with cone(v1, v0) subdivided at all three of its interior
     primitive rays (only the middle one is crepant)."""
-    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-            (-1, -2, -2, -2), (1, -1, -1, -1), (1, -2, -2, -2), (0, -1, -1, -1)]
-    chain = [0, 5, 6, 7, 4]  # v1 -> v7 -> v6 -> v5 -> v0 in angular order
-    cones = []
-    for c in combinations(range(5), 4):
-        s = set(c)
-        if {0, 4} <= s:
-            rest = s - {0, 4}
-            for a, b in zip(chain, chain[1:]):
-                cones.append({a, b} | rest)
-        else:
-            cones.append(s)
-    return Fan(rays, cones)
+    # v1 -> v7 -> v6 -> v5 -> v0 in angular order
+    return _p11222_subdivided([(1, -1, -1, -1), (1, -2, -2, -2), (0, -1, -1, -1)],
+                              [0, 5, 6, 7, 4])
 
 
 def p11222_pullback_fermat(fine: Fan):

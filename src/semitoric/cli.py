@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from operator import add
 
 from . import lattice
@@ -281,7 +281,7 @@ def _ring_dims_verification(f, gamma, entry):
     index = ring.monomial_basis(gamma).index
 
     def rank(generators):
-        echelon = SparseEchelon(len(index))
+        echelon = SparseEchelon()
         for g in reversed(generators):
             for mono in ring.monomial_basis(gamma - g.degree).exponents:
                 echelon.insert({index[tuple(map(add, e, mono))]: c for e, c in g.terms.items()})
@@ -313,7 +313,7 @@ def cmd_residue_eval(doc, verify):
     if verify:  # the toric Jacobian is taken on the first admissible index set
         out["verification"] = checks = {"residue_matches_monomial_sum": value == sum(
             c * res.residue_of_monomial(ring.code(e)) for e, c in argument.terms.items())}
-        picks = admissible_index_sets(ring, res.certificate.beta)
+        picks = list(islice(admissible_index_sets(ring, res.certificate.beta), 2))
         if len(picks) > 1:
             checks["jacobian_matches_second_index_set"] = _agrees(
                 lambda: toric_jacobian(ring, sections, picks[1]), res.certificate.jacobian)

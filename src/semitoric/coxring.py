@@ -33,7 +33,8 @@ Each kept row has lead 1 at a column known in advance and is adopted by
 reference, a `_ShiftedRow` whose dict is built when a reduction reads it.
 
 J_0(f) and R_1(f) are built on one generator list, `j0_generators(f)`;
-`residue` certifies f on the same list.
+`residue` certifies f on the same list.  R_1(f) is computed as a monomial
+coset basis of S / (J_0 : x_1...x_n), its only reading; J_1 is never built.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ class GradedSubspace:
         self.ring = ring
         self.degree = degree
         self.basis = ring.monomial_basis(degree)
-        self.echelon = SparseEchelon(len(self.basis))
+        self.echelon = SparseEchelon()
 
     @property
     def dim(self) -> int:
@@ -248,7 +249,7 @@ class GradedSubspace:
 
     def _devectorize(self, row) -> GradedPolynomial:
         decode, codes = self.ring.decode, self.basis.codes
-        terms = {decode(codes[j]): c for j, c in row.items() if j < len(codes)}
+        terms = {decode(codes[j]): c for j, c in row.items()}
         return GradedPolynomial(self.ring, terms, self.degree, _trusted=True)
 
     def insert(self, poly: GradedPolynomial):
@@ -257,9 +258,6 @@ class GradedSubspace:
     def reduce(self, poly: GradedPolynomial) -> GradedPolynomial:
         """Canonical representative of the coset of poly."""
         return self._devectorize(self.echelon.reduce(self._vectorize(poly)))
-
-    def reduced_row_basis(self):
-        return [self._devectorize(r) for r in self.echelon.rref_rows()]
 
 
 class CoxRing:
@@ -471,70 +469,48 @@ def j0_piece(f: GradedPolynomial, gamma: DegreeClass) -> GradedSubspace:
 
 
 class R1Piece:
-    """R_1(f)_gamma = (S / J_1(f))_gamma together with a monomial coset basis.
+    """R_1(f)_gamma = (S / J_1(f))_gamma, held by a monomial coset basis.
 
     J_1(f)_gamma = {h : h * x_1...x_n in J_0(f)_{gamma + beta_0}} is the
     kernel of the shifted reduction map (the shift adds `CoxRing.ones` to a
-    code), tracked with tag columns in lex order: m is a coset monomial when
-    its shift is independent of those below it.  When LT(g) divides m, g in
+    code).  In lex order, m is a coset monomial when the residual of its
+    shift modulo J_0 is nonzero and independent, in one `SparseEchelon`, of
+    the residuals of the monomials below it.  When LT(g) divides m, g in
     `j0_generators(f)`, m is the lex-largest term of m' g in J_0, inside J_1
-    (m' = m / LT(g)), so its shift lies in the span of those below it, of the
-    kept ones by induction: m takes no reduction and no tracker step, and
-    m' g is its kernel row.  No regularity of f is assumed.  A monomial whose
-    shift reduces to zero takes no tracker step either.  `j1` echelonizes the
-    kernel rows on first access only.  J_0(f)_{gamma + beta_0} is built here
-    unless at hand (`_j0`: the certificate's span is J_0 in its degree).
+    (m' = m / LT(g)), so its shift lies in the span of those below it, of
+    the kept ones by induction: m takes no reduction.  No regularity of f is
+    assumed.  J_0(f)_{gamma + beta_0} is built here unless at hand (`_j0`:
+    the certificate's span is J_0 in its degree).
     """
 
     def __init__(self, f: GradedPolynomial, gamma: DegreeClass, _j0=None):
         ring = f.ring
         self.ring = ring
-        self.gamma = gamma
         self.ambient = ring.monomial_basis(gamma)
         shifted_degree = gamma + ring.beta0
         generators = [g for g in j0_generators(f) if not g.is_zero()]
         j0 = _j0 if _j0 is not None else ideal_graded_piece(generators, shifted_degree)
         if j0.degree != shifted_degree:
             raise InconsistencyError("the J_0 piece is not in the shifted degree")
-        column, ones, high, code = j0.basis.column, ring.ones, ring.high, ring.code
-        leads = [([(code(e), c) for e, c in g.terms.items()], code(max(g.terms)))
-                 for g in generators]
-        ncols = len(column)
-        tracker = SparseEchelon(ncols)
+        column, ones, high, reduce = j0.basis.column, ring.ones, ring.high, j0.echelon.reduce
+        leads = [ring.code(max(g.terms)) for g in generators]
+        residuals = SparseEchelon()
         coset_codes = []
-        kernel_rows = []
-        for i, m in enumerate(self.ambient.codes):
+        for m in self.ambient.codes:
             mh = m | high
-            for terms, lt in leads:
+            for lt in leads:
                 if (mh - lt) & high == high:   # LT(g) divides m
-                    kernel_rows.append(_ShiftedRow(self.ambient.column, terms, m - lt))
                     break
             else:
-                residual = j0.echelon.reduce({column[m + ones]: _ONE})
-                if not residual:   # m x_1...x_n is in J_0; tag columns are never pivots
-                    kernel_rows.append({i: _ONE})
-                    continue
-                residual[ncols + i] = _ONE
-                piv, resid = tracker.insert(residual)
-                if piv is None:
-                    kernel_rows.append({k - ncols: v for k, v in resid.items()})
-                else:
+                residual = reduce({column[m + ones]: _ONE})
+                if residual and residuals.insert(residual)[0] is not None:
                     coset_codes.append(m)
-        self._kernel_rows = kernel_rows
         self.coset_codes = coset_codes
 
     @cached_property
     def coset_exponents(self) -> list:
         """The coset basis as exponent tuples, decoded on first access."""
         return [self.ring.decode(m) for m in self.coset_codes]
-
-    @cached_property
-    def j1(self) -> GradedSubspace:
-        """J_1(f)_gamma, echelonized from the kernel rows on first access."""
-        j1 = GradedSubspace(self.ring, self.gamma)
-        for row in self._kernel_rows:
-            j1.echelon.insert(row)
-        return j1
 
     @property
     def dim(self) -> int:

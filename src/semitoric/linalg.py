@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Sparse rows are dicts {column index: Fraction}.  The echelon structure keeps
-rows with distinct pivot columns; reducing a vector against it yields the
-canonical coset representative supported on non-pivot columns.  A reduction
-visits the pivot columns of the residual in increasing order, through a heap.
-A row whose lead is known to be 1 is adopted: when no pivot sits at its lead
-it becomes the pivot row there by reference (`SparseEchelon.adopt`), so a
-stored tail may hold pivot columns, which a reduction clears as it reads it.
+rows with distinct pivot columns, any column a pivot (there are no tag
+columns); reducing a vector against it yields the canonical coset
+representative supported on non-pivot columns.  A reduction visits the pivot
+columns of the residual in increasing order, through a heap.  A row whose
+lead is known to be 1 is adopted: when no pivot sits at its lead it becomes
+the pivot row there by reference (`SparseEchelon.adopt`), so a stored tail
+may hold pivot columns, which a reduction clears as it reads it.
 
 ``lp_feasible``, an exact phase-1 simplex, has no caller in the package:
 cone questions go through the double-description kernel
@@ -28,15 +29,12 @@ _ZERO, _ONE = Fraction(0), Fraction(1)   # shared: Fractions are immutable
 class SparseEchelon:
     """Incremental row-echelon form of a sparse rational row space.
 
-    Columns >= ncols are bookkeeping tags: they are carried through row
-    operations but never chosen as pivots (used to track combinations).
     Every row but an adopted one goes through `reduce`, which converts only
     the values that are not ``Fraction``s.  Pivot rows have lead 1; a
     residual whose lead is 1 already is stored undivided.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.pivots: dict[int, dict[int, Fraction]] = {}
 
     @property
@@ -71,41 +69,22 @@ class SparseEchelon:
         """Adjoin a row; returns (pivot column, or None if dependent, residual).
         A residual of lead 1 is stored as it is returned: do not change it."""
         r = self.reduce(row)
-        c = min(r, default=self.ncols)
-        if c >= self.ncols:
+        if not r:
             return None, r
+        c = min(r)
         lead = r[c]
         self.pivots[c] = r if lead == 1 else {k: v / lead for k, v in r.items()}
         return c, r
 
     def adopt(self, lead: int, row):
         """`insert` for a row, any object with `items()`, of nonzero Fractions
-        whose least column, below ncols, is `lead`, with value 1: when `lead`
-        is no pivot yet the row is stored as it is, the pivot row at `lead`,
-        unread; its other columns may be pivots.  Any other row is inserted."""
+        whose least column is `lead`, with value 1: when `lead` is no pivot
+        yet the row is stored as it is, the pivot row at `lead`, unread; its
+        other columns may be pivots.  Any other row is inserted."""
         if lead in self.pivots:
             return self.insert(row)
         self.pivots[lead] = row
         return lead, row
-
-    def rref_rows(self):
-        """Fully inter-reduced rows, sorted by pivot column."""
-        cols = sorted(self.pivots)
-        out = {}
-        for c in reversed(cols):
-            row = dict(self.pivots[c].items())
-            for k in [k for k in row if k != c and k in out]:
-                coef = row.pop(k)
-                for kk, vv in out[k].items():
-                    if kk == k:
-                        continue
-                    nv = row.get(kk, _ZERO) - coef * vv
-                    if nv:
-                        row[kk] = nv
-                    else:
-                        row.pop(kk, None)
-            out[c] = row
-        return [out[c] for c in cols]
 
 
 def solve_linear(rows, rhs):

@@ -87,8 +87,8 @@ def det_e(ring: CoxRing, I) -> int:
 
 
 def admissible_index_sets(ring: CoxRing, beta):
-    """All (d+1)-subsets I, in lexicographic order, with c_I^beta != 0."""
-    return [I for I in combinations(range(ring.n), ring.d + 1) if c_I_beta(ring, beta, I) != 0]
+    """The (d+1)-subsets I with c_I^beta != 0, lazily, in lexicographic order."""
+    return (I for I in combinations(range(ring.n), ring.d + 1) if c_I_beta(ring, beta, I) != 0)
 
 
 def _poly_det(ring: CoxRing, M):

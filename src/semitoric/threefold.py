@@ -235,7 +235,7 @@ class GramBlock:
     def rank(self) -> int:
         """Rank over Q, from the listed cells in a `SparseEchelon`.  The dense
         route (`lattice.matrix_rank` on every cell) is the `--verify` check."""
-        echelon = SparseEchelon(self.columns)
+        echelon = SparseEchelon()
         for row in self.rows:
             echelon.insert({j: v.rational for j, v in row.items()})
         return echelon.rank

@@ -509,7 +509,7 @@ def test_second_routes_run_only_under_verify(tmp_path, capsys, monkeypatch):
     original = residue._c_and_jacobian
 
     def recorded(ring, F, beta, I):   # every toric Jacobian is taken here
-        first_only.append(tuple(I) == admissible_index_sets(ring, beta)[0])
+        first_only.append(tuple(I) == next(admissible_index_sets(ring, beta)))
         return original(ring, F, beta, I)
 
     monkeypatch.setattr(residue, "_c_and_jacobian", recorded)
@@ -568,49 +568,6 @@ def test_cup_pair_verify(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["verification"] == {"pairing_swap_sign": True,
                                                "pairing_matches_monomial_route": False}
-
-
-def test_ring_dims_and_threefold_h3_never_build_j1(tmp_path, capsys, monkeypatch):
-    """R_1 pieces echelonize J_1 on first access only, and neither report
-    reads it: on the quintic fixture every graded subspace built in the
-    degree of an R_1 piece is an ideal piece.  Reading `j1` builds one."""
-    import semitoric.coxring as coxring
-
-    r1_degrees, built, ideal = set(), [], []
-    true_r1, true_subspace, true_piece = (coxring.R1Piece.__init__,
-                                          coxring.GradedSubspace.__init__,
-                                          coxring.ideal_graded_piece)
-
-    def r1_init(self, f, gamma, _j0=None):
-        r1_degrees.add(gamma)
-        true_r1(self, f, gamma, _j0=_j0)
-
-    def subspace_init(self, ring, degree):
-        built.append(self)
-        true_subspace(self, ring, degree)
-
-    def piece(generators, gamma):
-        ideal.append(true_piece(generators, gamma))
-        return ideal[-1]
-
-    def j1_builds():
-        ideal_ids = {id(s) for s in ideal}
-        return [s for s in built if s.degree in r1_degrees and id(s) not in ideal_ids]
-
-    monkeypatch.setattr(coxring.R1Piece, "__init__", r1_init)
-    monkeypatch.setattr(coxring.GradedSubspace, "__init__", subspace_init)
-    monkeypatch.setattr(coxring, "ideal_graded_piece", piece)
-    path = write(tmp_path, "q.json", fixture("fermat_quintic.json"))
-    for command in (("ring", "dims"), ("threefold", "h3")):
-        code, _, _ = run(capsys, *command, "--input", path)
-        assert code == 0
-    assert len({gamma.rep for gamma in r1_degrees}) == 4 and not j1_builds()
-
-    ring = coxring.CoxRing(catalog.projective_plane())
-    cubic = ring.polynomial({(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    r1 = coxring.R1Piece(cubic, ring.beta0)
-    assert not j1_builds()
-    assert r1.j1 is r1.j1 and j1_builds() == [r1.j1]
 
 
 def test_hodge_h21(tmp_path, capsys):

@@ -15,15 +15,15 @@ from semitoric.coxring import (
     R1Piece,
     euler_basis,
     ideal_graded_piece,
+    j0_generators,
     j0_piece,
 )
 from semitoric.errors import InconsistencyError, PreconditionError, ValidationError
 from semitoric.fan import Fan
-from semitoric.linalg import SparseEchelon
 from semitoric.polytope import HPolytope, vertices_from_inequalities
 from semitoric.residue import CupProduct, admissible_index_sets, nondegeneracy_certificate
 
-from .test_linalg import ReferenceEchelon
+from .test_linalg import ReferenceEchelon, rref_of
 
 
 def fermat(ring, degree):
@@ -155,14 +155,17 @@ def test_r1_dim_fermat_quintic_level1():
 
 def test_j0_contained_in_j1():
     gens = [CUBIC.weighted_partial(i) for i in range(3)]
-    j1 = R1Piece(CUBIC, P2.beta0).j1
+    j1 = GradedSubspace(P2, P2.beta0)
+    for row in j1_oracle(CUBIC, P2.beta0):
+        j1.insert(row)
     for g in gens:
         assert j1.reduce(g).is_zero()
 
 
-def test_j1_rows_match_a_pinned_copy():
-    """J_1 in degree beta_0, echelonized on first access, for the Fermat
-    cubic and a cubic with two-term rows; pinned from the eager build."""
+def test_r1_coset_basis_matches_a_pinned_copy():
+    """R_1 in degree beta_0 for the Fermat cubic and a cubic with two-term
+    rows: the coset basis, and the rref rows of J_1 from `j1_oracle`, pinned
+    from the eager J_1 build the package once kept."""
     other = P2.polynomial({(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1, (1, 2, 0): -1,
                            (0, 1, 2): Fraction(1, 3)})
     x3 = (3, 0, 0)
@@ -175,8 +178,9 @@ def test_j1_rows_match_a_pinned_copy():
             ((1, 2, 0), "-3"), ((2, 0, 1), "-9477/379"), ((2, 1, 0), "-730/1137")]],
     }
     for f, rows in pinned.items():
-        basis = R1Piece(f, P2.beta0).j1.reduced_row_basis()
-        assert [r.terms for r in basis] == rows
+        assert [r.terms for r in j1_oracle(f, P2.beta0)] == rows
+    assert R1Piece(CUBIC, P2.beta0).coset_exponents == [(1, 1, 1)]
+    assert R1Piece(other, P2.beta0).coset_exponents == [(0, 0, 3)]
 
 
 def test_reduce_modulo():
@@ -476,12 +480,13 @@ def tuple_ideal_graded_piece(generators, gamma):
 
 
 def tuple_r1_loop(ring, gamma, j0):
-    """The tuple-keyed loop of `R1Piece`, unchanged: (coset exponents,
-    kernel rows) of the shifted reduction map."""
+    """The tuple-keyed loop of `R1Piece`, with its tag columns, kept as the
+    reference on `ReferenceEchelon`: (coset exponents, kernel rows) of the
+    shifted reduction map."""
     ambient = ring.monomial_basis(gamma)
     shifted_basis = j0.basis
     ncols = len(shifted_basis)
-    tracker = SparseEchelon(ncols)
+    tracker = ReferenceEchelon(ncols)
     coset_exponents = []
     kernel_rows = []
     for i, exps in enumerate(ambient.exponents):
@@ -498,13 +503,14 @@ def tuple_r1_loop(ring, gamma, j0):
 
 def ref_r1_loop(ring, gamma, j0):
     """The code-keyed loop of `R1Piece` before it skipped the monomials that
-    a lead term of J_0 divides, kept unchanged as the reference: every
-    monomial is reduced, and tracked unless its shift reduces to zero.
-    Returns (coset codes, kernel rows)."""
+    a lead term of J_0 divides and dropped its tag columns, kept as the
+    reference on `ReferenceEchelon`: every monomial is reduced, and tracked,
+    tagged by its column, unless its shift reduces to zero.  Returns (coset
+    codes, kernel rows)."""
     ambient = ring.monomial_basis(gamma)
     column = j0.basis.column
     ncols = len(column)
-    tracker = SparseEchelon(ncols)
+    tracker = ReferenceEchelon(ncols)
     coset_codes = []
     kernel_rows = []
     for i, m in enumerate(ambient.codes):
@@ -521,6 +527,35 @@ def ref_r1_loop(ring, gamma, j0):
     return coset_codes, kernel_rows
 
 
+def j1_oracle(f, gamma):
+    """J_1(f)_gamma, which the package does not build: the rref rows, as
+    polynomials of degree gamma, of the kernel rows that `ref_r1_loop` reads
+    off its tag columns on `ReferenceEchelon`."""
+    ring = f.ring
+    _, kernel_rows = ref_r1_loop(ring, gamma, j0_piece(f, gamma + ring.beta0))
+    exponents = ring.monomial_basis(gamma).exponents
+    return [ring.polynomial({exponents[j]: c for j, c in row.items()}, gamma)
+            for row in rref_of(kernel_rows, len(exponents))]
+
+
+def lead_divisible(f, gamma):
+    """The monomials of S_gamma that a lead term of `j0_generators(f)`
+    divides, by the componentwise test on exponent tuples."""
+    leads = [max(g.terms) for g in j0_generators(f) if not g.is_zero()]
+    return [e for e in f.ring.monomial_basis(gamma).exponents
+            if any(all(map(ge, e, lt)) for lt in leads)]
+
+
+def assert_coset_basis_mod(piece, kernel_rows):
+    """The coset monomials of `piece` are a basis of S_gamma modulo the span
+    of the oracle's kernel rows: they complete its rref rows to all of S_gamma."""
+    ncols = len(piece.ambient)
+    j1 = rref_of(kernel_rows, ncols)
+    assert len(j1) == ncols - piece.dim
+    units = [{piece.ambient.column[m]: 1} for m in piece.coset_codes]
+    assert len(rref_of(j1 + units, ncols)) == ncols
+
+
 def tuple_eta_monomial(cup, exps):
     """eta(x^exps) as the tuple-keyed memo computed it."""
     if cup.ring.degree_class(exps) != cup.eta_degree:
@@ -535,19 +570,11 @@ def dense_section(ring, beta, seed):
                             for e in ring.monomial_basis(beta).exponents}, beta)
 
 
-def rref_of(rows, ncols):
-    """The rref rows of the span of the given rows (`ReferenceEchelon`)."""
-    echelon = ReferenceEchelon(ncols)
-    for row in rows:
-        echelon.insert(dict(row.items()))
-    return echelon.rref_rows()
-
-
 def assert_pieces_match_tuples(f, levels):
-    """J and J_0 pieces, R_1 cosets and J_1 at the given levels
+    """J and J_0 pieces and R_1 cosets at the given levels
     gamma = (a + 1) beta - beta_0 agree with the tuple-keyed references:
-    the same pivot columns and rref rows, the same coset exponents, and a
-    J_1 that echelonizes to the span of the reference kernel rows."""
+    the same pivot columns and rref rows, and the same coset exponents, a
+    basis modulo the span of the reference kernel rows."""
     ring = f.ring
     partials = [f.partial(i) for i in range(ring.n)]
     for a in levels:
@@ -555,11 +582,13 @@ def assert_pieces_match_tuples(f, levels):
         for gens, degree in ((partials, gamma), (ring.weighted_partials(f), gamma + ring.beta0)):
             fast, ref = ideal_graded_piece(gens, degree), tuple_ideal_graded_piece(gens, degree)
             assert fast.echelon.pivots.keys() == ref.echelon.pivots.keys()
-            assert fast.echelon.rref_rows() == ref.echelon.rref_rows()
+            ncols = len(fast.basis)
+            assert (rref_of(fast.echelon.pivots.values(), ncols)
+                    == rref_of(ref.echelon.pivots.values(), ncols))
         piece = R1Piece(f, gamma, _j0=fast)
         cosets, kernel_rows = tuple_r1_loop(ring, gamma, ref)
         assert piece.coset_exponents == cosets
-        assert piece.j1.echelon.rref_rows() == rref_of(kernel_rows, len(piece.ambient))
+        assert_coset_basis_mod(piece, kernel_rows)
 
 
 def assert_eta_matches_tuples(f):
@@ -615,16 +644,19 @@ def test_packed_kernel_matches_tuples_on_crepant_p11222():
 
 
 def assert_r1_skip_matches_the_unskipped_loop(f, gammas):
-    """R_1 pieces in the given degrees have the coset codes of `ref_r1_loop`
-    and a J_1 that echelonizes to the span of its kernel rows; some of their
-    monomials are skipped, each with the kernel row m' g it is the top of."""
+    """R_1 pieces in the given degrees have the coset codes of `ref_r1_loop`,
+    a basis modulo the span of its kernel rows; some of their monomials are
+    skipped, those a lead term of `j0_generators(f)` divides, and none of
+    them is a coset monomial."""
     ring, skipped = f.ring, 0
     for gamma in gammas:
         piece = R1Piece(f, gamma)
         cosets, kernel_rows = ref_r1_loop(ring, gamma, j0_piece(f, gamma + ring.beta0))
         assert piece.coset_codes == cosets
-        assert piece.j1.echelon.rref_rows() == rref_of(kernel_rows, len(piece.ambient))
-        skipped += sum(isinstance(row, coxring._ShiftedRow) for row in piece._kernel_rows)
+        assert_coset_basis_mod(piece, kernel_rows)
+        divisible = lead_divisible(f, gamma)
+        assert not set(divisible) & set(piece.coset_exponents)
+        skipped += len(divisible)
     assert skipped
 
 
@@ -744,7 +776,7 @@ def test_euler_basis_is_the_first_admissible_index_set(name):
                               for _ in range(30)]
     for vec in vecs:
         beta = ring.degree_class(vec)
-        basis, sets = euler_basis(beta), admissible_index_sets(ring, beta)
+        basis, sets = euler_basis(beta), list(admissible_index_sets(ring, beta))
         assert (len(basis) < ring.d + 1) == (not sets), vec
         if sets:
             assert basis == sets[0], vec
